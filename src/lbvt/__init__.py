@@ -17,7 +17,6 @@ from .analysis import (
     ratio_step_from_sweep,
     read_csv,
     sample_ladder,
-    spline_resample,
     sweep_ratio_vs_force,
     sweep_torque_vs_angle,
     sweep_torque_vs_force,
@@ -35,7 +34,7 @@ from .chain import (
     preload_force,
     preload_threshold,
 )
-from .cli import load_config, save_config
+from .config import load_config, save_config
 from .equilibrium import (
     brute_force_equilibrium,
     potential_energy,

@@ -3,30 +3,19 @@
 Sweeps sample a closed ladder from the range start: start + k*step while it
 fits, then the range end is snapped onto the last sample when it lands within
 half a step, appended otherwise. Angle sweeps record the knee angle in
-degrees (the presentation unit); everything else is SI. Sweep points are
-independent equilibrium solves and may be evaluated in parallel; the
-LBVT_THREADS environment variable caps the worker count (0 or unset runs
-serially). Record order always follows the sample order.
+degrees (the presentation unit); everything else is SI. Every sweep solves
+its samples in order, one row per sample. A sample whose closure cannot
+assemble (GeometryError) or whose solve did not converge is kept as a row
+with NaN values, regimes "-" and feasible 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import chain, equilibrium, linkage
-from .model import (
-    CalibrationError,
-    GeometryError,
-    MechanismConfig,
-    Regime,
-    SweepTable,
-    validate_config,
-)
+from .model import CalibrationError, GeometryError, MechanismConfig, SweepTable, validate_config
 
 TRIGGER_TOL = 0.05   # N, calibration tolerance on the triggering force
 RATIO_STEP_TOL = 0.005  # calibration tolerance on the ratio step
@@ -48,16 +37,48 @@ def sample_ladder(start: float, stop: float, step: float) -> list[float]:
     return xs
 
 
-def _sweep_map(fn, items):
-    workers = int(os.environ.get("LBVT_THREADS", "0") or "0")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _regime_code(state) -> str:
     return "".join(r.code() for r in state.regime)
+
+
+def _sweep(columns, samples, point, record=lambda x: x) -> SweepTable:
+    """Rows of (record(x), *values, regime code, feasible) for each sample x.
+
+    columns names the abscissa and the values; the regime and feasibility
+    columns are appended. point(x) returns the equilibrium result and the
+    row's values. A sample that raises GeometryError or does not converge
+    gets NaN values, regimes "-" and feasible 0.
+    """
+    failed = (math.nan,) * (len(columns) - 1) + ("-", 0.0)
+    rows = []
+    for x in samples:
+        try:
+            res, values = point(x)
+        except GeometryError:
+            res = None
+        if res is not None and res.converged:
+            rows.append((record(x), *values, _regime_code(res.chain), 1.0))
+        else:
+            rows.append((record(x), *failed))
+    return SweepTable(columns=columns + ("regimes (-)", "feasible (-)"), rows=rows)
+
+
+def _force_sweep(config, theta, f_from, f_to, step, columns, values) -> SweepTable:
+    """Sweep the actuator force at one knee angle; values(f, res, jac_closed) fills a row.
+
+    jac_closed() is the closed-lever jacobian at theta, computed on first use.
+    """
+    if f_from < 0.0:
+        raise ValueError(f"force range must be non-negative, got start {f_from}")
+    jac_closed = functools.cache(
+        lambda: linkage.jacobian(config, theta, chain.closed_lever(config))
+    )
+
+    def point(f: float):
+        res = equilibrium.solve_equilibrium(config, theta, f)
+        return res, values(f, res, jac_closed)
+
+    return _sweep(("f_cyl (N)",) + columns, sample_ladder(f_from, f_to, step), point)
 
 
 def sweep_torque_vs_angle(
@@ -73,39 +94,19 @@ def sweep_torque_vs_angle(
     closure cannot assemble are flagged infeasible and kept in the table.
     """
     l4_closed = chain.closed_lever(config)
-    thetas = sample_ladder(theta_from, theta_to, step)
 
-    def solve_one(theta: float):
-        try:
-            res = equilibrium.solve_equilibrium(config, theta, f_cyl)
-            rigid = linkage.kfe_torque(config, theta, l4_closed, f_cyl)
-            return (
-                math.degrees(theta),
-                res.kfe_torque,
-                rigid,
-                res.tip_force,
-                res.chain.l4,
-                res.transmission_ratio,
-                _regime_code(res.chain),
-                1.0,
-            )
-        except GeometryError:
-            nan = float("nan")
-            return (math.degrees(theta), nan, nan, nan, nan, nan, "-", 0.0)
+    def point(theta: float):
+        res = equilibrium.solve_equilibrium(config, theta, f_cyl)
+        rigid = linkage.kfe_torque(config, theta, l4_closed, f_cyl)
+        return res, (res.kfe_torque, rigid, res.tip_force, res.chain.l4,
+                     res.transmission_ratio)
 
-    rows = _sweep_map(solve_one, thetas)
-    return SweepTable(
-        columns=(
-            "theta (deg)",
-            "torque_lbvt (Nm)",
-            "torque_rigid (Nm)",
-            "tip_force (N)",
-            "l4 (m)",
-            "ratio (m)",
-            "regimes (-)",
-            "feasible (-)",
-        ),
-        rows=rows,
+    return _sweep(
+        ("theta (deg)", "torque_lbvt (Nm)", "torque_rigid (Nm)", "tip_force (N)",
+         "l4 (m)", "ratio (m)"),
+        sample_ladder(theta_from, theta_to, step),
+        point,
+        record=math.degrees,
     )
 
 
@@ -117,18 +118,9 @@ def sweep_trigger(
     step: float,
 ) -> SweepTable:
     """Chain diameter and lever length against actuator force at one knee angle."""
-    if f_from < 0.0:
-        raise ValueError(f"force range must be non-negative, got start {f_from}")
-    forces = sample_ladder(f_from, f_to, step)
-
-    def solve_one(f: float):
-        res = equilibrium.solve_equilibrium(config, theta, f)
-        return (f, res.chain.diameter, res.chain.l4, _regime_code(res.chain), 1.0)
-
-    rows = _sweep_map(solve_one, forces)
-    return SweepTable(
-        columns=("f_cyl (N)", "diameter (m)", "l4 (m)", "regimes (-)", "feasible (-)"),
-        rows=rows,
+    return _force_sweep(
+        config, theta, f_from, f_to, step, ("diameter (m)", "l4 (m)"),
+        lambda f, res, jac_closed: (res.chain.diameter, res.chain.l4),
     )
 
 
@@ -140,26 +132,9 @@ def sweep_torque_vs_force(
     step: float,
 ) -> SweepTable:
     """Knee torque against actuator force, with the rigid baseline alongside."""
-    if f_from < 0.0:
-        raise ValueError(f"force range must be non-negative, got start {f_from}")
-    l4_closed = chain.closed_lever(config)
-    jac_closed = linkage.jacobian(config, theta, l4_closed)
-    forces = sample_ladder(f_from, f_to, step)
-
-    def solve_one(f: float):
-        res = equilibrium.solve_equilibrium(config, theta, f)
-        return (f, res.kfe_torque, jac_closed * f, _regime_code(res.chain), 1.0)
-
-    rows = _sweep_map(solve_one, forces)
-    return SweepTable(
-        columns=(
-            "f_cyl (N)",
-            "torque_lbvt (Nm)",
-            "torque_rigid (Nm)",
-            "regimes (-)",
-            "feasible (-)",
-        ),
-        rows=rows,
+    return _force_sweep(
+        config, theta, f_from, f_to, step, ("torque_lbvt (Nm)", "torque_rigid (Nm)"),
+        lambda f, res, jac_closed: (res.kfe_torque, jac_closed() * f),
     )
 
 
@@ -171,26 +146,9 @@ def sweep_ratio_vs_force(
     step: float,
 ) -> SweepTable:
     """Transmission ratio against actuator force; zero force uses the closed-lever limit."""
-    if f_from < 0.0:
-        raise ValueError(f"force range must be non-negative, got start {f_from}")
-    l4_closed = chain.closed_lever(config)
-    jac_closed = linkage.jacobian(config, theta, l4_closed)
-    forces = sample_ladder(f_from, f_to, step)
-
-    def solve_one(f: float):
-        res = equilibrium.solve_equilibrium(config, theta, f)
-        return (f, res.transmission_ratio, jac_closed, _regime_code(res.chain), 1.0)
-
-    rows = _sweep_map(solve_one, forces)
-    return SweepTable(
-        columns=(
-            "f_cyl (N)",
-            "ratio (m)",
-            "ratio_rigid (m)",
-            "regimes (-)",
-            "feasible (-)",
-        ),
-        rows=rows,
+    return _force_sweep(
+        config, theta, f_from, f_to, step, ("ratio (m)", "ratio_rigid (m)"),
+        lambda f, res, jac_closed: (res.transmission_ratio, jac_closed()),
     )
 
 
@@ -350,32 +308,6 @@ def read_csv(path) -> SweepTable:
                 cells.append(cell)
         rows.append(tuple(cells))
     return SweepTable(columns=columns, rows=rows)
-
-
-def spline_resample(table: SweepTable, num: int) -> SweepTable:
-    """Denser table via natural cubic splines through the numeric columns.
-
-    Interpolation only: the new abscissae span exactly the original range.
-    String columns are dropped.
-    """
-    if len(table) < 2:
-        raise ValueError("need at least two records to fit a spline")
-    if num < 2:
-        raise ValueError("need at least two output samples")
-    xs = np.asarray([float(r[0]) for r in table.rows])
-    keep = [i for i in range(1, len(table.columns))
-            if all(not isinstance(r[i], str) for r in table.rows)]
-    new_x = np.linspace(xs[0], xs[-1], num)
-    out_cols = [[float(v)] for v in new_x]
-    for i in keep:
-        ys = np.asarray([float(r[i]) for r in table.rows])
-        spl = CubicSpline(xs, ys, bc_type="natural")
-        for row, v in zip(out_cols, spl(new_x)):
-            row.append(float(v))
-    return SweepTable(
-        columns=(table.columns[0],) + tuple(table.columns[i] for i in keep),
-        rows=[tuple(r) for r in out_cols],
-    )
 
 
 _PALETTE = ("#1f6fb4", "#d1495b", "#2e8b57", "#b8860b", "#6a5acd", "#444444")

@@ -1,7 +1,7 @@
-"""Command-line front end: config loading, single solves, sweeps, calibration.
+"""Command-line front end: single solves, sweeps, calibration.
 
-Angles are degrees at this boundary (flags and config files) and radians
-inside the library; the conversion happens exactly here. Exit codes: 0 on
+Angles are degrees in flags and config files and radians inside the
+library; flags convert here, config files in lbvt.config. Exit codes: 0 on
 success, 1 for validation or solver failures, 2 for usage errors. Diagnostics
 go to stderr; data goes to the requested files or stdout.
 """
@@ -9,123 +9,12 @@ go to stderr; data goes to the requested files or stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 from . import analysis, equilibrium
-from .model import (
-    CalibrationError,
-    ConfigError,
-    GeometryError,
-    MechanismConfig,
-    validate_config,
-)
-
-_ANGLE_FIELDS = ("beta", "alpha_preload", "theta_min", "theta_max")
-_ANGLE_LIST_FIELDS = ("phi", "joint_open_limit")
-_NUMBER_FIELDS = (
-    "l1", "l2", "l3", "actuator_attach_ratio", "l_offset", "beta",
-    "alpha_preload", "k_spring", "spring_arm_length", "theta_min", "theta_max",
-)
-_LIST_FIELDS = ("segments", "phi", "joint_open_limit")
-_INT_FIELDS = ("springs_per_joint", "branch_sign")
-_ALL_FIELDS = (
-    "l1", "l2", "l3", "actuator_base", "actuator_attach_ratio", "l_offset",
-    "beta", "segments", "phi", "alpha_preload", "k_spring",
-    "springs_per_joint", "spring_arm_length", "joint_open_limit",
-    "theta_min", "theta_max", "branch_sign",
-)
-_OPTIONAL_KEYS = ("provenance",)
-
-
-def _require_number(raw, path: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {type(raw).__name__}")
-    return float(raw)
-
-
-def _require_int(raw, path: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{path}: expected an integer, got {type(raw).__name__}")
-    return raw
-
-
-def _require_number_list(raw, path: str) -> list[float]:
-    if not isinstance(raw, list):
-        raise ConfigError(f"{path}: expected a list of numbers, got {type(raw).__name__}")
-    return [_require_number(v, f"{path}[{i}]") for i, v in enumerate(raw)]
-
-
-def load_config(path) -> MechanismConfig:
-    """Parse and validate a config file; angle fields convert from degrees."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top-level value must be an object")
-
-    unknown = sorted(set(doc) - set(_ALL_FIELDS) - set(_OPTIONAL_KEYS))
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
-    missing = sorted(set(_ALL_FIELDS) - set(doc))
-    if missing:
-        raise ConfigError(f"{path}: missing fields: {', '.join(missing)}")
-
-    fields: dict = {}
-    for name in _NUMBER_FIELDS:
-        fields[name] = _require_number(doc[name], name)
-    for name in _INT_FIELDS:
-        fields[name] = _require_int(doc[name], name)
-    for name in _LIST_FIELDS:
-        fields[name] = _require_number_list(doc[name], name)
-    base = _require_number_list(doc["actuator_base"], "actuator_base")
-    if len(base) != 2:
-        raise ConfigError(f"actuator_base: expected exactly two coordinates, got {len(base)}")
-    fields["actuator_base"] = tuple(base)
-
-    for name in _ANGLE_FIELDS:
-        fields[name] = math.radians(fields[name])
-    for name in _ANGLE_LIST_FIELDS:
-        fields[name] = [math.radians(v) for v in fields[name]]
-    for name in _LIST_FIELDS:
-        fields[name] = tuple(fields[name])
-
-    config = MechanismConfig(**fields)
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError(
-            f"{path}: invalid config:\n" + "\n".join(f"  - {v}" for v in violations)
-        )
-    return config
-
-
-def save_config(config: MechanismConfig, path, provenance: dict | None = None) -> int:
-    """Write a config file (degrees for angle fields); returns bytes written."""
-    doc: dict = {}
-    if provenance is not None:
-        doc["provenance"] = provenance
-    for name in _ALL_FIELDS:
-        value = getattr(config, name)
-        if name in _ANGLE_FIELDS:
-            value = math.degrees(value)
-        elif name in _ANGLE_LIST_FIELDS:
-            value = [math.degrees(v) for v in value]
-        elif isinstance(value, tuple):
-            value = list(value)
-        doc[name] = value
-    payload = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(payload)
-    return len(payload)
+from .config import load_config, save_config
+from .model import CalibrationError, ConfigError, GeometryError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,33 +91,31 @@ def _cmd_solve(args) -> int:
     return 0 if result.converged else 1
 
 
-_PLOT_COLUMNS = {
-    "sweep-angle": ("theta (deg)", ("torque_lbvt (Nm)", "torque_rigid (Nm)")),
-    "trigger": ("f_cyl (N)", ("diameter (m)",)),
-    "sweep-force": ("f_cyl (N)", ("torque_lbvt (Nm)", "torque_rigid (Nm)")),
-    "ratio": ("f_cyl (N)", ("ratio (m)", "ratio_rigid (m)")),
+# Sweep subcommand -> (analysis function name, plot x column, plot y columns).
+# Functions are looked up by name at call time, so a replacement set on
+# lbvt.analysis takes effect here too.
+_SWEEPS = {
+    "sweep-angle": ("sweep_torque_vs_angle", "theta (deg)",
+                    ("torque_lbvt (Nm)", "torque_rigid (Nm)")),
+    "trigger": ("sweep_trigger", "f_cyl (N)", ("diameter (m)",)),
+    "sweep-force": ("sweep_torque_vs_force", "f_cyl (N)",
+                    ("torque_lbvt (Nm)", "torque_rigid (Nm)")),
+    "ratio": ("sweep_ratio_vs_force", "f_cyl (N)", ("ratio (m)", "ratio_rigid (m)")),
 }
 
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
+    fn_name, x_col, y_cols = _SWEEPS[args.command]
+    sweep = getattr(analysis, fn_name)
     if args.command == "sweep-angle":
         start = math.radians(args.start) if args.start is not None else config.theta_min
         stop = math.radians(args.stop) if args.stop is not None else config.theta_max
-        table = analysis.sweep_torque_vs_angle(
-            config, args.force, start, stop, math.radians(args.step)
-        )
+        table = sweep(config, args.force, start, stop, math.radians(args.step))
     else:
-        theta = math.radians(args.theta)
-        fn = {
-            "trigger": analysis.sweep_trigger,
-            "sweep-force": analysis.sweep_torque_vs_force,
-            "ratio": analysis.sweep_ratio_vs_force,
-        }[args.command]
-        table = fn(config, theta, args.start, args.stop, args.step)
+        table = sweep(config, math.radians(args.theta), args.start, args.stop, args.step)
     analysis.emit_csv(table, args.out)
     if args.plot:
-        x_col, y_cols = _PLOT_COLUMNS[args.command]
         analysis.emit_svg_plot(table, x_col, y_cols, args.plot)
     return 0
 

@@ -1,5 +1,4 @@
 import math
-import os
 
 import pytest
 
@@ -54,14 +53,21 @@ def test_angle_sweep_single_record_when_step_exceeds_range(default_config):
     assert len(table) == 1
 
 
-def test_angle_sweep_flags_infeasible_samples(default_config):
+@pytest.mark.parametrize("sweep", [
+    "sweep_torque_vs_angle", "sweep_trigger", "sweep_torque_vs_force", "sweep_ratio_vs_force",
+])
+def test_sweep_flags_infeasible_samples(default_config, sweep):
     # deliberately broken four-bar, constructed directly (no validation pass)
     bad = default_config.with_updates(l2=0.01, l3=0.01)
-    table = analysis.sweep_torque_vs_angle(
-        bad, 50.0, bad.theta_min, bad.theta_max, math.radians(20.0))
+    if sweep == "sweep_torque_vs_angle":
+        table = analysis.sweep_torque_vs_angle(
+            bad, 50.0, bad.theta_min, bad.theta_max, math.radians(20.0))
+    else:
+        table = getattr(analysis, sweep)(bad, THETA_88, 0.0, 50.0, 10.0)
     assert len(table) == 6
     assert all(f == 0.0 for f in table.column("feasible (-)"))
-    assert all(math.isnan(v) for v in table.column("torque_lbvt (Nm)"))
+    assert all(c == "-" for c in table.column("regimes (-)"))
+    assert all(math.isnan(v) for row in table.rows for v in row[1:-2])
 
 
 def test_angle_sweep_shape_at_165(default_config):
@@ -133,6 +139,17 @@ def test_force_sweep_single_record(default_config):
     assert len(table) == 1
 
 
+def test_force_sweep_flags_unconverged_solve(default_config):
+    # 1e6 N at -88 deg ends unconverged; the row must not read as feasible
+    assert not equilibrium.solve_equilibrium(default_config, THETA_88, 1e6).converged
+    table = analysis.sweep_torque_vs_force(default_config, THETA_88, 1e6, 1e6, 1.0)
+    (row,) = table.rows
+    assert row[0] == 1e6
+    assert math.isnan(table.column("torque_lbvt (Nm)")[0])
+    assert table.column("regimes (-)") == ("-",)
+    assert table.column("feasible (-)") == (0.0,)
+
+
 # ---------- ratio sweep ----------
 
 def test_ratio_matches_closed_jacobian_below_threshold(default_config):
@@ -157,6 +174,18 @@ def test_ratio_step_requires_saturation(default_config):
     table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 30.0, 5.0)
     with pytest.raises(ValueError, match="saturated"):
         analysis.ratio_step_from_sweep(table)
+
+
+def test_ratio_step_skips_infeasible_rows(default_config):
+    table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 200.0, 2.0)
+    (failed,) = analysis.sweep_ratio_vs_force(default_config, THETA_88, 1e6, 1e6, 1.0).rows
+    assert math.isnan(failed[1]) and failed[-2:] == ("-", 0.0)
+    # flag the first closed and the first saturated record as failed samples
+    first_saturated = table.column("regimes (-)").index("EEEEEE")
+    rows = [(r[0],) + failed[1:] if i in (0, first_saturated) else r
+            for i, r in enumerate(table.rows)]
+    step = analysis.ratio_step_from_sweep(SweepTable(columns=table.columns, rows=rows))
+    assert abs(step - analysis.ratio_step_direct(default_config, THETA_88)) < 1e-9
 
 
 # ---------- calibrate ----------
@@ -278,39 +307,3 @@ def test_trigger_plot_renders_plateau(default_config, tmp_path):
     n = analysis.emit_svg_plot(table, "f_cyl (N)", ["diameter (m)"], out)
     assert n > 500
     assert out.read_text().count("<polyline") == 1
-
-
-# ---------- spline ----------
-
-def test_spline_resample_spans_original_range(default_config):
-    table = analysis.sweep_trigger(default_config, THETA_88, 0.0, 40.0, 2.0)
-    dense = analysis.spline_resample(table, 101)
-    xs = dense.column("f_cyl (N)")
-    assert xs[0] == 0.0 and xs[-1] == 40.0
-    assert len(dense) == 101
-    assert "regimes (-)" not in dense.columns
-
-
-def test_spline_matches_values_at_knots():
-    table = SweepTable(columns=("x (s)", "y (m)"),
-                       rows=[(0.0, 1.0), (1.0, 3.0), (2.0, 2.0), (3.0, 5.0)])
-    dense = analysis.spline_resample(table, 4)  # linspace lands on the knots
-    for (x0, y0), (x1, y1) in zip(table.rows, dense.rows):
-        assert x1 == pytest.approx(x0, abs=1e-12)
-        assert y1 == pytest.approx(y0, abs=1e-12)
-
-
-# ---------- parallel map ----------
-
-def test_thread_cap_does_not_change_results(default_config, tmp_path):
-    table_serial = analysis.sweep_trigger(default_config, THETA_88, 0.0, 30.0, 1.0)
-    old = os.environ.get("LBVT_THREADS")
-    os.environ["LBVT_THREADS"] = "3"
-    try:
-        table_parallel = analysis.sweep_trigger(default_config, THETA_88, 0.0, 30.0, 1.0)
-    finally:
-        if old is None:
-            del os.environ["LBVT_THREADS"]
-        else:
-            os.environ["LBVT_THREADS"] = old
-    assert table_parallel.rows == table_serial.rows

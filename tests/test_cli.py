@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +219,17 @@ def test_solve_report_is_deterministic(capsys):
     run(["solve", DEFAULT, "--theta", "-88", "--force", "120"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# ---------- import surface ----------
+
+def test_library_import_loads_no_cli_or_optional_modules():
+    # a fresh interpreter, so modules the test session already imported do not count
+    src = str(Path(lbvt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, lbvt; print(' '.join(m for m in "
+             "('scipy', 'argparse', 'concurrent.futures', 'lbvt.cli') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
