@@ -15,6 +15,11 @@ iterations with finite-difference jacobians, then the worst violated regime
 condition (one joint per outer pass, largest violation first, lowest index on
 ties) is flipped. Torque exactly at the holding threshold keeps a joint
 closed. The scheme is deterministic: identical inputs give identical results.
+The Newton loop stops early once an accepted step leaves the deflections
+unchanged; since its state is then back where the step began, the remaining
+passes could only replay that step, so the early stop changes no result.
+A non-finite applied torque makes the residual NaN, so such a solve is
+reported as not converged.
 
 brute_force_equilibrium is the independent check: it minimizes elastic energy
 minus the work fed into the chain over an exhaustive deflection grid, with
@@ -101,6 +106,8 @@ def triggering_force(config: MechanismConfig, theta: float) -> float:
     would return the maximum instead; the two coincide for uniform thresholds
     with proportional loading.)
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     per_unit, _, _ = _LoadMap(config, theta, 1.0).torques((0.0,) * config.n_joints)
     threshold = per_joint_stiffness(config) * config.alpha_preload
     critical = [threshold / a for a in per_unit if a > 1e-12]
@@ -113,6 +120,9 @@ def triggering_force(config: MechanismConfig, theta: float) -> float:
 
 
 def _complementarity_residual(d, regimes, torques, k, a0, limits) -> float:
+    """Largest regime-condition violation in Nm; NaN if any torque is not finite."""
+    if not all(math.isfinite(a) for a in torques):
+        return math.nan
     res = 0.0
     for dk, reg, a, lim in zip(d, regimes, torques, limits):
         if reg is Regime.CLOSED:
@@ -152,6 +162,13 @@ def _newton_active(load, d, active, k, a0, limits):
     the balance has no interior root on this side (the opening torque beats
     the spring), so the full clamped step is taken once to reach the bound
     and hand the joint back to the regime logic.
+
+    An accepted step that leaves d unchanged (typically an active joint
+    pushing past its bound and clamped back) ends the loop. The exit is
+    exact: d, the residual, its norm and the bold flag are then what they
+    were at the start of the step, and the loop body is deterministic, so
+    every remaining pass would rebuild the same jacobian, take the same step
+    and end at the same d.
     """
     if not active:
         return load.torques(d)
@@ -196,13 +213,16 @@ def _newton_active(load, d, active, k, a0, limits):
             r_trial = residual(trial)
             norm_trial = max(abs(x) for x in r_trial)
             if norm_trial <= norm:
-                d[:] = trial
-                r = r_trial
-                norm = norm_trial
                 accepted = True
                 break
             lam *= 0.5
-        if not accepted:
+        if accepted:
+            if trial == d:
+                break  # stalled: every later pass would replay this step
+            d[:] = trial
+            r = r_trial
+            norm = norm_trial
+        else:
             if bold_used:
                 break
             bold_used = True

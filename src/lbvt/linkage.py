@@ -93,6 +93,10 @@ def solve_closure(config: MechanismConfig, theta: float, l4: float) -> LinkageSt
     All four link-length constraints hold to better than 1e-10 m in the
     returned state; the branch flag is the configured assembly side.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if not math.isfinite(l4):
+        raise ValueError(f"l4 must be finite, got {l4}")
     bearing = chain.tip_bearing(config, (0.0,) * config.n_joints)
     a, b, c, d, jac = _closure_kernel(config, theta, l4, bearing)
     return LinkageState(

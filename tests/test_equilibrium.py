@@ -112,6 +112,18 @@ def test_solver_rejects_bad_inputs(default_config):
         solve_equilibrium(default_config, 0.5, 10.0)
 
 
+def test_nan_force_is_not_converged(default_config):
+    res = solve_equilibrium(default_config, THETA_88, math.nan)
+    assert not res.converged
+    assert math.isnan(res.residual)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_trigger_rejects_non_finite_theta(default_config, theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        triggering_force(default_config, theta)
+
+
 class _ConstantLoad:
     """Stub load map applying a fixed torque to every joint."""
 
@@ -143,6 +155,19 @@ def test_threshold_tie_stays_closed():
     assert regimes[0] is Regime.CLOSED
 
 
+def _count_calls(monkeypatch, cls):
+    """Count calls of cls.torques from here to the end of the test."""
+    calls = [0]
+    original = cls.torques
+
+    def counted(self, d):
+        calls[0] += 1
+        return original(self, d)
+
+    monkeypatch.setattr(cls, "torques", counted)
+    return calls
+
+
 def test_end_stop_engages_under_excess_torque():
     d = [0.0]
     regimes = [Regime.CLOSED]
@@ -150,6 +175,23 @@ def test_end_stop_engages_under_excess_torque():
     equilibrium._active_set(load, d, regimes, 1.0, 0.1, (0.3,))
     assert d[0] == 0.3
     assert regimes[0] is Regime.END_STOP
+
+
+def test_end_stop_clamped_step_is_not_replayed(monkeypatch):
+    calls = _count_calls(monkeypatch, _ConstantLoad)
+    d = [0.0]
+    regimes = [Regime.CLOSED]
+    equilibrium._active_set(_ConstantLoad(1.0, 1), d, regimes, 1.0, 0.1, (0.3,))
+    assert regimes[0] is Regime.END_STOP
+    assert calls[0] <= 12
+
+
+@pytest.mark.parametrize("force, bound", [(5.0, 3), (30.0, 22), (60.0, 100), (165.0, 500)])
+def test_load_evaluations_per_solve(default_config, monkeypatch, force, bound):
+    calls = _count_calls(monkeypatch, equilibrium._LoadMap)
+    res = solve_equilibrium(default_config, THETA_88, force)
+    assert res.converged
+    assert calls[0] <= bound
 
 
 def test_complementarity_on_random_inputs(default_config):

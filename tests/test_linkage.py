@@ -148,3 +148,14 @@ def test_open_lever_torque_exceeds_closed_at_165(default_config):
     t_closed = linkage.kfe_torque(default_config, THETA_88,
                                   chain.closed_lever(default_config), 165.0)
     assert t_open > t_closed
+
+
+@pytest.mark.parametrize("theta, l4, name", [
+    (math.nan, 0.1, "theta"),
+    (math.inf, 0.1, "theta"),
+    (THETA_88, math.nan, "l4"),
+    (THETA_88, math.inf, "l4"),
+], ids=["theta-nan", "theta-inf", "l4-nan", "l4-inf"])
+def test_closure_rejects_non_finite_inputs(default_config, theta, l4, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        linkage.solve_closure(default_config, theta, l4)
