@@ -40,19 +40,45 @@ def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
     return d
 
 
-def _geometry(config: MechanismConfig, d: tuple[float, ...]):
-    """Joint pivots and tip, plus the cumulative angle of the last segment."""
-    cos, sin = math.cos, math.sin
+def _geometry(config: MechanismConfig, d, xp=math):
+    """Joint pivots and tip, plus the cumulative angle of the last segment.
+
+    d holds one deflection per joint: floats with xp=math (the solver's hot
+    path), or equal-shape numpy arrays with xp=numpy to evaluate a whole grid
+    of chain states at once. Every coordinate after the anchor then has that
+    shape. No checks run here; callers validate d first.
+    """
+    cos, sin = xp.cos, xp.sin
     ang = config.beta
     x = config.l_offset * cos(ang)
     y = config.l_offset * sin(ang)
     pivots = [(x, y)]
     for sk, pk, dk in zip(config.segments, config.phi, d):
-        ang += pk + dk
-        x += sk * cos(ang)
-        y += sk * sin(ang)
+        # rebind rather than +=: in place, arrays would alias the stored pivots
+        ang = ang + (pk + dk)
+        x = x + sk * cos(ang)
+        y = y + sk * sin(ang)
         pivots.append((x, y))
     return pivots, (x, y), ang
+
+
+def _torques(pivots, tip, scale):
+    """scale * (tip - pivot) . tip for each joint pivot, floats or arrays.
+
+    A tip force f_end along perp(tip) / |tip| exerts exactly these torques
+    with scale = f_end / |tip|: the planar cross product of (tip - pivot)
+    with the force, positive toward opening.
+    """
+    tx, ty = tip
+    return tuple(scale * ((tx - px) * tx + (ty - py) * ty) for px, py in pivots[:-1])
+
+
+def _lever(tip) -> float:
+    """Knee-to-tip distance; raises ValueError when the lever is undefined."""
+    l4 = math.hypot(*tip)
+    if not (l4 > 0.0):
+        raise ValueError("chain tip coincides with the knee joint; lever undefined")
+    return l4
 
 
 def chain_tip(config: MechanismConfig, deflection) -> tuple[float, float]:
@@ -100,10 +126,13 @@ def moment_geometry(
     knee-to-tip ray), zero when the force is aligned with the ray.
     """
     d = _check_deflection(config, deflection)
-    pivots, (tx, ty), _ = _geometry(config, d)
-    l4 = math.hypot(tx, ty)
-    if not (l4 > 0.0):
-        raise ValueError("chain tip coincides with the knee joint; lever undefined")
+    pivots, tip, _ = _geometry(config, d)
+    return _arms_and_gammas(pivots, tip, _lever(tip))
+
+
+def _arms_and_gammas(pivots, tip, l4):
+    """moment_geometry from pivots and tip already built, lever length l4."""
+    tx, ty = tip
     fx, fy = -ty / l4, tx / l4  # unit force direction, +90 deg from the tip ray
     arms = []
     gammas = []
@@ -127,14 +156,8 @@ def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[fl
     if not math.isfinite(f_end):
         raise ValueError(f"f_end must be finite, got {f_end}")
     d = _check_deflection(config, deflection)
-    pivots, (tx, ty), _ = _geometry(config, d)
-    l4 = math.hypot(tx, ty)
-    if not (l4 > 0.0):
-        raise ValueError("chain tip coincides with the knee joint; lever undefined")
-    fx, fy = -ty / l4 * f_end, tx / l4 * f_end
-    return tuple(
-        (tx - px) * fy - (ty - py) * fx for px, py in pivots[:-1]
-    )
+    pivots, tip, _ = _geometry(config, d)
+    return _torques(pivots, tip, f_end / _lever(tip))
 
 
 def preload_threshold(config: MechanismConfig, joint_index: int) -> float:
@@ -156,11 +179,12 @@ def preload_force(k_spring: float, delta: float, arm_length: float) -> float:
 def make_chain_state(config: MechanismConfig, deflection) -> ChainState:
     """Build a fully consistent ChainState from the deflections alone."""
     d = _check_deflection(config, deflection)
-    pivots, (tx, ty), last_angle = _geometry(config, d)
-    l4 = math.hypot(tx, ty)
+    pivots, tip, last_angle = _geometry(config, d)
+    l4 = _lever(tip)
+    tx, ty = tip
     ax, ay = pivots[0]
     diameter = math.hypot(tx - ax, ty - ay)
-    arms, gammas = moment_geometry(config, d)
+    arms, gammas = _arms_and_gammas(pivots, tip, l4)
     theta_l4 = math.remainder(math.atan2(ty, tx) - last_angle, _TWO_PI)
     regimes = []
     for dk, lim in zip(d, config.joint_open_limit):
@@ -173,7 +197,7 @@ def make_chain_state(config: MechanismConfig, deflection) -> ChainState:
     return ChainState(
         deflection=d,
         regime=tuple(regimes),
-        tip=(tx, ty),
+        tip=tip,
         l4=l4,
         diameter=diameter,
         moment_arm=arms,

@@ -24,8 +24,11 @@ reported as not converged.
 brute_force_equilibrium is the independent check: it minimizes elastic energy
 minus the work fed into the chain over an exhaustive deflection grid, with
 the work path-integrated along the uniform-opening ray to each grid node
-(all joints scaled together). It never iterates and shares nothing with the
-active-set scheme beyond the load map itself.
+(all joints scaled together). It evaluates the whole grid through the
+solver's own load map (_LoadMap.torques on arrays: the same chain geometry,
+four-bar closure and joint-torque kernels), so its independence lies in the
+method, an energy minimum over a grid against an active-set iteration on
+the torque balances. It never iterates.
 """
 
 from __future__ import annotations
@@ -37,12 +40,10 @@ import numpy as np
 from . import chain, linkage
 from .model import (
     EquilibriumResult,
-    GeometryError,
     GridSizeError,
     MechanismConfig,
     NoTriggerError,
     Regime,
-    SingularityError,
     per_joint_stiffness,
 )
 
@@ -66,19 +67,17 @@ class _LoadMap:
         self.f_cyl = f_cyl
         self.bearing = chain.tip_bearing(config, (0.0,) * config.n_joints)
 
-    def torques(self, d) -> tuple[tuple[float, ...], float, float]:
-        """Per-joint applied torques, lever length and jacobian at deflections d."""
+    def torques(self, d, xp=math):
+        """Per-joint applied torques, lever length and jacobian at deflections d.
+
+        d is one float per joint, or with xp=numpy one equal-shape array per
+        joint; every output then has that shape.
+        """
         cfg = self.config
-        pivots, (tx, ty), _ = chain._geometry(cfg, d)
-        l4 = math.hypot(tx, ty)
-        if not (l4 > 0.0):
-            raise GeometryError("chain tip reached the knee joint during the solve")
-        _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, self.bearing)
-        c = jac * self.f_cyl / (l4 * l4)
-        torques = tuple(
-            c * ((tx - px) * tx + (ty - py) * ty) for px, py in pivots[:-1]
-        )
-        return torques, l4, jac
+        pivots, tip, _ = chain._geometry(cfg, d, xp)
+        l4 = xp.hypot(*tip)
+        _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, self.bearing, xp)
+        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac
 
 
 def tip_force(kfe_torque: float, l4: float) -> float:
@@ -284,8 +283,8 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float) -> Eq
     with the best residual if both attempts exhaust their iteration budgets;
     geometric infeasibility raises. Identical inputs give identical results.
     """
-    if f_cyl < 0.0:
-        raise ValueError(f"f_cyl must be non-negative, got {f_cyl}")
+    if f_cyl < 0.0 or f_cyl == math.inf:
+        raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
     if not (config.theta_min - 1e-9 <= theta <= config.theta_max + 1e-9):
         raise ValueError(
             f"theta={theta} outside the configured range "
@@ -349,8 +348,8 @@ def brute_force_equilibrium(
         raise ValueError("grid oracle supports at most 3 chain joints")
     if not (grid_step > 0.0):
         raise ValueError(f"grid_step must be positive, got {grid_step}")
-    if f_cyl < 0.0:
-        raise ValueError(f"f_cyl must be non-negative, got {f_cyl}")
+    if not (0.0 <= f_cyl < math.inf):
+        raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
 
     axes = []
     for lim in config.joint_open_limit:
@@ -375,19 +374,18 @@ def brute_force_equilibrium(
     a0 = config.alpha_preload
     energy = 0.5 * k * ((a0 + grid) ** 2 - a0 * a0).sum(axis=1)
 
-    bearing = chain.tip_bearing(config, (0.0,) * config.n_joints)
+    load = _LoadMap(config, theta, f_cyl)
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     s_nodes = 0.5 * (gl_x + 1.0)
     s_weights = 0.5 * gl_w
     work = np.zeros(len(grid))
     for s, w in zip(s_nodes, s_weights):
-        a_q = _torques_matrix(config, theta, f_cyl, s * grid, bearing)
-        work += w * (a_q * grid).sum(axis=1)
+        a_q, _, _ = load.torques(s * grid.T, np)
+        work += w * sum(a * col for a, col in zip(a_q, grid.T))
 
     best = int(np.argmin(energy - work))
     d_star = [float(v) for v in grid[best]]
 
-    load = _LoadMap(config, theta, f_cyl)
     torques, l4, jac = load.torques(d_star)
     state = chain.make_chain_state(config, d_star)
     residual = _complementarity_residual(
@@ -404,65 +402,3 @@ def brute_force_equilibrium(
         residual=residual,
         iterations=total,
     )
-
-
-def _torques_matrix(config, theta, f_cyl, d_matrix, bearing) -> np.ndarray:
-    """Vectorized applied joint torques for a (N, n) deflection matrix."""
-    seg = np.asarray(config.segments)
-    phi = np.asarray(config.phi)
-    ang = config.beta + np.cumsum(phi[None, :] + d_matrix, axis=1)
-    seg_x = seg * np.cos(ang)
-    seg_y = seg * np.sin(ang)
-    cum_x = np.cumsum(seg_x, axis=1)
-    cum_y = np.cumsum(seg_y, axis=1)
-    ax = config.l_offset * math.cos(config.beta)
-    ay = config.l_offset * math.sin(config.beta)
-    tip_x = ax + cum_x[:, -1]
-    tip_y = ay + cum_y[:, -1]
-    zeros = np.zeros((d_matrix.shape[0], 1))
-    piv_x = ax + np.concatenate([zeros, cum_x[:, :-1]], axis=1)
-    piv_y = ay + np.concatenate([zeros, cum_y[:, :-1]], axis=1)
-    l4 = np.hypot(tip_x, tip_y)
-    if np.any(l4 <= 0.0):
-        raise GeometryError("chain tip reached the knee joint on the oracle grid")
-    jac = _jacobian_array(config, theta, l4, bearing)
-    c = jac * f_cyl / (l4 * l4)
-    return c[:, None] * (
-        (tip_x[:, None] - piv_x) * tip_x[:, None]
-        + (tip_y[:, None] - piv_y) * tip_y[:, None]
-    )
-
-
-def _jacobian_array(config, theta, l4, bearing) -> np.ndarray:
-    """Vectorized closure jacobian over an array of lever lengths."""
-    l1, l2, l3 = config.l1, config.l2, config.l3
-    cx = l4 * math.cos(theta + bearing)
-    cy = l4 * math.sin(theta + bearing)
-    dx = cx - l1
-    dy = cy
-    g = np.hypot(dx, dy)
-    if np.any(g > l2 + l3 + 1e-12) or np.any(g < abs(l2 - l3) - 1e-12):
-        bad = float(g[np.argmax(np.abs(g - 0.5 * (l2 + l3 + abs(l2 - l3))))])
-        raise GeometryError(
-            f"closure infeasible on the oracle grid: pivot span {bad:.5f} m "
-            f"outside [{abs(l2 - l3):.5f}, {l2 + l3:.5f}] m"
-        )
-    ux, uy = dx / g, dy / g
-    a = (l2 * l2 - l3 * l3 + g * g) / (2.0 * g)
-    h = np.sqrt(np.clip(l2 * l2 - a * a, 0.0, None))
-    s = float(config.branch_sign)
-    bx = l1 + a * ux - s * h * uy
-    by = a * uy + s * h * ux
-    e2x, e2y = bx - l1, by
-    e3x, e3y = cx - bx, cy - by
-    cross23 = e2x * e3y - e2y * e3x
-    if np.any(np.abs(cross23 / (l2 * l3)) < linkage.SINGULARITY_SIN):
-        raise SingularityError("transmission singularity on the oracle grid")
-    r = config.actuator_attach_ratio
-    px = l1 + r * e2x
-    py = r * e2y
-    qx, qy = config.actuator_base
-    ex, ey = px - qx, py - qy
-    d = np.hypot(ex, ey)
-    lam = (cx * e3y - cy * e3x) / cross23
-    return r * lam * (ex * (-e2y) + ey * e2x) / d

@@ -18,44 +18,63 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import chain
 from .model import GeometryError, LinkageState, MechanismConfig, SingularityError
 
 SINGULARITY_SIN = 1e-8  # |sin(input-coupler angle)| below this raises
 
 
-def _closure_kernel(config: MechanismConfig, theta: float, l4: float, bearing: float):
+def _closure_kernel(config: MechanismConfig, theta, l4, bearing: float, xp=math):
     """Pivot positions and jacobian for a lever of length l4 at the given bearing.
 
-    Returns (A, B, C, actuator_length, jacobian). Raises GeometryError when the
-    coupler circles do not intersect and SingularityError at the fold line.
+    Returns (A, B, C, actuator_length, jacobian). theta and l4 are floats with
+    xp=math (the solver's hot path), or numpy arrays (or a float and an
+    array) that broadcast together with xp=numpy; B, C, the actuator length
+    and the jacobian then take the broadcast shape. Every check covers every
+    element and runs before the division it guards. GeometryError is raised
+    when the lever is not positive or the coupler circles do not intersect,
+    SingularityError at the fold line; the message names the first failing
+    element.
     """
-    if not (l4 > 0.0):
+    if xp is math:
+        any_ = all_ = bool
+    else:
+        any_, all_ = np.count_nonzero, _all
+    if not all_(l4 > 0.0):
+        (l4,) = _first(np.logical_not(l4 > 0.0), l4)
         raise GeometryError(f"lever length must be positive, got {l4}")
-    l1, l2, l3 = config.l1, config.l2, config.l3
+    l2, l3 = config.l2, config.l3
     ax_, ay_ = config.l1, 0.0
-    cx = l4 * math.cos(theta + bearing)
-    cy = l4 * math.sin(theta + bearing)
+    phase = theta + bearing
+    cx = l4 * xp.cos(phase)
+    cy = l4 * xp.sin(phase)
 
     dx, dy = cx - ax_, cy - ay_
-    g = math.hypot(dx, dy)
-    if g > l2 + l3 + 1e-12:
+    g = xp.hypot(dx, dy)
+    too_far = g > l2 + l3 + 1e-12
+    if any_(too_far):
+        theta, l4, g = _first(too_far, theta, l4, g)
         raise GeometryError(
             f"closure infeasible at theta={math.degrees(theta):.3f} deg, l4={l4:.5f} m: "
             f"pivot span {g:.5f} m exceeds l2 + l3 = {l2 + l3:.5f} m"
         )
-    if g < abs(l2 - l3) - 1e-12:
+    too_near = g < abs(l2 - l3) - 1e-12
+    if any_(too_near):
+        theta, l4, g = _first(too_near, theta, l4, g)
         raise GeometryError(
             f"closure infeasible at theta={math.degrees(theta):.3f} deg, l4={l4:.5f} m: "
             f"pivot span {g:.5f} m is below |l2 - l3| = {abs(l2 - l3):.5f} m"
         )
-    if g == 0.0:
+    if any_(g == 0.0):
         raise GeometryError("ground pivot and lever tip coincide; closure undefined")
 
     ux, uy = dx / g, dy / g
     a = (l2 * l2 - l3 * l3 + g * g) / (2.0 * g)
     h_sq = l2 * l2 - a * a
-    h = math.sqrt(h_sq) if h_sq > 0.0 else 0.0
+    # round-off past tangency reads 0; the multiply only runs in that case
+    h = xp.sqrt(h_sq if all_(h_sq > 0.0) else h_sq * (h_sq > 0.0))
     s = float(config.branch_sign)
     bx = ax_ + a * ux - s * h * uy
     by = ay_ + a * uy + s * h * ux
@@ -63,8 +82,9 @@ def _closure_kernel(config: MechanismConfig, theta: float, l4: float, bearing: f
     e2x, e2y = bx - ax_, by - ay_
     e3x, e3y = cx - bx, cy - by
     cross_e2e3 = e2x * e3y - e2y * e3x
-    sin_mu = cross_e2e3 / (l2 * l3)
-    if abs(sin_mu) < SINGULARITY_SIN:
+    folded = abs(cross_e2e3 / (l2 * l3)) < SINGULARITY_SIN
+    if any_(folded):
+        theta, l4 = _first(folded, theta, l4)
         raise SingularityError(
             f"transmission singularity at theta={math.degrees(theta):.3f} deg, "
             f"l4={l4:.5f} m: input bar and coupler are collinear"
@@ -75,8 +95,8 @@ def _closure_kernel(config: MechanismConfig, theta: float, l4: float, bearing: f
     py = ay_ + r * e2y
     qx, qy = config.actuator_base
     ex, ey = px - qx, py - qy
-    d = math.hypot(ex, ey)
-    if not (d > 0.0):
+    d = xp.hypot(ex, ey)
+    if not all_(d > 0.0):
         raise GeometryError("actuator attachment coincides with the actuator base")
 
     cross_c_e3 = cx * e3y - cy * e3x
@@ -85,6 +105,23 @@ def _closure_kernel(config: MechanismConfig, theta: float, l4: float, bearing: f
     jac = r * lam * (ex * (-e2y) + ey * e2x) / d
 
     return (ax_, ay_), (bx, by), (cx, cy), d, jac
+
+
+def _all(mask) -> bool:
+    """np.all for the array path, without its dispatch overhead."""
+    return np.count_nonzero(mask) == np.size(mask)
+
+
+def _first(bad, *values):
+    """The values at the first element where bad holds, as floats.
+
+    Scalar checks pass their values through unchanged; only failing checks
+    call this, so the solver's happy path never formats a message.
+    """
+    if np.ndim(bad) == 0:
+        return values
+    i = int(np.argmax(bad))
+    return tuple(float(np.broadcast_to(v, np.shape(bad)).flat[i]) for v in values)
 
 
 def solve_closure(config: MechanismConfig, theta: float, l4: float) -> LinkageState:

@@ -18,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 
 class GeometryError(ValueError):
     """Requested configuration cannot be assembled (closure infeasible, bad lever)."""
@@ -267,44 +269,26 @@ def validate_config(config: MechanismConfig) -> list[str]:
 
 
 def _closure_violations(config: MechanismConfig) -> list[str]:
-    from . import chain as _chain  # deferred to avoid import cycle at module load
+    """Closure check at 181 knee angles, one kernel call per lever state.
+
+    Runs the solver's own closure kernel over the sampled range, so any
+    GeometryError a solve at those angles and lever lengths would raise
+    (lever, circle intersection, singularity, actuator) is reported here.
+    """
+    from . import chain as _chain, linkage as _linkage  # deferred: import cycle
 
     out: list[str] = []
     zero = (0.0,) * config.n_joints
-    endpoints = {
-        "closed": _chain.l4_length(config, zero),
-        "fully open": _chain.l4_length(config, config.joint_open_limit),
-    }
     bearing_closed = _chain.tip_bearing(config, zero)
     n_samples = 181
-    thetas = [
-        config.theta_min + (config.theta_max - config.theta_min) * i / (n_samples - 1)
-        for i in range(n_samples)
-    ]
-    for label, l4 in endpoints.items():
-        if not (l4 > 0.0):
-            out.append(f"lever length at the {label} state must be positive, got {l4}")
-            continue
-        for theta in thetas:
-            reason = _triangle_violation(config, theta, l4, bearing_closed)
-            if reason is not None:
-                out.append(
-                    f"four-bar closure infeasible at theta={math.degrees(theta):.2f} deg "
-                    f"with the {label} lever ({l4:.4f} m): {reason}"
-                )
-                break
+    thetas = (
+        config.theta_min
+        + (config.theta_max - config.theta_min) * np.arange(n_samples) / (n_samples - 1)
+    )
+    for label, d in (("closed", zero), ("fully open", config.joint_open_limit)):
+        l4 = _chain.l4_length(config, d)
+        try:
+            _linkage._closure_kernel(config, thetas, l4, bearing_closed, np)
+        except GeometryError as exc:
+            out.append(f"four-bar closure fails with the {label} lever: {exc}")
     return out
-
-
-def _triangle_violation(
-    config: MechanismConfig, theta: float, l4: float, bearing: float
-) -> str | None:
-    """Triangle-inequality check of the input/coupler circle intersection."""
-    cx = l4 * math.cos(theta + bearing)
-    cy = l4 * math.sin(theta + bearing)
-    g = math.hypot(cx - config.l1, cy)
-    if g > config.l2 + config.l3:
-        return f"pivot span {g:.4f} m exceeds l2 + l3 = {config.l2 + config.l3:.4f} m"
-    if g < abs(config.l2 - config.l3):
-        return f"pivot span {g:.4f} m is below |l2 - l3| = {abs(config.l2 - config.l3):.4f} m"
-    return None

@@ -190,6 +190,22 @@ def test_torque_identity_with_moment_geometry(default_config):
             assert t == pytest.approx(r * math.sin(g) * f_end, abs=1e-12)
 
 
+def test_chain_state_builds_the_geometry_once(default_config, monkeypatch):
+    calls = []
+    geometry = chain._geometry
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return geometry(*args, **kw)
+
+    monkeypatch.setattr(chain, "_geometry", counting)
+    state = chain.make_chain_state(default_config, default_config.joint_open_limit)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert (state.moment_arm, state.gamma) == chain.moment_geometry(
+        default_config, default_config.joint_open_limit)
+
+
 @pytest.mark.parametrize("index,expected", [(1, 0.468), (3, 0.468), (6, 0.468)])
 def test_preload_threshold_uniform(default_config, index, expected):
     cfg = default_config.with_updates(alpha_preload=0.1)

@@ -118,6 +118,11 @@ def test_nan_force_is_not_converged(default_config):
     assert math.isnan(res.residual)
 
 
+def test_infinite_force_is_rejected_up_front(default_config):
+    with pytest.raises(ValueError, match="f_cyl"):
+        solve_equilibrium(default_config, THETA_88, math.inf)
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_trigger_rejects_non_finite_theta(default_config, theta):
     with pytest.raises(ValueError, match="theta must be finite"):
@@ -299,29 +304,42 @@ def test_brute_force_rejects_large_grids():
         brute_force_equilibrium(cfg, THETA_88, 10.0, 1e-6)
 
 
+@pytest.mark.parametrize("f_cyl", [-1.0, math.nan, math.inf])
+def test_brute_force_rejects_bad_force(f_cyl):
+    with pytest.raises(ValueError, match="f_cyl"):
+        brute_force_equilibrium(reduced_chain(1), THETA_88, f_cyl, 1e-3)
+
+
 def test_brute_force_rejects_full_chain(default_config):
     with pytest.raises(ValueError):
         brute_force_equilibrium(default_config, THETA_88, 10.0, 1e-3)
 
 
 def test_vectorized_load_map_matches_scalar(default_config):
+    """The array path of the load map agrees with the float path row by row."""
     rng = np.random.default_rng(4)
-    bearing = chain.tip_bearing(default_config, (0.0,) * 6)
     d_matrix = np.column_stack([
         rng.uniform(0.0, lim, 64) for lim in default_config.joint_open_limit
     ])
-    vec = equilibrium._torques_matrix(default_config, THETA_88, 33.0, d_matrix, bearing)
     load = equilibrium._LoadMap(default_config, THETA_88, 33.0)
-    for row, d in zip(vec, d_matrix):
-        scalar, _, _ = load.torques(tuple(d))
-        assert row == pytest.approx(scalar, abs=1e-12)
+    vec, l4s, jacs = load.torques(d_matrix.T, np)
+    assert len(vec) == 6 and all(col.shape == (64,) for col in vec)
+    for i, d in enumerate(d_matrix):
+        scalar, l4, jac = load.torques(tuple(float(x) for x in d))
+        assert tuple(col[i] for col in vec) == pytest.approx(scalar, abs=1e-12)
+        assert (l4s[i], jacs[i]) == pytest.approx((l4, jac), abs=1e-14)
 
 
 def test_vectorized_jacobian_matches_scalar(default_config):
+    """The closure kernel broadcasts over knee angle and lever length."""
     bearing = chain.tip_bearing(default_config, (0.0,) * 6)
+    thetas = np.linspace(default_config.theta_min, default_config.theta_max, 7)
     l4s = np.linspace(chain.closed_lever(default_config),
                       chain.open_lever(default_config), 50)
-    vec = equilibrium._jacobian_array(default_config, THETA_88, l4s, bearing)
-    for l4, jv in zip(l4s, vec):
-        assert jv == pytest.approx(
-            linkage.jacobian(default_config, THETA_88, float(l4)), abs=1e-14)
+    vec = linkage._closure_kernel(
+        default_config, thetas[:, None], l4s[None, :], bearing, np)[4]
+    assert vec.shape == (7, 50)
+    for i, theta in enumerate(thetas):
+        for l4, jv in zip(l4s, vec[i]):
+            assert jv == pytest.approx(
+                linkage.jacobian(default_config, float(theta), float(l4)), abs=1e-14)

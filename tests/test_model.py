@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,17 @@ def test_validation_is_deterministic(default_config):
     bad = default_config.with_updates(l2=-1.0, k_spring=0.0, springs_per_joint=0)
     assert validate_config(bad) == validate_config(bad)
     assert len(validate_config(bad)) >= 3
+
+
+def test_infeasible_closure_is_reported_per_lever_state():
+    # input bar plus coupler span 0.1 m, short of the ground pivot at 0.25 m
+    bad = reduced_chain(2).with_updates(l2=0.05, l3=0.05)
+    violations = validate_config(bad)
+    assert len(violations) == 2
+    for label, v in zip(("closed", "fully open"), violations):
+        assert f"the {label} lever" in v
+        assert re.search(r"theta=-141\.0+ deg", v)
+        assert "exceeds l2 + l3" in v
 
 
 def test_mismatched_joint_arrays_are_reported(default_config):
