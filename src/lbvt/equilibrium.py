@@ -11,10 +11,15 @@ through the moment geometry. Each joint then obeys one of three regimes:
 
 solve_equilibrium runs an active-set scheme over those regimes: for a fixed
 regime assignment the active torque balances are solved by damped Newton
-iterations with finite-difference jacobians, then the worst violated regime
-condition (one joint per outer pass, largest violation first, lowest index on
-ties) is flipped. Torque exactly at the holding threshold keeps a joint
-closed. The scheme is deterministic: identical inputs give identical results.
+iterations, then the worst violated regime condition (one joint per outer
+pass, largest violation first, lowest index on ties) is flipped. Torque
+exactly at the holding threshold keeps a joint closed. The scheme is
+deterministic: identical inputs give identical results. The Newton jacobian
+is analytic: opening joint j rotates the chain tip and every later pivot
+about pivot j, and only the closure jacobian's dependence on the lever
+length is differenced, once per Newton step. Each solve caches its load-map
+evaluations by deflection vector, so the residual that starts an outer pass,
+repeated line-search trials and the final evaluation cost a dict lookup.
 The Newton loop stops early once an accepted step leaves the deflections
 unchanged; since its state is then back where the step began, the remaining
 passes could only replay that step, so the early stop changes no result.
@@ -52,32 +57,82 @@ MAX_INNER = 50
 DAMPING_FLOOR = 1e-6
 RESIDUAL_TOL = 1e-9
 _INNER_TOL = 1e-12
-_FD_STEP = 1e-7
+_DL4 = 1e-8  # m, forward-difference step of the closure jacobian in l4
 
 
 class _LoadMap:
     """Applied chain-joint torques as a function of the deflections.
 
-    Precomputes the closed-chain tip bearing so repeated evaluations skip it.
+    Takes the closed-chain tip bearing from the caller, or computes it once.
+    Float evaluations are cached per instance, keyed by tuple(d): the map is a
+    pure function of d, and -0.0 and 0.0 give bit-identical geometry, so a
+    repeated point returns the stored result unchanged. evaluate is the
+    uncached kernel; counting its calls counts real evaluations.
     """
 
-    def __init__(self, config: MechanismConfig, theta: float, f_cyl: float):
+    def __init__(self, config: MechanismConfig, theta: float, f_cyl: float, bearing=None):
         self.config = config
         self.theta = theta
         self.f_cyl = f_cyl
-        self.bearing = chain.tip_bearing(config, (0.0,) * config.n_joints)
+        if bearing is None:
+            bearing = chain.tip_bearing(config, (0.0,) * config.n_joints)
+        self.bearing = bearing
+        self._cache = {}
 
-    def torques(self, d, xp=math):
-        """Per-joint applied torques, lever length and jacobian at deflections d.
+    def evaluate(self, d, xp=math):
+        """((torques, l4, jac), pivots) at deflections d, without the cache.
 
         d is one float per joint, or with xp=numpy one equal-shape array per
-        joint; every output then has that shape.
+        joint; every output then has that shape. pivots ends with the tip.
         """
         cfg = self.config
         pivots, tip, _ = chain._geometry(cfg, d, xp)
         l4 = xp.hypot(*tip)
         _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, self.bearing, xp)
-        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac
+        return (chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac), pivots
+
+    def _point(self, d):
+        key = tuple(d)
+        point = self._cache.get(key)
+        if point is None:
+            point = self._cache[key] = self.evaluate(key)
+        return point
+
+    def torques(self, d, xp=math):
+        """Per-joint applied torques, lever length and jacobian at deflections d."""
+        if xp is math:
+            return self._point(d)[0]
+        return self.evaluate(d, xp)[0]
+
+    def derivative(self, d, active):
+        """Rows i, columns j of da_i/dd_j over the active joints, as nested lists.
+
+        Opening joint j rotates the tip t and every later pivot about p_j, so
+        dt/dd_j = perp(t - p_j) and dl4/dd_j = t . perp(t - p_j) / l4. With
+        w_i = t - p_i and a_i = s(l4) * w_i . t, where s = J(l4) f / l4^2,
+
+            da_i/dd_j = s'(l4) dl4/dd_j (w_i . t) + s (c_max(i,j) + w_j x w_i)
+
+        with c_j = w_j x t. dJ/dl4 in s' is one forward difference in l4.
+        """
+        (_, l4, jac), pivots = self._point(d)
+        tx, ty = pivots[-1]
+        f = self.f_cyl
+        scale = jac * f / (l4 * l4)
+        _, _, _, _, jac_up = linkage._closure_kernel(
+            self.config, self.theta, l4 + _DL4, self.bearing)
+        # ds/dl4 over l4, the factor that turns c_j = l4 dl4/dd_j into ds/dd_j
+        ds = f * ((jac_up - jac) / _DL4 - 2.0 * jac / l4) / (l4 * l4 * l4)
+        w = [(tx - pivots[i][0], ty - pivots[i][1]) for i in active]
+        c = [wx * ty - wy * tx for wx, wy in w]
+        rows = []
+        for a, (wix, wiy) in enumerate(w):
+            g = ds * (wix * tx + wiy * ty)
+            rows.append([
+                g * c[b] + scale * (c[max(a, b)] + wjx * wiy - wjy * wix)
+                for b, (wjx, wjy) in enumerate(w)
+            ])
+        return rows
 
 
 def tip_force(kfe_torque: float, l4: float) -> float:
@@ -137,14 +192,14 @@ def _solve_small(jac, r, k):
     """Newton step -jac\\r with closed forms for the 1x1 and 2x2 cases."""
     m = len(r)
     if m == 1:
-        a = jac[0, 0]
+        a = jac[0][0]
         return [-r[0] / a if a != 0.0 else -r[0] / k]
     if m == 2:
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
         if det != 0.0:
             return [
-                (-r[0] * jac[1, 1] + r[1] * jac[0, 1]) / det,
-                (-r[1] * jac[0, 0] + r[0] * jac[1, 0]) / det,
+                (-r[0] * jac[1][1] + r[1] * jac[0][1]) / det,
+                (-r[1] * jac[0][0] + r[0] * jac[1][0]) / det,
             ]
         return [-x / k for x in r]
     try:
@@ -161,6 +216,10 @@ def _newton_active(load, d, active, k, a0, limits):
     the balance has no interior root on this side (the opening torque beats
     the spring), so the full clamped step is taken once to reach the bound
     and hand the joint back to the regime logic.
+
+    The jacobian comes from load.derivative (analytic, minus k on the
+    diagonal) at a point whose torques the residual has already evaluated,
+    and load.torques serves repeated points from the load map's cache.
 
     An accepted step that leaves d unchanged (typically an active joint
     pushing past its bound and clamped back) ends the loop. The exit is
@@ -182,21 +241,9 @@ def _newton_active(load, d, active, k, a0, limits):
     for _ in range(MAX_INNER):
         if norm < _INNER_TOL:
             break
-        m = len(active)
-        jac = np.empty((m, m))
-        for col, j in enumerate(active):
-            # one-sided difference, probing whichever side has room
-            up = min(d[j] + _FD_STEP, limits[j])
-            dn = max(d[j] - _FD_STEP, 0.0)
-            probe_val = up if up - d[j] >= d[j] - dn else dn
-            span = probe_val - d[j]
-            if span == 0.0:
-                jac[:, col] = [-k if i == j else 0.0 for i in active]
-                continue
-            probe = list(d)
-            probe[j] = probe_val
-            rp = residual(probe)
-            jac[:, col] = [(a - b) / span for a, b in zip(rp, r)]
+        jac = load.derivative(d, active)
+        for i, row in enumerate(jac):
+            row[i] -= k
         step = _solve_small(jac, r, k)
 
         def clamped(lam: float) -> list[float]:
@@ -270,6 +317,15 @@ def _active_set(load, d, regimes, k, a0, limits):
     return torques, outer
 
 
+def _check_theta(config: MechanismConfig, theta: float) -> None:
+    """Reject a knee angle outside the configured range; NaN fails the test too."""
+    if not (config.theta_min - 1e-9 <= theta <= config.theta_max + 1e-9):
+        raise ValueError(
+            f"theta={theta} outside the configured range "
+            f"[{config.theta_min}, {config.theta_max}]"
+        )
+
+
 _CONTINUATION_RUNGS = 8
 
 
@@ -285,11 +341,7 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float) -> Eq
     """
     if f_cyl < 0.0 or f_cyl == math.inf:
         raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
-    if not (config.theta_min - 1e-9 <= theta <= config.theta_max + 1e-9):
-        raise ValueError(
-            f"theta={theta} outside the configured range "
-            f"[{config.theta_min}, {config.theta_max}]"
-        )
+    _check_theta(config, theta)
 
     n = config.n_joints
     k = per_joint_stiffness(config)
@@ -308,7 +360,8 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float) -> Eq
         regimes = [Regime.CLOSED] * n
         for rung in range(1, _CONTINUATION_RUNGS + 1):
             f_rung = f_cyl * rung / _CONTINUATION_RUNGS
-            rung_load = load if rung == _CONTINUATION_RUNGS else _LoadMap(config, theta, f_rung)
+            rung_load = (load if rung == _CONTINUATION_RUNGS
+                         else _LoadMap(config, theta, f_rung, load.bearing))
             torques, outer = _active_set(rung_load, d, regimes, k, a0, limits)
             iterations += outer
         residual = _complementarity_residual(d, regimes, torques, k, a0, limits)
@@ -350,6 +403,7 @@ def brute_force_equilibrium(
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     if not (0.0 <= f_cyl < math.inf):
         raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
+    _check_theta(config, theta)
 
     axes = []
     for lim in config.joint_open_limit:

@@ -139,6 +139,9 @@ class _ConstantLoad:
     def torques(self, d):
         return (self.torque,) * self.n, 1.0, 1.0
 
+    def derivative(self, d, active):
+        return [[0.0] * len(active) for _ in active]  # constant torque
+
 
 def test_single_joint_closed_form_balance():
     # constant applied torque 0.15, stiffness 1, preload 0.1: deflection 0.05
@@ -160,16 +163,16 @@ def test_threshold_tie_stays_closed():
     assert regimes[0] is Regime.CLOSED
 
 
-def _count_calls(monkeypatch, cls):
-    """Count calls of cls.torques from here to the end of the test."""
+def _count_calls(monkeypatch, cls, name):
+    """Count calls of cls.<name> from here to the end of the test."""
     calls = [0]
-    original = cls.torques
+    original = getattr(cls, name)
 
     def counted(self, d):
         calls[0] += 1
         return original(self, d)
 
-    monkeypatch.setattr(cls, "torques", counted)
+    monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -183,20 +186,64 @@ def test_end_stop_engages_under_excess_torque():
 
 
 def test_end_stop_clamped_step_is_not_replayed(monkeypatch):
-    calls = _count_calls(monkeypatch, _ConstantLoad)
+    # the stub has no cache, so every torques call is a real evaluation
+    calls = _count_calls(monkeypatch, _ConstantLoad, "torques")
     d = [0.0]
     regimes = [Regime.CLOSED]
     equilibrium._active_set(_ConstantLoad(1.0, 1), d, regimes, 1.0, 0.1, (0.3,))
     assert regimes[0] is Regime.END_STOP
-    assert calls[0] <= 12
+    assert calls[0] <= 8
 
 
-@pytest.mark.parametrize("force, bound", [(5.0, 3), (30.0, 22), (60.0, 100), (165.0, 500)])
+@pytest.mark.parametrize(
+    "force, bound", [(5.0, 1), (30.0, 8), (60.0, 27), (165.0, 300)],
+    ids=["5N", "30N", "60N", "165N"],
+)
 def test_load_evaluations_per_solve(default_config, monkeypatch, force, bound):
-    calls = _count_calls(monkeypatch, equilibrium._LoadMap)
+    # evaluate is the uncached kernel: cache hits are not counted
+    calls = _count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     res = solve_equilibrium(default_config, THETA_88, force)
     assert res.converged
     assert calls[0] <= bound
+
+
+def test_load_map_cache_returns_the_evaluated_point(default_config, monkeypatch):
+    calls = _count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
+    load = equilibrium._LoadMap(default_config, THETA_88, 80.0)
+    d = [0.01, 0.0, 0.02, 0.0, 0.0, 0.03]
+    first = load.torques(d)
+    assert load.torques(tuple(d)) is first
+    assert load.torques([-0.0 if x == 0.0 else x for x in d]) is first
+    assert calls[0] == 1
+    fresh = equilibrium._LoadMap(default_config, THETA_88, 80.0).torques(d)
+    assert fresh == first
+
+
+def test_load_map_derivative_matches_central_differences(default_config):
+    """derivative agrees with central differences of torques, bounds included."""
+    rng = np.random.default_rng(31)
+    limits = default_config.joint_open_limit
+    h = 1e-6
+    for _ in range(200):
+        theta = float(rng.uniform(default_config.theta_min, default_config.theta_max))
+        load = equilibrium._LoadMap(default_config, theta, float(rng.uniform(1.0, 220.0)))
+        # each joint closed, at its limit or in between
+        d = [float(rng.choice([0.0, lim, rng.uniform(0.0, lim)])) for lim in limits]
+        full = load.derivative(d, list(range(6)))
+        for j in range(6):
+            up, dn = list(d), list(d)
+            up[j] += h
+            dn[j] -= h
+            a_up, _, _ = load.torques(up)
+            a_dn, _, _ = load.torques(dn)
+            column = [(p - q) / (2.0 * h) for p, q in zip(a_up, a_dn)]
+            tol = 1e-6 * max(abs(x) for x in column)
+            for i in range(6):
+                assert full[i][j] == pytest.approx(column[i], rel=0.0, abs=tol)
+        picked = rng.choice(6, size=int(rng.integers(1, 6)), replace=False)
+        active = sorted(int(i) for i in picked)
+        sub = load.derivative(d, active)
+        assert sub == [[full[i][j] for j in active] for i in active]
 
 
 def test_complementarity_on_random_inputs(default_config):
@@ -308,6 +355,12 @@ def test_brute_force_rejects_large_grids():
 def test_brute_force_rejects_bad_force(f_cyl):
     with pytest.raises(ValueError, match="f_cyl"):
         brute_force_equilibrium(reduced_chain(1), THETA_88, f_cyl, 1e-3)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.radians(-170.0)], ids=["nan", "-170deg"])
+def test_brute_force_rejects_bad_theta(theta):
+    with pytest.raises(ValueError, match="theta"):
+        brute_force_equilibrium(reduced_chain(1), theta, 10.0, 1e-3)
 
 
 def test_brute_force_rejects_full_chain(default_config):
