@@ -15,7 +15,8 @@ import functools
 import math
 
 from . import chain, equilibrium, linkage
-from .model import CalibrationError, GeometryError, MechanismConfig, SweepTable, validate_config
+from .model import (CalibrationError, GeometryError, MechanismConfig, SweepTable,
+                    per_joint_stiffness, validate_config)
 
 TRIGGER_TOL = 0.05   # N, calibration tolerance on the triggering force
 RATIO_STEP_TOL = 0.005  # calibration tolerance on the ratio step
@@ -25,6 +26,9 @@ def sample_ladder(start: float, stop: float, step: float) -> list[float]:
     """Sweep abscissae: start + k*step, end snapped or appended; stop >= start."""
     if not (step > 0.0):
         raise ValueError(f"step must be positive, got {step}")
+    for name, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"range {name} must be finite, got {value}")
     if stop < start:
         raise ValueError(f"range end {stop} below start {start}")
     count = int(math.floor((stop - start) / step + 1e-9))
@@ -176,6 +180,21 @@ def ratio_step_from_sweep(table: SweepTable) -> float:
     return saturated / closed - 1.0
 
 
+def _bisect(f, target: float, hi: float, tol: float, unsettled: str) -> float:
+    """First midpoint x of [0, hi] with |f(x) - target| <= tol, f rising; 200 halvings."""
+    lo = 0.0
+    for _ in range(200):
+        x = 0.5 * (lo + hi)
+        v = f(x)
+        if abs(v - target) <= tol:
+            return x
+        if v < target:
+            lo = x
+        else:
+            hi = x
+    raise CalibrationError(unsettled.format(tol=tol, lo=lo, hi=hi))
+
+
 def calibrate(
     config: MechanismConfig,
     target_trigger: float,
@@ -188,18 +207,20 @@ def calibrate(
     TRIGGER_TOL of target_trigger; the travel limits are then scaled uniformly
     until the open/closed ratio step lands within RATIO_STEP_TOL of
     target_ratio_step. The two knobs are independent: preload never moves the
-    geometry and the travel scale never moves the closed state.
+    geometry and the travel scale never moves the closed state. So the closed
+    chain is evaluated once: a trial preload costs one division, and a trial
+    travel scale one jacobian at the scaled open lever (the jacobian does not
+    read the travel limits).
     """
     if target_trigger < 0.0 or target_ratio_step < 0.0:
         raise ValueError("calibration targets must be non-negative")
 
     cfg = config
-
-    if target_trigger == 0.0:
-        cfg = cfg.with_updates(alpha_preload=0.0)
-    else:
-        def trigger_at(alpha: float) -> float:
-            return equilibrium.triggering_force(cfg.with_updates(alpha_preload=alpha), theta)
+    alpha = 0.0
+    if target_trigger != 0.0:
+        a_max = equilibrium._trigger_torque(cfg, theta)
+        def trigger_at(preload: float) -> float:
+            return per_joint_stiffness(cfg) * preload / a_max
 
         hi = max(cfg.alpha_preload, 0.05)
         for _ in range(64):
@@ -211,31 +232,17 @@ def calibrate(
                 f"trigger target {target_trigger} N unreachable: preload {hi} rad "
                 f"yields only {trigger_at(hi):.3f} N"
             )
-        lo = 0.0
-        alpha = hi
-        for _ in range(200):
-            alpha = 0.5 * (lo + hi)
-            f = trigger_at(alpha)
-            if abs(f - target_trigger) <= TRIGGER_TOL:
-                break
-            if f < target_trigger:
-                lo = alpha
-            else:
-                hi = alpha
-        else:
-            raise CalibrationError(
-                f"trigger bisection did not settle within {TRIGGER_TOL} N "
-                f"(bracket [{lo}, {hi}] rad)"
-            )
-        cfg = cfg.with_updates(alpha_preload=alpha)
+        alpha = _bisect(trigger_at, target_trigger, hi, TRIGGER_TOL,
+                        "trigger bisection did not settle within {tol} N "
+                        "(bracket [{lo}, {hi}] rad)")
+    cfg = cfg.with_updates(alpha_preload=alpha)
 
-    base_limits = cfg.joint_open_limit
-    if target_ratio_step == 0.0:
-        cfg = cfg.with_updates(joint_open_limit=(0.0,) * cfg.n_joints)
-    else:
+    limits = (0.0,) * cfg.n_joints
+    if target_ratio_step != 0.0:
+        j_closed = linkage.jacobian(cfg, theta, chain.closed_lever(cfg))
         def step_at(scale: float) -> float:
-            scaled = tuple(scale * lim for lim in base_limits)
-            return ratio_step_direct(cfg.with_updates(joint_open_limit=scaled), theta)
+            l4 = chain.l4_length(cfg, tuple(scale * lim for lim in cfg.joint_open_limit))
+            return linkage.jacobian(cfg, theta, l4) / j_closed - 1.0
 
         full = step_at(1.0)
         if full < target_ratio_step - RATIO_STEP_TOL:
@@ -243,23 +250,10 @@ def calibrate(
                 f"ratio-step target {target_ratio_step} unreachable: full travel "
                 f"yields only {full:.4f}"
             )
-        lo, hi = 0.0, 1.0
-        scale = 1.0
-        for _ in range(200):
-            scale = 0.5 * (lo + hi)
-            r = step_at(scale)
-            if abs(r - target_ratio_step) <= RATIO_STEP_TOL:
-                break
-            if r < target_ratio_step:
-                lo = scale
-            else:
-                hi = scale
-        else:
-            raise CalibrationError(
-                f"ratio-step bisection did not settle within {RATIO_STEP_TOL} "
-                f"(bracket [{lo}, {hi}])"
-            )
-        cfg = cfg.with_updates(joint_open_limit=tuple(scale * lim for lim in base_limits))
+        scale = _bisect(step_at, target_ratio_step, 1.0, RATIO_STEP_TOL,
+                        "ratio-step bisection did not settle within {tol} (bracket [{lo}, {hi}])")
+        limits = tuple(scale * lim for lim in cfg.joint_open_limit)
+    cfg = cfg.with_updates(joint_open_limit=limits)
 
     violations = validate_config(cfg)
     if violations:

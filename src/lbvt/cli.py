@@ -78,7 +78,9 @@ def _print_solve_report(result, theta_deg: float, out) -> None:
     print(f"l4 (m):                  {g(result.chain.l4)}", file=out)
     print(f"diameter (m):            {g(result.chain.diameter)}", file=out)
     print(f"converged:               {'yes' if result.converged else 'no'}", file=out)
-    print(f"residual (Nm):           {g(result.residual)}", file=out)
+    # a converged residual is round-off below the tolerance; its digits carry no information
+    residual = f"< {equilibrium.RESIDUAL_TOL:g}" if result.converged else g(result.residual)
+    print(f"residual (Nm):           {residual}", file=out)
     print("joint  deflection (deg)  regime", file=out)
     for i, (d, r) in enumerate(zip(result.chain.deflection, result.chain.regime), start=1):
         print(f"{i:<6d} {format(math.degrees(d), '.9g'):<17s} {r.value}", file=out)

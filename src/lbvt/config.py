@@ -7,6 +7,7 @@ required, and an optional free-form provenance object is ignored on load.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -20,12 +21,7 @@ _NUMBER_FIELDS = (
 )
 _LIST_FIELDS = ("segments", "phi", "joint_open_limit")
 _INT_FIELDS = ("springs_per_joint", "branch_sign")
-_ALL_FIELDS = (
-    "l1", "l2", "l3", "actuator_base", "actuator_attach_ratio", "l_offset",
-    "beta", "segments", "phi", "alpha_preload", "k_spring",
-    "springs_per_joint", "spring_arm_length", "joint_open_limit",
-    "theta_min", "theta_max", "branch_sign",
-)
+_ALL_FIELDS = tuple(f.name for f in dataclasses.fields(MechanismConfig))  # file key order
 _OPTIONAL_KEYS = ("provenance",)
 
 

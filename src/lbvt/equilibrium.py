@@ -150,27 +150,31 @@ def potential_energy(config: MechanismConfig, deflection) -> float:
     return sum(0.5 * k * ((a0 + dk) ** 2 - a0 * a0) for dk in d)
 
 
+def _trigger_torque(config: MechanismConfig, theta: float) -> float:
+    """Largest closed-chain joint torque per newton of actuator force; preload-independent."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    per_unit, _, _ = _LoadMap(config, theta, 1.0).torques((0.0,) * config.n_joints)
+    loaded = [a for a in per_unit if a > 1e-12]
+    if not loaded:
+        raise NoTriggerError(
+            "no chain joint is loaded toward opening at this knee angle; "
+            "the mechanism cannot trigger"
+        )
+    return max(loaded)
+
+
 def triggering_force(config: MechanismConfig, theta: float) -> float:
     """Smallest actuator force at which any chain joint can start to open.
 
     The joint torques are proportional to the actuator force while the chain
     is closed, so each joint has a single critical force; the chain moves as
     soon as the most-loaded joint exceeds its holding torque, hence the
-    minimum is returned. (A convention waiting for the least-loaded joint
-    would return the maximum instead; the two coincide for uniform thresholds
-    with proportional loading.)
+    minimum, k * alpha_preload over the largest torque per newton, is returned.
+    (A convention waiting for the least-loaded joint would return the maximum
+    instead; the two coincide for uniform thresholds with proportional loading.)
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    per_unit, _, _ = _LoadMap(config, theta, 1.0).torques((0.0,) * config.n_joints)
-    threshold = per_joint_stiffness(config) * config.alpha_preload
-    critical = [threshold / a for a in per_unit if a > 1e-12]
-    if not critical:
-        raise NoTriggerError(
-            "no chain joint is loaded toward opening at this knee angle; "
-            "the mechanism cannot trigger"
-        )
-    return min(critical)
+    return per_joint_stiffness(config) * config.alpha_preload / _trigger_torque(config, theta)
 
 
 def _complementarity_residual(d, regimes, torques, k, a0, limits) -> float:

@@ -83,3 +83,16 @@ def default_config() -> MechanismConfig:
 @pytest.fixture(scope="session")
 def base_config() -> MechanismConfig:
     return lbvt.load_config(lbvt.base_config_path())
+
+
+def count_calls(monkeypatch, cls, name):
+    """Count calls of cls.<name> from here to the end of the test."""
+    calls = [0]
+    original = getattr(cls, name)
+
+    def counted(self, d):
+        calls[0] += 1
+        return original(self, d)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls

@@ -1,11 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lbvt import analysis, chain, equilibrium, linkage
 from lbvt.model import CalibrationError, SweepTable, validate_config
 
-from conftest import THETA_88
+from conftest import THETA_88, count_calls
 
 
 # ---------- sampling ----------
@@ -34,6 +35,15 @@ def test_ladder_degenerate_cases():
         analysis.sample_ladder(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         analysis.sample_ladder(1.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("start, stop, bad", [
+    (0.0, math.inf, "stop"), (0.0, math.nan, "stop"),
+    (-math.inf, 1.0, "start"), (math.nan, 1.0, "start"),
+])
+def test_ladder_rejects_non_finite_range(start, stop, bad):
+    with pytest.raises(ValueError, match=f"range {bad} must be finite"):
+        analysis.sample_ladder(start, stop, 0.5)
 
 
 # ---------- angle sweep ----------
@@ -194,9 +204,29 @@ def test_calibrate_reproduces_shipped_default(base_config, default_config):
     cal = analysis.calibrate(base_config, 20.0, 0.40, THETA_88)
     assert equilibrium.triggering_force(cal, THETA_88) == pytest.approx(20.0, abs=0.05)
     assert analysis.ratio_step_direct(cal, THETA_88) == pytest.approx(0.40, abs=0.005)
-    assert cal.alpha_preload == pytest.approx(default_config.alpha_preload, rel=1e-6)
-    assert cal.joint_open_limit[0] == pytest.approx(
-        default_config.joint_open_limit[0], rel=1e-3)
+    assert cal == default_config
+
+
+def test_calibrate_evaluates_the_closed_chain_once(base_config, monkeypatch):
+    calls = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
+    analysis.calibrate(base_config, 20.0, 0.40, THETA_88)
+    assert calls[0] == 1
+
+
+# design_loop's target ranges
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    trigger=st.floats(10.0, 30.0),
+    ratio_step=st.floats(0.20, 0.40),
+    theta_deg=st.floats(-130.0, -50.0),
+)
+def test_calibrate_meets_targets_over_the_design_range(
+        base_config, trigger, ratio_step, theta_deg):
+    theta = math.radians(theta_deg)
+    cal = analysis.calibrate(base_config, trigger, ratio_step, theta)
+    assert validate_config(cal) == []
+    assert abs(equilibrium.triggering_force(cal, theta) - trigger) <= analysis.TRIGGER_TOL
+    assert abs(analysis.ratio_step_direct(cal, theta) - ratio_step) <= analysis.RATIO_STEP_TOL
 
 
 def test_calibrate_is_a_fixed_point(default_config):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -113,6 +114,26 @@ def test_solve_out_of_range_angle_fails(capsys):
     assert "theta" in capsys.readouterr().err
 
 
+def test_solve_converged_residual_prints_the_tolerance(capsys):
+    assert run(["solve", DEFAULT, "--theta", "-88", "--force", "165"]) == 0
+    assert "residual (Nm):           < 1e-09\n" in capsys.readouterr().out
+
+
+def test_solve_unconverged_residual_prints_its_digits(capsys, monkeypatch):
+    from lbvt import equilibrium
+    solve = equilibrium.solve_equilibrium
+
+    def unconverged(config, theta, f_cyl):
+        return dataclasses.replace(solve(config, theta, f_cyl), converged=False,
+                                   residual=0.123456789123)
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", unconverged)
+    assert run(["solve", DEFAULT, "--theta", "-88", "--force", "165"]) == 1
+    out = capsys.readouterr().out
+    assert "converged:               no\n" in out
+    assert "residual (Nm):           0.123456789\n" in out
+
+
 def test_sweep_angle_defaults_cover_the_working_range(tmp_path):
     out = tmp_path / "angle.csv"
     code = run(["sweep-angle", DEFAULT, "--force", "165", "--out", str(out)])
@@ -157,6 +178,17 @@ def test_ratio_subcommand(tmp_path):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert "ratio (m)" in header and "ratio_rigid (m)" in header
+
+
+@pytest.mark.parametrize("command, bound", [
+    ("ratio", ["--theta", "-88", "--to", "inf"]),
+    ("sweep-angle", ["--force", "165", "--from", "nan"]),
+])
+def test_non_finite_sweep_range_fails_cleanly(tmp_path, capsys, command, bound):
+    out = tmp_path / "sweep.csv"
+    assert run([command, DEFAULT, *bound, "--out", str(out)]) == 1
+    assert f"lbvt {command}: range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_subcommand(tmp_path, capsys):

@@ -18,7 +18,7 @@ from lbvt.model import (
     per_joint_stiffness,
 )
 
-from conftest import THETA_88, reduced_chain
+from conftest import THETA_88, count_calls, reduced_chain
 
 
 def test_tip_force_trivials():
@@ -163,19 +163,6 @@ def test_threshold_tie_stays_closed():
     assert regimes[0] is Regime.CLOSED
 
 
-def _count_calls(monkeypatch, cls, name):
-    """Count calls of cls.<name> from here to the end of the test."""
-    calls = [0]
-    original = getattr(cls, name)
-
-    def counted(self, d):
-        calls[0] += 1
-        return original(self, d)
-
-    monkeypatch.setattr(cls, name, counted)
-    return calls
-
-
 def test_end_stop_engages_under_excess_torque():
     d = [0.0]
     regimes = [Regime.CLOSED]
@@ -187,7 +174,7 @@ def test_end_stop_engages_under_excess_torque():
 
 def test_end_stop_clamped_step_is_not_replayed(monkeypatch):
     # the stub has no cache, so every torques call is a real evaluation
-    calls = _count_calls(monkeypatch, _ConstantLoad, "torques")
+    calls = count_calls(monkeypatch, _ConstantLoad, "torques")
     d = [0.0]
     regimes = [Regime.CLOSED]
     equilibrium._active_set(_ConstantLoad(1.0, 1), d, regimes, 1.0, 0.1, (0.3,))
@@ -201,14 +188,14 @@ def test_end_stop_clamped_step_is_not_replayed(monkeypatch):
 )
 def test_load_evaluations_per_solve(default_config, monkeypatch, force, bound):
     # evaluate is the uncached kernel: cache hits are not counted
-    calls = _count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
+    calls = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     res = solve_equilibrium(default_config, THETA_88, force)
     assert res.converged
     assert calls[0] <= bound
 
 
 def test_load_map_cache_returns_the_evaluated_point(default_config, monkeypatch):
-    calls = _count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
+    calls = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     load = equilibrium._LoadMap(default_config, THETA_88, 80.0)
     d = [0.01, 0.0, 0.02, 0.0, 0.0, 0.03]
     first = load.torques(d)
