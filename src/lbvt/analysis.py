@@ -210,8 +210,12 @@ def calibrate(
     geometry and the travel scale never moves the closed state. So the closed
     chain is evaluated once: a trial preload costs one division, and a trial
     travel scale one jacobian at the scaled open lever (the jacobian does not
-    read the travel limits).
+    read the travel limits). A non-finite target or theta raises ValueError.
     """
+    for name, value in (("target_trigger", target_trigger),
+                        ("target_ratio_step", target_ratio_step), ("theta", theta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if target_trigger < 0.0 or target_ratio_step < 0.0:
         raise ValueError("calibration targets must be non-negative")
 

@@ -33,7 +33,7 @@ def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
     if len(d) != config.n_joints:
         raise ValueError(f"expected {config.n_joints} deflections, got {len(d)}")
     for k, (dk, lim) in enumerate(zip(d, config.joint_open_limit)):
-        if dk < 0.0 or dk > lim + 1e-12:
+        if not (0.0 <= dk <= lim + 1e-12):  # NaN fails too
             raise ValueError(
                 f"deflection[{k}]={dk} outside [0, {lim}] (joint travel)"
             )

@@ -24,16 +24,19 @@ The Newton loop stops early once an accepted step leaves the deflections
 unchanged; since its state is then back where the step began, the remaining
 passes could only replay that step, so the early stop changes no result.
 A non-finite applied torque makes the residual NaN, so such a solve is
-reported as not converged.
+reported as not converged. The direct attempt from the closed state is the
+one-rung case of the continuation ladder, so both run the same loop.
 
 brute_force_equilibrium is the independent check: it minimizes elastic energy
 minus the work fed into the chain over an exhaustive deflection grid, with
 the work path-integrated along the uniform-opening ray to each grid node
 (all joints scaled together). It evaluates the whole grid through the
-solver's own load map (_LoadMap.torques on arrays: the same chain geometry,
+solver's own load map (_LoadMap.evaluate on arrays: the same chain geometry,
 four-bar closure and joint-torque kernels), so its independence lies in the
 method, an energy minimum over a grid against an active-set iteration on
-the torque balances. It never iterates.
+the torque balances. It never iterates. The solver and the oracle build
+their result through one helper, _result, from the load map and the final
+deflections; each supplies its own residual and convergence flag.
 """
 
 from __future__ import annotations
@@ -98,11 +101,9 @@ class _LoadMap:
             point = self._cache[key] = self.evaluate(key)
         return point
 
-    def torques(self, d, xp=math):
-        """Per-joint applied torques, lever length and jacobian at deflections d."""
-        if xp is math:
-            return self._point(d)[0]
-        return self.evaluate(d, xp)[0]
+    def torques(self, d):
+        """Per-joint applied torques, lever length and jacobian at float deflections d."""
+        return self._point(d)[0]
 
     def derivative(self, d, active):
         """Rows i, columns j of da_i/dd_j over the active joints, as nested lists.
@@ -142,12 +143,15 @@ def tip_force(kfe_torque: float, l4: float) -> float:
     return kfe_torque / l4
 
 
+def _energy(k, a0, d):
+    """Spring energy of joint openings d above the closed state; floats or equal-shape arrays."""
+    return sum(0.5 * k * ((a0 + dk) ** 2 - a0 * a0) for dk in d)
+
+
 def potential_energy(config: MechanismConfig, deflection) -> float:
     """Elastic energy stored by opening the chain, zero at the closed state."""
     d = chain._check_deflection(config, deflection)
-    k = per_joint_stiffness(config)
-    a0 = config.alpha_preload
-    return sum(0.5 * k * ((a0 + dk) ** 2 - a0 * a0) for dk in d)
+    return _energy(per_joint_stiffness(config), config.alpha_preload, d)
 
 
 def _trigger_torque(config: MechanismConfig, theta: float) -> float:
@@ -333,15 +337,37 @@ def _check_theta(config: MechanismConfig, theta: float) -> None:
 _CONTINUATION_RUNGS = 8
 
 
+def _result(load: _LoadMap, d, converged: bool, residual: float,
+            iterations: int) -> EquilibriumResult:
+    """Equilibrium result at deflections d under the load map's force."""
+    # Regimes are rederived from the deflections inside make_chain_state;
+    # closed joints hold exact zeros and stopped joints the exact limits, so
+    # the rederivation reproduces the solver's assignment.
+    state = chain.make_chain_state(load.config, d)
+    _, l4, jac = load.torques(d)
+    torque = jac * load.f_cyl
+    return EquilibriumResult(
+        chain=state,
+        kfe_torque=torque,
+        tip_force=tip_force(torque, l4),
+        transmission_ratio=jac,
+        input_force=load.f_cyl,
+        converged=converged,
+        residual=residual,
+        iterations=iterations,
+    )
+
+
 def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float) -> EquilibriumResult:
     """Deflections and regimes balancing the chain at one knee angle and force.
 
     Solves directly from the closed state; if that stalls (the opening torque
     can outgrow the spring, so the chain snaps through toward the stops), the
     force is ramped over a fixed ladder with the state carried between rungs,
-    which follows the physical loading branch. Returns a non-converged result
-    with the best residual if both attempts exhaust their iteration budgets;
-    geometric infeasibility raises. Identical inputs give identical results.
+    which follows the physical loading branch. The direct attempt is the
+    one-rung ladder. Returns a non-converged result with the last residual if
+    both attempts exhaust their iteration budgets; geometric infeasibility
+    raises. Identical inputs give identical results.
     """
     if f_cyl < 0.0 or f_cyl == math.inf:
         raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
@@ -353,41 +379,20 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float) -> Eq
     limits = config.joint_open_limit
 
     load = _LoadMap(config, theta, f_cyl)
-    d = [0.0] * n
-    regimes = [Regime.CLOSED] * n
-    torques, outer = _active_set(load, d, regimes, k, a0, limits)
-    residual = _complementarity_residual(d, regimes, torques, k, a0, limits)
-    iterations = outer
-
-    if residual >= RESIDUAL_TOL and f_cyl > 0.0:
+    iterations = 0
+    for rungs in (1, _CONTINUATION_RUNGS):
         d = [0.0] * n
         regimes = [Regime.CLOSED] * n
-        for rung in range(1, _CONTINUATION_RUNGS + 1):
-            f_rung = f_cyl * rung / _CONTINUATION_RUNGS
-            rung_load = (load if rung == _CONTINUATION_RUNGS
-                         else _LoadMap(config, theta, f_rung, load.bearing))
+        for rung in range(1, rungs + 1):
+            rung_load = (load if rung == rungs
+                         else _LoadMap(config, theta, f_cyl * rung / rungs, load.bearing))
             torques, outer = _active_set(rung_load, d, regimes, k, a0, limits)
             iterations += outer
         residual = _complementarity_residual(d, regimes, torques, k, a0, limits)
-
-    converged = residual < RESIDUAL_TOL
-    # Regimes are rederived from the deflections inside make_chain_state;
-    # closed joints hold exact zeros and stopped joints the exact limits, so
-    # the rederivation reproduces the solver's assignment.
-    state = chain.make_chain_state(config, d)
-    _, l4, jac = load.torques(d)
-    torque = jac * f_cyl
-    f_end = torque / l4
-    return EquilibriumResult(
-        chain=state,
-        kfe_torque=torque,
-        tip_force=f_end,
-        transmission_ratio=jac,
-        input_force=f_cyl,
-        converged=converged,
-        residual=residual,
-        iterations=iterations,
-    )
+        # written so that a NaN residual or force stops after the direct attempt
+        if not (residual >= RESIDUAL_TOL and f_cyl > 0.0):
+            break
+    return _result(load, d, residual < RESIDUAL_TOL, residual, iterations)
 
 
 def brute_force_equilibrium(
@@ -430,7 +435,7 @@ def brute_force_equilibrium(
 
     k = per_joint_stiffness(config)
     a0 = config.alpha_preload
-    energy = 0.5 * k * ((a0 + grid) ** 2 - a0 * a0).sum(axis=1)
+    energy = _energy(k, a0, grid.T)
 
     load = _LoadMap(config, theta, f_cyl)
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
@@ -438,25 +443,15 @@ def brute_force_equilibrium(
     s_weights = 0.5 * gl_w
     work = np.zeros(len(grid))
     for s, w in zip(s_nodes, s_weights):
-        a_q, _, _ = load.torques(s * grid.T, np)
+        (a_q, _, _), _ = load.evaluate(s * grid.T, np)
         work += w * sum(a * col for a, col in zip(a_q, grid.T))
 
     best = int(np.argmin(energy - work))
     d_star = [float(v) for v in grid[best]]
 
-    torques, l4, jac = load.torques(d_star)
-    state = chain.make_chain_state(config, d_star)
+    torques, _, _ = load.torques(d_star)
+    regimes = chain.make_chain_state(config, d_star).regime
     residual = _complementarity_residual(
-        d_star, state.regime, torques, k, a0, config.joint_open_limit
+        d_star, regimes, torques, k, a0, config.joint_open_limit
     )
-    torque = jac * f_cyl
-    return EquilibriumResult(
-        chain=state,
-        kfe_torque=torque,
-        tip_force=torque / l4,
-        transmission_ratio=jac,
-        input_force=f_cyl,
-        converged=True,
-        residual=residual,
-        iterations=total,
-    )
+    return _result(load, d_star, True, residual, total)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -211,10 +211,23 @@ def total_stiffness(config: MechanismConfig) -> float:
 def validate_config(config: MechanismConfig) -> list[str]:
     """Check every config invariant; returns human-readable violations, empty if valid.
 
-    Deterministic and side-effect free. Closure solvability is grid-checked
-    over the knee range at both the closed and the fully-open lever length.
+    Deterministic and side-effect free. Every number must be finite; a NaN or
+    infinite field is reported by name (with its index in a tuple field).
+    Closure solvability is grid-checked over the knee range at both the closed
+    and the fully-open lever length.
     """
     v: list[str] = []
+
+    # getattr, not vars(config): building the instance dict slows every later
+    # attribute read of this config in the kernels
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            if not all(map(math.isfinite, value)):
+                v.extend(f"{f.name}[{i}] must be finite, got {x}"
+                         for i, x in enumerate(value) if not math.isfinite(x))
+        elif isinstance(value, float) and not math.isfinite(value):  # ints are finite
+            v.append(f"{f.name} must be finite, got {value}")
 
     for name in ("l1", "l2", "l3", "l_offset", "spring_arm_length"):
         value = getattr(config, name)

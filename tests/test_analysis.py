@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -149,9 +150,16 @@ def test_force_sweep_single_record(default_config):
     assert len(table) == 1
 
 
-def test_force_sweep_flags_unconverged_solve(default_config):
-    # 1e6 N at -88 deg ends unconverged; the row must not read as feasible
-    assert not equilibrium.solve_equilibrium(default_config, THETA_88, 1e6).converged
+def _fail_every_solve(monkeypatch, config):
+    """From here on, every solve returns a real -88 deg state marked unconverged."""
+    failed = dataclasses.replace(
+        equilibrium.solve_equilibrium(config, THETA_88, 165.0), converged=False)
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", lambda *args: failed)
+
+
+def test_force_sweep_flags_unconverged_solve(default_config, monkeypatch):
+    # the row of an unconverged solve must not read as feasible
+    _fail_every_solve(monkeypatch, default_config)
     table = analysis.sweep_torque_vs_force(default_config, THETA_88, 1e6, 1e6, 1.0)
     (row,) = table.rows
     assert row[0] == 1e6
@@ -186,8 +194,9 @@ def test_ratio_step_requires_saturation(default_config):
         analysis.ratio_step_from_sweep(table)
 
 
-def test_ratio_step_skips_infeasible_rows(default_config):
+def test_ratio_step_skips_infeasible_rows(default_config, monkeypatch):
     table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 200.0, 2.0)
+    _fail_every_solve(monkeypatch, default_config)
     (failed,) = analysis.sweep_ratio_vs_force(default_config, THETA_88, 1e6, 1e6, 1.0).rows
     assert math.isnan(failed[1]) and failed[-2:] == ("-", 0.0)
     # flag the first closed and the first saturated record as failed samples
@@ -246,6 +255,16 @@ def test_calibrate_zero_targets(base_config):
 def test_calibrate_unreachable_targets_report_bracket(base_config):
     with pytest.raises(CalibrationError, match="unreachable"):
         analysis.calibrate(base_config, 20.0, 5.0, THETA_88)
+
+
+@pytest.mark.parametrize("name", ["target_trigger", "target_ratio_step", "theta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_calibrate_rejects_non_finite_arguments(base_config, name, bad):
+    # zero targets: no search runs, so nothing downstream can catch the value
+    args = dict(target_trigger=0.0, target_ratio_step=0.0, theta=THETA_88)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+        analysis.calibrate(base_config, **args)
 
 
 def test_calibrated_output_validates(base_config):

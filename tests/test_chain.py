@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lbvt import chain
+from lbvt import chain, equilibrium
 from lbvt.model import MechanismConfig
 
 from conftest import convex_chain, straight_chain
@@ -100,6 +100,20 @@ def test_deflection_bounds_are_enforced(default_config):
         chain.l4_length(default_config, (over,) + (0.0,) * 5)
     with pytest.raises(ValueError):
         chain.chain_diameter(default_config, (0.0,) * 3)
+
+
+@pytest.mark.parametrize("check", [
+    chain.chain_tip,
+    chain.moment_geometry,
+    chain.make_chain_state,
+    lambda cfg, d: chain.joint_torques(cfg, d, 1.0),
+    equilibrium.potential_energy,
+], ids=["chain_tip", "moment_geometry", "make_chain_state", "joint_torques",
+        "potential_energy"])
+def test_nan_deflection_is_out_of_range(default_config, check):
+    d = (0.0, 0.0, math.nan, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"deflection\[2\]=nan outside"):
+        check(default_config, d)
 
 
 def test_last_moment_arm_is_last_segment():

@@ -191,6 +191,22 @@ def test_non_finite_sweep_range_fails_cleanly(tmp_path, capsys, command, bound):
     assert not out.exists()
 
 
+def test_non_finite_config_number_fails_validation(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({**_default_doc(), "alpha_preload": math.nan}))
+    assert "NaN" in path.read_text()
+    assert run(["validate", str(path)]) == 1
+    assert "alpha_preload must be finite, got nan" in capsys.readouterr().err
+
+
+def test_calibrate_rejects_nan_target(tmp_path, capsys):
+    out = tmp_path / "calibrated.json"
+    assert run(["calibrate", DEFAULT, "--trigger", "nan", "--ratio-step", "0.40",
+                "--theta", "-88", "--out", str(out)]) == 1
+    assert "lbvt calibrate: target_trigger must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_subcommand(tmp_path, capsys):
     out = tmp_path / "calibrated.json"
     code = run(["calibrate", str(lbvt.base_config_path()),

@@ -362,7 +362,7 @@ def test_vectorized_load_map_matches_scalar(default_config):
         rng.uniform(0.0, lim, 64) for lim in default_config.joint_open_limit
     ])
     load = equilibrium._LoadMap(default_config, THETA_88, 33.0)
-    vec, l4s, jacs = load.torques(d_matrix.T, np)
+    (vec, l4s, jacs), _ = load.evaluate(d_matrix.T, np)
     assert len(vec) == 6 and all(col.shape == (64,) for col in vec)
     for i, d in enumerate(d_matrix):
         scalar, l4, jac = load.torques(tuple(float(x) for x in d))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -50,6 +51,30 @@ def test_infeasible_closure_is_reported_per_lever_state():
         assert f"the {label} lever" in v
         assert re.search(r"theta=-141\.0+ deg", v)
         assert "exceeds l2 + l3" in v
+
+
+def _number_slots(config):
+    """(label, update) for every float field and every entry of a tuple field."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            for i in range(len(value)):
+                yield f"{f.name}[{i}]", (f.name, i)
+        elif isinstance(value, float):
+            yield f.name, (f.name, None)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_reported_by_name(default_config, bad):
+    slots = list(_number_slots(default_config))
+    assert len(slots) == 11 + 2 + 3 * 6  # float fields, actuator_base, per-joint tuples
+    for label, (name, i) in slots:
+        value = bad
+        if i is not None:
+            value = list(getattr(default_config, name))
+            value[i] = bad
+        violations = validate_config(default_config.with_updates(**{name: value}))
+        assert f"{label} must be finite, got {bad}" in violations, label
 
 
 def test_mismatched_joint_arrays_are_reported(default_config):
