@@ -4,9 +4,12 @@ Sweeps sample a closed ladder from the range start: start + k*step while it
 fits, then the range end is snapped onto the last sample when it lands within
 half a step, appended otherwise. Angle sweeps record the knee angle in
 degrees (the presentation unit); everything else is SI. Every sweep solves
-its samples in order, one row per sample. A sample whose closure cannot
-assemble (GeometryError) or whose solve did not converge is kept as a row
-with NaN values, regimes "-" and feasible 0.
+its samples in order, one row per sample, and each sample's solve starts
+from the last converged state of the sweep (a quasi-static loading path
+moves in small steps), falling back to the closed-state attempts when that
+warm start does not converge. A sample whose closure cannot assemble
+(GeometryError) or whose solve did not converge is kept as a row with NaN
+values, regimes "-" and feasible 0, and leaves the carried state as it was.
 """
 
 from __future__ import annotations
@@ -49,18 +52,22 @@ def _sweep(columns, samples, point, record=lambda x: x) -> SweepTable:
     """Rows of (record(x), *values, regime code, feasible) for each sample x.
 
     columns names the abscissa and the values; the regime and feasibility
-    columns are appended. point(x) returns the equilibrium result and the
-    row's values. A sample that raises GeometryError or does not converge
-    gets NaN values, regimes "-" and feasible 0.
+    columns are appended. point(x, start) returns the equilibrium result and
+    the row's values; start is the chain of the last converged row (None
+    before the first), for the solve's warm start. A sample that raises
+    GeometryError or does not converge gets NaN values, regimes "-" and
+    feasible 0, and start stays as it was.
     """
     failed = (math.nan,) * (len(columns) - 1) + ("-", 0.0)
     rows = []
+    start = None
     for x in samples:
         try:
-            res, values = point(x)
+            res, values = point(x, start)
         except GeometryError:
             res = None
         if res is not None and res.converged:
+            start = res.chain
             rows.append((record(x), *values, _regime_code(res.chain), 1.0))
         else:
             rows.append((record(x), *failed))
@@ -78,8 +85,8 @@ def _force_sweep(config, theta, f_from, f_to, step, columns, values) -> SweepTab
         lambda: linkage.jacobian(config, theta, chain.closed_lever(config))
     )
 
-    def point(f: float):
-        res = equilibrium.solve_equilibrium(config, theta, f)
+    def point(f: float, start):
+        res = equilibrium.solve_equilibrium(config, theta, f, start=start)
         return res, values(f, res, jac_closed)
 
     return _sweep(("f_cyl (N)",) + columns, sample_ladder(f_from, f_to, step), point)
@@ -99,8 +106,8 @@ def sweep_torque_vs_angle(
     """
     l4_closed = chain.closed_lever(config)
 
-    def point(theta: float):
-        res = equilibrium.solve_equilibrium(config, theta, f_cyl)
+    def point(theta: float, start):
+        res = equilibrium.solve_equilibrium(config, theta, f_cyl, start=start)
         rigid = linkage.kfe_torque(config, theta, l4_closed, f_cyl)
         return res, (res.kfe_torque, rigid, res.tip_force, res.chain.l4,
                      res.transmission_ratio)

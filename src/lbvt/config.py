@@ -28,7 +28,10 @@ _OPTIONAL_KEYS = ("provenance",)
 def _require_number(raw, path: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(raw).__name__}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:  # an integer with too many digits for a float
+        raise ConfigError(f"{path}: integer too large for a float") from None
 
 
 def _require_int(raw, path: str) -> int:

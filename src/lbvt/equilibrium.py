@@ -25,7 +25,10 @@ unchanged; since its state is then back where the step began, the remaining
 passes could only replay that step, so the early stop changes no result.
 A non-finite applied torque makes the residual NaN, so such a solve is
 reported as not converged. The direct attempt from the closed state is the
-one-rung case of the continuation ladder, so both run the same loop.
+one-rung case of the continuation ladder, so both run the same loop. A caller
+that holds a converged state of the same config (a sweep's previous sample)
+may pass it as start: one more one-rung attempt then runs from that state
+first, and the two attempts from closed follow only if it fails.
 
 brute_force_equilibrium is the independent check: it minimizes elastic energy
 minus the work fed into the chain over an exhaustive deflection grid, with
@@ -47,6 +50,7 @@ import numpy as np
 
 from . import chain, linkage
 from .model import (
+    ChainState,
     EquilibriumResult,
     GridSizeError,
     MechanismConfig,
@@ -358,7 +362,8 @@ def _result(load: _LoadMap, d, converged: bool, residual: float,
     )
 
 
-def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float) -> EquilibriumResult:
+def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
+                      start: ChainState | None = None) -> EquilibriumResult:
     """Deflections and regimes balancing the chain at one knee angle and force.
 
     Solves directly from the closed state; if that stalls (the opening torque
@@ -366,8 +371,15 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float) -> Eq
     force is ramped over a fixed ladder with the state carried between rungs,
     which follows the physical loading branch. The direct attempt is the
     one-rung ladder. Returns a non-converged result with the last residual if
-    both attempts exhaust their iteration budgets; geometric infeasibility
+    every attempt exhausts its iteration budget; geometric infeasibility
     raises. Identical inputs give identical results.
+
+    start is an optional warm start: the chain of a converged solve of the
+    same config, typically the previous sample of a sweep. The solve then
+    first runs one rung from that state (its regimes rederived from its
+    deflections) and falls back to the closed-state attempts if that does not
+    converge. A start of the wrong length, with a NaN or out-of-range
+    deflection raises ValueError. Without start the solve is unchanged.
     """
     if f_cyl < 0.0 or f_cyl == math.inf:
         raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
@@ -378,19 +390,28 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float) -> Eq
     a0 = config.alpha_preload
     limits = config.joint_open_limit
 
+    # (deflections, regimes, rungs) per attempt; the ladder only helps under load
+    closed = ((0.0,) * n, (Regime.CLOSED,) * n)
+    attempts = [(*closed, 1)]
+    if f_cyl > 0.0:
+        attempts.append((*closed, _CONTINUATION_RUNGS))
+    if start is not None:
+        state = chain.make_chain_state(config, start.deflection)
+        attempts.insert(0, (state.deflection, state.regime, 1))
+
     load = _LoadMap(config, theta, f_cyl)
     iterations = 0
-    for rungs in (1, _CONTINUATION_RUNGS):
-        d = [0.0] * n
-        regimes = [Regime.CLOSED] * n
+    for d0, regimes0, rungs in attempts:
+        d = list(d0)
+        regimes = list(regimes0)
         for rung in range(1, rungs + 1):
             rung_load = (load if rung == rungs
                          else _LoadMap(config, theta, f_cyl * rung / rungs, load.bearing))
             torques, outer = _active_set(rung_load, d, regimes, k, a0, limits)
             iterations += outer
         residual = _complementarity_residual(d, regimes, torques, k, a0, limits)
-        # written so that a NaN residual or force stops after the direct attempt
-        if not (residual >= RESIDUAL_TOL and f_cyl > 0.0):
+        # written so that a NaN residual stops the attempts
+        if not residual >= RESIDUAL_TOL:
             break
     return _result(load, d, residual < RESIDUAL_TOL, residual, iterations)
 

@@ -212,7 +212,8 @@ def validate_config(config: MechanismConfig) -> list[str]:
     """Check every config invariant; returns human-readable violations, empty if valid.
 
     Deterministic and side-effect free. Every number must be finite; a NaN or
-    infinite field is reported by name (with its index in a tuple field).
+    infinite field is reported by name (with its index in a tuple field), and
+    so is a per-joint stiffness springs_per_joint * k_spring that overflows.
     Closure solvability is grid-checked over the knee range at both the closed
     and the fully-open lever length.
     """
@@ -254,6 +255,13 @@ def validate_config(config: MechanismConfig) -> list[str]:
         v.append(f"springs_per_joint must be at least 1, got {config.springs_per_joint}")
     if not (config.k_spring > 0.0):
         v.append(f"k_spring must be strictly positive, got {config.k_spring}")
+    try:
+        k_joint = per_joint_stiffness(config)
+    except OverflowError:  # springs_per_joint has too many digits for a float
+        k_joint = math.inf
+    # a NaN or infinite k_spring is reported above
+    if abs(k_joint) == math.inf and abs(config.k_spring) != math.inf:
+        v.append("per-joint stiffness springs_per_joint * k_spring must be finite")
     if config.alpha_preload < 0.0:
         v.append(f"alpha_preload must be non-negative, got {config.alpha_preload}")
 

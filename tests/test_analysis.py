@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lbvt import analysis, chain, equilibrium, linkage
-from lbvt.model import CalibrationError, SweepTable, validate_config
+from lbvt.model import CalibrationError, GeometryError, SweepTable, validate_config
 
 from conftest import THETA_88, count_calls
 
@@ -154,7 +154,7 @@ def _fail_every_solve(monkeypatch, config):
     """From here on, every solve returns a real -88 deg state marked unconverged."""
     failed = dataclasses.replace(
         equilibrium.solve_equilibrium(config, THETA_88, 165.0), converged=False)
-    monkeypatch.setattr(equilibrium, "solve_equilibrium", lambda *args: failed)
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", lambda *args, **kwargs: failed)
 
 
 def test_force_sweep_flags_unconverged_solve(default_config, monkeypatch):
@@ -166,6 +166,70 @@ def test_force_sweep_flags_unconverged_solve(default_config, monkeypatch):
     assert math.isnan(table.column("torque_lbvt (Nm)")[0])
     assert table.column("regimes (-)") == ("-",)
     assert table.column("feasible (-)") == (0.0,)
+
+
+# ---------- warm start ----------
+
+STUDY_ANGLES = (-130.0, -110.0, -88.0, -65.0, -45.0)
+
+
+def test_warm_sweep_rows_equal_cold_solves(default_config, monkeypatch):
+    # each sample starts from the previous row's state, yet lands where a
+    # solve from the closed state lands
+    cold = equilibrium.solve_equilibrium
+    warm = []
+
+    def recording(config, theta, f_cyl, **kwargs):
+        res = cold(config, theta, f_cyl, **kwargs)
+        warm.append((theta, f_cyl, kwargs.get("start"), res))
+        return res
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", recording)
+    for angle in STUDY_ANGLES:
+        analysis.sweep_ratio_vs_force(default_config, math.radians(angle), 0.0, 200.0, 2.0)
+    assert len(warm) == 5 * 101
+    assert sum(start is not None for _, _, start, _ in warm) == 5 * 100
+    for theta, f, _, res in warm:
+        ref = cold(default_config, theta, f)
+        assert res.converged and ref.converged
+        assert res.chain.regime == ref.chain.regime
+        got = (res.kfe_torque, res.transmission_ratio, res.chain.l4) + res.chain.deflection
+        want = (ref.kfe_torque, ref.transmission_ratio, ref.chain.l4) + ref.chain.deflection
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_base_config_ratio_sweep_has_no_failed_rows(base_config):
+    # cold solves stall on 119 of these 401 samples
+    table = analysis.sweep_ratio_vs_force(base_config, THETA_88, 0.0, 400.0, 1.0)
+    assert len(table) == 401
+    assert table.column("feasible (-)") == (1.0,) * 401
+
+
+def test_ratio_sweep_load_evaluations(default_config, monkeypatch):
+    # 1,314 measured; a cold solve per sample takes about 30,900
+    calls = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
+    table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 200.0, 0.5)
+    assert len(table) == 401
+    assert calls[0] <= 1450
+
+
+def test_failed_row_keeps_the_carried_state(default_config, monkeypatch):
+    solve = equilibrium.solve_equilibrium
+    starts = []
+
+    def flaky(config, theta, f_cyl, *, start=None):
+        starts.append(start)
+        if f_cyl == 60.0:
+            raise GeometryError("closure fails")
+        res = solve(config, theta, f_cyl, start=start)
+        return dataclasses.replace(res, converged=False) if f_cyl == 90.0 else res
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", flaky)
+    table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 120.0, 30.0)
+    assert table.column("feasible (-)") == (1.0, 1.0, 0.0, 0.0, 1.0)
+    assert starts[0] is None
+    assert starts[2] is starts[3] is starts[4]
+    assert starts[2].deflection == solve(default_config, THETA_88, 30.0).chain.deflection
 
 
 # ---------- ratio sweep ----------

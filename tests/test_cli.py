@@ -199,6 +199,23 @@ def test_non_finite_config_number_fails_validation(tmp_path, capsys):
     assert "alpha_preload must be finite, got nan" in capsys.readouterr().err
 
 
+def test_huge_integer_config_number_fails_cleanly(tmp_path, capsys):
+    # JSON integers have no size limit; this one does not fit a float
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**_default_doc(), "k_spring": 10 ** 400}))
+    for command in (["validate"], ["solve", "--theta", "-88", "--force", "165"]):
+        assert run([command[0], str(path), *command[1:]]) == 1
+        assert "k_spring: integer too large for a float" in capsys.readouterr().err
+
+
+def test_overflowing_per_joint_stiffness_fails_validation(tmp_path, capsys):
+    path = tmp_path / "springs.json"
+    path.write_text(json.dumps({**_default_doc(), "springs_per_joint": 10 ** 400}))
+    for command in (["validate"], ["solve", "--theta", "-88", "--force", "165"]):
+        assert run([command[0], str(path), *command[1:]]) == 1
+        assert "springs_per_joint * k_spring must be finite" in capsys.readouterr().err
+
+
 def test_calibrate_rejects_nan_target(tmp_path, capsys):
     out = tmp_path / "calibrated.json"
     assert run(["calibrate", DEFAULT, "--trigger", "nan", "--ratio-step", "0.40",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -127,6 +128,50 @@ def test_infinite_force_is_rejected_up_front(default_config):
 def test_trigger_rejects_non_finite_theta(default_config, theta):
     with pytest.raises(ValueError, match="theta must be finite"):
         triggering_force(default_config, theta)
+
+
+def test_warm_start_falls_back_to_the_closed_state(default_config, monkeypatch):
+    # a warm attempt that does not converge hands over to the cold attempts
+    real = equilibrium._complementarity_residual
+    residuals = []
+
+    def first_attempt_fails(*args):
+        residuals.append(real(*args))
+        return 1.0 if len(residuals) == 1 else residuals[-1]
+
+    start = solve_equilibrium(default_config, THETA_88, 150.0).chain
+    cold = solve_equilibrium(default_config, THETA_88, 165.0)
+    monkeypatch.setattr(equilibrium, "_complementarity_residual", first_attempt_fails)
+    res = solve_equilibrium(default_config, THETA_88, 165.0, start=start)
+    assert len(residuals) >= 2
+    assert res.converged
+    assert res.chain == cold.chain
+    assert res.iterations > cold.iterations
+
+
+@pytest.mark.parametrize("deflection, message", [
+    ((0.0,) * 5, "expected 6 deflections, got 5"),
+    ((math.nan,) + (0.0,) * 5, r"deflection\[0\]=nan outside"),
+    ((0.0,) * 5 + (1.0,), r"deflection\[5\]=1.0 outside"),
+], ids=["length", "nan", "past-limit"])
+def test_bad_start_is_rejected(default_config, deflection, message):
+    good = solve_equilibrium(default_config, THETA_88, 165.0).chain
+    bad = dataclasses.replace(good, deflection=deflection)
+    with pytest.raises(ValueError, match=message):
+        solve_equilibrium(default_config, THETA_88, 165.0, start=bad)
+
+
+@pytest.mark.parametrize("angle", [-130.0, -88.0, -45.0])
+def test_deflections_rise_with_force_on_the_base_config(base_config, angle):
+    """d*(F) is componentwise nondecreasing along a force ladder (T is isotone in F)."""
+    theta = math.radians(angle)
+    prev = solve_equilibrium(base_config, theta, 0.0)
+    for f in range(1, 401):
+        res = solve_equilibrium(base_config, theta, float(f), start=prev.chain)
+        assert res.converged, f"not converged at {f} N"
+        for now, before in zip(res.chain.deflection, prev.chain.deflection):
+            assert now >= before - 1e-12
+        prev = res
 
 
 class _ConstantLoad:
