@@ -2,8 +2,10 @@
 
 Angles are degrees in flags and config files and radians inside the
 library; flags convert here, config files in lbvt.config. Exit codes: 0 on
-success, 1 for validation or solver failures, 2 for usage errors. Diagnostics
-go to stderr; data goes to the requested files or stdout.
+success, 1 for validation or solver failures, including a sweep with any
+failed row (its files are written first), 2 for usage errors. Diagnostics go
+to stderr; data goes to the requested files or stdout. The parser is built
+once per process, at import: argparse keeps no state between parse_args calls.
 """
 
 from __future__ import annotations
@@ -15,6 +17,22 @@ import sys
 from . import analysis, equilibrium
 from .config import load_config, save_config
 from .model import CalibrationError, ConfigError, GeometryError
+
+
+# Sweep subcommand -> (help text, analysis function name, default --to, plot
+# y columns); the plot's x axis is the table's independent column. Functions
+# are looked up by name at call time, so a replacement set on lbvt.analysis
+# takes effect here too.
+_SWEEPS = {
+    "sweep-angle": ("torque across the flexion range, CSV out", "sweep_torque_vs_angle",
+                    None, ("torque_lbvt (Nm)", "torque_rigid (Nm)")),
+    "trigger": ("chain diameter against force (triggering study), CSV out",
+                "sweep_trigger", 50.0, ("diameter (m)",)),
+    "sweep-force": ("torque against force with rigid baseline, CSV out",
+                    "sweep_torque_vs_force", 200.0, ("torque_lbvt (Nm)", "torque_rigid (Nm)")),
+    "ratio": ("transmission ratio against force, CSV out", "sweep_ratio_vs_force",
+              200.0, ("ratio (m)", "ratio_rigid (m)")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,29 +50,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True, help="knee angle in degrees")
     p.add_argument("--force", type=float, required=True, help="actuator force in N")
 
-    p = sub.add_parser("sweep-angle", help="torque across the flexion range, CSV out")
-    p.add_argument("config", help="config JSON path")
-    p.add_argument("--force", type=float, required=True, help="actuator force in N")
-    p.add_argument("--from", dest="start", type=float, help="start knee angle in degrees")
-    p.add_argument("--to", dest="stop", type=float, help="end knee angle in degrees")
-    p.add_argument("--step", type=float, default=10.0, help="angle step in degrees")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--plot", help="optional SVG output path")
-
-    for name, help_text in (
-        ("trigger", "chain diameter against force (triggering study), CSV out"),
-        ("sweep-force", "torque against force with rigid baseline, CSV out"),
-        ("ratio", "transmission ratio against force, CSV out"),
-    ):
+    for name, (help_text, _, stop, _) in _SWEEPS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="config JSON path")
-        p.add_argument("--theta", type=float, required=True, help="knee angle in degrees")
-        p.add_argument("--from", dest="start", type=float,
-                       default=0.0, help="start force in N")
-        p.add_argument("--to", dest="stop", type=float,
-                       default=50.0 if name == "trigger" else 200.0,
-                       help="end force in N")
-        p.add_argument("--step", type=float, default=0.5, help="force step in N")
+        if name == "sweep-angle":
+            p.add_argument("--force", type=float, required=True, help="actuator force in N")
+            p.add_argument("--from", dest="start", type=float, help="start knee angle in degrees")
+            p.add_argument("--to", dest="stop", type=float, help="end knee angle in degrees")
+            p.add_argument("--step", type=float, default=10.0, help="angle step in degrees")
+        else:
+            p.add_argument("--theta", type=float, required=True, help="knee angle in degrees")
+            p.add_argument("--from", dest="start", type=float, default=0.0, help="start force in N")
+            p.add_argument("--to", dest="stop", type=float, default=stop, help="end force in N")
+            p.add_argument("--step", type=float, default=0.5, help="force step in N")
         p.add_argument("--out", required=True, help="CSV output path")
         p.add_argument("--plot", help="optional SVG output path")
 
@@ -66,6 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True, help="calibration knee angle in degrees")
     p.add_argument("--out", required=True, help="output config JSON path")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _print_solve_report(result, theta_deg: float, out) -> None:
@@ -93,22 +104,9 @@ def _cmd_solve(args) -> int:
     return 0 if result.converged else 1
 
 
-# Sweep subcommand -> (analysis function name, plot x column, plot y columns).
-# Functions are looked up by name at call time, so a replacement set on
-# lbvt.analysis takes effect here too.
-_SWEEPS = {
-    "sweep-angle": ("sweep_torque_vs_angle", "theta (deg)",
-                    ("torque_lbvt (Nm)", "torque_rigid (Nm)")),
-    "trigger": ("sweep_trigger", "f_cyl (N)", ("diameter (m)",)),
-    "sweep-force": ("sweep_torque_vs_force", "f_cyl (N)",
-                    ("torque_lbvt (Nm)", "torque_rigid (Nm)")),
-    "ratio": ("sweep_ratio_vs_force", "f_cyl (N)", ("ratio (m)", "ratio_rigid (m)")),
-}
-
-
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    fn_name, x_col, y_cols = _SWEEPS[args.command]
+    _, fn_name, _, y_cols = _SWEEPS[args.command]
     sweep = getattr(analysis, fn_name)
     if args.command == "sweep-angle":
         start = math.radians(args.start) if args.start is not None else config.theta_min
@@ -118,7 +116,12 @@ def _cmd_sweep(args) -> int:
         table = sweep(config, math.radians(args.theta), args.start, args.stop, args.step)
     analysis.emit_csv(table, args.out)
     if args.plot:
-        analysis.emit_svg_plot(table, x_col, y_cols, args.plot)
+        analysis.emit_svg_plot(table, table.independent, y_cols, args.plot)
+    failed = table.column("feasible (-)").count(0.0)
+    if failed:
+        print(f"lbvt {args.command}: {failed} of {len(table.rows)} rows failed (feasible 0)",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -152,9 +155,8 @@ def _cmd_calibrate(args) -> int:
 
 def run(argv=None) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -321,6 +321,19 @@ def test_calibrate_unreachable_targets_report_bracket(base_config):
         analysis.calibrate(base_config, 20.0, 5.0, THETA_88)
 
 
+def test_calibrate_unreachable_trigger_reports_the_last_preload(base_config):
+    # 64 preload doublings from 0.05 rad stop near 1e18 rad, far short of 1e30 N
+    with pytest.raises(CalibrationError,
+                       match=r"^trigger target 1e\+30 N unreachable: preload \S+ rad yields only"):
+        analysis.calibrate(base_config, 1e30, 0.40, THETA_88)
+
+
+@pytest.mark.parametrize("trigger, ratio_step", [(-1.0, 0.40), (20.0, -0.1)])
+def test_calibrate_rejects_negative_targets(base_config, trigger, ratio_step):
+    with pytest.raises(ValueError, match="calibration targets must be non-negative"):
+        analysis.calibrate(base_config, trigger, ratio_step, THETA_88)
+
+
 @pytest.mark.parametrize("name", ["target_trigger", "target_ratio_step", "theta"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_calibrate_rejects_non_finite_arguments(base_config, name, bad):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -7,10 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lbvt
+from lbvt import analysis, equilibrium
 from lbvt.cli import load_config, run, save_config
-from lbvt.model import ConfigError
+from lbvt.model import ConfigError, validate_config
 
 DEFAULT = str(lbvt.default_config_path())
 
@@ -63,6 +66,65 @@ def test_bad_list_entry_names_the_path(tmp_path):
     doc["segments"][2] = "x"
     with pytest.raises(ConfigError, match=r"segments\[2\]"):
         load_config(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("springs_per_joint", 2.5, "springs_per_joint: expected an integer, got float"),
+    ("segments", 0.1, "segments: expected a list of numbers, got float"),
+    ("actuator_base", [0.05, -0.05, 0.0], "actuator_base: expected exactly two coordinates, got 3"),
+])
+def test_wrong_shape_names_the_field(tmp_path, key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(_write(tmp_path, {**_default_doc(), key: value}))
+
+
+def test_top_level_array_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="top-level value must be an object"):
+        load_config(_write(tmp_path, [_default_doc()]))
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.text(max_size=3)
+               | st.integers(-10, 10) | st.integers(min_value=10 ** 309, max_value=10 ** 400)
+               | st.floats(allow_nan=True, allow_infinity=True))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=7)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                        max_leaves=8)
+
+
+def _nearby(value):
+    """Values around a shipped one: numbers scaled by [-3, 3], integers moved by up to 3."""
+    if isinstance(value, list):
+        return st.tuples(*map(_nearby, value)).map(list)
+    if isinstance(value, int):
+        return st.integers(-3, 3).map(lambda dv: value + dv)
+    if isinstance(value, float):
+        return st.floats(-3.0, 3.0).map(lambda scale: value * scale)
+    return st.just(value)
+
+
+# up to three fields of the shipped document are dropped, take a random JSON
+# value or move near their shipped value, and an unknown key may be added;
+# json.dumps writes NaN and Infinity, which the loader's parser accepts
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_load_config_accepts_valid_or_raises_config_error(tmp_path_factory, data):
+    doc = _default_doc()
+    for key in data.draw(st.lists(st.sampled_from(sorted(doc)), max_size=3, unique=True)):
+        change = data.draw(st.sampled_from(("nearby", "nearby", "random", "drop")), label=key)
+        if change == "drop":
+            del doc[key]
+        else:
+            doc[key] = data.draw(_json_values() if change == "random" else _nearby(doc[key]),
+                                 label=key)
+    if data.draw(st.sampled_from((False, False, False, True)), label="extra key"):
+        doc[data.draw(st.text(max_size=4), label="key")] = data.draw(_json_values())
+    path = _write(tmp_path_factory.mktemp("fuzz"), doc)
+    try:
+        config = load_config(path)
+    except ConfigError:
+        return
+    assert validate_config(config) == []
 
 
 def test_parse_error_reports_position(tmp_path):
@@ -180,6 +242,26 @@ def test_ratio_subcommand(tmp_path):
     assert "ratio (m)" in header and "ratio_rigid (m)" in header
 
 
+def test_failed_sweep_rows_fail_the_command(tmp_path, capsys, monkeypatch):
+    # above 20 N every solve comes back unconverged: those rows are written
+    # as failure rows, and the exit code reports them
+    solve = equilibrium.solve_equilibrium
+
+    def failing_above_20_n(config, theta, f_cyl, **kwargs):
+        result = solve(config, theta, f_cyl, **kwargs)
+        return dataclasses.replace(result, converged=False) if f_cyl > 20.0 else result
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", failing_above_20_n)
+    out = tmp_path / "ratio.csv"
+    code = run(["ratio", DEFAULT, "--theta", "-88",
+                "--from", "0", "--to", "40", "--step", "4", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "lbvt ratio: 5 of 11 rows failed (feasible 0)\n"
+    table = analysis.read_csv(out)
+    assert table.column("feasible (-)") == (1.0,) * 6 + (0.0,) * 5
+    assert table.column("regimes (-)")[6:] == ("-",) * 5
+
+
 @pytest.mark.parametrize("command, bound", [
     ("ratio", ["--theta", "-88", "--to", "inf"]),
     ("sweep-angle", ["--force", "165", "--from", "nan"]),
@@ -265,6 +347,23 @@ def test_missing_config_file_fails_cleanly(capsys):
     assert "cfg.json" in capsys.readouterr().err
 
 
+def test_run_builds_no_parser_per_call(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["validate", DEFAULT]) == 0  # warm-up
+    built.clear()
+    for _ in range(3):
+        assert run(["validate", DEFAULT]) == 0
+        assert run(["solve", "--help"]) == 0
+    assert built == []
+
+
 # ---------- determinism ----------
 
 def test_repeated_sweeps_are_byte_identical(tmp_path):
@@ -286,15 +385,28 @@ def test_solve_report_is_deterministic(capsys):
     assert first == second
 
 
-# ---------- import surface ----------
+# ---------- import surface and entry point ----------
+
+def _src_env():
+    src = str(Path(lbvt.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_module_entry_point_exit_codes():
+    ok = subprocess.run([sys.executable, "-m", "lbvt", "validate", DEFAULT],
+                        env=_src_env(), capture_output=True, text=True)
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "", "")
+    bare = subprocess.run([sys.executable, "-m", "lbvt"],
+                          env=_src_env(), capture_output=True, text=True)
+    assert bare.returncode == 2 and bare.stdout == ""
+    assert bare.stderr.startswith("usage: lbvt ")
+
 
 def test_library_import_loads_no_cli_or_optional_modules():
     # a fresh interpreter, so modules the test session already imported do not count
-    src = str(Path(lbvt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = ("import sys, lbvt; print(' '.join(m for m in "
              "('scipy', 'argparse', 'concurrent.futures', 'lbvt.cli') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""

@@ -82,6 +82,15 @@ def test_mismatched_joint_arrays_are_reported(default_config):
     assert any("phi" in v for v in validate_config(bad))
 
 
+@pytest.mark.parametrize("updates, message", [
+    (dict(segments=(), phi=(), joint_open_limit=()), "segments must contain at least one entry"),
+    (dict(joint_open_limit=(0.1,) * 5), "joint_open_limit has 5 entries, expected 6"),
+    (dict(branch_sign=0), "branch_sign must be +1 or -1, got 0"),
+], ids=["no-segments", "short-open-limits", "branch-sign-0"])
+def test_shape_violations_are_reported(default_config, updates, message):
+    assert message in validate_config(default_config.with_updates(**updates))
+
+
 @pytest.mark.parametrize(
     "springs,k,expected",
     [(4, 1.17, 4.68), (1, 0.37, 0.37), (2, 0.5, 1.0)],
