@@ -26,8 +26,7 @@ table = lbvt.sweep_torque_vs_angle(
 
 lbvt.emit_csv(table, OUT / "torque_profile.csv")
 lbvt.emit_svg_plot(
-    table, "theta (deg)", ["torque_lbvt (Nm)", "torque_rigid (Nm)"],
-    OUT / "torque_profile.svg",
+    table, ["torque_lbvt (Nm)", "torque_rigid (Nm)"], OUT / "torque_profile.svg"
 )
 
 thetas = table.column("theta (deg)")

@@ -22,7 +22,7 @@ predicted = lbvt.triggering_force(config, theta)
 table = lbvt.sweep_trigger(config, theta, f_from=0.0, f_to=50.0, step=0.5)
 
 lbvt.emit_csv(table, OUT / "triggering.csv")
-lbvt.emit_svg_plot(table, "f_cyl (N)", ["diameter (m)"], OUT / "triggering.svg")
+lbvt.emit_svg_plot(table, ["diameter (m)"], OUT / "triggering.svg")
 
 forces = table.column("f_cyl (N)")
 diam = table.column("diameter (m)")

@@ -21,8 +21,7 @@ theta = math.radians(-88.0)
 
 table = lbvt.sweep_ratio_vs_force(config, theta, f_from=0.0, f_to=200.0, step=0.5)
 lbvt.emit_csv(table, OUT / "ratio.csv")
-lbvt.emit_svg_plot(table, "f_cyl (N)", ["ratio (m)", "ratio_rigid (m)"],
-                   OUT / "ratio.svg")
+lbvt.emit_svg_plot(table, ["ratio (m)", "ratio_rigid (m)"], OUT / "ratio.svg")
 
 step_sweep = lbvt.ratio_step_from_sweep(table)
 step_direct = lbvt.ratio_step_direct(config, theta)

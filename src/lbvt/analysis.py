@@ -23,10 +23,14 @@ from .model import (CalibrationError, GeometryError, MechanismConfig, SweepTable
 
 TRIGGER_TOL = 0.05   # N, calibration tolerance on the triggering force
 RATIO_STEP_TOL = 0.005  # calibration tolerance on the ratio step
+MAX_SAMPLES = 1_000_000  # per ladder; a sweep solves each sample, so more is a mistyped step
 
 
 def sample_ladder(start: float, stop: float, step: float) -> list[float]:
-    """Sweep abscissae: start + k*step, end snapped or appended; stop >= start."""
+    """Sweep abscissae: start + k*step, end snapped or appended; stop >= start.
+
+    A ladder of more than MAX_SAMPLES samples raises ValueError naming its size.
+    """
     if not (step > 0.0):
         raise ValueError(f"step must be positive, got {step}")
     for name, value in (("start", start), ("stop", stop)):
@@ -34,7 +38,14 @@ def sample_ladder(start: float, stop: float, step: float) -> list[float]:
             raise ValueError(f"range {name} must be finite, got {value}")
     if stop < start:
         raise ValueError(f"range end {stop} below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9))
+    # a float until checked: a tiny step makes it too large, or infinite, for an int
+    steps = (stop - start) / step + 1e-9
+    if steps + 1.0 > MAX_SAMPLES:
+        raise ValueError(
+            f"step {step} over [{start}, {stop}] asks for {steps + 1.0:.0f} samples "
+            f"(limit {MAX_SAMPLES})"
+        )
+    count = math.floor(steps)
     xs = [start + i * step for i in range(count + 1)]
     if count >= 1 and xs[-1] != stop:
         if stop - xs[-1] < 0.5 * step:
@@ -165,6 +176,7 @@ def sweep_ratio_vs_force(
 
 def ratio_step_direct(config: MechanismConfig, theta: float) -> float:
     """Fully-open over closed transmission ratio minus one, straight from geometry."""
+    equilibrium._check_theta(config, theta)
     j_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
     j_open = linkage.jacobian(config, theta, chain.open_lever(config))
     return j_open / j_closed - 1.0
@@ -217,12 +229,14 @@ def calibrate(
     geometry and the travel scale never moves the closed state. So the closed
     chain is evaluated once: a trial preload costs one division, and a trial
     travel scale one jacobian at the scaled open lever (the jacobian does not
-    read the travel limits). A non-finite target or theta raises ValueError.
+    read the travel limits). A non-finite target, or a theta that is not
+    finite or lies outside the config's range, raises ValueError.
     """
     for name, value in (("target_trigger", target_trigger),
-                        ("target_ratio_step", target_ratio_step), ("theta", theta)):
+                        ("target_ratio_step", target_ratio_step)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    equilibrium._check_theta(config, theta)
     if target_trigger < 0.0 or target_ratio_step < 0.0:
         raise ValueError("calibration targets must be non-negative")
 
@@ -318,11 +332,14 @@ def read_csv(path) -> SweepTable:
 _PALETTE = ("#1f6fb4", "#d1495b", "#2e8b57", "#b8860b", "#6a5acd", "#444444")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+_TICKS = 5  # target tick count per axis
+
+
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0.0:
         return [lo]
-    raw = span / target
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -337,15 +354,17 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def emit_svg_plot(table: SweepTable, x_column: str, y_columns, destination) -> int:
+def emit_svg_plot(table: SweepTable, y_columns, destination) -> int:
     """Self-contained SVG line plot of the named columns; returns bytes written.
 
-    Deterministic output: identical tables give identical bytes. Non-finite
-    points (flagged infeasible samples) are skipped.
+    The x axis is the table's independent column. Deterministic output:
+    identical tables give identical bytes. Non-finite points (flagged
+    infeasible samples) are skipped.
     """
     y_columns = list(y_columns)
     if len(table) < 2:
         raise ValueError("need at least two records to plot")
+    x_column = table.independent
     xs = [float(v) for v in table.column(x_column)]
     series = {name: [float(v) for v in table.column(name)] for name in y_columns}
 

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ChainState, MechanismConfig, Regime
-
-_TWO_PI = 2.0 * math.pi
+from .model import ChainState, MechanismConfig, Regime, per_joint_stiffness
 
 
 def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
@@ -123,15 +121,12 @@ def moment_geometry(
 
     moment_arm[k] is the joint-k pivot to tip distance. gamma[k] is the signed
     angle from that ray to the force direction (perpendicular of the
-    knee-to-tip ray), zero when the force is aligned with the ray.
+    knee-to-tip ray), zero when the force is aligned with the ray, so that
+    each joint torque equals moment_arm[k] * sin(gamma[k]) * tip force.
     """
     d = _check_deflection(config, deflection)
     pivots, tip, _ = _geometry(config, d)
-    return _arms_and_gammas(pivots, tip, _lever(tip))
-
-
-def _arms_and_gammas(pivots, tip, l4):
-    """moment_geometry from pivots and tip already built, lever length l4."""
+    l4 = _lever(tip)
     tx, ty = tip
     fx, fy = -ty / l4, tx / l4  # unit force direction, +90 deg from the tip ray
     arms = []
@@ -166,7 +161,7 @@ def preload_threshold(config: MechanismConfig, joint_index: int) -> float:
         raise IndexError(
             f"joint_index must be in 1..{config.n_joints}, got {joint_index}"
         )
-    return config.springs_per_joint * config.k_spring * config.alpha_preload
+    return per_joint_stiffness(config) * config.alpha_preload
 
 
 def preload_force(k_spring: float, delta: float, arm_length: float) -> float:
@@ -176,31 +171,24 @@ def preload_force(k_spring: float, delta: float, arm_length: float) -> float:
     return k_spring * delta / arm_length
 
 
+def _regimes(d, limits) -> tuple[Regime, ...]:
+    """Regime of each joint read off its deflection: 0 is closed, the limit the end stop."""
+    return tuple(
+        Regime.CLOSED if dk == 0.0 else Regime.END_STOP if dk >= lim else Regime.ACTIVE
+        for dk, lim in zip(d, limits)
+    )
+
+
 def make_chain_state(config: MechanismConfig, deflection) -> ChainState:
     """Build a fully consistent ChainState from the deflections alone."""
     d = _check_deflection(config, deflection)
-    pivots, tip, last_angle = _geometry(config, d)
-    l4 = _lever(tip)
+    pivots, tip, _ = _geometry(config, d)
     tx, ty = tip
     ax, ay = pivots[0]
-    diameter = math.hypot(tx - ax, ty - ay)
-    arms, gammas = _arms_and_gammas(pivots, tip, l4)
-    theta_l4 = math.remainder(math.atan2(ty, tx) - last_angle, _TWO_PI)
-    regimes = []
-    for dk, lim in zip(d, config.joint_open_limit):
-        if dk == 0.0:
-            regimes.append(Regime.CLOSED)
-        elif dk >= lim:
-            regimes.append(Regime.END_STOP)
-        else:
-            regimes.append(Regime.ACTIVE)
     return ChainState(
         deflection=d,
-        regime=tuple(regimes),
+        regime=_regimes(d, config.joint_open_limit),
         tip=tip,
-        l4=l4,
-        diameter=diameter,
-        moment_arm=arms,
-        gamma=gammas,
-        theta_l4=theta_l4,
+        l4=_lever(tip),
+        diameter=math.hypot(tx - ax, ty - ay),
     )

@@ -116,7 +116,7 @@ def _cmd_sweep(args) -> int:
         table = sweep(config, math.radians(args.theta), args.start, args.stop, args.step)
     analysis.emit_csv(table, args.out)
     if args.plot:
-        analysis.emit_svg_plot(table, table.independent, y_cols, args.plot)
+        analysis.emit_svg_plot(table, y_cols, args.plot)
     failed = table.column("feasible (-)").count(0.0)
     if failed:
         print(f"lbvt {args.command}: {failed} of {len(table.rows)} rows failed (feasible 0)",

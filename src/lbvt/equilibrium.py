@@ -160,8 +160,7 @@ def potential_energy(config: MechanismConfig, deflection) -> float:
 
 def _trigger_torque(config: MechanismConfig, theta: float) -> float:
     """Largest closed-chain joint torque per newton of actuator force; preload-independent."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    _check_theta(config, theta)
     per_unit, _, _ = _LoadMap(config, theta, 1.0).torques((0.0,) * config.n_joints)
     loaded = [a for a in per_unit if a > 1e-12]
     if not loaded:
@@ -330,7 +329,9 @@ def _active_set(load, d, regimes, k, a0, limits):
 
 
 def _check_theta(config: MechanismConfig, theta: float) -> None:
-    """Reject a knee angle outside the configured range; NaN fails the test too."""
+    """Reject a non-finite knee angle, or one outside the configured range."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if not (config.theta_min - 1e-9 <= theta <= config.theta_max + 1e-9):
         raise ValueError(
             f"theta={theta} outside the configured range "
@@ -344,9 +345,9 @@ _CONTINUATION_RUNGS = 8
 def _result(load: _LoadMap, d, converged: bool, residual: float,
             iterations: int) -> EquilibriumResult:
     """Equilibrium result at deflections d under the load map's force."""
-    # Regimes are rederived from the deflections inside make_chain_state;
+    # make_chain_state reads the regimes off the deflections (chain._regimes);
     # closed joints hold exact zeros and stopped joints the exact limits, so
-    # the rederivation reproduces the solver's assignment.
+    # that reproduces the solver's assignment.
     state = chain.make_chain_state(load.config, d)
     _, l4, jac = load.torques(d)
     torque = jac * load.f_cyl
@@ -376,10 +377,11 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
 
     start is an optional warm start: the chain of a converged solve of the
     same config, typically the previous sample of a sweep. The solve then
-    first runs one rung from that state (its regimes rederived from its
+    first runs one rung from that state (its regimes read off its
     deflections) and falls back to the closed-state attempts if that does not
     converge. A start of the wrong length, with a NaN or out-of-range
-    deflection raises ValueError. Without start the solve is unchanged.
+    deflection raises ValueError, and so does a non-finite theta or one
+    outside the config's range. Without start the solve is unchanged.
     """
     if f_cyl < 0.0 or f_cyl == math.inf:
         raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
@@ -396,8 +398,8 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
     if f_cyl > 0.0:
         attempts.append((*closed, _CONTINUATION_RUNGS))
     if start is not None:
-        state = chain.make_chain_state(config, start.deflection)
-        attempts.insert(0, (state.deflection, state.regime, 1))
+        d0 = chain._check_deflection(config, start.deflection)
+        attempts.insert(0, (d0, chain._regimes(d0, limits), 1))
 
     load = _LoadMap(config, theta, f_cyl)
     iterations = 0
@@ -471,8 +473,8 @@ def brute_force_equilibrium(
     d_star = [float(v) for v in grid[best]]
 
     torques, _, _ = load.torques(d_star)
-    regimes = chain.make_chain_state(config, d_star).regime
+    limits = config.joint_open_limit
     residual = _complementarity_residual(
-        d_star, regimes, torques, k, a0, config.joint_open_limit
+        d_star, chain._regimes(d_star, limits), torques, k, a0, limits
     )
     return _result(load, d_star, True, residual, total)

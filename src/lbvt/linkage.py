@@ -128,7 +128,7 @@ def solve_closure(config: MechanismConfig, theta: float, l4: float) -> LinkageSt
     """Assemble the four-bar at one knee angle and lever length.
 
     All four link-length constraints hold to better than 1e-10 m in the
-    returned state; the branch flag is the configured assembly side.
+    returned state, assembled on the config's branch_sign side.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
@@ -136,13 +136,7 @@ def solve_closure(config: MechanismConfig, theta: float, l4: float) -> LinkageSt
         raise ValueError(f"l4 must be finite, got {l4}")
     bearing = chain.tip_bearing(config, (0.0,) * config.n_joints)
     a, b, c, d, jac = _closure_kernel(config, theta, l4, bearing)
-    return LinkageState(
-        theta=theta,
-        joints=((0.0, 0.0), a, b, c),
-        actuator_length=d,
-        jacobian=jac,
-        branch=config.branch_sign,
-    )
+    return LinkageState(joints=((0.0, 0.0), a, b, c), actuator_length=d, jacobian=jac)
 
 
 def actuator_length(config: MechanismConfig, theta: float, l4: float) -> float:

@@ -102,15 +102,14 @@ class MechanismConfig:
 
 @dataclass(frozen=True)
 class ChainState:
-    """Spring-chain deflections plus the geometry derived from them.
+    """Spring-chain deflections, their regimes and the lever they make.
 
     deflection[k] is the opening of joint k from the closed shape, in
-    [0, joint_open_limit[k]]. tip is the chain end point in the lower-leg
+    [0, joint_open_limit[k]]; regime[k] follows from it (0 is closed, the
+    limit is the end stop). tip is the chain end point in the lower-leg
     frame, l4 its distance from the knee joint, diameter its distance from
-    the anchor. moment_arm[k] is the joint-to-tip distance and gamma[k] the
-    signed angle from that ray to the applied tip-force direction (the
-    perpendicular of the knee-to-tip ray), so that each joint torque equals
-    moment_arm * sin(gamma) * tip force.
+    the anchor. The per-joint moment geometry comes from
+    chain.moment_geometry.
     """
 
     deflection: tuple[float, ...]
@@ -118,9 +117,6 @@ class ChainState:
     tip: tuple[float, float]
     l4: float
     diameter: float
-    moment_arm: tuple[float, ...]
-    gamma: tuple[float, ...]
-    theta_l4: float
 
 
 @dataclass(frozen=True)
@@ -130,14 +126,13 @@ class LinkageState:
     joints holds the four pivot positions in the upper-leg frame:
     (knee, ground pivot, input/coupler joint, lever tip). jacobian is the
     derivative of actuator length with respect to the knee angle at fixed
-    lever length; knee torque is jacobian times actuator force.
+    lever length; knee torque is jacobian times actuator force. The
+    assembly branch is the config's branch_sign.
     """
 
-    theta: float
     joints: tuple[tuple[float, float], ...]
     actuator_length: float
     jacobian: float
-    branch: int
 
 
 @dataclass(frozen=True)

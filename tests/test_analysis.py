@@ -47,6 +47,12 @@ def test_ladder_rejects_non_finite_range(start, stop, bad):
         analysis.sample_ladder(start, stop, 0.5)
 
 
+@pytest.mark.parametrize("step, samples", [(1e-4, "2000001"), (5e-324, "inf")])
+def test_ladder_rejects_too_many_samples(step, samples):
+    with pytest.raises(ValueError, match=f"asks for {samples} samples"):
+        analysis.sample_ladder(0.0, 200.0, step)
+
+
 # ---------- angle sweep ----------
 
 def test_angle_sweep_zero_force_is_flat(default_config):
@@ -344,6 +350,17 @@ def test_calibrate_rejects_non_finite_arguments(base_config, name, bad):
         analysis.calibrate(base_config, **args)
 
 
+@pytest.mark.parametrize("theta_deg", [-170.0, 10.0])
+@pytest.mark.parametrize("call", [
+    equilibrium.triggering_force,
+    lambda cfg, theta: analysis.calibrate(cfg, 20.0, 0.40, theta),
+    analysis.ratio_step_direct,
+], ids=["triggering_force", "calibrate", "ratio_step_direct"])
+def test_knee_angle_outside_the_range_is_rejected(base_config, call, theta_deg):
+    with pytest.raises(ValueError, match="outside the configured range"):
+        call(base_config, math.radians(theta_deg))
+
+
 def test_calibrated_output_validates(base_config):
     cal = analysis.calibrate(base_config, 12.0, 0.25, THETA_88)
     assert validate_config(cal) == []
@@ -402,7 +419,7 @@ def test_csv_write_failure_names_destination(tmp_path):
 
 def test_svg_single_series_single_polyline(tmp_path):
     out = tmp_path / "p.svg"
-    analysis.emit_svg_plot(_small_table(), "f_cyl (N)", ["l4 (m)"], out)
+    analysis.emit_svg_plot(_small_table(), ["l4 (m)"], out)
     text = out.read_text()
     assert text.count("<polyline") == 1
     assert text.startswith('<?xml version="1.0"')
@@ -411,25 +428,25 @@ def test_svg_single_series_single_polyline(tmp_path):
 
 def test_svg_is_deterministic(tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    analysis.emit_svg_plot(_small_table(), "f_cyl (N)", ["l4 (m)"], a)
-    analysis.emit_svg_plot(_small_table(), "f_cyl (N)", ["l4 (m)"], b)
+    analysis.emit_svg_plot(_small_table(), ["l4 (m)"], a)
+    analysis.emit_svg_plot(_small_table(), ["l4 (m)"], b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_svg_unknown_column_lists_available(tmp_path):
     with pytest.raises(KeyError, match="l4 \\(m\\)"):
-        analysis.emit_svg_plot(_small_table(), "f_cyl (N)", ["nope"], tmp_path / "x.svg")
+        analysis.emit_svg_plot(_small_table(), ["nope"], tmp_path / "x.svg")
 
 
 def test_svg_needs_two_records(tmp_path):
     table = SweepTable(columns=("x (s)", "y (m)"), rows=[(0.0, 1.0)])
     with pytest.raises(ValueError):
-        analysis.emit_svg_plot(table, "x (s)", ["y (m)"], tmp_path / "x.svg")
+        analysis.emit_svg_plot(table, ["y (m)"], tmp_path / "x.svg")
 
 
 def test_trigger_plot_renders_plateau(default_config, tmp_path):
     table = analysis.sweep_trigger(default_config, THETA_88, 0.0, 50.0, 1.0)
     out = tmp_path / "trigger.svg"
-    n = analysis.emit_svg_plot(table, "f_cyl (N)", ["diameter (m)"], out)
+    n = analysis.emit_svg_plot(table, ["diameter (m)"], out)
     assert n > 500
     assert out.read_text().count("<polyline") == 1

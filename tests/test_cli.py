@@ -273,6 +273,14 @@ def test_non_finite_sweep_range_fails_cleanly(tmp_path, capsys, command, bound):
     assert not out.exists()
 
 
+def test_oversized_sweep_ladder_fails_cleanly(tmp_path, capsys):
+    out = tmp_path / "ratio.csv"
+    assert run(["ratio", DEFAULT, "--theta", "-88", "--step", "5e-324", "--out", str(out)]) == 1
+    assert "lbvt ratio: step 5e-324 over [0.0, 200.0] asks for inf samples" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_non_finite_config_number_fails_validation(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps({**_default_doc(), "alpha_preload": math.nan}))
@@ -303,6 +311,15 @@ def test_calibrate_rejects_nan_target(tmp_path, capsys):
     assert run(["calibrate", DEFAULT, "--trigger", "nan", "--ratio-step", "0.40",
                 "--theta", "-88", "--out", str(out)]) == 1
     assert "lbvt calibrate: target_trigger must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["-170", "10"])
+def test_calibrate_rejects_an_angle_outside_the_range(tmp_path, capsys, theta):
+    out = tmp_path / "calibrated.json"
+    assert run(["calibrate", str(lbvt.base_config_path()), "--trigger", "20",
+                "--ratio-step", "0.40", "--theta", theta, "--out", str(out)]) == 1
+    assert "outside the configured range" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -149,6 +149,17 @@ def test_warm_start_falls_back_to_the_closed_state(default_config, monkeypatch):
     assert res.iterations > cold.iterations
 
 
+def test_warm_and_oracle_solves_build_one_chain_state(default_config, monkeypatch):
+    start = solve_equilibrium(default_config, THETA_88, 150.0).chain
+    built = []
+    make = chain.make_chain_state
+    monkeypatch.setattr(chain, "make_chain_state", lambda *args: built.append(args) or make(*args))
+    solve_equilibrium(default_config, THETA_88, 165.0, start=start)
+    assert len(built) == 1
+    brute_force_equilibrium(reduced_chain(2), THETA_88, 40.0, 1e-3)
+    assert len(built) == 2
+
+
 @pytest.mark.parametrize("deflection, message", [
     ((0.0,) * 5, "expected 6 deflections, got 5"),
     ((math.nan,) + (0.0,) * 5, r"deflection\[0\]=nan outside"),

@@ -182,4 +182,3 @@ def test_chain_state_geometry_is_reproducible(default_config):
         assert abs(a.l4 - b.l4) < 1e-12
         assert abs(a.tip[0] - b.tip[0]) < 1e-12
         assert abs(a.tip[1] - b.tip[1]) < 1e-12
-        assert a.moment_arm == b.moment_arm and a.gamma == b.gamma
