@@ -39,7 +39,7 @@ def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
 
 
 def _geometry(config: MechanismConfig, d, xp=math):
-    """Joint pivots and tip, plus the cumulative angle of the last segment.
+    """Joint pivots and the chain tip; the pivot list ends with the tip itself.
 
     d holds one deflection per joint: floats with xp=math (the solver's hot
     path), or equal-shape numpy arrays with xp=numpy to evaluate a whole grid
@@ -57,7 +57,7 @@ def _geometry(config: MechanismConfig, d, xp=math):
         x = x + sk * cos(ang)
         y = y + sk * sin(ang)
         pivots.append((x, y))
-    return pivots, (x, y), ang
+    return pivots, (x, y)
 
 
 def _torques(pivots, tip, scale):
@@ -82,7 +82,7 @@ def _lever(tip) -> float:
 def chain_tip(config: MechanismConfig, deflection) -> tuple[float, float]:
     """Chain end point in the lower-leg frame for the given joint openings."""
     d = _check_deflection(config, deflection)
-    _, tip, _ = _geometry(config, d)
+    _, tip = _geometry(config, d)
     return tip
 
 
@@ -95,7 +95,7 @@ def l4_length(config: MechanismConfig, deflection) -> float:
 def chain_diameter(config: MechanismConfig, deflection) -> float:
     """Distance from the chain anchor to the tip; bounded by the summed segments."""
     d = _check_deflection(config, deflection)
-    pivots, (x, y), _ = _geometry(config, d)
+    pivots, (x, y) = _geometry(config, d)
     ax, ay = pivots[0]
     return math.hypot(x - ax, y - ay)
 
@@ -125,7 +125,7 @@ def moment_geometry(
     each joint torque equals moment_arm[k] * sin(gamma[k]) * tip force.
     """
     d = _check_deflection(config, deflection)
-    pivots, tip, _ = _geometry(config, d)
+    pivots, tip = _geometry(config, d)
     l4 = _lever(tip)
     tx, ty = tip
     fx, fy = -ty / l4, tx / l4  # unit force direction, +90 deg from the tip ray
@@ -151,7 +151,7 @@ def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[fl
     if not math.isfinite(f_end):
         raise ValueError(f"f_end must be finite, got {f_end}")
     d = _check_deflection(config, deflection)
-    pivots, tip, _ = _geometry(config, d)
+    pivots, tip = _geometry(config, d)
     return _torques(pivots, tip, f_end / _lever(tip))
 
 
@@ -182,7 +182,7 @@ def _regimes(d, limits) -> tuple[Regime, ...]:
 def make_chain_state(config: MechanismConfig, deflection) -> ChainState:
     """Build a fully consistent ChainState from the deflections alone."""
     d = _check_deflection(config, deflection)
-    pivots, tip, _ = _geometry(config, d)
+    pivots, tip = _geometry(config, d)
     tx, ty = tip
     ax, ay = pivots[0]
     return ChainState(

@@ -93,7 +93,7 @@ class _LoadMap:
         joint; every output then has that shape. pivots ends with the tip.
         """
         cfg = self.config
-        pivots, tip, _ = chain._geometry(cfg, d, xp)
+        pivots, tip = chain._geometry(cfg, d, xp)
         l4 = xp.hypot(*tip)
         _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, self.bearing, xp)
         return (chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac), pivots
@@ -158,10 +158,13 @@ def potential_energy(config: MechanismConfig, deflection) -> float:
     return _energy(per_joint_stiffness(config), config.alpha_preload, d)
 
 
-def _trigger_torque(config: MechanismConfig, theta: float) -> float:
-    """Largest closed-chain joint torque per newton of actuator force; preload-independent."""
+def _trigger_torque(config: MechanismConfig, theta: float, bearing=None) -> float:
+    """Largest closed-chain joint torque per newton of actuator force; preload-independent.
+
+    bearing is the closed-chain tip bearing, computed here when not given.
+    """
     _check_theta(config, theta)
-    per_unit, _, _ = _LoadMap(config, theta, 1.0).torques((0.0,) * config.n_joints)
+    per_unit, _, _ = _LoadMap(config, theta, 1.0, bearing).torques((0.0,) * config.n_joints)
     loaded = [a for a in per_unit if a > 1e-12]
     if not loaded:
         raise NoTriggerError(
@@ -437,21 +440,22 @@ def brute_force_equilibrium(
         raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
     _check_theta(config, theta)
 
-    axes = []
-    for lim in config.joint_open_limit:
-        m = int(math.floor(lim / grid_step + 1e-9))
-        nodes = np.arange(m + 1) * grid_step
-        if nodes[-1] < lim - 1e-15:
-            nodes = np.append(nodes, lim)
-        axes.append(nodes)
-    total = 1
-    for ax in axes:
-        total *= len(ax)
+    # node counts stay floats until checked: a tiny step makes them too large,
+    # or infinite, for an int, and no axis is built before the budget holds
+    limits = config.joint_open_limit
+    steps = [np.floor(lim / grid_step + 1e-9) for lim in limits]
+    appended = [m * grid_step < lim - 1e-15 for m, lim in zip(steps, limits)]
+    sizes = [m + 1.0 + end for m, end in zip(steps, appended)]
+    total = math.prod(map(int, sizes)) if all(map(math.isfinite, sizes)) else math.inf
     if total > 1e8:
         raise GridSizeError(
             f"deflection grid would hold {total} nodes (limit 1e8); "
             "coarsen grid_step or reduce the travel limits"
         )
+    axes = []
+    for m, lim, end in zip(steps, limits, appended):
+        nodes = np.arange(m + 1.0) * grid_step
+        axes.append(np.append(nodes, lim) if end else nodes)
 
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)  # (N, n)
@@ -473,7 +477,6 @@ def brute_force_equilibrium(
     d_star = [float(v) for v in grid[best]]
 
     torques, _, _ = load.torques(d_star)
-    limits = config.joint_open_limit
     residual = _complementarity_residual(
         d_star, chain._regimes(d_star, limits), torques, k, a0, limits
     )

@@ -210,7 +210,8 @@ def validate_config(config: MechanismConfig) -> list[str]:
     infinite field is reported by name (with its index in a tuple field), and
     so is a per-joint stiffness springs_per_joint * k_spring that overflows.
     Closure solvability is grid-checked over the knee range at both the closed
-    and the fully-open lever length.
+    and the fully-open lever length; one closure-kernel call covers both lever
+    states.
     """
     v: list[str] = []
 
@@ -285,24 +286,34 @@ def validate_config(config: MechanismConfig) -> list[str]:
 
 
 def _closure_violations(config: MechanismConfig) -> list[str]:
-    """Closure check at 181 knee angles, one kernel call per lever state.
+    """Closure check at 181 knee angles, with both lever states in one kernel call.
 
     Runs the solver's own closure kernel over the sampled range, so any
     GeometryError a solve at those angles and lever lengths would raise
     (lever, circle intersection, singularity, actuator) is reported here.
+    The closed and fully-open levers broadcast against the angles as two
+    rows; only when that call fails does each lever rerun on its own, to
+    name the state and its first failing angle.
     """
     from . import chain as _chain, linkage as _linkage  # deferred: import cycle
 
-    out: list[str] = []
-    zero = (0.0,) * config.n_joints
-    bearing_closed = _chain.tip_bearing(config, zero)
+    x, y = _chain.chain_tip(config, (0.0,) * config.n_joints)
+    bearing_closed = math.atan2(y, x)
+    levers = (("closed", math.hypot(x, y)),
+              ("fully open", _chain.l4_length(config, config.joint_open_limit)))
     n_samples = 181
     thetas = (
         config.theta_min
         + (config.theta_max - config.theta_min) * np.arange(n_samples) / (n_samples - 1)
     )
-    for label, d in (("closed", zero), ("fully open", config.joint_open_limit)):
-        l4 = _chain.l4_length(config, d)
+    both = np.array([l4 for _, l4 in levers])[:, None]  # one row per lever
+    try:
+        _linkage._closure_kernel(config, thetas, both, bearing_closed, np)
+        return []
+    except GeometryError:
+        pass  # rerun each lever alone below, to name it and its first failing angle
+    out: list[str] = []
+    for label, l4 in levers:
         try:
             _linkage._closure_kernel(config, thetas, l4, bearing_closed, np)
         except GeometryError as exc:

@@ -85,14 +85,14 @@ def base_config() -> MechanismConfig:
     return lbvt.load_config(lbvt.base_config_path())
 
 
-def count_calls(monkeypatch, cls, name):
-    """Count calls of cls.<name> from here to the end of the test."""
+def count_calls(monkeypatch, owner, name):
+    """Count calls of owner.<name>, a method or module function, to the end of the test."""
     calls = [0]
-    original = getattr(cls, name)
+    original = getattr(owner, name)
 
-    def counted(self, d):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return original(self, d)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls

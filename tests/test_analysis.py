@@ -292,6 +292,20 @@ def test_calibrate_evaluates_the_closed_chain_once(base_config, monkeypatch):
     assert calls[0] == 1
 
 
+def test_calibrate_computes_the_tip_bearing_once(base_config, monkeypatch):
+    calls = count_calls(monkeypatch, chain, "tip_bearing")
+    analysis.calibrate(base_config, 20.0, 0.40, THETA_88)
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("theta_deg", [-130.0, -88.0, -45.0])
+def test_ratio_step_direct_matches_the_public_jacobian(default_config, theta_deg):
+    theta = math.radians(theta_deg)
+    closed = linkage.jacobian(default_config, theta, chain.closed_lever(default_config))
+    opened = linkage.jacobian(default_config, theta, chain.open_lever(default_config))
+    assert analysis.ratio_step_direct(default_config, theta) == opened / closed - 1.0
+
+
 # design_loop's target ranges
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(

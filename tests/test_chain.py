@@ -178,7 +178,7 @@ def test_joint_torques_match_cross_product_oracle(default_config):
         f_end = rng.uniform(-80.0, 80.0)
         torques = chain.joint_torques(default_config, d, f_end)
 
-        pivots, tip, _ = chain._geometry(default_config, d)
+        pivots, tip = chain._geometry(default_config, d)
         l4 = math.hypot(*tip)
         fvec = (-tip[1] / l4 * f_end, tip[0] / l4 * f_end)
         for (px, py), t in zip(pivots[:-1], torques):

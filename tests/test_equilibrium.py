@@ -394,6 +394,21 @@ def test_brute_force_rejects_large_grids():
         brute_force_equilibrium(cfg, THETA_88, 10.0, 1e-6)
 
 
+def test_brute_force_rejects_a_step_too_fine_for_an_int():
+    with pytest.raises(GridSizeError, match="inf nodes"):
+        brute_force_equilibrium(reduced_chain(1), THETA_88, 10.0, 5e-324)
+
+
+def test_brute_force_checks_the_budget_before_building_an_axis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid axis built before the node budget check")
+
+    # one 0.05 rad axis at 1e-10 would hold 5e8 nodes, 4 GB of float64
+    monkeypatch.setattr(np, "arange", refuse)
+    with pytest.raises(GridSizeError, match="500000001 nodes"):
+        brute_force_equilibrium(reduced_chain(1), THETA_88, 10.0, 1e-10)
+
+
 @pytest.mark.parametrize("f_cyl", [-1.0, math.nan, math.inf])
 def test_brute_force_rejects_bad_force(f_cyl):
     with pytest.raises(ValueError, match="f_cyl"):

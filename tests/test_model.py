@@ -14,9 +14,9 @@ from lbvt.model import (
     total_stiffness,
     validate_config,
 )
-from lbvt import chain
+from lbvt import chain, linkage
 
-from conftest import reduced_chain
+from conftest import count_calls, reduced_chain
 
 
 def test_default_config_validates(default_config):
@@ -51,6 +51,21 @@ def test_infeasible_closure_is_reported_per_lever_state():
         assert f"the {label} lever" in v
         assert re.search(r"theta=-141\.0+ deg", v)
         assert "exceeds l2 + l3" in v
+
+
+def test_open_lever_closure_failure_is_reported_once(default_config):
+    # a shorter coupler still reaches the closed lever, not the fully open one
+    violations = validate_config(default_config.with_updates(l3=0.22))
+    assert len(violations) == 1
+    assert "the fully open lever" in violations[0]
+    assert re.search(r"theta=-141\.0+ deg, l4=0\.09277 m", violations[0])
+    assert "exceeds l2 + l3" in violations[0]
+
+
+def test_validation_runs_one_closure_kernel_call(default_config, monkeypatch):
+    calls = count_calls(monkeypatch, linkage, "_closure_kernel")
+    assert validate_config(default_config) == []
+    assert calls[0] == 1
 
 
 def _number_slots(config):
