@@ -174,19 +174,11 @@ def sweep_ratio_vs_force(
     )
 
 
-def _jacobian(config: MechanismConfig, theta: float, l4: float, bearing: float) -> float:
-    """linkage.jacobian at a checked theta, with the closed-chain tip bearing given."""
-    if not math.isfinite(l4):
-        raise ValueError(f"l4 must be finite, got {l4}")
-    return linkage._closure_kernel(config, theta, l4, bearing)[4]
-
-
 def ratio_step_direct(config: MechanismConfig, theta: float) -> float:
     """Fully-open over closed transmission ratio minus one, straight from geometry."""
     equilibrium._check_theta(config, theta)
-    bearing = chain.tip_bearing(config, (0.0,) * config.n_joints)
-    j_closed = _jacobian(config, theta, chain.closed_lever(config), bearing)
-    j_open = _jacobian(config, theta, chain.open_lever(config), bearing)
+    j_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
+    j_open = linkage.jacobian(config, theta, chain.open_lever(config))
     return j_open / j_closed - 1.0
 
 
@@ -235,11 +227,11 @@ def calibrate(
     until the open/closed ratio step lands within RATIO_STEP_TOL of
     target_ratio_step. The two knobs are independent: preload never moves the
     geometry and the travel scale never moves the closed state. So the closed
-    chain is evaluated once, and its tip bearing computed once: a trial
-    preload costs one division, and a trial travel scale costs one
-    closure-kernel call at the scaled open lever (the kernel does not read the
-    travel limits). A non-finite target, or a theta that is not finite or lies
-    outside the config's range, raises ValueError.
+    chain is evaluated once: a trial preload costs one division, and a trial
+    travel scale costs one jacobian at the scaled open lever (the lever points
+    along config.lever_bearing, so no trial rebuilds the closed chain). A
+    non-finite target, or a theta that is not finite or lies outside the
+    config's range, raises ValueError.
     """
     for name, value in (("target_trigger", target_trigger),
                         ("target_ratio_step", target_ratio_step)):
@@ -250,11 +242,9 @@ def calibrate(
         raise ValueError("calibration targets must be non-negative")
 
     cfg = config
-    # neither knob moves the closed chain, so both read one tip bearing
-    bearing = functools.cache(lambda: chain.tip_bearing(config, (0.0,) * config.n_joints))
     alpha = 0.0
     if target_trigger != 0.0:
-        a_max = equilibrium._trigger_torque(cfg, theta, bearing())
+        a_max = equilibrium._trigger_torque(cfg, theta)
         def trigger_at(preload: float) -> float:
             return per_joint_stiffness(cfg) * preload / a_max
 
@@ -275,10 +265,10 @@ def calibrate(
 
     limits = (0.0,) * cfg.n_joints
     if target_ratio_step != 0.0:
-        j_closed = _jacobian(cfg, theta, chain.closed_lever(cfg), bearing())
+        j_closed = linkage.jacobian(cfg, theta, chain.closed_lever(cfg))
         def step_at(scale: float) -> float:
             l4 = chain.l4_length(cfg, tuple(scale * lim for lim in cfg.joint_open_limit))
-            return _jacobian(cfg, theta, l4, bearing()) / j_closed - 1.0
+            return linkage.jacobian(cfg, theta, l4) / j_closed - 1.0
 
         full = step_at(1.0)
         if full < target_ratio_step - RATIO_STEP_TOL:

@@ -51,12 +51,14 @@ import numpy as np
 from . import chain, linkage
 from .model import (
     ChainState,
+    ConfigError,
     EquilibriumResult,
     GridSizeError,
     MechanismConfig,
     NoTriggerError,
     Regime,
     per_joint_stiffness,
+    validate_config,
 )
 
 MAX_OUTER = 200
@@ -70,20 +72,17 @@ _DL4 = 1e-8  # m, forward-difference step of the closure jacobian in l4
 class _LoadMap:
     """Applied chain-joint torques as a function of the deflections.
 
-    Takes the closed-chain tip bearing from the caller, or computes it once.
+    Building one computes nothing: the lever bearing comes with the config.
     Float evaluations are cached per instance, keyed by tuple(d): the map is a
     pure function of d, and -0.0 and 0.0 give bit-identical geometry, so a
     repeated point returns the stored result unchanged. evaluate is the
     uncached kernel; counting its calls counts real evaluations.
     """
 
-    def __init__(self, config: MechanismConfig, theta: float, f_cyl: float, bearing=None):
+    def __init__(self, config: MechanismConfig, theta: float, f_cyl: float):
         self.config = config
         self.theta = theta
         self.f_cyl = f_cyl
-        if bearing is None:
-            bearing = chain.tip_bearing(config, (0.0,) * config.n_joints)
-        self.bearing = bearing
         self._cache = {}
 
     def evaluate(self, d, xp=math):
@@ -95,7 +94,7 @@ class _LoadMap:
         cfg = self.config
         pivots, tip = chain._geometry(cfg, d, xp)
         l4 = xp.hypot(*tip)
-        _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, self.bearing, xp)
+        _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, xp)
         return (chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac), pivots
 
     def _point(self, d):
@@ -124,8 +123,7 @@ class _LoadMap:
         tx, ty = pivots[-1]
         f = self.f_cyl
         scale = jac * f / (l4 * l4)
-        _, _, _, _, jac_up = linkage._closure_kernel(
-            self.config, self.theta, l4 + _DL4, self.bearing)
+        _, _, _, _, jac_up = linkage._closure_kernel(self.config, self.theta, l4 + _DL4)
         # ds/dl4 over l4, the factor that turns c_j = l4 dl4/dd_j into ds/dd_j
         ds = f * ((jac_up - jac) / _DL4 - 2.0 * jac / l4) / (l4 * l4 * l4)
         w = [(tx - pivots[i][0], ty - pivots[i][1]) for i in active]
@@ -158,13 +156,10 @@ def potential_energy(config: MechanismConfig, deflection) -> float:
     return _energy(per_joint_stiffness(config), config.alpha_preload, d)
 
 
-def _trigger_torque(config: MechanismConfig, theta: float, bearing=None) -> float:
-    """Largest closed-chain joint torque per newton of actuator force; preload-independent.
-
-    bearing is the closed-chain tip bearing, computed here when not given.
-    """
+def _trigger_torque(config: MechanismConfig, theta: float) -> float:
+    """Largest closed-chain joint torque per newton of actuator force; preload-independent."""
     _check_theta(config, theta)
-    per_unit, _, _ = _LoadMap(config, theta, 1.0, bearing).torques((0.0,) * config.n_joints)
+    per_unit, _, _ = _LoadMap(config, theta, 1.0).torques((0.0,) * config.n_joints)
     loaded = [a for a in per_unit if a > 1e-12]
     if not loaded:
         raise NoTriggerError(
@@ -410,8 +405,7 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
         d = list(d0)
         regimes = list(regimes0)
         for rung in range(1, rungs + 1):
-            rung_load = (load if rung == rungs
-                         else _LoadMap(config, theta, f_cyl * rung / rungs, load.bearing))
+            rung_load = load if rung == rungs else _LoadMap(config, theta, f_cyl * rung / rungs)
             torques, outer = _active_set(rung_load, d, regimes, k, a0, limits)
             iterations += outer
         residual = _complementarity_residual(d, regimes, torques, k, a0, limits)
@@ -430,10 +424,14 @@ def brute_force_equilibrium(
     enumerated exhaustively at grid_step resolution (travel limits included as
     exact nodes). The work at each node integrates the applied joint torques
     along the uniform-opening ray from the closed state to the node, with
-    fixed Gauss-Legendre quadrature.
+    fixed Gauss-Legendre quadrature. An invalid config raises ConfigError
+    naming its violations before any node is counted.
     """
     if config.n_joints > 3:
         raise ValueError("grid oracle supports at most 3 chain joints")
+    violations = validate_config(config)
+    if violations:
+        raise ConfigError("invalid config: " + "; ".join(violations))
     if not (grid_step > 0.0):
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     if not (0.0 <= f_cyl < math.inf):

@@ -2,8 +2,9 @@
 
 Frame: upper-leg coordinates with the knee joint at the origin and the x axis
 pointing from the knee toward the hip. The input-bar ground pivot sits at
-(l1, 0); the output lever is a ray fixed in the lower leg at the bearing of
-the closed chain tip, rotated by the knee angle, with variable length l4.
+(l1, 0); the output lever is a ray fixed in the lower leg along
+config.lever_bearing (the bearing of the closed chain tip, set once when the
+config is built), rotated by the knee angle, with variable length l4.
 The coupler joint is the intersection of the circles (ground pivot, l2) and
 (lever tip, l3); the assembly branch is picked by the configured sign and
 never changes within a sweep.
@@ -20,14 +21,13 @@ import math
 
 import numpy as np
 
-from . import chain
 from .model import GeometryError, LinkageState, MechanismConfig, SingularityError
 
 SINGULARITY_SIN = 1e-8  # |sin(input-coupler angle)| below this raises
 
 
-def _closure_kernel(config: MechanismConfig, theta, l4, bearing: float, xp=math):
-    """Pivot positions and jacobian for a lever of length l4 at the given bearing.
+def _closure_kernel(config: MechanismConfig, theta, l4, xp=math):
+    """Pivot positions and jacobian for a lever of length l4 along config.lever_bearing.
 
     Returns (A, B, C, actuator_length, jacobian). theta and l4 are floats with
     xp=math (the solver's hot path), or numpy arrays (or a float and an
@@ -47,7 +47,7 @@ def _closure_kernel(config: MechanismConfig, theta, l4, bearing: float, xp=math)
         raise GeometryError(f"lever length must be positive, got {l4}")
     l2, l3 = config.l2, config.l3
     ax_, ay_ = config.l1, 0.0
-    phase = theta + bearing
+    phase = theta + config.lever_bearing
     cx = l4 * xp.cos(phase)
     cy = l4 * xp.sin(phase)
 
@@ -134,8 +134,7 @@ def solve_closure(config: MechanismConfig, theta: float, l4: float) -> LinkageSt
         raise ValueError(f"theta must be finite, got {theta}")
     if not math.isfinite(l4):
         raise ValueError(f"l4 must be finite, got {l4}")
-    bearing = chain.tip_bearing(config, (0.0,) * config.n_joints)
-    a, b, c, d, jac = _closure_kernel(config, theta, l4, bearing)
+    a, b, c, d, jac = _closure_kernel(config, theta, l4)
     return LinkageState(joints=((0.0, 0.0), a, b, c), actuator_length=d, jacobian=jac)
 
 

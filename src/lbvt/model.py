@@ -66,6 +66,12 @@ class MechanismConfig:
     leg, segments/phi define the closed chain shape, and joint_open_limit gives
     the end-stop travel of each joint. Angle fields are radians here; the JSON
     schema stores them in degrees.
+
+    lever_bearing is derived, not a field: the polar angle of the closed
+    chain tip seen from the knee, in the lower-leg frame, along which the
+    output lever points. It is set once at construction (NaN when the chain
+    angles are not finite), so it is neither saved nor compared, and replace
+    or with_updates recompute it.
     """
 
     l1: float
@@ -91,6 +97,13 @@ class MechanismConfig:
         object.__setattr__(self, "segments", tuple(float(v) for v in self.segments))
         object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
         object.__setattr__(self, "joint_open_limit", tuple(float(v) for v in self.joint_open_limit))
+        from .chain import _geometry  # deferred: import cycle
+
+        try:
+            _, (x, y) = _geometry(self, (0.0,) * self.n_joints)
+        except (ValueError, OverflowError):  # cos of an infinite angle; validate_config names it
+            x = y = math.nan
+        object.__setattr__(self, "lever_bearing", math.atan2(y, x))
 
     @property
     def n_joints(self) -> int:
@@ -285,6 +298,9 @@ def validate_config(config: MechanismConfig) -> list[str]:
     return v
 
 
+_KNEE_SAMPLES = np.arange(181)  # indices of the closure check's knee angles
+
+
 def _closure_violations(config: MechanismConfig) -> list[str]:
     """Closure check at 181 knee angles, with both lever states in one kernel call.
 
@@ -297,25 +313,20 @@ def _closure_violations(config: MechanismConfig) -> list[str]:
     """
     from . import chain as _chain, linkage as _linkage  # deferred: import cycle
 
-    x, y = _chain.chain_tip(config, (0.0,) * config.n_joints)
-    bearing_closed = math.atan2(y, x)
-    levers = (("closed", math.hypot(x, y)),
-              ("fully open", _chain.l4_length(config, config.joint_open_limit)))
-    n_samples = 181
-    thetas = (
-        config.theta_min
-        + (config.theta_max - config.theta_min) * np.arange(n_samples) / (n_samples - 1)
-    )
+    levers = (("closed", _chain.closed_lever(config)),
+              ("fully open", _chain.open_lever(config)))
+    thetas = (config.theta_min
+              + (config.theta_max - config.theta_min) * _KNEE_SAMPLES / (len(_KNEE_SAMPLES) - 1))
     both = np.array([l4 for _, l4 in levers])[:, None]  # one row per lever
     try:
-        _linkage._closure_kernel(config, thetas, both, bearing_closed, np)
+        _linkage._closure_kernel(config, thetas, both, np)
         return []
     except GeometryError:
         pass  # rerun each lever alone below, to name it and its first failing angle
     out: list[str] = []
     for label, l4 in levers:
         try:
-            _linkage._closure_kernel(config, thetas, l4, bearing_closed, np)
+            _linkage._closure_kernel(config, thetas, l4, np)
         except GeometryError as exc:
             out.append(f"four-bar closure fails with the {label} lever: {exc}")
     return out

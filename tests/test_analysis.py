@@ -292,10 +292,18 @@ def test_calibrate_evaluates_the_closed_chain_once(base_config, monkeypatch):
     assert calls[0] == 1
 
 
-def test_calibrate_computes_the_tip_bearing_once(base_config, monkeypatch):
+def test_calibrate_reads_the_bearing_off_the_config(base_config, monkeypatch):
     calls = count_calls(monkeypatch, chain, "tip_bearing")
     analysis.calibrate(base_config, 20.0, 0.40, THETA_88)
-    assert calls[0] == 1
+    assert calls[0] == 0
+
+
+def test_angle_sweep_reads_the_bearing_off_the_config(default_config, monkeypatch):
+    calls = count_calls(monkeypatch, chain, "tip_bearing")
+    table = analysis.sweep_torque_vs_angle(default_config, 165.0, default_config.theta_min,
+                                           default_config.theta_max, math.radians(1.0))
+    assert len(table) == 103
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("theta_deg", [-130.0, -88.0, -45.0])

@@ -13,6 +13,7 @@ from lbvt.equilibrium import (
     triggering_force,
 )
 from lbvt.model import (
+    ConfigError,
     GridSizeError,
     NoTriggerError,
     Regime,
@@ -421,6 +422,20 @@ def test_brute_force_rejects_bad_theta(theta):
         brute_force_equilibrium(reduced_chain(1), theta, 10.0, 1e-3)
 
 
+@pytest.mark.parametrize("limit", [math.nan, -0.01], ids=["nan", "negative"])
+def test_brute_force_rejects_an_invalid_config(limit):
+    config = reduced_chain(1).with_updates(joint_open_limit=(limit,))
+    # GridSizeError is a ValueError too, so the type alone would not tell
+    with pytest.raises(ConfigError, match=r"joint_open_limit\[0\]"):
+        brute_force_equilibrium(config, THETA_88, 10.0, 1e-3)
+
+
+def test_load_map_takes_the_bearing_off_the_config(default_config, monkeypatch):
+    calls = count_calls(monkeypatch, chain, "_geometry")
+    equilibrium._LoadMap(default_config, THETA_88, 33.0)
+    assert calls[0] == 0
+
+
 def test_brute_force_rejects_full_chain(default_config):
     with pytest.raises(ValueError):
         brute_force_equilibrium(default_config, THETA_88, 10.0, 1e-3)
@@ -443,12 +458,11 @@ def test_vectorized_load_map_matches_scalar(default_config):
 
 def test_vectorized_jacobian_matches_scalar(default_config):
     """The closure kernel broadcasts over knee angle and lever length."""
-    bearing = chain.tip_bearing(default_config, (0.0,) * 6)
     thetas = np.linspace(default_config.theta_min, default_config.theta_max, 7)
     l4s = np.linspace(chain.closed_lever(default_config),
                       chain.open_lever(default_config), 50)
     vec = linkage._closure_kernel(
-        default_config, thetas[:, None], l4s[None, :], bearing, np)[4]
+        default_config, thetas[:, None], l4s[None, :], np)[4]
     assert vec.shape == (7, 50)
     for i, theta in enumerate(thetas):
         for l4, jv in zip(l4s, vec[i]):

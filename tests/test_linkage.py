@@ -6,7 +6,7 @@ import pytest
 from lbvt import chain, linkage
 from lbvt.model import GeometryError, SingularityError
 
-from conftest import straight_chain
+from conftest import count_calls, straight_chain
 
 THETA_88 = math.radians(-88.0)
 
@@ -100,6 +100,13 @@ def test_jacobian_matches_finite_differences(default_config):
             assert abs(analytic - fd) <= 1e-6 * max(abs(analytic), 1e-9)
             checked += 1
     assert checked >= 100
+
+
+def test_jacobian_does_not_rebuild_the_closed_chain(default_config, monkeypatch):
+    calls = count_calls(monkeypatch, chain, "_geometry")
+    linkage.jacobian(default_config, THETA_88, 0.09)
+    linkage.kfe_torque(default_config, THETA_88, 0.09, 165.0)
+    assert calls[0] == 0
 
 
 def test_jacobian_zero_at_fixed_attachment(default_config):

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
+import lbvt
 from lbvt.model import (
     ConfigError,
     MechanismConfig,
@@ -15,6 +17,7 @@ from lbvt.model import (
     validate_config,
 )
 from lbvt import chain, linkage
+from lbvt.config import save_config
 
 from conftest import count_calls, reduced_chain
 
@@ -149,6 +152,55 @@ def test_series_stiffness_bounded_by_softest(default_config, n):
 def test_config_is_immutable(default_config):
     with pytest.raises(dataclasses.FrozenInstanceError):
         default_config.l1 = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        default_config.lever_bearing = 0.0
+
+
+def _closed_tip_bearing(config):
+    return chain.tip_bearing(config, (0.0,) * config.n_joints)
+
+
+def test_lever_bearing_is_the_closed_tip_bearing(default_config, base_config):
+    for config in (default_config, base_config):
+        assert config.lever_bearing == _closed_tip_bearing(config)
+
+
+@pytest.mark.parametrize("updates", [
+    {"beta": 0.3},
+    {"l_offset": 0.06},
+    {"segments": (0.02, 0.018, 0.016, 0.014, 0.012, 0.01)},
+    {"phi": tuple(math.radians(p) for p in (4.0, -9.0, -6.0, -8.0, -5.0, -7.0))},
+], ids=["beta", "l_offset", "segments", "phi"])
+def test_lever_bearing_follows_updates(default_config, updates):
+    updated = default_config.with_updates(**updates)
+    assert updated.lever_bearing != default_config.lever_bearing
+    assert updated.lever_bearing == _closed_tip_bearing(updated)
+
+
+def test_lever_bearing_is_not_a_field(default_config):
+    names = [f.name for f in dataclasses.fields(default_config)]
+    assert "lever_bearing" not in names and "lever_bearing" not in repr(default_config)
+    # equality and hashing see the fields only
+    twin = dataclasses.replace(default_config)
+    assert twin == default_config and hash(twin) == hash(default_config)
+
+
+def test_infinite_beta_builds_with_a_nan_bearing(default_config):
+    config = default_config.with_updates(beta=math.inf)
+    assert math.isnan(config.lever_bearing)
+    assert "beta must be finite, got inf" in validate_config(config)
+
+
+def test_saved_config_holds_the_fields_only(default_config, base_config, tmp_path):
+    out = tmp_path / "saved.json"
+    for config in (default_config, base_config):
+        save_config(config, out)
+        assert list(json.loads(out.read_text())) == [
+            f.name for f in dataclasses.fields(config)]
+    # the shipped default round-trips to its own bytes
+    shipped = lbvt.default_config_path().read_bytes()
+    save_config(default_config, out, provenance=json.loads(shipped)["provenance"])
+    assert out.read_bytes() == shipped
 
 
 def test_sweep_table_requires_increasing_abscissae():
