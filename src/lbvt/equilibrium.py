@@ -10,16 +10,17 @@ through the moment geometry. Each joint then obeys one of three regimes:
             spring torque there
 
 solve_equilibrium runs an active-set scheme over those regimes: for a fixed
-regime assignment the active torque balances are solved by damped Newton
-iterations, then the worst violated regime condition (one joint per outer
-pass, largest violation first, lowest index on ties) is flipped. Torque
-exactly at the holding threshold keeps a joint closed. The scheme is
-deterministic: identical inputs give identical results. The Newton jacobian
-is analytic: opening joint j rotates the chain tip and every later pivot
-about pivot j, and only the closure jacobian's dependence on the lever
-length is differenced, once per Newton step. Each solve caches its load-map
-evaluations by deflection vector, so the residual that starts an outer pass,
-repeated line-search trials and the final evaluation cost a dict lookup.
+regime assignment the active torque balances are solved by Newton
+iterations whose full step is clamped to the travel limits, then the worst
+violated regime condition (one joint per outer pass, largest violation
+first, lowest index on ties) is flipped. Torque exactly at the holding
+threshold keeps a joint closed. The scheme is deterministic: identical
+inputs give identical results. The Newton jacobian is analytic: opening
+joint j rotates the chain tip and every later pivot about pivot j, and only
+the closure jacobian's dependence on the lever length is differenced, once
+per Newton step. Each solve caches its load-map evaluations by deflection
+vector, so the residual that starts an outer pass, the jacobian at the
+point each Newton step reached and the final evaluation cost a dict lookup.
 The Newton loop stops early once an accepted step leaves the deflections
 unchanged; since its state is then back where the step began, the remaining
 passes could only replay that step, so the early stop changes no result.
@@ -63,7 +64,6 @@ from .model import (
 
 MAX_OUTER = 200
 MAX_INNER = 50
-DAMPING_FLOOR = 1e-6
 RESIDUAL_TOL = 1e-9
 _INNER_TOL = 1e-12
 _DL4 = 1e-8  # m, forward-difference step of the closure jacobian in l4
@@ -218,13 +218,15 @@ def _solve_small(jac, r, k):
 
 
 def _newton_active(load, d, active, k, a0, limits):
-    """Damped Newton on the torque balances of the active joints, in place.
+    """Newton on the torque balances of the active joints, in place.
 
-    Backtracking halves the step while the residual grows, floored per the
-    solver contract. When even the floored step cannot reduce the residual
-    the balance has no interior root on this side (the opening torque beats
-    the spring), so the full clamped step is taken once to reach the bound
-    and hand the joint back to the regime logic.
+    Each pass evaluates the full Newton step once, clamped to the travel
+    range [0, limit] of each joint. A step that does not raise the max-norm
+    residual is accepted. The first step that raises it, the bold step, is
+    taken anyway: the balance then has no interior root on this side (the
+    opening torque beats the spring), so the clamped step reaches the bound
+    and hands the joint back to the regime logic. A second such step ends
+    the loop.
 
     The jacobian comes from load.derivative (analytic, minus k on the
     diagonal) at a point whose torques the residual has already evaluated,
@@ -254,36 +256,21 @@ def _newton_active(load, d, active, k, a0, limits):
         for i, row in enumerate(jac):
             row[i] -= k
         step = _solve_small(jac, r, k)
-
-        def clamped(lam: float) -> list[float]:
-            trial = list(d)
-            for idx, j in enumerate(active):
-                trial[j] = min(max(d[j] + lam * float(step[idx]), 0.0), limits[j])
-            return trial
-
-        lam = 1.0
-        accepted = False
-        while lam > DAMPING_FLOOR:
-            trial = clamped(lam)
-            r_trial = residual(trial)
-            norm_trial = max(abs(x) for x in r_trial)
-            if norm_trial <= norm:
-                accepted = True
-                break
-            lam *= 0.5
-        if accepted:
+        trial = list(d)
+        for idx, j in enumerate(active):
+            trial[j] = min(max(d[j] + float(step[idx]), 0.0), limits[j])
+        r_trial = residual(trial)
+        norm_trial = max(abs(x) for x in r_trial)
+        if norm_trial <= norm:
             if trial == d:
                 break  # stalled: every later pass would replay this step
-            d[:] = trial
-            r = r_trial
-            norm = norm_trial
+        elif bold_used:
+            break
         else:
-            if bold_used:
-                break
             bold_used = True
-            d[:] = clamped(1.0)
-            r = residual(d)
-            norm = max(abs(x) for x in r)
+        d[:] = trial
+        r = r_trial
+        norm = norm_trial
     return load.torques(d)
 
 

@@ -124,28 +124,33 @@ def _first(bad, *values):
     return tuple(float(np.broadcast_to(v, np.shape(bad)).flat[i]) for v in values)
 
 
+def _checked_kernel(config: MechanismConfig, theta: float, l4: float):
+    """_closure_kernel at one knee angle and lever length, both checked finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if not math.isfinite(l4):
+        raise ValueError(f"l4 must be finite, got {l4}")
+    return _closure_kernel(config, theta, l4)
+
+
 def solve_closure(config: MechanismConfig, theta: float, l4: float) -> LinkageState:
     """Assemble the four-bar at one knee angle and lever length.
 
     All four link-length constraints hold to better than 1e-10 m in the
     returned state, assembled on the config's branch_sign side.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    if not math.isfinite(l4):
-        raise ValueError(f"l4 must be finite, got {l4}")
-    a, b, c, d, jac = _closure_kernel(config, theta, l4)
+    a, b, c, d, jac = _checked_kernel(config, theta, l4)
     return LinkageState(joints=((0.0, 0.0), a, b, c), actuator_length=d, jacobian=jac)
 
 
 def actuator_length(config: MechanismConfig, theta: float, l4: float) -> float:
     """Distance from the actuator base to its attachment point on the input bar."""
-    return solve_closure(config, theta, l4).actuator_length
+    return _checked_kernel(config, theta, l4)[3]
 
 
 def jacobian(config: MechanismConfig, theta: float, l4: float) -> float:
     """Actuator extension per unit knee rotation at fixed lever length (m/rad)."""
-    return solve_closure(config, theta, l4).jacobian
+    return _checked_kernel(config, theta, l4)[4]
 
 
 def kfe_torque(config: MechanismConfig, theta: float, l4: float, f_cyl: float) -> float:

@@ -164,3 +164,35 @@ def test_open_lever_torque_exceeds_closed_at_165(default_config):
 def test_closure_rejects_non_finite_inputs(default_config, theta, l4, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         linkage.solve_closure(default_config, theta, l4)
+
+
+@pytest.mark.parametrize("theta, l4, name", [
+    (math.nan, 0.1, "theta"),
+    (THETA_88, math.inf, "l4"),
+], ids=["theta-nan", "l4-inf"])
+@pytest.mark.parametrize("read", [
+    linkage.actuator_length,
+    linkage.jacobian,
+    lambda cfg, theta, l4: linkage.kfe_torque(cfg, theta, l4, 1.0),
+], ids=["actuator_length", "jacobian", "kfe_torque"])
+def test_scalar_closure_maps_reject_non_finite_inputs(default_config, read, theta, l4, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        read(default_config, theta, l4)
+
+
+def test_scalar_closure_maps_build_no_linkage_state(default_config, monkeypatch):
+    rng = np.random.default_rng(8)
+    lo, hi = chain.closed_lever(default_config), chain.open_lever(default_config)
+    cases = [
+        (theta, l4, linkage.solve_closure(default_config, theta, l4))
+        for theta, l4 in zip(
+            rng.uniform(default_config.theta_min, default_config.theta_max, 50).tolist(),
+            rng.uniform(lo, hi, 50).tolist(),
+        )
+    ]
+    calls = count_calls(monkeypatch, linkage, "LinkageState")
+    for theta, l4, state in cases:
+        assert linkage.actuator_length(default_config, theta, l4) == state.actuator_length
+        assert linkage.jacobian(default_config, theta, l4) == state.jacobian
+        assert linkage.kfe_torque(default_config, theta, l4, 165.0) == state.jacobian * 165.0
+    assert calls[0] == 0
