@@ -179,16 +179,22 @@ def _regimes(d, limits) -> tuple[Regime, ...]:
     )
 
 
-def make_chain_state(config: MechanismConfig, deflection) -> ChainState:
-    """Build a fully consistent ChainState from the deflections alone."""
-    d = _check_deflection(config, deflection)
-    pivots, tip = _geometry(config, d)
+def _chain_state(config: MechanismConfig, d, pivots) -> ChainState:
+    """ChainState of valid deflections d from their pivots, which end with the tip."""
+    tip = pivots[-1]
     tx, ty = tip
     ax, ay = pivots[0]
     return ChainState(
-        deflection=d,
+        deflection=tuple(d),
         regime=_regimes(d, config.joint_open_limit),
         tip=tip,
         l4=_lever(tip),
         diameter=math.hypot(tx - ax, ty - ay),
     )
+
+
+def make_chain_state(config: MechanismConfig, deflection) -> ChainState:
+    """Build a fully consistent ChainState from the deflections alone."""
+    d = _check_deflection(config, deflection)
+    pivots, _ = _geometry(config, d)
+    return _chain_state(config, d, pivots)

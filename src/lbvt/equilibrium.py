@@ -18,12 +18,12 @@ threshold keeps a joint closed. The scheme is deterministic: identical
 inputs give identical results. The Newton jacobian is analytic: opening
 joint j rotates the chain tip and every later pivot about pivot j, and only
 the closure jacobian's dependence on the lever length is differenced, once
-per Newton step. Each solve caches its load-map evaluations by deflection
-vector, so the residual that starts an outer pass, the jacobian at the
-point each Newton step reached and the final evaluation cost a dict lookup.
-The Newton loop stops early once an accepted step leaves the deflections
-unchanged; since its state is then back where the step began, the remaining
-passes could only replay that step, so the early stop changes no result.
+per Newton step. Each load-map evaluation is made once and passed along:
+the point a Newton step reaches carries the torques of the next residual,
+the pivots of the next jacobian and, at the end, the geometry of the
+result. A Newton step must strictly lower the max-norm residual; the first
+one that does not is still taken (the bold step) and a second one ends the
+run, as does a step that would leave the deflections unchanged.
 A non-finite applied torque makes the residual NaN, so such a solve is
 reported as not converged. The direct attempt from the closed state is the
 one-rung case of the continuation ladder, so both run the same loop. A caller
@@ -39,8 +39,9 @@ solver's own load map (_LoadMap.evaluate on arrays: the same chain geometry,
 four-bar closure and joint-torque kernels), so its independence lies in the
 method, an energy minimum over a grid against an active-set iteration on
 the torque balances. It never iterates. The solver and the oracle build
-their result through one helper, _result, from the load map and the final
-deflections; each supplies its own residual and convergence flag.
+their result through one helper, _result, from the final deflections and the
+load-map point evaluated there; each supplies its own residual and
+convergence flag.
 """
 
 from __future__ import annotations
@@ -73,43 +74,29 @@ class _LoadMap:
     """Applied chain-joint torques as a function of the deflections.
 
     Building one computes nothing: the lever bearing comes with the config.
-    Float evaluations are cached per instance, keyed by tuple(d): the map is a
-    pure function of d, and -0.0 and 0.0 give bit-identical geometry, so a
-    repeated point returns the stored result unchanged. evaluate is the
-    uncached kernel; counting its calls counts real evaluations.
+    The map keeps no state: a solve holds each evaluated point and passes it
+    on, so counting evaluate calls counts evaluations.
     """
 
     def __init__(self, config: MechanismConfig, theta: float, f_cyl: float):
         self.config = config
         self.theta = theta
         self.f_cyl = f_cyl
-        self._cache = {}
 
     def evaluate(self, d, xp=math):
-        """((torques, l4, jac), pivots) at deflections d, without the cache.
+        """The point (torques, l4, jac, pivots) at deflections d; pivots ends with the tip.
 
         d is one float per joint, or with xp=numpy one equal-shape array per
-        joint; every output then has that shape. pivots ends with the tip.
+        joint; every output then has that shape.
         """
         cfg = self.config
         pivots, tip = chain._geometry(cfg, d, xp)
         l4 = xp.hypot(*tip)
         _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, xp)
-        return (chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac), pivots
+        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
 
-    def _point(self, d):
-        key = tuple(d)
-        point = self._cache.get(key)
-        if point is None:
-            point = self._cache[key] = self.evaluate(key)
-        return point
-
-    def torques(self, d):
-        """Per-joint applied torques, lever length and jacobian at float deflections d."""
-        return self._point(d)[0]
-
-    def derivative(self, d, active):
-        """Rows i, columns j of da_i/dd_j over the active joints, as nested lists.
+    def derivative(self, point, active):
+        """Rows i, columns j of da_i/dd_j over the active joints at an evaluated point.
 
         Opening joint j rotates the tip t and every later pivot about p_j, so
         dt/dd_j = perp(t - p_j) and dl4/dd_j = t . perp(t - p_j) / l4. With
@@ -117,9 +104,10 @@ class _LoadMap:
 
             da_i/dd_j = s'(l4) dl4/dd_j (w_i . t) + s (c_max(i,j) + w_j x w_i)
 
-        with c_j = w_j x t. dJ/dl4 in s' is one forward difference in l4.
+        with c_j = w_j x t. dJ/dl4 in s' is one forward difference in l4. The
+        rows are nested lists.
         """
-        (_, l4, jac), pivots = self._point(d)
+        _, l4, jac, pivots = point
         tx, ty = pivots[-1]
         f = self.f_cyl
         scale = jac * f / (l4 * l4)
@@ -159,7 +147,7 @@ def potential_energy(config: MechanismConfig, deflection) -> float:
 def _trigger_torque(config: MechanismConfig, theta: float) -> float:
     """Largest closed-chain joint torque per newton of actuator force; preload-independent."""
     _check_theta(config, theta)
-    per_unit, _, _ = _LoadMap(config, theta, 1.0).torques((0.0,) * config.n_joints)
+    per_unit = _LoadMap(config, theta, 1.0).evaluate((0.0,) * config.n_joints)[0]
     loaded = [a for a in per_unit if a > 1e-12]
     if not loaded:
         raise NoTriggerError(
@@ -217,76 +205,79 @@ def _solve_small(jac, r, k):
         return [-x / k for x in r]  # spring-dominated fallback
 
 
-def _newton_active(load, d, active, k, a0, limits):
-    """Newton on the torque balances of the active joints, in place.
+def _newton_active(load, d, point, active, k, a0, limits):
+    """Newton on the torque balances of the active joints; d in place, returns its point.
 
-    Each pass evaluates the full Newton step once, clamped to the travel
-    range [0, limit] of each joint. A step that does not raise the max-norm
-    residual is accepted. The first step that raises it, the bold step, is
-    taken anyway: the balance then has no interior root on this side (the
-    opening torque beats the spring), so the clamped step reaches the bound
-    and hands the joint back to the regime logic. A second such step ends
-    the loop.
+    point is the load-map evaluation at d. Each pass evaluates the full
+    Newton step once, clamped to the travel range [0, limit] of each joint.
+    A step must strictly lower the max-norm residual. The first step that
+    does not, the bold step, is taken anyway: the balance then has no
+    interior root on this side (the opening torque beats the spring), so the
+    clamped step reaches the bound and hands the joint back to the regime
+    logic. A second such step ends the loop. Progress must be strict because
+    a clamped active joint can hold the max norm fixed while a free joint
+    steps back and forth between two points; accepting equal norms would
+    replay that 2-cycle for all MAX_INNER passes.
 
     The jacobian comes from load.derivative (analytic, minus k on the
-    diagonal) at a point whose torques the residual has already evaluated,
-    and load.torques serves repeated points from the load map's cache.
-
-    An accepted step that leaves d unchanged (typically an active joint
-    pushing past its bound and clamped back) ends the loop. The exit is
-    exact: d, the residual, its norm and the bold flag are then what they
-    were at the start of the step, and the loop body is deterministic, so
-    every remaining pass would rebuild the same jacobian, take the same step
-    and end at the same d.
+    diagonal) at the point the last step reached. A step that leaves d
+    unchanged (typically an active joint pushing past its bound and clamped
+    back) ends the loop before it is evaluated: every later pass would
+    rebuild the same jacobian and take the same step.
     """
     if not active:
-        return load.torques(d)
+        return point
 
-    def residual(vec):
-        torqs, _, _ = load.torques(vec)
-        return [torqs[i] - k * (a0 + vec[i]) for i in active]
+    def residual(torques, vec):
+        return [torques[i] - k * (a0 + vec[i]) for i in active]
 
-    r = residual(d)
+    r = residual(point[0], d)
     norm = max(abs(x) for x in r)
     bold_used = False
     for _ in range(MAX_INNER):
         if norm < _INNER_TOL:
             break
-        jac = load.derivative(d, active)
+        jac = load.derivative(point, active)
         for i, row in enumerate(jac):
             row[i] -= k
         step = _solve_small(jac, r, k)
         trial = list(d)
         for idx, j in enumerate(active):
             trial[j] = min(max(d[j] + float(step[idx]), 0.0), limits[j])
-        r_trial = residual(trial)
+        if trial == d:
+            break  # stalled: every later pass would replay this step
+        trial_point = load.evaluate(trial)
+        r_trial = residual(trial_point[0], trial)
         norm_trial = max(abs(x) for x in r_trial)
-        if norm_trial <= norm:
-            if trial == d:
-                break  # stalled: every later pass would replay this step
-        elif bold_used:
-            break
-        else:
+        if not norm_trial < norm:
+            if bold_used:
+                break
             bold_used = True
         d[:] = trial
-        r = r_trial
-        norm = norm_trial
-    return load.torques(d)
+        point, r, norm = trial_point, r_trial, norm_trial
+    return point
 
 
 def _active_set(load, d, regimes, k, a0, limits):
-    """Active-set iteration from the given state, in place; returns (torques, outers)."""
+    """Active-set iteration from the given state, in place; returns (point at d, outers).
+
+    Closed joints are clamped to 0 and stopped joints to their limit on
+    entry. The clamped Newton step keeps d in [0, limit], so a joint flips
+    to closed only at d == 0 and to its stop only at d == limit: a flip
+    needs no clamp, and the point at d stays valid.
+    """
     n = len(d)
-    torques, _, _ = load.torques(d)
+    for i in range(n):
+        if regimes[i] is Regime.CLOSED:
+            d[i] = 0.0
+        elif regimes[i] is Regime.END_STOP:
+            d[i] = limits[i]
+    point = load.evaluate(d)
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
         active = [i for i in range(n) if regimes[i] is Regime.ACTIVE]
-        for i in range(n):
-            if regimes[i] is Regime.CLOSED:
-                d[i] = 0.0
-            elif regimes[i] is Regime.END_STOP:
-                d[i] = limits[i]
-        torques, _, _ = _newton_active(load, d, active, k, a0, limits)
+        point = _newton_active(load, d, point, active, k, a0, limits)
+        torques = point[0]
 
         # Worst regime violation; strict exceedance, threshold ties stay put.
         worst = 0.0
@@ -310,7 +301,7 @@ def _active_set(load, d, regimes, k, a0, limits):
         if flip is None:
             break
         regimes[flip[0]] = flip[1]
-    return torques, outer
+    return point, outer
 
 
 def _check_theta(config: MechanismConfig, theta: float) -> None:
@@ -327,17 +318,16 @@ def _check_theta(config: MechanismConfig, theta: float) -> None:
 _CONTINUATION_RUNGS = 8
 
 
-def _result(load: _LoadMap, d, converged: bool, residual: float,
+def _result(load: _LoadMap, d, point, converged: bool, residual: float,
             iterations: int) -> EquilibriumResult:
-    """Equilibrium result at deflections d under the load map's force."""
-    # make_chain_state reads the regimes off the deflections (chain._regimes);
+    """Equilibrium result at deflections d from the load map's point there."""
+    # the chain state reads the regimes off the deflections (chain._regimes);
     # closed joints hold exact zeros and stopped joints the exact limits, so
     # that reproduces the solver's assignment.
-    state = chain.make_chain_state(load.config, d)
-    _, l4, jac = load.torques(d)
+    _, l4, jac, pivots = point
     torque = jac * load.f_cyl
     return EquilibriumResult(
-        chain=state,
+        chain=chain._chain_state(load.config, d, pivots),
         kfe_torque=torque,
         tip_force=tip_force(torque, l4),
         transmission_ratio=jac,
@@ -393,13 +383,13 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
         regimes = list(regimes0)
         for rung in range(1, rungs + 1):
             rung_load = load if rung == rungs else _LoadMap(config, theta, f_cyl * rung / rungs)
-            torques, outer = _active_set(rung_load, d, regimes, k, a0, limits)
+            point, outer = _active_set(rung_load, d, regimes, k, a0, limits)
             iterations += outer
-        residual = _complementarity_residual(d, regimes, torques, k, a0, limits)
+        residual = _complementarity_residual(d, regimes, point[0], k, a0, limits)
         # written so that a NaN residual stops the attempts
         if not residual >= RESIDUAL_TOL:
             break
-    return _result(load, d, residual < RESIDUAL_TOL, residual, iterations)
+    return _result(load, d, point, residual < RESIDUAL_TOL, residual, iterations)
 
 
 def brute_force_equilibrium(
@@ -455,14 +445,14 @@ def brute_force_equilibrium(
     s_weights = 0.5 * gl_w
     work = np.zeros(len(grid))
     for s, w in zip(s_nodes, s_weights):
-        (a_q, _, _), _ = load.evaluate(s * grid.T, np)
+        a_q = load.evaluate(s * grid.T, np)[0]
         work += w * sum(a * col for a, col in zip(a_q, grid.T))
 
     best = int(np.argmin(energy - work))
     d_star = [float(v) for v in grid[best]]
 
-    torques, _, _ = load.torques(d_star)
+    point = load.evaluate(d_star)
     residual = _complementarity_residual(
-        d_star, chain._regimes(d_star, limits), torques, k, a0, limits
+        d_star, chain._regimes(d_star, limits), point[0], k, a0, limits
     )
-    return _result(load, d_star, True, residual, total)
+    return _result(load, d_star, point, True, residual, total)

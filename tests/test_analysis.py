@@ -212,7 +212,7 @@ def test_base_config_ratio_sweep_has_no_failed_rows(base_config):
 
 
 def test_ratio_sweep_load_evaluations(default_config, monkeypatch):
-    # 1,065 measured; a cold solve per sample takes about 8,300
+    # 1,065 measured; a cold solve per sample takes about 8,400
     calls = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 200.0, 0.5)
     assert len(table) == 401
