@@ -18,8 +18,8 @@ import functools
 import math
 
 from . import chain, equilibrium, linkage
-from .model import (CalibrationError, GeometryError, MechanismConfig, SweepTable,
-                    per_joint_stiffness, validate_config)
+from .model import (CalibrationError, ConfigError, GeometryError, MechanismConfig,
+                    SweepTable, per_joint_stiffness, validate_config)
 
 TRIGGER_TOL = 0.05   # N, calibration tolerance on the triggering force
 RATIO_STEP_TOL = 0.005  # calibration tolerance on the ratio step
@@ -229,10 +229,14 @@ def calibrate(
     geometry and the travel scale never moves the closed state. So the closed
     chain is evaluated once: a trial preload costs one division, and a trial
     travel scale costs one jacobian at the scaled open lever (the lever points
-    along config.lever_bearing, so no trial rebuilds the closed chain). A
-    non-finite target, or a theta that is not finite or lies outside the
-    config's range, raises ValueError.
+    along config.lever_bearing, so no trial rebuilds the closed chain), and
+    the one new config is built at the end. An invalid config raises
+    ConfigError with its violations; a non-finite target, or a theta that is
+    not finite or lies outside the config's range, raises ValueError.
     """
+    violations = validate_config(config)
+    if violations:
+        raise ConfigError("invalid config: " + "; ".join(violations))
     for name, value in (("target_trigger", target_trigger),
                         ("target_ratio_step", target_ratio_step)):
         if not math.isfinite(value):
@@ -241,14 +245,13 @@ def calibrate(
     if target_trigger < 0.0 or target_ratio_step < 0.0:
         raise ValueError("calibration targets must be non-negative")
 
-    cfg = config
     alpha = 0.0
     if target_trigger != 0.0:
-        a_max = equilibrium._trigger_torque(cfg, theta)
+        a_max = equilibrium._trigger_torque(config, theta)
         def trigger_at(preload: float) -> float:
-            return per_joint_stiffness(cfg) * preload / a_max
+            return per_joint_stiffness(config) * preload / a_max
 
-        hi = max(cfg.alpha_preload, 0.05)
+        hi = max(config.alpha_preload, 0.05)
         for _ in range(64):
             if trigger_at(hi) >= target_trigger:
                 break
@@ -261,14 +264,13 @@ def calibrate(
         alpha = _bisect(trigger_at, target_trigger, hi, TRIGGER_TOL,
                         "trigger bisection did not settle within {tol} N "
                         "(bracket [{lo}, {hi}] rad)")
-    cfg = cfg.with_updates(alpha_preload=alpha)
 
-    limits = (0.0,) * cfg.n_joints
+    limits = (0.0,) * config.n_joints
     if target_ratio_step != 0.0:
-        j_closed = linkage.jacobian(cfg, theta, chain.closed_lever(cfg))
+        j_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
         def step_at(scale: float) -> float:
-            l4 = chain.l4_length(cfg, tuple(scale * lim for lim in cfg.joint_open_limit))
-            return linkage.jacobian(cfg, theta, l4) / j_closed - 1.0
+            l4 = chain.l4_length(config, tuple(scale * lim for lim in config.joint_open_limit))
+            return linkage.jacobian(config, theta, l4) / j_closed - 1.0
 
         full = step_at(1.0)
         if full < target_ratio_step - RATIO_STEP_TOL:
@@ -278,8 +280,9 @@ def calibrate(
             )
         scale = _bisect(step_at, target_ratio_step, 1.0, RATIO_STEP_TOL,
                         "ratio-step bisection did not settle within {tol} (bracket [{lo}, {hi}])")
-        limits = tuple(scale * lim for lim in cfg.joint_open_limit)
-    cfg = cfg.with_updates(joint_open_limit=limits)
+        limits = tuple(scale * lim for lim in config.joint_open_limit)
+    # the ratio search never reads the preload, so one config takes both knobs
+    cfg = config.with_updates(alpha_preload=alpha, joint_open_limit=limits)
 
     violations = validate_config(cfg)
     if violations:

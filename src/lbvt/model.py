@@ -15,6 +15,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -224,7 +225,11 @@ def validate_config(config: MechanismConfig) -> list[str]:
     so is a per-joint stiffness springs_per_joint * k_spring that overflows.
     Closure solvability is grid-checked over the knee range at both the closed
     and the fully-open lever length; one closure-kernel call covers both lever
-    states.
+    states. That verdict is memoized per config value (a bounded lru_cache
+    keyed on config equality, which compares every field; lever_bearing, the
+    one derived input, follows from them), so validating an equal config
+    again costs only the field checks, which always run first and quote the
+    actual values. Each call returns a fresh list.
     """
     v: list[str] = []
 
@@ -301,7 +306,8 @@ def validate_config(config: MechanismConfig) -> list[str]:
 _KNEE_SAMPLES = np.arange(181)  # indices of the closure check's knee angles
 
 
-def _closure_violations(config: MechanismConfig) -> list[str]:
+@functools.lru_cache(maxsize=32)
+def _closure_violations(config: MechanismConfig) -> tuple[str, ...]:
     """Closure check at 181 knee angles, with both lever states in one kernel call.
 
     Runs the solver's own closure kernel over the sampled range, so any
@@ -309,7 +315,8 @@ def _closure_violations(config: MechanismConfig) -> list[str]:
     (lever, circle intersection, singularity, actuator) is reported here.
     The closed and fully-open levers broadcast against the angles as two
     rows; only when that call fails does each lever rerun on its own, to
-    name the state and its first failing angle.
+    name the state and its first failing angle. The verdict is cached per
+    config value and is a tuple, so no caller can change a cached one.
     """
     from . import chain as _chain, linkage as _linkage  # deferred: import cycle
 
@@ -320,7 +327,7 @@ def _closure_violations(config: MechanismConfig) -> list[str]:
     both = np.array([l4 for _, l4 in levers])[:, None]  # one row per lever
     try:
         _linkage._closure_kernel(config, thetas, both, np)
-        return []
+        return ()
     except GeometryError:
         pass  # rerun each lever alone below, to name it and its first failing angle
     out: list[str] = []
@@ -329,4 +336,4 @@ def _closure_violations(config: MechanismConfig) -> list[str]:
             _linkage._closure_kernel(config, thetas, l4, np)
         except GeometryError as exc:
             out.append(f"four-bar closure fails with the {label} lever: {exc}")
-    return out
+    return tuple(out)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lbvt import analysis, chain, equilibrium, linkage
-from lbvt.model import CalibrationError, GeometryError, SweepTable, validate_config
+from lbvt.model import (CalibrationError, ConfigError, GeometryError, MechanismConfig,
+                        SweepTable, validate_config)
 
 from conftest import THETA_88, count_calls
 
@@ -290,6 +291,24 @@ def test_calibrate_evaluates_the_closed_chain_once(base_config, monkeypatch):
     calls = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     analysis.calibrate(base_config, 20.0, 0.40, THETA_88)
     assert calls[0] == 1
+
+
+def test_calibrate_builds_one_config(base_config, monkeypatch):
+    calls = count_calls(monkeypatch, MechanismConfig, "with_updates")
+    analysis.calibrate(base_config, 20.0, 0.40, THETA_88)
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("update, message", [
+    (dict(k_spring=math.nan), "k_spring must be finite, got nan"),
+    (dict(k_spring=0.0), "k_spring must be strictly positive, got 0.0"),
+    (dict(springs_per_joint=0), "springs_per_joint must be at least 1, got 0"),
+    (dict(joint_open_limit=(-0.279,) + (0.279,) * 5),
+     r"joint_open_limit\[0\] must be non-negative, got -0\.279"),
+], ids=["nan_k_spring", "zero_k_spring", "no_springs", "negative_limit"])
+def test_calibrate_rejects_an_invalid_config(base_config, update, message):
+    with pytest.raises(ConfigError, match=f"^invalid config: .*{message}"):
+        analysis.calibrate(base_config.with_updates(**update), 20.0, 0.40, THETA_88)
 
 
 def test_calibrate_reads_the_bearing_off_the_config(base_config, monkeypatch):

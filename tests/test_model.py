@@ -16,7 +16,7 @@ from lbvt.model import (
     total_stiffness,
     validate_config,
 )
-from lbvt import chain, linkage
+from lbvt import chain, linkage, model
 from lbvt.config import save_config
 
 from conftest import count_calls, reduced_chain
@@ -57,6 +57,8 @@ def test_infeasible_closure_is_reported_per_lever_state():
 
 
 def test_open_lever_closure_failure_is_reported_once(default_config):
+    # the valid default's cached verdict must not answer for a changed config
+    assert validate_config(default_config) == []
     # a shorter coupler still reaches the closed lever, not the fully open one
     violations = validate_config(default_config.with_updates(l3=0.22))
     assert len(violations) == 1
@@ -66,9 +68,24 @@ def test_open_lever_closure_failure_is_reported_once(default_config):
 
 
 def test_validation_runs_one_closure_kernel_call(default_config, monkeypatch):
+    model._closure_violations.cache_clear()  # load_config already validated it
     calls = count_calls(monkeypatch, linkage, "_closure_kernel")
     assert validate_config(default_config) == []
     assert calls[0] == 1
+    # the verdict is memoized by value: the same object and an equal copy hit
+    assert validate_config(default_config) == []
+    assert validate_config(dataclasses.replace(default_config)) == []
+    assert calls[0] == 1
+
+
+def test_validation_returns_a_fresh_list(default_config):
+    bad = default_config.with_updates(l3=0.22)
+    first = validate_config(bad)
+    first.append("appended by the caller")
+    assert validate_config(bad) == first[:-1]
+    clean = validate_config(default_config)
+    clean.append("appended by the caller")
+    assert validate_config(default_config) == []
 
 
 def _number_slots(config):
