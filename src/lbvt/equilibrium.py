@@ -48,8 +48,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import chain, linkage
 from .model import (
     ChainState,
@@ -199,6 +197,8 @@ def _solve_small(jac, r, k):
                 (-r[1] * jac[0][0] + r[0] * jac[1][0]) / det,
             ]
         return [-x / k for x in r]
+    import numpy as np  # here, so that importing lbvt does not load numpy
+
     try:
         return list(np.linalg.solve(jac, [-x for x in r]))
     except np.linalg.LinAlgError:
@@ -404,6 +404,8 @@ def brute_force_equilibrium(
     fixed Gauss-Legendre quadrature. An invalid config raises ConfigError
     naming its violations before any node is counted.
     """
+    import numpy as np  # here, so that importing lbvt does not load numpy
+
     if config.n_joints > 3:
         raise ValueError("grid oracle supports at most 3 chain joints")
     violations = validate_config(config)

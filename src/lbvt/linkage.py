@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .model import GeometryError, LinkageState, MechanismConfig, SingularityError
 
 SINGULARITY_SIN = 1e-8  # |sin(input-coupler angle)| below this raises
@@ -41,9 +39,9 @@ def _closure_kernel(config: MechanismConfig, theta, l4, xp=math):
     if xp is math:
         any_ = all_ = bool
     else:
-        any_, all_ = np.count_nonzero, _all
+        any_, all_ = xp.any, xp.all
     if not all_(l4 > 0.0):
-        (l4,) = _first(np.logical_not(l4 > 0.0), l4)
+        (l4,) = _first(True if xp is math else ~(l4 > 0.0), l4)
         raise GeometryError(f"lever length must be positive, got {l4}")
     l2, l3 = config.l2, config.l3
     ax_, ay_ = config.l1, 0.0
@@ -107,17 +105,17 @@ def _closure_kernel(config: MechanismConfig, theta, l4, xp=math):
     return (ax_, ay_), (bx, by), (cx, cy), d, jac
 
 
-def _all(mask) -> bool:
-    """np.all for the array path, without its dispatch overhead."""
-    return np.count_nonzero(mask) == np.size(mask)
-
-
 def _first(bad, *values):
     """The values at the first element where bad holds, as floats.
 
     Scalar checks pass their values through unchanged; only failing checks
-    call this, so the solver's happy path never formats a message.
+    call this, so the solver's happy path never formats a message or loads
+    numpy.
     """
+    if isinstance(bad, bool):
+        return values
+    import numpy as np
+
     if np.ndim(bad) == 0:
         return values
     i = int(np.argmax(bad))

@@ -15,11 +15,8 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
 
 
 class GeometryError(ValueError):
@@ -65,8 +62,10 @@ class MechanismConfig:
     the input bar; l2 is the input bar, l3 the coupler. The output lever is the
     spring chain itself: l_offset and beta place the chain anchor on the lower
     leg, segments/phi define the closed chain shape, and joint_open_limit gives
-    the end-stop travel of each joint. Angle fields are radians here; the JSON
-    schema stores them in degrees.
+    the end-stop travel of each joint. alpha_preload, the pre-tension
+    winding of each joint, lies in [0, 2*pi]: at most one turn of a torsion
+    spring. Angle fields are radians here; the JSON schema stores them in
+    degrees.
 
     lever_bearing is derived, not a field: the polar angle of the closed
     chain tip seen from the knee, in the lower-leg frame, along which the
@@ -223,13 +222,12 @@ def validate_config(config: MechanismConfig) -> list[str]:
     Deterministic and side-effect free. Every number must be finite; a NaN or
     infinite field is reported by name (with its index in a tuple field), and
     so is a per-joint stiffness springs_per_joint * k_spring that overflows.
-    Closure solvability is grid-checked over the knee range at both the closed
-    and the fully-open lever length; one closure-kernel call covers both lever
-    states. That verdict is memoized per config value (a bounded lru_cache
-    keyed on config equality, which compares every field; lever_bearing, the
-    one derived input, follows from them), so validating an equal config
-    again costs only the field checks, which always run first and quote the
-    actual values. Each call returns a fresh list.
+    alpha_preload must lie in [0, 2*pi], at most one turn of a torsion
+    spring. Once the fields are sound, closure solvability is checked
+    exactly over the whole knee range and lever range: the closure kernel
+    runs at the at most three points of longest and shortest pivot span
+    (see _closure_violations), and an actuator base on the attachment
+    circle is rejected. Each call returns a fresh list.
     """
     v: list[str] = []
 
@@ -278,6 +276,8 @@ def validate_config(config: MechanismConfig) -> list[str]:
         v.append("per-joint stiffness springs_per_joint * k_spring must be finite")
     if config.alpha_preload < 0.0:
         v.append(f"alpha_preload must be non-negative, got {config.alpha_preload}")
+    if config.alpha_preload > 2.0 * math.pi:
+        v.append(f"alpha_preload must not exceed 2*pi (one turn), got {config.alpha_preload}")
 
     if not (0.0 <= config.actuator_attach_ratio <= 1.0):
         v.append(
@@ -303,37 +303,66 @@ def validate_config(config: MechanismConfig) -> list[str]:
     return v
 
 
-_KNEE_SAMPLES = np.arange(181)  # indices of the closure check's knee angles
+def _extreme_angle(config: MechanismConfig, phase: float) -> float:
+    """Knee angle in the range where cos(theta + lever_bearing) is least or greatest.
+
+    phase is pi for the least cosine and 0 for the greatest. The extremes lie
+    at the range ends or where theta + lever_bearing is phase modulo 2*pi;
+    the range spans less than pi, so it holds at most one such angle.
+    """
+    b = config.lever_bearing
+    turn = 2.0 * math.pi
+    inner = phase - b + turn * math.ceil((config.theta_min + b - phase) / turn)
+    if inner <= config.theta_max:
+        return inner
+    ends = (config.theta_min, config.theta_max)
+    return (min if phase else max)(ends, key=lambda theta: math.cos(theta + b))
 
 
-@functools.lru_cache(maxsize=32)
-def _closure_violations(config: MechanismConfig) -> tuple[str, ...]:
-    """Closure check at 181 knee angles, with both lever states in one kernel call.
+def _closure_violations(config: MechanismConfig) -> list[str]:
+    """Exact closure check over the box of knee angles x lever lengths.
 
-    Runs the solver's own closure kernel over the sampled range, so any
-    GeometryError a solve at those angles and lever lengths would raise
-    (lever, circle intersection, singularity, actuator) is reported here.
-    The closed and fully-open levers broadcast against the angles as two
-    rows; only when that call fails does each lever rerun on its own, to
-    name the state and its first failing angle. The verdict is cached per
-    config value and is a tuple, so no caller can change a cached one.
+    The box is theta in [theta_min, theta_max] and l4 between the closed and
+    the fully open lever. Every check of linkage._closure_kernel but the
+    actuator one accepts an interval of the pivot span g, where
+    g**2 = l4**2 + l1**2 - 2*l1*l4*cos(theta + lever_bearing): the circle
+    checks bound g, and the fold test |sin B| = 2*area/(l2*l3) fails only
+    near both ends of [|l2 - l3|, l2 + l3], since 16*area**2 is a concave
+    quadratic in g**2. Over the box g**2 is linear in the cosine and convex
+    in l4, so g is longest at an end lever where the cosine is least, and
+    shortest where the cosine is greatest, at l4 = l1*cos clamped to the
+    lever range. The solver's own kernel at those at most three points
+    decides the whole box; each failing lever is reported once, with the
+    kernel's message at its extreme span. The actuator attachment runs on a
+    circle of radius actuator_attach_ratio * l2 about the ground pivot, so
+    the actuator length can reach 0 only when the actuator base lies on it.
     """
     from . import chain as _chain, linkage as _linkage  # deferred: import cycle
 
-    levers = (("closed", _chain.closed_lever(config)),
-              ("fully open", _chain.open_lever(config)))
-    thetas = (config.theta_min
-              + (config.theta_max - config.theta_min) * _KNEE_SAMPLES / (len(_KNEE_SAMPLES) - 1))
-    both = np.array([l4 for _, l4 in levers])[:, None]  # one row per lever
-    try:
-        _linkage._closure_kernel(config, thetas, both, np)
-        return ()
-    except GeometryError:
-        pass  # rerun each lever alone below, to name it and its first failing angle
-    out: list[str] = []
-    for label, l4 in levers:
-        try:
-            _linkage._closure_kernel(config, thetas, l4, np)
-        except GeometryError as exc:
-            out.append(f"four-bar closure fails with the {label} lever: {exc}")
-    return tuple(out)
+    closed, open_ = _chain.closed_lever(config), _chain.open_lever(config)
+    theta_far = _extreme_angle(config, math.pi)
+    theta_near = _extreme_angle(config, 0.0)
+    near = min(max(config.l1 * math.cos(theta_near + config.lever_bearing),
+                   min(closed, open_)), max(closed, open_))
+    near_label = ("closed" if near == closed else
+                  "fully open" if near == open_ else "partly open")
+    points = (("closed", theta_far, closed), ("fully open", theta_far, open_),
+              (near_label, theta_near, near))
+    failed: dict[str, str] = {}
+    for label, theta, l4 in points:
+        # one message per lever; a partly open one only when both end levers hold
+        if label not in failed and (label != "partly open" or not failed):
+            try:
+                _linkage._closure_kernel(config, theta, l4)
+            except GeometryError as exc:
+                failed[label] = f"four-bar closure fails with the {label} lever: {exc}"
+    out = [failed[label] for label in ("closed", "partly open", "fully open") if label in failed]
+
+    radius = config.actuator_attach_ratio * config.l2
+    qx, qy = config.actuator_base
+    if math.hypot(qx - config.l1, qy) == radius:
+        out.append(
+            f"actuator base lies on the attachment circle, {radius:.5f} m about the "
+            "input-bar ground pivot: the actuator length can reach 0"
+        )
+    return out

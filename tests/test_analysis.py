@@ -375,6 +375,14 @@ def test_calibrate_unreachable_trigger_reports_the_last_preload(base_config):
         analysis.calibrate(base_config, 1e30, 0.40, THETA_88)
 
 
+def test_calibrate_rejects_a_preload_past_one_turn(base_config):
+    # the doublings reach the target, but the preload it takes is about 4.7e17 rad
+    with pytest.raises(CalibrationError,
+                       match=r"^calibrated config failed validation: "
+                             r"alpha_preload must not exceed 2\*pi \(one turn\)"):
+        analysis.calibrate(base_config, 1e20, 0.40, THETA_88)
+
+
 @pytest.mark.parametrize("trigger, ratio_step", [(-1.0, 0.40), (20.0, -0.1)])
 def test_calibrate_rejects_negative_targets(base_config, trigger, ratio_step):
     with pytest.raises(ValueError, match="calibration targets must be non-negative"):

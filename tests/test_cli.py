@@ -423,7 +423,17 @@ def test_module_entry_point_exit_codes():
 def test_library_import_loads_no_cli_or_optional_modules():
     # a fresh interpreter, so modules the test session already imported do not count
     probe = ("import sys, lbvt; print(' '.join(m for m in "
-             "('scipy', 'argparse', 'concurrent.futures', 'lbvt.cli') if m in sys.modules))")
+             "('scipy', 'numpy', 'argparse', 'concurrent.futures', 'lbvt.cli') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_validate_loads_no_numpy():
+    probe = ("import sys; from lbvt import cli; "
+             f"code = cli.run(['validate', {DEFAULT!r}]); "
+             "print(code, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]

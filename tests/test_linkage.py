@@ -132,6 +132,20 @@ def test_singularity_at_folded_closure():
         linkage.solve_closure(cfg, 0.0, 0.375)
 
 
+def test_closure_near_the_fold_line_solves(default_config):
+    # choose l4 so the input bar and coupler make |sin B| = 1e-6, a hundred
+    # times the singularity threshold: the span g follows from the law of
+    # cosines, and g**2 = l4**2 + l1**2 - 2 l1 l4 cos(theta + lever_bearing)
+    l1, l2, l3 = default_config.l1, default_config.l2, default_config.l3
+    c = math.cos(THETA_88 + default_config.lever_bearing)
+    g_sq = l2 * l2 + l3 * l3 + 2.0 * l2 * l3 * math.sqrt(1.0 - 1e-12)
+    l4 = l1 * c + math.sqrt(g_sq - l1 * l1 * (1.0 - c * c))
+    state = linkage.solve_closure(default_config, THETA_88, l4)
+    (ax, ay), (bx, by), (cx, cy) = state.joints[1:]
+    sin_b = ((bx - ax) * (cy - by) - (by - ay) * (cx - bx)) / (l2 * l3)
+    assert abs(sin_b) == pytest.approx(1e-6, rel=1e-2)
+
+
 def test_kfe_torque_zero_force(default_config):
     assert linkage.kfe_torque(default_config, THETA_88,
                               chain.closed_lever(default_config), 0.0) == 0.0

@@ -19,7 +19,7 @@ from lbvt.model import (
 from lbvt import chain, linkage, model
 from lbvt.config import save_config
 
-from conftest import count_calls, reduced_chain
+from conftest import _FOURBAR, _with_bearing, reduced_chain
 
 
 def test_default_config_validates(default_config):
@@ -57,7 +57,7 @@ def test_infeasible_closure_is_reported_per_lever_state():
 
 
 def test_open_lever_closure_failure_is_reported_once(default_config):
-    # the valid default's cached verdict must not answer for a changed config
+    # validating the valid default first leaves nothing behind for a changed config
     assert validate_config(default_config) == []
     # a shorter coupler still reaches the closed lever, not the fully open one
     violations = validate_config(default_config.with_updates(l3=0.22))
@@ -67,15 +67,121 @@ def test_open_lever_closure_failure_is_reported_once(default_config):
     assert "exceeds l2 + l3" in violations[0]
 
 
-def test_validation_runs_one_closure_kernel_call(default_config, monkeypatch):
-    model._closure_violations.cache_clear()  # load_config already validated it
-    calls = count_calls(monkeypatch, linkage, "_closure_kernel")
-    assert validate_config(default_config) == []
-    assert calls[0] == 1
-    # the verdict is memoized by value: the same object and an equal copy hit
-    assert validate_config(default_config) == []
-    assert validate_config(dataclasses.replace(default_config)) == []
-    assert calls[0] == 1
+def test_validation_runs_at_most_three_scalar_kernel_calls(default_config, monkeypatch):
+    calls = []
+    original = linkage._closure_kernel
+
+    def recorded(config, theta, l4, xp=math):
+        calls.append((type(theta), type(l4), xp))
+        return original(config, theta, l4, xp)
+
+    monkeypatch.setattr(linkage, "_closure_kernel", recorded)
+    for _ in range(2):  # nothing is remembered: a repeat checks again
+        calls.clear()
+        assert validate_config(default_config) == []
+        assert 1 <= len(calls) <= 3
+        assert all(call == (float, float, math) for call in calls)
+
+
+def _random_config(base, rng, wide):
+    """base with every geometric field perturbed; wide draws also move the range and branch."""
+    s = 0.5 if wide else 0.1
+
+    def scaled(x):
+        return x * (1.0 + s * rng.uniform(-1.0, 1.0))
+
+    if wide:
+        theta_min = rng.uniform(-math.pi + 1e-3, -0.2)
+        theta_max = rng.uniform(theta_min + 0.05, 0.0)
+    else:
+        theta_min = base.theta_min + rng.uniform(-0.1, 0.1)
+        theta_max = base.theta_max + rng.uniform(-0.1, 0.1)
+    return base.with_updates(
+        l1=scaled(base.l1), l2=scaled(base.l2), l3=scaled(base.l3),
+        actuator_attach_ratio=rng.uniform(0.0, 1.0),
+        l_offset=scaled(base.l_offset),
+        beta=base.beta + rng.uniform(-1.0, 1.0) * (2.0 if wide else 0.2),
+        segments=tuple(map(scaled, base.segments)),
+        phi=tuple(p + rng.uniform(-1.0, 1.0) * 0.3 * s for p in base.phi),
+        joint_open_limit=tuple(map(scaled, base.joint_open_limit)),
+        theta_min=theta_min, theta_max=theta_max,
+        branch_sign=int(rng.choice([1, -1])) if wide else 1,
+    )
+
+
+def test_closure_verdict_matches_a_dense_kernel_grid(base_config):
+    rng = np.random.default_rng(2024)
+    feasible = 0
+    for i in range(1200):
+        config = _random_config(base_config, rng, wide=i % 2 == 1)
+        thetas = np.linspace(config.theta_min, config.theta_max, 401)[:, None]
+        levers = np.linspace(chain.closed_lever(config), chain.open_lever(config), 21)
+        try:
+            linkage._closure_kernel(config, thetas, levers, np)
+            grid_ok = True
+        except model.GeometryError:
+            grid_ok = False
+        assert (validate_config(config) == []) == grid_ok, config
+        feasible += grid_ok
+    assert 300 < feasible < 900  # both verdicts are well represented
+
+
+def _old_sample_angles(config):
+    return np.linspace(config.theta_min, config.theta_max, 181)
+
+
+def test_fold_between_old_sample_angles_is_rejected():
+    # the phase theta + lever_bearing passes pi at theta = -125 deg, where the
+    # pivot span peaks at l1 + l4; l2 + l3 falls 2e-7 m short of that peak, and
+    # the nearest of the 181 angles the check used to sample lies 0.21 deg off
+    config = _with_bearing(-55.0, segments=(0.05,), phi=(math.radians(-20.0),),
+                           joint_open_limit=(0.05,), alpha_preload=0.1, **_FOURBAR)
+    levers = np.array([[chain.closed_lever(config)], [chain.open_lever(config)]])
+    bad = config.with_updates(l3=config.l1 + levers.max() - 2e-7 - config.l2)
+    linkage._closure_kernel(bad, _old_sample_angles(bad), levers, np)  # every sample assembles
+    assert validate_config(bad) == [
+        "four-bar closure fails with the fully open lever: closure infeasible at "
+        "theta=-125.000 deg, l4=0.09394 m: pivot span 0.34394 m exceeds l2 + l3 = 0.34394 m"
+    ]
+
+
+def test_shortest_span_at_a_partly_open_lever_is_rejected(default_config):
+    # cos(theta + lever_bearing) peaks at theta_max, where l1 * cos is the mean
+    # of the two levers: the span is shortest there, l1 * sin, between them;
+    # |l2 - l3| sits 1e-6 m above that span and below both end levers' spans
+    closed, open_ = chain.closed_lever(default_config), chain.open_lever(default_config)
+    cos_max = (closed + open_) / (2.0 * default_config.l1)
+    bad = default_config.with_updates(
+        theta_max=-math.acos(cos_max) - default_config.lever_bearing,
+        l3=default_config.l2 + default_config.l1 * math.sqrt(1.0 - cos_max ** 2) + 1e-6,
+    )
+    levers = np.array([[closed], [open_]])
+    linkage._closure_kernel(bad, _old_sample_angles(bad), levers, np)  # both end levers assemble
+    violations = validate_config(bad)
+    assert len(violations) == 1
+    assert violations[0].startswith(
+        "four-bar closure fails with the partly open lever: closure infeasible at "
+        "theta=-66.664 deg, l4=0.07910 m: pivot span")
+    assert "is below |l2 - l3|" in violations[0]
+
+
+def test_actuator_base_on_the_attachment_circle_is_rejected(default_config):
+    # the attachment runs on a circle of radius r * l2 about the ground pivot (l1, 0)
+    radius = default_config.actuator_attach_ratio * default_config.l2
+    bad = default_config.with_updates(actuator_base=(default_config.l1, radius))
+    assert validate_config(bad) == [
+        "actuator base lies on the attachment circle, 0.07575 m about the "
+        "input-bar ground pivot: the actuator length can reach 0"
+    ]
+
+
+@pytest.mark.parametrize("preload, ok", [
+    (2.0 * math.pi, True), (math.nextafter(2.0 * math.pi, 7.0), False), (1e6, False),
+])
+def test_preload_is_at_most_one_turn(default_config, preload, ok):
+    violations = validate_config(default_config.with_updates(alpha_preload=preload))
+    assert violations == ([] if ok else
+                          [f"alpha_preload must not exceed 2*pi (one turn), got {preload}"])
 
 
 def test_validation_returns_a_fresh_list(default_config):
