@@ -165,7 +165,10 @@ def preload_threshold(config: MechanismConfig, joint_index: int) -> float:
 
 
 def preload_force(k_spring: float, delta: float, arm_length: float) -> float:
-    """Assembly force needed to wind one spring by delta about an arm of arm_length."""
+    """Assembly force needed to wind one spring by delta about an arm of arm_length.
+
+    The config holds no arm (the quasi-static model needs none); the caller gives it.
+    """
     if not (arm_length > 0.0):
         raise ValueError(f"arm_length must be positive, got {arm_length}")
     return k_spring * delta / arm_length

@@ -1,8 +1,10 @@
 """Config file I/O: JSON documents mirroring MechanismConfig.
 
-Angle fields are degrees in the file and radians in the library; the
-conversion happens exactly here. Unknown keys are rejected, every field is
-required, and an optional free-form provenance object is ignored on load.
+The file's keys are MechanismConfig's fields, in order; each annotation picks
+the reader of its value. Fields in _DEGREES are degrees in the file and
+radians in the library, converted exactly here. Unknown keys are rejected and
+every field is required; a free-form provenance object and spring_arm_length,
+a field of older files that nothing read, are ignored on load.
 """
 
 from __future__ import annotations
@@ -13,16 +15,8 @@ import math
 
 from .model import ConfigError, MechanismConfig, validate_config
 
-_ANGLE_FIELDS = ("beta", "alpha_preload", "theta_min", "theta_max")
-_ANGLE_LIST_FIELDS = ("phi", "joint_open_limit")
-_NUMBER_FIELDS = (
-    "l1", "l2", "l3", "actuator_attach_ratio", "l_offset", "beta",
-    "alpha_preload", "k_spring", "spring_arm_length", "theta_min", "theta_max",
-)
-_LIST_FIELDS = ("segments", "phi", "joint_open_limit")
-_INT_FIELDS = ("springs_per_joint", "branch_sign")
-_ALL_FIELDS = tuple(f.name for f in dataclasses.fields(MechanismConfig))  # file key order
-_OPTIONAL_KEYS = ("provenance",)
+_DEGREES = {"beta", "phi", "alpha_preload", "joint_open_limit", "theta_min", "theta_max"}
+_IGNORED_KEYS = {"provenance", "spring_arm_length"}
 
 
 def _require_number(raw, path: str) -> float:
@@ -40,10 +34,29 @@ def _require_int(raw, path: str) -> int:
     return raw
 
 
-def _require_number_list(raw, path: str) -> list[float]:
+def _require_number_list(raw, path: str) -> tuple[float, ...]:
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: expected a list of numbers, got {type(raw).__name__}")
-    return [_require_number(v, f"{path}[{i}]") for i, v in enumerate(raw)]
+    return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
+
+
+def _require_pair(raw, path: str) -> tuple[float, float]:
+    pair = _require_number_list(raw, path)
+    if len(pair) != 2:
+        raise ConfigError(f"{path}: expected exactly two coordinates, got {len(pair)}")
+    return pair
+
+
+_READERS = {"float": _require_number, "int": _require_int,
+            "tuple[float, ...]": _require_number_list, "tuple[float, float]": _require_pair}
+# field name -> (reader, is an angle), in file key order
+_SCHEMA = {f.name: (_READERS[f.type], f.name in _DEGREES)
+           for f in dataclasses.fields(MechanismConfig)}
+
+
+def _convert(value, unit):
+    """An angle field's value, a number or a tuple of them, through unit."""
+    return tuple(map(unit, value)) if isinstance(value, tuple) else unit(value)
 
 
 def load_config(path) -> MechanismConfig:
@@ -62,31 +75,17 @@ def load_config(path) -> MechanismConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
 
-    unknown = sorted(set(doc) - set(_ALL_FIELDS) - set(_OPTIONAL_KEYS))
+    unknown = sorted(doc.keys() - _SCHEMA.keys() - _IGNORED_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
-    missing = sorted(set(_ALL_FIELDS) - set(doc))
+    missing = sorted(_SCHEMA.keys() - doc.keys())
     if missing:
         raise ConfigError(f"{path}: missing fields: {', '.join(missing)}")
 
     fields: dict = {}
-    for name in _NUMBER_FIELDS:
-        fields[name] = _require_number(doc[name], name)
-    for name in _INT_FIELDS:
-        fields[name] = _require_int(doc[name], name)
-    for name in _LIST_FIELDS:
-        fields[name] = _require_number_list(doc[name], name)
-    base = _require_number_list(doc["actuator_base"], "actuator_base")
-    if len(base) != 2:
-        raise ConfigError(f"actuator_base: expected exactly two coordinates, got {len(base)}")
-    fields["actuator_base"] = tuple(base)
-
-    for name in _ANGLE_FIELDS:
-        fields[name] = math.radians(fields[name])
-    for name in _ANGLE_LIST_FIELDS:
-        fields[name] = [math.radians(v) for v in fields[name]]
-    for name in _LIST_FIELDS:
-        fields[name] = tuple(fields[name])
+    for name, (read, degrees) in _SCHEMA.items():
+        value = read(doc[name], name)
+        fields[name] = _convert(value, math.radians) if degrees else value
 
     config = MechanismConfig(**fields)
     violations = validate_config(config)
@@ -108,15 +107,9 @@ def save_config(config: MechanismConfig, path, provenance: dict | None = None) -
     doc: dict = {}
     if provenance is not None:
         doc["provenance"] = provenance
-    for name in _ALL_FIELDS:
+    for name, (_, degrees) in _SCHEMA.items():
         value = getattr(config, name)
-        if name in _ANGLE_FIELDS:
-            value = math.degrees(value)
-        elif name in _ANGLE_LIST_FIELDS:
-            value = [math.degrees(v) for v in value]
-        elif isinstance(value, tuple):
-            value = list(value)
-        doc[name] = value
+        doc[name] = _convert(value, math.degrees) if degrees else value  # tuples dump as lists
     payload = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(payload)

@@ -50,8 +50,8 @@ class Regime(enum.Enum):
     ACTIVE = "active"      # torque balance against the spring, 0 < deflection < limit
     END_STOP = "end_stop"  # resting on the travel stop, deflection exactly at the limit
 
-    def code(self) -> str:
-        return {"closed": "C", "active": "A", "end_stop": "E"}[self.value]
+    def code(self) -> str:  # C, A or E in sweep tables
+        return self.name[0]
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,9 @@ class MechanismConfig:
     leg, segments/phi define the closed chain shape, and joint_open_limit gives
     the end-stop travel of each joint. alpha_preload, the pre-tension
     winding of each joint, lies in [0, 2*pi]: at most one turn of a torsion
-    spring. Angle fields are radians here; the JSON schema stores them in
-    degrees.
+    spring. No spring arm is a field: the quasi-static model needs none.
+    These fields and their annotations are the config file schema (config.py
+    reads each by its annotation); angles are radians here, degrees in the file.
 
     lever_bearing is derived, not a field: the polar angle of the closed
     chain tip seen from the knee, in the lower-leg frame, along which the
@@ -86,7 +87,6 @@ class MechanismConfig:
     alpha_preload: float
     k_spring: float
     springs_per_joint: int
-    spring_arm_length: float
     joint_open_limit: tuple[float, ...]
     theta_min: float
     theta_max: float
@@ -242,7 +242,7 @@ def validate_config(config: MechanismConfig) -> list[str]:
         elif isinstance(value, float) and not math.isfinite(value):  # ints are finite
             v.append(f"{f.name} must be finite, got {value}")
 
-    for name in ("l1", "l2", "l3", "l_offset", "spring_arm_length"):
+    for name in ("l1", "l2", "l3", "l_offset"):
         value = getattr(config, name)
         if not (value > 0.0):
             v.append(f"{name} must be strictly positive, got {value}")

@@ -25,7 +25,6 @@ _FOURBAR = dict(
     l_offset=0.045,
     k_spring=1.17,
     springs_per_joint=4,
-    spring_arm_length=0.02,
     theta_min=math.radians(-141.0),
     theta_max=math.radians(-39.5),
     branch_sign=1,

@@ -146,8 +146,7 @@ def test_torque_vanishes_when_load_aligns_with_arm():
         l1=0.25, l2=0.101, l3=0.265, actuator_base=(0.05, -0.05),
         actuator_attach_ratio=0.75, l_offset=0.05, beta=math.pi / 2,
         segments=(0.03,), phi=(seg_angle - math.pi / 2,),
-        alpha_preload=0.0, k_spring=1.17, springs_per_joint=4,
-        spring_arm_length=0.02, joint_open_limit=(0.3,),
+        alpha_preload=0.0, k_spring=1.17, springs_per_joint=4, joint_open_limit=(0.3,),
         theta_min=math.radians(-141.0), theta_max=math.radians(-39.5), branch_sign=1,
     )
     torque = chain.joint_torques(cfg, (0.0,), 40.0)[0]

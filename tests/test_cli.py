@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import lbvt
 from lbvt import analysis, equilibrium
 from lbvt.cli import load_config, run, save_config
-from lbvt.model import ConfigError, validate_config
+from lbvt.model import ConfigError, MechanismConfig, validate_config
 
 DEFAULT = str(lbvt.default_config_path())
 
@@ -146,6 +146,37 @@ def test_degrees_convert_on_load(tmp_path):
     cfg = load_config(_write(tmp_path, doc))
     assert cfg.beta == pytest.approx(math.radians(doc["beta"]), rel=1e-15)
     assert cfg.theta_min == pytest.approx(math.radians(-141.0), rel=1e-15)
+
+
+SHIPPED = [lbvt.default_config_path(), lbvt.base_config_path()]
+
+
+@pytest.mark.parametrize("arm", [0.02, -1.0, "x", None], ids=["shipped", "negative", "text", "null"])
+@pytest.mark.parametrize("path", SHIPPED, ids=["default", "base"])
+def test_spring_arm_length_of_an_old_file_is_ignored(tmp_path, path, arm):
+    # older files held spring_arm_length after springs_per_joint
+    old = {}
+    for key, value in json.loads(path.read_text()).items():
+        old[key] = value
+        if key == "springs_per_joint":
+            old["spring_arm_length"] = arm
+    assert load_config(_write(tmp_path, old)) == load_config(path)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=["default", "base"])
+def test_shipped_file_keys_are_provenance_then_the_fields(path):
+    keys = list(json.loads(path.read_text()))
+    assert keys == ["provenance", *(f.name for f in dataclasses.fields(MechanismConfig))]
+
+
+def test_config_schema_reads_every_field():
+    # a field of a new kind, or an angle renamed in one place only, fails here
+    # instead of being read wrongly
+    from lbvt import config as config_io
+
+    fields = dataclasses.fields(MechanismConfig)
+    assert {f.type for f in fields} <= config_io._READERS.keys()
+    assert config_io._DEGREES <= {f.name for f in fields}
 
 
 # ---------- subcommands ----------

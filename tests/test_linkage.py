@@ -132,18 +132,41 @@ def test_singularity_at_folded_closure():
         linkage.solve_closure(cfg, 0.0, 0.375)
 
 
+def _lever_at_span(cfg, theta, g):
+    """Lever length l4 that puts the lever tip at pivot span g from the ground pivot.
+
+    g**2 = l4**2 + l1**2 - 2 l1 l4 cos(theta + lever_bearing), solved for l4.
+    """
+    c = math.cos(theta + cfg.lever_bearing)
+    return cfg.l1 * c + math.sqrt(g * g - cfg.l1 * cfg.l1 * (1.0 - c * c))
+
+
 def test_closure_near_the_fold_line_solves(default_config):
-    # choose l4 so the input bar and coupler make |sin B| = 1e-6, a hundred
-    # times the singularity threshold: the span g follows from the law of
-    # cosines, and g**2 = l4**2 + l1**2 - 2 l1 l4 cos(theta + lever_bearing)
-    l1, l2, l3 = default_config.l1, default_config.l2, default_config.l3
-    c = math.cos(THETA_88 + default_config.lever_bearing)
-    g_sq = l2 * l2 + l3 * l3 + 2.0 * l2 * l3 * math.sqrt(1.0 - 1e-12)
-    l4 = l1 * c + math.sqrt(g_sq - l1 * l1 * (1.0 - c * c))
-    state = linkage.solve_closure(default_config, THETA_88, l4)
-    (ax, ay), (bx, by), (cx, cy) = state.joints[1:]
-    sin_b = ((bx - ax) * (cy - by) - (by - ay) * (cx - bx)) / (l2 * l3)
-    assert abs(sin_b) == pytest.approx(1e-6, rel=1e-2)
+    # input bar and coupler nearly stretched out, at |sin B| a hundred and a
+    # thousand times the singularity threshold (the span g follows from the
+    # law of cosines): the closure solves and the jacobian, which grows like
+    # 1/sin B, stays finite
+    l2, l3 = default_config.l2, default_config.l3
+    for sin_b in (1e-6, 1e-5):
+        g = math.sqrt(l2 * l2 + l3 * l3 + 2.0 * l2 * l3 * math.sqrt(1.0 - sin_b * sin_b))
+        l4 = _lever_at_span(default_config, THETA_88, g)
+        state = linkage.solve_closure(default_config, THETA_88, l4)
+        (ax, ay), (bx, by), (cx, cy) = state.joints[1:]
+        sin_b_solved = ((bx - ax) * (cy - by) - (by - ay) * (cx - bx)) / (l2 * l3)
+        assert abs(sin_b_solved) == pytest.approx(sin_b, rel=1e-2)
+        assert math.isfinite(linkage.jacobian(default_config, THETA_88, l4))
+
+
+def test_span_within_the_closure_slack_is_a_singularity(default_config):
+    # a span past l2 + l3 by less than the kernel's 1e-12 m slack assembles
+    # the input bar and coupler exactly collinear: the fold test must catch it
+    reach = default_config.l2 + default_config.l3
+    l4 = _lever_at_span(default_config, THETA_88, reach + 5e-13)
+    phase = THETA_88 + default_config.lever_bearing
+    span = math.hypot(l4 * math.cos(phase) - default_config.l1, l4 * math.sin(phase))
+    assert reach < span < reach + 1e-12
+    with pytest.raises(SingularityError):
+        linkage.jacobian(default_config, THETA_88, l4)
 
 
 def test_kfe_torque_zero_force(default_config):

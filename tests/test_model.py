@@ -208,7 +208,7 @@ def _number_slots(config):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_numbers_are_reported_by_name(default_config, bad):
     slots = list(_number_slots(default_config))
-    assert len(slots) == 11 + 2 + 3 * 6  # float fields, actuator_base, per-joint tuples
+    assert len(slots) == 10 + 2 + 3 * 6  # float fields, actuator_base, per-joint tuples
     for label, (name, i) in slots:
         value = bad
         if i is not None:
@@ -320,6 +320,7 @@ def test_saved_config_holds_the_fields_only(default_config, base_config, tmp_pat
         save_config(config, out)
         assert list(json.loads(out.read_text())) == [
             f.name for f in dataclasses.fields(config)]
+        assert "spring_arm_length" not in out.read_text()
     # the shipped default round-trips to its own bytes
     shipped = lbvt.default_config_path().read_bytes()
     save_config(default_config, out, provenance=json.loads(shipped)["provenance"])
