@@ -39,7 +39,6 @@ from .equilibrium import (
     brute_force_equilibrium,
     potential_energy,
     solve_equilibrium,
-    tip_force,
     triggering_force,
 )
 from .linkage import actuator_length, jacobian, kfe_torque, solve_closure

@@ -9,13 +9,19 @@ through the moment geometry. Each joint then obeys one of three regimes:
   end stop  deflection at the travel limit, applied torque at least the
             spring torque there
 
+A joint with no travel is closed and at its stop at once, so no torque
+violates it and it never flips. The regime conditions are written once, in
+_scan, which returns the largest violation (the residual a solve reports)
+and the bound flip that mends the worst one; the solver and the oracle both
+read their residual from it.
+
 solve_equilibrium runs an active-set scheme over those regimes: for a fixed
 regime assignment the active torque balances are solved by Newton
-iterations whose full step is clamped to the travel limits, then the worst
-violated regime condition (one joint per outer pass, largest violation
-first, lowest index on ties) is flipped. Torque exactly at the holding
-threshold keeps a joint closed. The scheme is deterministic: identical
-inputs give identical results. The Newton jacobian is analytic: opening
+iterations whose full step is clamped to the travel limits, then the scan's
+flip is made (one joint per outer pass, largest violation first, lowest
+index on ties). Torque exactly at the holding threshold keeps a joint
+closed. The scheme is deterministic: identical inputs give identical
+results. The Newton jacobian is analytic: opening
 joint j rotates the chain tip and every later pivot about pivot j, and only
 the closure jacobian's dependence on the lever length is differenced, once
 per Newton step. Each load-map evaluation is made once and passed along:
@@ -23,13 +29,15 @@ the point a Newton step reaches carries the torques of the next residual,
 the pivots of the next jacobian and, at the end, the geometry of the
 result. A Newton step must strictly lower the max-norm residual; the first
 one that does not is still taken (the bold step) and a second one ends the
-run, as does a step that would leave the deflections unchanged.
+run, as does a step that would leave the deflections unchanged. A singular
+Newton system takes the spring-dominated step -r/k instead.
 A non-finite applied torque makes the residual NaN, so such a solve is
 reported as not converged. The direct attempt from the closed state is the
 one-rung case of the continuation ladder, so both run the same loop. A caller
 that holds a converged state of the same config (a sweep's previous sample)
 may pass it as start: one more one-rung attempt then runs from that state
-first, and the two attempts from closed follow only if it fails.
+first, and the two attempts from closed follow only if it fails. That
+start is clamped to the travel limits once, when its attempt is built.
 
 brute_force_equilibrium is the independent check: it minimizes elastic energy
 minus the work fed into the chain over an exhaustive deflection grid, with
@@ -40,8 +48,8 @@ four-bar closure and joint-torque kernels), so its independence lies in the
 method, an energy minimum over a grid against an active-set iteration on
 the torque balances. It never iterates. The solver and the oracle build
 their result through one helper, _result, from the final deflections and the
-load-map point evaluated there; each supplies its own residual and
-convergence flag.
+load-map point evaluated there; each supplies its own convergence flag and
+iteration count.
 """
 
 from __future__ import annotations
@@ -124,13 +132,6 @@ class _LoadMap:
         return rows
 
 
-def tip_force(kfe_torque: float, l4: float) -> float:
-    """Tangential force at the lever tip that carries the given knee torque."""
-    if not (l4 > 0.0):
-        raise ValueError(f"lever length must be positive, got {l4}")
-    return kfe_torque / l4
-
-
 def _energy(k, a0, d):
     """Spring energy of joint openings d above the closed state; floats or equal-shape arrays."""
     return sum(0.5 * k * ((a0 + dk) ** 2 - a0 * a0) for dk in d)
@@ -168,41 +169,64 @@ def triggering_force(config: MechanismConfig, theta: float) -> float:
     return per_joint_stiffness(config) * config.alpha_preload / _trigger_torque(config, theta)
 
 
-def _complementarity_residual(d, regimes, torques, k, a0, limits) -> float:
-    """Largest regime-condition violation in Nm; NaN if any torque is not finite."""
-    if not all(math.isfinite(a) for a in torques):
-        return math.nan
-    res = 0.0
-    for dk, reg, a, lim in zip(d, regimes, torques, limits):
+def _scan(d, regimes, torques, k, a0, limits):
+    """Worst regime-condition violation at d and the bound flip that mends it.
+
+    Returns (residual, flip). residual is the largest violation in Nm over
+    all joints, NaN if any torque is not finite. flip is (joint, regime) for
+    the largest violation a bound flip mends, or None: a closed or stopped
+    joint violated by its torque goes active, and an active joint pushed
+    past the bound it sits on goes to that bound. Violations must be strict,
+    so threshold ties stay put, and the lowest index wins a tie. A joint
+    with no travel is closed and stopped at once: no torque violates it.
+    """
+    if not all(map(math.isfinite, torques)):
+        return math.nan, None
+    hold = k * a0
+    residual = worst = 0.0
+    flip = None
+    for i in range(len(d)):
+        lim = limits[i]
+        if not lim > 0.0:
+            continue
+        a = torques[i]
+        reg = regimes[i]
         if reg is Regime.CLOSED:
-            res = max(res, a - k * a0)
+            e, to = a - hold, Regime.ACTIVE
         elif reg is Regime.END_STOP:
-            res = max(res, k * (a0 + lim) - a)
+            e, to = k * (a0 + lim) - a, Regime.ACTIVE
         else:
-            res = max(res, abs(a - k * (a0 + dk)))
-    return res
+            r = a - k * (a0 + d[i])
+            e = abs(r)
+            to = (Regime.CLOSED if r < 0.0 and d[i] <= 0.0
+                  else Regime.END_STOP if r > 0.0 and d[i] >= lim else None)
+        if e > residual:
+            residual = e
+        if e > worst and to is not None:
+            worst, flip = e, (i, to)
+    return residual, flip
 
 
-def _solve_small(jac, r, k):
-    """Newton step -jac\\r with closed forms for the 1x1 and 2x2 cases."""
+def _solve_small(jac, r):
+    """Newton step -jac\\r, closed form for 1x1 and 2x2; None if jac is singular."""
     m = len(r)
     if m == 1:
         a = jac[0][0]
-        return [-r[0] / a if a != 0.0 else -r[0] / k]
+        return [-r[0] / a] if a != 0.0 else None
     if m == 2:
         det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-        if det != 0.0:
-            return [
-                (-r[0] * jac[1][1] + r[1] * jac[0][1]) / det,
-                (-r[1] * jac[0][0] + r[0] * jac[1][0]) / det,
-            ]
-        return [-x / k for x in r]
+        if det == 0.0:
+            return None
+        return [
+            (-r[0] * jac[1][1] + r[1] * jac[0][1]) / det,
+            (-r[1] * jac[0][0] + r[0] * jac[1][0]) / det,
+        ]
     import numpy as np  # here, so that importing lbvt does not load numpy
 
     try:
         return list(np.linalg.solve(jac, [-x for x in r]))
     except np.linalg.LinAlgError:
-        return [-x / k for x in r]  # spring-dominated fallback
+        return None
 
 
 def _newton_active(load, d, point, active, k, a0, limits):
@@ -240,7 +264,9 @@ def _newton_active(load, d, point, active, k, a0, limits):
         jac = load.derivative(point, active)
         for i, row in enumerate(jac):
             row[i] -= k
-        step = _solve_small(jac, r, k)
+        step = _solve_small(jac, r)
+        if step is None:
+            step = [-x / k for x in r]  # singular: the spring-dominated step
         trial = list(d)
         for idx, j in enumerate(active):
             trial[j] = min(max(d[j] + float(step[idx]), 0.0), limits[j])
@@ -259,49 +285,26 @@ def _newton_active(load, d, point, active, k, a0, limits):
 
 
 def _active_set(load, d, regimes, k, a0, limits):
-    """Active-set iteration from the given state, in place; returns (point at d, outers).
+    """Active-set iteration from the given state, in place.
 
-    Closed joints are clamped to 0 and stopped joints to their limit on
-    entry. The clamped Newton step keeps d in [0, limit], so a joint flips
-    to closed only at d == 0 and to its stop only at d == limit: a flip
-    needs no clamp, and the point at d stays valid.
+    Returns (point at d, outer passes, residual of the state it ends in).
+    Closed joints must enter at 0 and stopped joints at their limit. The
+    clamped Newton step keeps d in [0, limit], so a joint flips to closed
+    only at d == 0 and to its stop only at d == limit: a flip needs no
+    clamp, and the point at d stays valid.
     """
     n = len(d)
-    for i in range(n):
-        if regimes[i] is Regime.CLOSED:
-            d[i] = 0.0
-        elif regimes[i] is Regime.END_STOP:
-            d[i] = limits[i]
     point = load.evaluate(d)
-    outer = 0
     for outer in range(1, MAX_OUTER + 1):
         active = [i for i in range(n) if regimes[i] is Regime.ACTIVE]
         point = _newton_active(load, d, point, active, k, a0, limits)
-        torques = point[0]
-
-        # Worst regime violation; strict exceedance, threshold ties stay put.
-        worst = 0.0
-        flip: tuple[int, Regime] | None = None
-        for i in range(n):
-            a = torques[i]
-            if regimes[i] is Regime.CLOSED:
-                e = a - k * a0
-                if e > worst and limits[i] > 0.0:
-                    worst, flip = e, (i, Regime.ACTIVE)
-            elif regimes[i] is Regime.END_STOP:
-                e = k * (a0 + limits[i]) - a
-                if e > worst:
-                    worst, flip = e, (i, Regime.ACTIVE)
-            else:
-                r = a - k * (a0 + d[i])
-                if d[i] <= 0.0 and r < 0.0 and -r > worst:
-                    worst, flip = -r, (i, Regime.CLOSED)
-                elif d[i] >= limits[i] and r > 0.0 and r > worst:
-                    worst, flip = r, (i, Regime.END_STOP)
+        residual, flip = _scan(d, regimes, point[0], k, a0, limits)
         if flip is None:
             break
         regimes[flip[0]] = flip[1]
-    return point, outer
+    else:
+        residual, _ = _scan(d, regimes, point[0], k, a0, limits)  # after the last flip
+    return point, outer, residual
 
 
 def _check_theta(config: MechanismConfig, theta: float) -> None:
@@ -324,12 +327,9 @@ def _result(load: _LoadMap, d, point, converged: bool, residual: float,
     # the chain state reads the regimes off the deflections (chain._regimes);
     # closed joints hold exact zeros and stopped joints the exact limits, so
     # that reproduces the solver's assignment.
-    _, l4, jac, pivots = point
-    torque = jac * load.f_cyl
+    _, _, jac, pivots = point
     return EquilibriumResult(
         chain=chain._chain_state(load.config, d, pivots),
-        kfe_torque=torque,
-        tip_force=tip_force(torque, l4),
         transmission_ratio=jac,
         input_force=load.f_cyl,
         converged=converged,
@@ -373,7 +373,9 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
     if f_cyl > 0.0:
         attempts.append((*closed, _CONTINUATION_RUNGS))
     if start is not None:
-        d0 = chain._check_deflection(config, start.deflection)
+        # clamped once, for a deflection within the check's slack past its limit
+        d0 = [min(max(0.0, x), lim)
+              for x, lim in zip(chain._check_deflection(config, start.deflection), limits)]
         attempts.insert(0, (d0, chain._regimes(d0, limits), 1))
 
     load = _LoadMap(config, theta, f_cyl)
@@ -383,9 +385,8 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
         regimes = list(regimes0)
         for rung in range(1, rungs + 1):
             rung_load = load if rung == rungs else _LoadMap(config, theta, f_cyl * rung / rungs)
-            point, outer = _active_set(rung_load, d, regimes, k, a0, limits)
+            point, outer, residual = _active_set(rung_load, d, regimes, k, a0, limits)
             iterations += outer
-        residual = _complementarity_residual(d, regimes, point[0], k, a0, limits)
         # written so that a NaN residual stops the attempts
         if not residual >= RESIDUAL_TOL:
             break
@@ -454,7 +455,5 @@ def brute_force_equilibrium(
     d_star = [float(v) for v in grid[best]]
 
     point = load.evaluate(d_star)
-    residual = _complementarity_residual(
-        d_star, chain._regimes(d_star, limits), point[0], k, a0, limits
-    )
+    residual, _ = _scan(d_star, chain._regimes(d_star, limits), point[0], k, a0, limits)
     return _result(load, d_star, point, True, residual, total)

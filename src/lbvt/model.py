@@ -150,16 +150,27 @@ class LinkageState:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Converged chain state with the resulting torque, tip force and ratio."""
+    """Chain state and transmission ratio a solve decided, with its convergence record.
+
+    kfe_torque and tip_force are derived, not stored: the knee torque is the
+    ratio times the input force, and the tip force is that torque over the
+    lever length chain.l4.
+    """
 
     chain: ChainState
-    kfe_torque: float
-    tip_force: float
     transmission_ratio: float
     input_force: float
     converged: bool
     residual: float
     iterations: int
+
+    @property
+    def kfe_torque(self) -> float:
+        return self.transmission_ratio * self.input_force
+
+    @property
+    def tip_force(self) -> float:
+        return self.kfe_torque / self.chain.l4
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import os
@@ -293,6 +296,18 @@ def test_failed_sweep_rows_fail_the_command(tmp_path, capsys, monkeypatch):
     assert table.column("regimes (-)")[6:] == ("-",) * 5
 
 
+def test_ratio_on_a_zero_travel_config_is_feasible(tmp_path, capsys, base_config):
+    # a zero ratio-step target calibrates every travel limit to zero; the
+    # rigid chain solves at every force, past the trigger too
+    config = tmp_path / "rigid.json"
+    save_config(analysis.calibrate(base_config, 20.0, 0.0, math.radians(-88.0)), config)
+    out = tmp_path / "ratio.csv"
+    code = run(["ratio", str(config), "--theta", "-88",
+                "--to", "60", "--step", "10", "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert analysis.read_csv(out).column("feasible (-)") == (1.0,) * 7
+
+
 @pytest.mark.parametrize("command, bound", [
     ("ratio", ["--theta", "-88", "--to", "inf"]),
     ("sweep-angle", ["--force", "165", "--from", "nan"]),
@@ -431,6 +446,164 @@ def test_solve_report_is_deterministic(capsys):
     run(["solve", DEFAULT, "--theta", "-88", "--force", "120"])
     second = capsys.readouterr().out
     assert first == second
+
+
+
+# ---------- golden bytes ----------
+
+def _golden_cases():
+    """Name -> argv of a fixed CLI matrix on both shipped configs; every case exits 0.
+
+    Solves from closed to past the stops, the three force sweeps at three
+    knee angles over their default ranges, and the angle sweep at 165 N.
+    Known unconverged solves (1000 N at -88 deg, and on the base config) are
+    left out: a digest pins output, and a failure is not worth pinning.
+    """
+    cases = {}
+    for name, path in zip(("default", "base"), SHIPPED):
+        for theta in ("-130", "-88", "-45"):
+            forces = ["0", "5", "30", "60", "165"]
+            if name == "default" and theta != "-88":
+                forces.append("1000")
+            for force in forces:
+                cases[f"{name} solve {theta} {force}"] = [
+                    "solve", str(path), "--theta", theta, "--force", force]
+            for command in ("trigger", "sweep-force", "ratio"):
+                cases[f"{name} {command} {theta}"] = [command, str(path), "--theta", theta]
+        cases[f"{name} sweep-angle 165"] = ["sweep-angle", str(path), "--force", "165"]
+    return cases
+
+
+def _golden_digests(tmp_dir):
+    """Name -> SHA-256 of each case's exit code, stdout, CSV and SVG, run in process."""
+    csv_out, svg_out = Path(tmp_dir) / "out.csv", Path(tmp_dir) / "out.svg"
+    digests = {}
+    for name, argv in _golden_cases().items():
+        files = () if argv[0] == "solve" else (csv_out, svg_out)
+        if files:
+            argv = argv + ["--out", str(csv_out), "--plot", str(svg_out)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run(argv)
+        digest = hashlib.sha256(f"{code}\n{stdout.getvalue()}".encode())
+        for path in files:
+            digest.update(path.read_bytes())
+        digests[name] = digest.hexdigest()
+    return digests
+
+
+# Recorded on x86-64 Linux with CPython 3.11 and numpy 2.4. A change that is
+# meant to keep every output byte must leave this table as it is.
+GOLDEN = {
+    "default solve -130 0":
+        "eaa77e7a491130f725dd7d651770f4bc5067d5584bce69c20df4a35e9aceec45",
+    "default solve -130 5":
+        "7d4e3505f264b571fe554d739eaae2523876c7527b797b4fa81f78a2c94200b3",
+    "default solve -130 30":
+        "961e526431f8de13d41b35f64457d084e2ce012c2443e82717af56231581c96c",
+    "default solve -130 60":
+        "b253cb371f76db5eb2e14419bc363bc33b76d2bf1421ccb28673b33ad8d9feb8",
+    "default solve -130 165":
+        "c199b4bc25a275e6d9e265004f148caf38f3a192182cf073475bd86de9519154",
+    "default solve -130 1000":
+        "30a51b12450f94ef991b792e43df25c3df8852cfb0d004d1f33b8d57cb8afc29",
+    "default trigger -130":
+        "ca48b620c06e1a5fbdcf37f742ddaedd8717c94d4c333bc585f4aff84a67f429",
+    "default sweep-force -130":
+        "96c6ec90a0fbddf3776099afec8c4871d9db1aafc7814e12a9b20aeb6d390b9b",
+    "default ratio -130":
+        "aa96cc0138e58f5bb981137ae091220fd070564da165c378ec143b21bd949995",
+    "default solve -88 0":
+        "729a5c4128453d45ecd3d901a9637aa1552429956b297e3c563a32637b00e74f",
+    "default solve -88 5":
+        "5a7ebd3d2eec2a08eda8e714fee7a6982c8ab240b70fbe3894eda5597685adb4",
+    "default solve -88 30":
+        "2cd077f9cc28e7ebbb201bc8fa18e1540014853af7db3b5aca649901aa08e4a7",
+    "default solve -88 60":
+        "0a9edbbdb6b12c1ecf757c079122b65d434efe782c64197f860398650c7b42e7",
+    "default solve -88 165":
+        "865238f8480b07d7edc94f26bdb79e03c852deeee89f714c53eb69c5145c8429",
+    "default trigger -88":
+        "5858d969c9522684a7e928a1f59c931325c060722555451d3ffbae107222dec5",
+    "default sweep-force -88":
+        "25f505e17db93f356b6c0b0ce408e13fdb7134a9f1f85ae257f599fa599d847f",
+    "default ratio -88":
+        "8a9ad44c6a19e487dad39a524d8cd59dfaa9ab1a30e94896fb02a7f0c03f2135",
+    "default solve -45 0":
+        "123ffb7163a433a5decd583bd83ad6707e28ab3712d0ba8f3f15c59d8a041142",
+    "default solve -45 5":
+        "cf1da4edc5b86883a8a3c5b997255a2e06074c080499d6a82c9136303d10c6af",
+    "default solve -45 30":
+        "4ff2c87ec6f379c2283b223382413f5f30a61cbc92c956fb215de0e1230492c6",
+    "default solve -45 60":
+        "12ed3518cea88b9f9f9f541d70677f3de22dc6e1b911c22b9b7402abd867fdc1",
+    "default solve -45 165":
+        "8be75ddd9a4a627896529317c777c0b735498d1f1e6108f66bb22a60bf489313",
+    "default solve -45 1000":
+        "17f90c627b509a8f5b49c2c15816d6c93b04681661568e0ce1153561b9489d15",
+    "default trigger -45":
+        "ebd96615deaf897eaac549a0dee9d01d98e5b96739a795ac51afb52c359909ca",
+    "default sweep-force -45":
+        "d0bca1985407c12c709910f61be21721a8bda8e3f831cd69007d0c2a25a22d6e",
+    "default ratio -45":
+        "300d3ef6d75c24a73a22c9f7d0514dec386c08a55b07a3f2d489fcfd29c90fd3",
+    "default sweep-angle 165":
+        "3b6adf02d8e39e34c474885427832f0a4f6827b55bf4584adffd4d98a9b33cb8",
+    "base solve -130 0":
+        "eaa77e7a491130f725dd7d651770f4bc5067d5584bce69c20df4a35e9aceec45",
+    "base solve -130 5":
+        "7d4e3505f264b571fe554d739eaae2523876c7527b797b4fa81f78a2c94200b3",
+    "base solve -130 30":
+        "4850f76d056dc69840ae63f686e447dc92b29a3b73055953e98fd912456725ae",
+    "base solve -130 60":
+        "b0341eda36eab3d05ccb3ed338ecaf8efc5bc5a4c89de44071ae8600bede322f",
+    "base solve -130 165":
+        "63a7f090af8d68ca381cf3033ad8d3273bc6a90b344190d70f64a86a10102749",
+    "base trigger -130":
+        "e0d80ca410a58d261fb878960676054c5ca13fb1dfc7bb5cc4821255e6f7e92d",
+    "base sweep-force -130":
+        "817f0de25ace434d93c8dd00193efe98ddb0109a0fe852456e32c985b02dcef2",
+    "base ratio -130":
+        "9c78ffb2a5e8cc4ad45e732a625ba5ffd3cdc07954b87ac6b928d6dfc099cfc9",
+    "base solve -88 0":
+        "729a5c4128453d45ecd3d901a9637aa1552429956b297e3c563a32637b00e74f",
+    "base solve -88 5":
+        "5a7ebd3d2eec2a08eda8e714fee7a6982c8ab240b70fbe3894eda5597685adb4",
+    "base solve -88 30":
+        "a2ccef1848fcc75d0eb7a2297c01f4252c3b302e2c812e1653f04a84a2b778d2",
+    "base solve -88 60":
+        "fe15509829a4025d9f3dc5077754f2bbcd1b6dd87c39a25d81d5843694517abd",
+    "base solve -88 165":
+        "50cc6cbff1fe2dfecfc0dfb32e370f239824812c15bc45f09f925c767569bfc3",
+    "base trigger -88":
+        "ae7aaee39b9f5ff5fc65149bc61002954e4d6e305b25271b83454480c7d22096",
+    "base sweep-force -88":
+        "675f66c5e122f6dceed58f215f645ef6fed801f213e2a14ee6cbcbf7e0f0eb88",
+    "base ratio -88":
+        "5cdaea6c9cd670ec599e67149680a8922e87a6c45a65198db60e813b18602cf0",
+    "base solve -45 0":
+        "123ffb7163a433a5decd583bd83ad6707e28ab3712d0ba8f3f15c59d8a041142",
+    "base solve -45 5":
+        "cf1da4edc5b86883a8a3c5b997255a2e06074c080499d6a82c9136303d10c6af",
+    "base solve -45 30":
+        "3bd109152947ae3ce18a350e24f73ed5728c2bcf0febc3f69103f7591cf0c1c1",
+    "base solve -45 60":
+        "93723cbed27e4e66cb7c94f43871b5a3f2f42cc4f0e8a86e7038acf47909f0c9",
+    "base solve -45 165":
+        "bef15321107eba51afe4c2048a7dad00c53bf32ec0e04ad7ced0c160a1bbd333",
+    "base trigger -45":
+        "e7a691cc125e6fb13435bf0c85feb9553b970a734708cce91b0adab7299c3eb6",
+    "base sweep-force -45":
+        "a66af8cb0a9f24cdd57f33bb6b9bf4033f500849dcbe99f8465d52520ac77499",
+    "base ratio -45":
+        "cfa3c298dba7ba3da7f908d71eb433ea36bb5ad9e1920360cd9270505fc3555a",
+    "base sweep-angle 165":
+        "d042bd645c9cf176d6c4ec18ba04bf91c5f096cb6227ba8d184abcd47ca05356",
+}
+
+
+def test_cli_output_matches_the_golden_digests(tmp_path):
+    assert _golden_digests(tmp_path) == GOLDEN
 
 
 # ---------- import surface and entry point ----------

@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from lbvt import chain, equilibrium, linkage
+from lbvt import analysis, chain, equilibrium, linkage
 from lbvt.equilibrium import (
     brute_force_equilibrium,
     potential_energy,
     solve_equilibrium,
-    tip_force,
     triggering_force,
 )
 from lbvt.model import (
     ConfigError,
+    EquilibriumResult,
     GridSizeError,
     NoTriggerError,
     Regime,
@@ -23,17 +23,27 @@ from lbvt.model import (
 from conftest import THETA_88, count_calls, reduced_chain
 
 
-def test_tip_force_trivials():
-    assert tip_force(0.0, 0.1) == 0.0
-    assert tip_force(2.0, 0.1) == pytest.approx(20.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        tip_force(1.0, 0.0)
+def _closed_result(config, ratio, force, l4=None):
+    """A result on the closed chain, its lever length optionally replaced."""
+    state = chain.make_chain_state(config, (0.0,) * config.n_joints)
+    if l4 is not None:
+        state = dataclasses.replace(state, l4=l4)
+    return EquilibriumResult(chain=state, transmission_ratio=ratio, input_force=force,
+                             converged=True, residual=0.0, iterations=1)
+
+
+def test_tip_force_trivials(default_config):
+    assert _closed_result(default_config, 0.5, 0.0, l4=0.1).tip_force == 0.0
+    assert _closed_result(default_config, 2.0, 1.0, l4=0.1).tip_force == pytest.approx(
+        20.0, abs=1e-12)
 
 
 def test_tip_force_round_trip(default_config):
     l4 = chain.closed_lever(default_config)
     torque = linkage.kfe_torque(default_config, THETA_88, l4, 42.0)
-    assert tip_force(torque, l4) * l4 == torque
+    res = _closed_result(default_config, linkage.jacobian(default_config, THETA_88, l4), 42.0)
+    assert res.kfe_torque == torque
+    assert res.tip_force * l4 == torque
 
 
 def test_shipped_trigger_in_design_window(default_config):
@@ -133,16 +143,17 @@ def test_trigger_rejects_non_finite_theta(default_config, theta):
 
 def test_warm_start_falls_back_to_the_closed_state(default_config, monkeypatch):
     # a warm attempt that does not converge hands over to the cold attempts
-    real = equilibrium._complementarity_residual
+    real = equilibrium._active_set
     residuals = []
 
     def first_attempt_fails(*args):
-        residuals.append(real(*args))
-        return 1.0 if len(residuals) == 1 else residuals[-1]
+        point, outer, residual = real(*args)
+        residuals.append(residual)
+        return point, outer, 1.0 if len(residuals) == 1 else residual
 
     start = solve_equilibrium(default_config, THETA_88, 150.0).chain
     cold = solve_equilibrium(default_config, THETA_88, 165.0)
-    monkeypatch.setattr(equilibrium, "_complementarity_residual", first_attempt_fails)
+    monkeypatch.setattr(equilibrium, "_active_set", first_attempt_fails)
     res = solve_equilibrium(default_config, THETA_88, 165.0, start=start)
     assert len(residuals) >= 2
     assert res.converged
@@ -187,6 +198,18 @@ def test_bad_start_is_rejected(default_config, deflection, message):
         solve_equilibrium(default_config, THETA_88, 165.0, start=bad)
 
 
+def test_start_within_the_slack_past_its_limits_is_clamped(default_config):
+    # the deflection check allows 1e-12 past a limit; such a start solves as
+    # one exactly at the limits, and every joint ends on its stop at 165 N
+    limits = default_config.joint_open_limit
+    good = solve_equilibrium(default_config, THETA_88, 165.0).chain
+    past = dataclasses.replace(good, deflection=tuple(lim + 5e-13 for lim in limits))
+    exact = dataclasses.replace(good, deflection=limits)
+    res = solve_equilibrium(default_config, THETA_88, 165.0, start=past)
+    assert res == solve_equilibrium(default_config, THETA_88, 165.0, start=exact)
+    assert res.chain.deflection == limits
+
+
 @pytest.mark.parametrize("angle", [-130.0, -88.0, -45.0])
 def test_deflections_rise_with_force_on_the_base_config(base_config, angle):
     """d*(F) is componentwise nondecreasing along a force ladder (T is isotone in F)."""
@@ -219,9 +242,10 @@ def test_single_joint_closed_form_balance():
     d = [0.0]
     regimes = [Regime.CLOSED]
     load = _ConstantLoad(0.15, 1)
-    torques, _ = equilibrium._active_set(load, d, regimes, 1.0, 0.1, (0.3,))
+    _, _, residual = equilibrium._active_set(load, d, regimes, 1.0, 0.1, (0.3,))
     assert d[0] == pytest.approx(0.05, abs=1e-11)
     assert regimes[0] is Regime.ACTIVE
+    assert residual < equilibrium.RESIDUAL_TOL
 
 
 def test_threshold_tie_stays_closed():
@@ -229,18 +253,42 @@ def test_threshold_tie_stays_closed():
     d = [0.0]
     regimes = [Regime.CLOSED]
     load = _ConstantLoad(0.1, 1)  # k * preload = 1.0 * 0.1
-    equilibrium._active_set(load, d, regimes, 1.0, 0.1, (0.3,))
+    _, outer, residual = equilibrium._active_set(load, d, regimes, 1.0, 0.1, (0.3,))
     assert d[0] == 0.0
     assert regimes[0] is Regime.CLOSED
+    assert (outer, residual) == (1, 0.0)
 
 
 def test_end_stop_engages_under_excess_torque():
     d = [0.0]
     regimes = [Regime.CLOSED]
     load = _ConstantLoad(1.0, 1)  # spring tops out at 1.0*(0.1+0.3) = 0.4
-    equilibrium._active_set(load, d, regimes, 1.0, 0.1, (0.3,))
+    _, _, residual = equilibrium._active_set(load, d, regimes, 1.0, 0.1, (0.3,))
     assert d[0] == 0.3
     assert regimes[0] is Regime.END_STOP
+    assert residual == 0.0
+
+
+@pytest.mark.parametrize("regime", [Regime.CLOSED, Regime.END_STOP])
+def test_zero_travel_joint_is_never_violated(regime):
+    # closed and stopped at once: a torque above k * a0 (0.5 > 0.1) or below
+    # it (0.05) leaves the joint where it is
+    for torque in (0.5, 0.05):
+        assert equilibrium._scan([0.0], [regime], (torque,), 1.0, 0.1, (0.0,)) == (0.0, None)
+        d, regimes = [0.0], [regime]
+        _, outer, residual = equilibrium._active_set(
+            _ConstantLoad(torque, 1), d, regimes, 1.0, 0.1, (0.0,))
+        assert (d, regimes, outer, residual) == ([0.0], [regime], 1, 0.0)
+
+
+def test_residual_is_read_after_the_last_flip(monkeypatch):
+    # the one pass flips the active joint, pulled below its preload at d = 0,
+    # to closed, where nothing is violated
+    monkeypatch.setattr(equilibrium, "MAX_OUTER", 1)
+    d, regimes = [0.0], [Regime.ACTIVE]
+    _, outer, residual = equilibrium._active_set(
+        _ConstantLoad(0.05, 1), d, regimes, 1.0, 0.1, (0.3,))
+    assert (regimes, outer, residual) == ([Regime.CLOSED], 1, 0.0)
 
 
 def test_end_stop_clamped_step_is_not_replayed(monkeypatch):
@@ -560,3 +608,14 @@ def test_vectorized_jacobian_matches_scalar(default_config):
         for l4, jv in zip(l4s, vec[i]):
             assert jv == pytest.approx(
                 linkage.jacobian(default_config, float(theta), float(l4)), abs=1e-14)
+
+
+def test_zero_travel_config_solves_above_the_trigger(base_config):
+    # calibrating to a zero ratio step sets every travel limit to zero: a
+    # rigid chain that stays closed whatever the force
+    cfg = analysis.calibrate(base_config, 20.0, 0.0, THETA_88)
+    assert cfg.joint_open_limit == (0.0,) * 6
+    for f in (25.0, 100.0):
+        res = solve_equilibrium(cfg, THETA_88, f)
+        assert res.converged and res.residual == 0.0
+        assert res.chain.deflection == (0.0,) * 6
