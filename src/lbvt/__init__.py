@@ -23,16 +23,12 @@ from .analysis import (
     sweep_trigger,
 )
 from .chain import (
-    chain_diameter,
-    chain_tip,
     closed_lever,
     joint_torques,
     l4_length,
     make_chain_state,
     moment_geometry,
     open_lever,
-    preload_force,
-    preload_threshold,
 )
 from .config import load_config, save_config
 from .equilibrium import (
@@ -41,7 +37,7 @@ from .equilibrium import (
     solve_equilibrium,
     triggering_force,
 )
-from .linkage import actuator_length, jacobian, kfe_torque, solve_closure
+from .linkage import actuator_length, jacobian, solve_closure
 from .model import (
     CalibrationError,
     ChainState,

@@ -119,7 +119,7 @@ def sweep_torque_vs_angle(
 
     def point(theta: float, start):
         res = equilibrium.solve_equilibrium(config, theta, f_cyl, start=start)
-        rigid = linkage.kfe_torque(config, theta, l4_closed, f_cyl)
+        rigid = linkage.jacobian(config, theta, l4_closed) * f_cyl
         return res, (res.kfe_torque, rigid, res.tip_force, res.chain.l4,
                      res.transmission_ratio)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ChainState, MechanismConfig, Regime, per_joint_stiffness
+from .model import ChainState, MechanismConfig, Regime
 
 
 def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
@@ -79,30 +79,15 @@ def _lever(tip) -> float:
     return l4
 
 
-def chain_tip(config: MechanismConfig, deflection) -> tuple[float, float]:
-    """Chain end point in the lower-leg frame for the given joint openings."""
-    d = _check_deflection(config, deflection)
-    _, tip = _geometry(config, d)
-    return tip
-
-
 def l4_length(config: MechanismConfig, deflection) -> float:
     """Distance from the knee joint to the chain tip (the output lever length)."""
-    x, y = chain_tip(config, deflection)
-    return math.hypot(x, y)
-
-
-def chain_diameter(config: MechanismConfig, deflection) -> float:
-    """Distance from the chain anchor to the tip; bounded by the summed segments."""
-    d = _check_deflection(config, deflection)
-    pivots, (x, y) = _geometry(config, d)
-    ax, ay = pivots[0]
-    return math.hypot(x - ax, y - ay)
+    _, tip = _geometry(config, _check_deflection(config, deflection))
+    return math.hypot(*tip)
 
 
 def tip_bearing(config: MechanismConfig, deflection) -> float:
     """Polar angle of the tip seen from the knee joint, in the lower-leg frame."""
-    x, y = chain_tip(config, deflection)
+    _, (x, y) = _geometry(config, _check_deflection(config, deflection))
     return math.atan2(y, x)
 
 
@@ -153,25 +138,6 @@ def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[fl
     d = _check_deflection(config, deflection)
     pivots, tip = _geometry(config, d)
     return _torques(pivots, tip, f_end / _lever(tip))
-
-
-def preload_threshold(config: MechanismConfig, joint_index: int) -> float:
-    """Holding torque of one pre-tensioned joint; motion needs strict exceedance."""
-    if not 1 <= joint_index <= config.n_joints:
-        raise IndexError(
-            f"joint_index must be in 1..{config.n_joints}, got {joint_index}"
-        )
-    return per_joint_stiffness(config) * config.alpha_preload
-
-
-def preload_force(k_spring: float, delta: float, arm_length: float) -> float:
-    """Assembly force needed to wind one spring by delta about an arm of arm_length.
-
-    The config holds no arm (the quasi-static model needs none); the caller gives it.
-    """
-    if not (arm_length > 0.0):
-        raise ValueError(f"arm_length must be positive, got {arm_length}")
-    return k_spring * delta / arm_length
 
 
 def _regimes(d, limits) -> tuple[Regime, ...]:

@@ -115,14 +115,13 @@ def _cmd_sweep(args) -> int:
     else:
         table = sweep(config, math.radians(args.theta), args.start, args.stop, args.step)
     analysis.emit_csv(table, args.out)
-    if args.plot:
-        analysis.emit_svg_plot(table, y_cols, args.plot)
     failed = table.column("feasible (-)").count(0.0)
-    if failed:
+    if failed:  # before the plot, which raises when every row failed
         print(f"lbvt {args.command}: {failed} of {len(table.rows)} rows failed (feasible 0)",
               file=sys.stderr)
-        return 1
-    return 0
+    if args.plot:
+        analysis.emit_svg_plot(table, y_cols, args.plot)
+    return 1 if failed else 0
 
 
 def _cmd_calibrate(args) -> int:

@@ -208,7 +208,11 @@ def _scan(d, regimes, torques, k, a0, limits):
 
 
 def _solve_small(jac, r):
-    """Newton step -jac\\r, closed form for 1x1 and 2x2; None if jac is singular."""
+    """Newton step -jac\\r in floats; None if jac is singular (a zero pivot).
+
+    1x1 and 2x2 systems, the common ones, take the closed form; larger ones
+    Gaussian elimination with partial pivoting.
+    """
     m = len(r)
     if m == 1:
         a = jac[0][0]
@@ -221,12 +225,22 @@ def _solve_small(jac, r):
             (-r[0] * jac[1][1] + r[1] * jac[0][1]) / det,
             (-r[1] * jac[0][0] + r[0] * jac[1][0]) / det,
         ]
-    import numpy as np  # here, so that importing lbvt does not load numpy
-
-    try:
-        return list(np.linalg.solve(jac, [-x for x in r]))
-    except np.linalg.LinAlgError:
-        return None
+    rows = [row + [-x] for row, x in zip(jac, r)]  # augmented, so jac is not changed
+    for c in range(m):
+        p = max(range(c, m), key=lambda i: abs(rows[i][c]))
+        if rows[p][c] == 0.0:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for row in rows[c + 1:]:
+            f = row[c] / pivot[c]
+            for j in range(c + 1, m + 1):
+                row[j] -= f * pivot[j]
+    step = [0.0] * m
+    for i in reversed(range(m)):
+        row = rows[i]
+        step[i] = (row[m] - sum(row[j] * step[j] for j in range(i + 1, m))) / row[i]
+    return step
 
 
 def _newton_active(load, d, point, active, k, a0, limits):
@@ -269,7 +283,7 @@ def _newton_active(load, d, point, active, k, a0, limits):
             step = [-x / k for x in r]  # singular: the spring-dominated step
         trial = list(d)
         for idx, j in enumerate(active):
-            trial[j] = min(max(d[j] + float(step[idx]), 0.0), limits[j])
+            trial[j] = min(max(d[j] + step[idx], 0.0), limits[j])
         if trial == d:
             break  # stalled: every later pass would replay this step
         trial_point = load.evaluate(trial)

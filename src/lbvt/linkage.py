@@ -1,4 +1,4 @@
-"""Closed-form four-bar closure, actuator kinematics and the knee torque map.
+"""Closed-form four-bar closure, actuator kinematics and the jacobian.
 
 Frame: upper-leg coordinates with the knee joint at the origin and the x axis
 pointing from the knee toward the hip. The input-bar ground pivot sits at
@@ -9,10 +9,11 @@ The coupler joint is the intersection of the circles (ground pivot, l2) and
 (lever tip, l3); the assembly branch is picked by the configured sign and
 never changes within a sweep.
 
-The scalar jacobian is d(actuator length)/d(theta) at fixed l4, derived
-through the closure: with e2 the input bar and e3 the coupler vector, the
-coupler joint velocity is cross(C, e3)/cross(e2, e3) * perp(e2) per unit
-knee rate, which degenerates when input bar and coupler are collinear.
+The scalar jacobian is d(actuator length)/d(theta) at fixed l4, so the
+knee torque is jacobian times actuator force. It is derived through the
+closure: with e2 the input bar and e3 the coupler vector, the coupler joint
+velocity is cross(C, e3)/cross(e2, e3) * perp(e2) per unit knee rate,
+which degenerates when input bar and coupler are collinear.
 """
 
 from __future__ import annotations
@@ -149,8 +150,3 @@ def actuator_length(config: MechanismConfig, theta: float, l4: float) -> float:
 def jacobian(config: MechanismConfig, theta: float, l4: float) -> float:
     """Actuator extension per unit knee rotation at fixed lever length (m/rad)."""
     return _checked_kernel(config, theta, l4)[4]
-
-
-def kfe_torque(config: MechanismConfig, theta: float, l4: float, f_cyl: float) -> float:
-    """Knee torque produced by the actuator force: jacobian times force."""
-    return jacobian(config, theta, l4) * f_cyl

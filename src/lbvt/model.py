@@ -64,7 +64,7 @@ class MechanismConfig:
     leg, segments/phi define the closed chain shape, and joint_open_limit gives
     the end-stop travel of each joint. alpha_preload, the pre-tension
     winding of each joint, lies in [0, 2*pi]: at most one turn of a torsion
-    spring. No spring arm is a field: the quasi-static model needs none.
+    spring.
     These fields and their annotations are the config file schema (config.py
     reads each by its annotation); angles are radians here, degrees in the file.
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from lbvt import chain, equilibrium
-from lbvt.model import MechanismConfig
+from lbvt.model import MechanismConfig, Regime, per_joint_stiffness
 
 from conftest import convex_chain, straight_chain
 
 
 def test_collinear_chain_tip_along_axis():
     cfg = straight_chain(l_offset=0.1, seg=0.05, beta=0.0)
-    x, y = chain.chain_tip(cfg, (0.0,) * 6)
+    x, y = chain.make_chain_state(cfg, (0.0,) * 6).tip
     assert x == pytest.approx(0.4, abs=1e-15)
     assert y == pytest.approx(0.0, abs=1e-15)
     assert chain.l4_length(cfg, (0.0,) * 6) == pytest.approx(0.4, abs=1e-15)
@@ -19,7 +19,7 @@ def test_collinear_chain_tip_along_axis():
 
 def test_collinear_chain_rotates_with_anchor():
     cfg = straight_chain(l_offset=0.1, seg=0.05, beta=math.pi / 2)
-    x, y = chain.chain_tip(cfg, (0.0,) * 6)
+    x, y = chain.make_chain_state(cfg, (0.0,) * 6).tip
     assert x == pytest.approx(0.0, abs=1e-15)
     assert y == pytest.approx(0.4, abs=1e-15)
 
@@ -31,16 +31,16 @@ def test_rotation_equivariance(default_config):
         delta = rng.uniform(-math.pi, math.pi)
         rotated = default_config.with_updates(beta=default_config.beta + delta)
 
-        x0, y0 = chain.chain_tip(default_config, d)
-        x1, y1 = chain.chain_tip(rotated, d)
+        s0 = chain.make_chain_state(default_config, d)
+        s1 = chain.make_chain_state(rotated, d)
+        (x0, y0), (x1, y1) = s0.tip, s1.tip
         c, s = math.cos(delta), math.sin(delta)
         assert x1 == pytest.approx(c * x0 - s * y0, abs=1e-12)
         assert y1 == pytest.approx(s * x0 + c * y0, abs=1e-12)
 
         assert chain.l4_length(rotated, d) == pytest.approx(
             chain.l4_length(default_config, d), abs=1e-12)
-        assert chain.chain_diameter(rotated, d) == pytest.approx(
-            chain.chain_diameter(default_config, d), abs=1e-12)
+        assert s1.diameter == pytest.approx(s0.diameter, abs=1e-12)
         arms0, _ = chain.moment_geometry(default_config, d)
         arms1, _ = chain.moment_geometry(rotated, d)
         assert arms1 == pytest.approx(arms0, abs=1e-12)
@@ -71,12 +71,12 @@ def test_lever_monotone_along_uniform_opening(default_config):
 
 def test_closed_diameter_is_the_trigger_plateau(default_config):
     # frozen from the shipped config at zero deflection
-    assert chain.chain_diameter(default_config, (0.0,) * 6) == pytest.approx(
+    assert chain.make_chain_state(default_config, (0.0,) * 6).diameter == pytest.approx(
         0.037659917442692266, abs=1e-9)
 
 
 def test_diameter_bounded_by_total_segment_length(default_config):
-    d_open = chain.chain_diameter(default_config, default_config.joint_open_limit)
+    d_open = chain.make_chain_state(default_config, default_config.joint_open_limit).diameter
     assert d_open <= sum(default_config.segments) + 1e-15
 
 
@@ -87,28 +87,29 @@ def test_diameter_is_lipschitz(default_config):
         a = tuple(rng.uniform(0.0, lim) for lim in default_config.joint_open_limit)
         b = tuple(rng.uniform(0.0, lim) for lim in default_config.joint_open_limit)
         gap = max(abs(x - y) for x, y in zip(a, b))
-        da = chain.chain_diameter(default_config, a)
-        db = chain.chain_diameter(default_config, b)
+        da = chain.make_chain_state(default_config, a).diameter
+        db = chain.make_chain_state(default_config, b).diameter
         assert abs(da - db) <= bound * gap + 1e-12
 
 
 def test_deflection_bounds_are_enforced(default_config):
     with pytest.raises(ValueError):
-        chain.chain_tip(default_config, (-1e-6,) + (0.0,) * 5)
+        chain.make_chain_state(default_config, (-1e-6,) + (0.0,) * 5)
     over = default_config.joint_open_limit[0] + 1e-3
     with pytest.raises(ValueError):
         chain.l4_length(default_config, (over,) + (0.0,) * 5)
     with pytest.raises(ValueError):
-        chain.chain_diameter(default_config, (0.0,) * 3)
+        chain.tip_bearing(default_config, (0.0,) * 3)
 
 
 @pytest.mark.parametrize("check", [
-    chain.chain_tip,
+    chain.l4_length,
+    chain.tip_bearing,
     chain.moment_geometry,
     chain.make_chain_state,
     lambda cfg, d: chain.joint_torques(cfg, d, 1.0),
     equilibrium.potential_energy,
-], ids=["chain_tip", "moment_geometry", "make_chain_state", "joint_torques",
+], ids=["l4_length", "tip_bearing", "moment_geometry", "make_chain_state", "joint_torques",
         "potential_energy"])
 def test_nan_deflection_is_out_of_range(default_config, check):
     d = (0.0, 0.0, math.nan, 0.0, 0.0, 0.0)
@@ -211,35 +212,23 @@ def test_chain_state_builds_the_geometry_once(default_config, monkeypatch):
 
 @pytest.mark.parametrize("index,expected", [(1, 0.468), (3, 0.468), (6, 0.468)])
 def test_preload_threshold_uniform(default_config, index, expected):
+    # every joint holds k * alpha_preload and opens only strictly above it
     cfg = default_config.with_updates(alpha_preload=0.1)
-    assert chain.preload_threshold(cfg, index) == pytest.approx(expected, abs=1e-12)
+    k, limits = per_joint_stiffness(cfg), cfg.joint_open_limit
+    assert k * cfg.alpha_preload == pytest.approx(expected, abs=1e-12)
+    d, closed = [0.0] * 6, [Regime.CLOSED] * 6
+    for torque, flip in ((k * cfg.alpha_preload, None),
+                         (math.nextafter(k * cfg.alpha_preload, 1.0), (index - 1, Regime.ACTIVE))):
+        torques = [0.0] * 6
+        torques[index - 1] = torque
+        assert equilibrium._scan(d, closed, torques, k, cfg.alpha_preload, limits)[1] == flip
 
 
 def test_preload_threshold_zero_preload(default_config):
+    # without preload any opening torque moves a closed joint
     cfg = default_config.with_updates(alpha_preload=0.0)
-    assert chain.preload_threshold(cfg, 1) == 0.0
-
-
-def test_preload_threshold_index_bounds(default_config):
-    with pytest.raises(IndexError):
-        chain.preload_threshold(default_config, 0)
-    with pytest.raises(IndexError):
-        chain.preload_threshold(default_config, 7)
-
-
-def test_preload_force_direct_value():
-    assert chain.preload_force(1.17, 0.2, 0.02) == pytest.approx(11.7, abs=1e-12)
-
-
-def test_preload_force_zero_winding():
-    assert chain.preload_force(1.17, 0.0, 0.02) == 0.0
-
-
-def test_preload_force_inverse_in_arm():
-    assert chain.preload_force(1.0, 0.3, 0.04) == pytest.approx(
-        chain.preload_force(1.0, 0.3, 0.02) / 2.0, abs=1e-12)
-
-
-def test_preload_force_rejects_bad_arm():
-    with pytest.raises(ValueError):
-        chain.preload_force(1.0, 0.1, 0.0)
+    k, limits = per_joint_stiffness(cfg), cfg.joint_open_limit
+    d, closed = [0.0] * 6, [Regime.CLOSED] * 6
+    assert equilibrium._scan(d, closed, [0.0] * 6, k, 0.0, limits) == (0.0, None)
+    assert equilibrium._scan(d, closed, [5e-324] + [0.0] * 5, k, 0.0, limits)[1] == (
+        0, Regime.ACTIVE)

@@ -296,6 +296,19 @@ def test_failed_sweep_rows_fail_the_command(tmp_path, capsys, monkeypatch):
     assert table.column("regimes (-)")[6:] == ("-",) * 5
 
 
+def test_failed_rows_are_reported_when_the_plot_cannot_be_drawn(tmp_path, capsys):
+    # at 5000 N every angle fails, so the plot has no finite point to draw;
+    # the summary is printed all the same, and the CSV is written
+    out, svg = tmp_path / "a.csv", tmp_path / "a.svg"
+    code = run(["sweep-angle", DEFAULT, "--force", "5000",
+                "--out", str(out), "--plot", str(svg)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "lbvt sweep-angle: 11 of 11 rows failed (feasible 0)\n"
+        "lbvt sweep-angle: no finite data points to plot\n")
+    assert analysis.read_csv(out).column("feasible (-)") == (0.0,) * 11
+
+
 def test_ratio_on_a_zero_travel_config_is_feasible(tmp_path, capsys, base_config):
     # a zero ratio-step target calibrates every travel limit to zero; the
     # rigid chain solves at every force, past the trigger too
@@ -492,7 +505,8 @@ def _golden_digests(tmp_dir):
     return digests
 
 
-# Recorded on x86-64 Linux with CPython 3.11 and numpy 2.4. A change that is
+# Recorded on x86-64 Linux with CPython 3.11. No command loads numpy, so the
+# digests do not depend on its version or LAPACK build. A change that is
 # meant to keep every output byte must leave this table as it is.
 GOLDEN = {
     "default solve -130 0":
@@ -634,10 +648,27 @@ def test_library_import_loads_no_cli_or_optional_modules():
     assert out.stdout.strip() == ""
 
 
-def test_validate_loads_no_numpy():
-    probe = ("import sys; from lbvt import cli; "
-             f"code = cli.run(['validate', {DEFAULT!r}]); "
-             "print(code, 'numpy' in sys.modules)")
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["solve", "--theta", "-88", "--force", "165"],
+    ["sweep-angle", "--force", "165"],
+    ["trigger", "--theta", "-88", "--step", "5"],
+    ["sweep-force", "--theta", "-88", "--step", "10"],
+    ["ratio", "--theta", "-88", "--step", "10"],
+    ["calibrate", "--trigger", "20", "--ratio-step", "0.4", "--theta", "-88"],
+], ids=lambda argv: argv[0])
+def test_command_loads_no_numpy(tmp_path, argv):
+    # a fresh interpreter runs the command on both shipped configs; the
+    # solves past the trigger use the Newton systems of three or more joints
+    files = {"validate": [], "solve": [], "calibrate": ["--out", str(tmp_path / "c.json")]}
+    outputs = files.get(argv[0], ["--out", str(tmp_path / "s.csv"),
+                                  "--plot", str(tmp_path / "s.svg")])
+    runs = [[argv[0], str(path), *argv[1:], *outputs]
+            for path in (lbvt.default_config_path(), lbvt.base_config_path())]
+    probe = ("import contextlib, io, sys; from lbvt import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [cli.run(argv) for argv in {runs!r}]\n"
+             "print(codes, 'numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split()[-2:] == ["0", "False"]
+    assert out.stdout == "[0, 0] False\n"

@@ -40,8 +40,9 @@ def test_tip_force_trivials(default_config):
 
 def test_tip_force_round_trip(default_config):
     l4 = chain.closed_lever(default_config)
-    torque = linkage.kfe_torque(default_config, THETA_88, l4, 42.0)
-    res = _closed_result(default_config, linkage.jacobian(default_config, THETA_88, l4), 42.0)
+    jac = linkage.jacobian(default_config, THETA_88, l4)
+    torque = jac * 42.0
+    res = _closed_result(default_config, jac, 42.0)
     assert res.kfe_torque == torque
     assert res.tip_force * l4 == torque
 
@@ -90,15 +91,19 @@ def test_high_force_opens_chain_and_amplifies(default_config):
     assert res.converged
     assert any(r is not Regime.CLOSED for r in res.chain.regime)
     assert res.chain.l4 > chain.closed_lever(default_config)
-    rigid = linkage.kfe_torque(default_config, THETA_88,
-                               chain.closed_lever(default_config), 165.0)
+    rigid = linkage.jacobian(default_config, THETA_88, chain.closed_lever(default_config)) * 165.0
     assert res.kfe_torque > rigid
 
 
-def test_ratio_identity_is_exact(default_config):
-    for f in (0.0, 12.0, 80.0, 165.0):
-        res = solve_equilibrium(default_config, THETA_88, f)
-        assert res.kfe_torque == res.transmission_ratio * res.input_force
+def test_ratio_identity_is_exact(default_config, base_config):
+    # the ratio is the four-bar jacobian at the solved lever, past the trigger too
+    for cfg in (default_config, base_config):
+        for theta in (math.radians(-130.0), THETA_88, math.radians(-45.0)):
+            for f in (0.0, 12.0, 80.0, 165.0):
+                res = solve_equilibrium(cfg, theta, f)
+                assert res.kfe_torque == res.transmission_ratio * res.input_force
+                assert res.transmission_ratio == linkage.jacobian(cfg, theta, res.chain.l4)
+            assert res.converged and res.chain.l4 > chain.closed_lever(cfg)
 
 
 def test_zero_force_reports_closed_lever_ratio(default_config):
@@ -279,6 +284,26 @@ def test_zero_travel_joint_is_never_violated(regime):
         _, outer, residual = equilibrium._active_set(
             _ConstantLoad(torque, 1), d, regimes, 1.0, 0.1, (0.0,))
         assert (d, regimes, outer, residual) == ([0.0], [regime], 1, 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_newton_system_matches_a_direct_solve(m):
+    rng = np.random.default_rng(m)
+    for _ in range(50):
+        jac, r = rng.normal(size=(m, m)), rng.normal(size=m)
+        step = equilibrium._solve_small(jac.tolist(), r.tolist())
+        assert step == pytest.approx(np.linalg.solve(jac, -r).tolist(), rel=1e-9, abs=1e-12)
+
+
+def test_newton_system_pivots_and_reports_a_singular_one():
+    # a zero leading entry needs a row swap; a zero pivot further down means singular
+    jac = [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 4.0]]
+    assert equilibrium._solve_small(jac, [1.0, 2.0, 4.0]) == [-1.0, -1.0, -1.0]
+    assert jac == [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 4.0]]
+    singular = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
+    assert equilibrium._solve_small(singular, [1.0, 1.0, 1.0]) is None
+    assert equilibrium._solve_small([[0.0]], [1.0]) is None
+    assert equilibrium._solve_small([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
 
 
 def test_residual_is_read_after_the_last_flip(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lbvt import chain, linkage
+from lbvt.equilibrium import solve_equilibrium
 from lbvt.model import GeometryError, SingularityError
 
 from conftest import count_calls, straight_chain
@@ -105,7 +106,6 @@ def test_jacobian_matches_finite_differences(default_config):
 def test_jacobian_does_not_rebuild_the_closed_chain(default_config, monkeypatch):
     calls = count_calls(monkeypatch, chain, "_geometry")
     linkage.jacobian(default_config, THETA_88, 0.09)
-    linkage.kfe_torque(default_config, THETA_88, 0.09, 165.0)
     assert calls[0] == 0
 
 
@@ -170,25 +170,26 @@ def test_span_within_the_closure_slack_is_a_singularity(default_config):
 
 
 def test_kfe_torque_zero_force(default_config):
-    assert linkage.kfe_torque(default_config, THETA_88,
-                              chain.closed_lever(default_config), 0.0) == 0.0
+    assert solve_equilibrium(default_config, THETA_88, 0.0).kfe_torque == 0.0
 
 
 def test_kfe_torque_linear_in_force(default_config):
-    l4c = chain.closed_lever(default_config)
-    base = linkage.kfe_torque(default_config, THETA_88, l4c, 31.0)
-    # power-of-two scalars keep the scaling exact in floating point
-    for a in (-2.0, 0.5, 4.0, 16.0):
-        assert linkage.kfe_torque(default_config, THETA_88, l4c, a * 31.0) == a * base
-    assert linkage.kfe_torque(default_config, THETA_88, l4c, 3.0 * 31.0) == pytest.approx(
+    # below the trigger the chain stays closed, so the knee torque is the
+    # closed-lever jacobian times the force; power-of-two scalars keep the
+    # scaling exact in floating point
+    base = solve_equilibrium(default_config, THETA_88, 1.0).kfe_torque
+    assert base == linkage.jacobian(default_config, THETA_88,
+                                    chain.closed_lever(default_config))
+    for a in (0.25, 0.5, 4.0, 16.0):
+        assert solve_equilibrium(default_config, THETA_88, a).kfe_torque == a * base
+    assert solve_equilibrium(default_config, THETA_88, 3.0).kfe_torque == pytest.approx(
         3.0 * base, rel=1e-15)
 
 
 def test_open_lever_torque_exceeds_closed_at_165(default_config):
-    t_open = linkage.kfe_torque(default_config, THETA_88,
-                                chain.open_lever(default_config), 165.0)
-    t_closed = linkage.kfe_torque(default_config, THETA_88,
-                                  chain.closed_lever(default_config), 165.0)
+    t_open = linkage.jacobian(default_config, THETA_88, chain.open_lever(default_config)) * 165.0
+    t_closed = linkage.jacobian(default_config, THETA_88,
+                                chain.closed_lever(default_config)) * 165.0
     assert t_open > t_closed
 
 
@@ -210,8 +211,7 @@ def test_closure_rejects_non_finite_inputs(default_config, theta, l4, name):
 @pytest.mark.parametrize("read", [
     linkage.actuator_length,
     linkage.jacobian,
-    lambda cfg, theta, l4: linkage.kfe_torque(cfg, theta, l4, 1.0),
-], ids=["actuator_length", "jacobian", "kfe_torque"])
+], ids=["actuator_length", "jacobian"])
 def test_scalar_closure_maps_reject_non_finite_inputs(default_config, read, theta, l4, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         read(default_config, theta, l4)
@@ -231,5 +231,4 @@ def test_scalar_closure_maps_build_no_linkage_state(default_config, monkeypatch)
     for theta, l4, state in cases:
         assert linkage.actuator_length(default_config, theta, l4) == state.actuator_length
         assert linkage.jacobian(default_config, theta, l4) == state.jacobian
-        assert linkage.kfe_torque(default_config, theta, l4, 165.0) == state.jacobian * 165.0
     assert calls[0] == 0
