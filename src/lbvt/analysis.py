@@ -113,8 +113,11 @@ def sweep_torque_vs_angle(
     """Knee torque across the flexion range, with and without the opening chain.
 
     The rigid baseline keeps the lever at its closed length. Samples where the
-    closure cannot assemble are flagged infeasible and kept in the table.
+    closure cannot assemble are flagged infeasible and kept in the table. A
+    negative, infinite or NaN f_cyl raises ValueError before any solve.
     """
+    if not (0.0 <= f_cyl < math.inf):
+        raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
     l4_closed = chain.closed_lever(config)
 
     def point(theta: float, start):

@@ -33,7 +33,10 @@ run, as does a step that would leave the deflections unchanged. A singular
 Newton system takes the spring-dominated step -r/k instead.
 A non-finite applied torque makes the residual NaN, so such a solve is
 reported as not converged. The direct attempt from the closed state is the
-one-rung case of the continuation ladder, so both run the same loop. A caller
+one-rung case of the continuation ladder, so both run the same loop. An
+intermediate rung only seeds the next: its Newton runs stop at _RUNG_TOL, and
+the next rung starts from its point reweighed at the next force, since only
+the torques depend on the force (_LoadMap.reweigh). A caller
 that holds a converged state of the same config (a sweep's previous sample)
 may pass it as start: one more one-rung attempt then runs from that state
 first, and the two attempts from closed follow only if it fails. That
@@ -73,6 +76,7 @@ MAX_OUTER = 200
 MAX_INNER = 50
 RESIDUAL_TOL = 1e-9
 _INNER_TOL = 1e-12
+_RUNG_TOL = 1e-3  # Nm, Newton stop on the ladder's intermediate rungs, which only seed the next
 _DL4 = 1e-8  # m, forward-difference step of the closure jacobian in l4
 
 
@@ -99,7 +103,12 @@ class _LoadMap:
         pivots, tip = chain._geometry(cfg, d, xp)
         l4 = xp.hypot(*tip)
         _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, xp)
-        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
+        return self.reweigh((None, l4, jac, pivots))
+
+    def reweigh(self, point):
+        """The point at the same deflections under this map's force: only the torques change."""
+        _, l4, jac, pivots = point
+        return chain._torques(pivots, pivots[-1], jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
 
     def derivative(self, point, active):
         """Rows i, columns j of da_i/dd_j over the active joints at an evaluated point.
@@ -243,19 +252,20 @@ def _solve_small(jac, r):
     return step
 
 
-def _newton_active(load, d, point, active, k, a0, limits):
+def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
     """Newton on the torque balances of the active joints; d in place, returns its point.
 
-    point is the load-map evaluation at d. Each pass evaluates the full
-    Newton step once, clamped to the travel range [0, limit] of each joint.
-    A step must strictly lower the max-norm residual. The first step that
-    does not, the bold step, is taken anyway: the balance then has no
-    interior root on this side (the opening torque beats the spring), so the
-    clamped step reaches the bound and hands the joint back to the regime
-    logic. A second such step ends the loop. Progress must be strict because
-    a clamped active joint can hold the max norm fixed while a free joint
-    steps back and forth between two points; accepting equal norms would
-    replay that 2-cycle for all MAX_INNER passes.
+    point is the load-map evaluation at d; the run ends once the max-norm
+    residual is below tol. Each pass evaluates the full Newton step once,
+    clamped to the travel range [0, limit] of each joint. A step must
+    strictly lower the max-norm residual. The first step that does not, the
+    bold step, is taken anyway: the balance then has no interior root on
+    this side (the opening torque beats the spring), so the clamped step
+    reaches the bound and hands the joint back to the regime logic. A second
+    such step ends the loop. Progress must be strict because a clamped
+    active joint can hold the max norm fixed while a free joint steps back
+    and forth between two points; accepting equal norms would replay that
+    2-cycle for all MAX_INNER passes.
 
     The jacobian comes from load.derivative (analytic, minus k on the
     diagonal) at the point the last step reached. A step that leaves d
@@ -273,7 +283,7 @@ def _newton_active(load, d, point, active, k, a0, limits):
     norm = max(abs(x) for x in r)
     bold_used = False
     for _ in range(MAX_INNER):
-        if norm < _INNER_TOL:
+        if norm < tol:
             break
         jac = load.derivative(point, active)
         for i, row in enumerate(jac):
@@ -298,20 +308,21 @@ def _newton_active(load, d, point, active, k, a0, limits):
     return point
 
 
-def _active_set(load, d, regimes, k, a0, limits):
+def _active_set(load, d, regimes, k, a0, limits, tol=_INNER_TOL, point=None):
     """Active-set iteration from the given state, in place.
 
     Returns (point at d, outer passes, residual of the state it ends in).
-    Closed joints must enter at 0 and stopped joints at their limit. The
-    clamped Newton step keeps d in [0, limit], so a joint flips to closed
-    only at d == 0 and to its stop only at d == limit: a flip needs no
-    clamp, and the point at d stays valid.
+    point is the load-map point at d (evaluated here if None) and tol the
+    Newton runs' stop. Closed joints must enter at 0 and stopped joints at
+    their limit. The clamped Newton step keeps d in [0, limit], so a joint
+    flips to closed only at d == 0 and to its stop only at d == limit: a
+    flip needs no clamp, and the point at d stays valid.
     """
     n = len(d)
-    point = load.evaluate(d)
+    point = load.evaluate(d) if point is None else point
     for outer in range(1, MAX_OUTER + 1):
         active = [i for i in range(n) if regimes[i] is Regime.ACTIVE]
-        point = _newton_active(load, d, point, active, k, a0, limits)
+        point = _newton_active(load, d, point, active, k, a0, limits, tol)
         residual, flip = _scan(d, regimes, point[0], k, a0, limits)
         if flip is None:
             break
@@ -359,10 +370,12 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
     Solves directly from the closed state; if that stalls (the opening torque
     can outgrow the spring, so the chain snaps through toward the stops), the
     force is ramped over a fixed ladder with the state carried between rungs,
-    which follows the physical loading branch. The direct attempt is the
-    one-rung ladder. Returns a non-converged result with the last residual if
-    every attempt exhausts its iteration budget; geometric infeasibility
-    raises. Identical inputs give identical results.
+    which follows the physical loading branch. Intermediate rungs are solved
+    to _RUNG_TOL only, and each later rung starts from the point the last one
+    ended on, reweighed at its own force. The direct attempt is the one-rung
+    ladder. Returns a non-converged result with the last residual if every
+    attempt exhausts its iteration budget; geometric infeasibility raises.
+    Identical inputs give identical results.
 
     start is an optional warm start: the chain of a converged solve of the
     same config, typically the previous sample of a sweep. The solve then
@@ -399,7 +412,9 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
         regimes = list(regimes0)
         for rung in range(1, rungs + 1):
             rung_load = load if rung == rungs else _LoadMap(config, theta, f_cyl * rung / rungs)
-            point, outer, residual = _active_set(rung_load, d, regimes, k, a0, limits)
+            point = rung_load.reweigh(point) if rung > 1 else None
+            point, outer, residual = _active_set(rung_load, d, regimes, k, a0, limits,
+                                                 _RUNG_TOL if rung < rungs else _INNER_TOL, point)
             iterations += outer
         # written so that a NaN residual stops the attempts
         if not residual >= RESIDUAL_TOL:

@@ -71,6 +71,14 @@ def test_angle_sweep_single_record_when_step_exceeds_range(default_config):
     assert len(table) == 1
 
 
+@pytest.mark.parametrize("f_cyl", [math.nan, -1.0, math.inf])
+def test_angle_sweep_rejects_a_bad_force(default_config, f_cyl):
+    # solve_equilibrium would return NaN rows, unconverged, for a NaN force
+    with pytest.raises(ValueError, match=f"f_cyl must be non-negative and finite, got {f_cyl}"):
+        analysis.sweep_torque_vs_angle(default_config, f_cyl, default_config.theta_min,
+                                       default_config.theta_max, math.radians(10.0))
+
+
 @pytest.mark.parametrize("sweep", [
     "sweep_torque_vs_angle", "sweep_trigger", "sweep_torque_vs_force", "sweep_ratio_vs_force",
 ])
@@ -213,7 +221,7 @@ def test_base_config_ratio_sweep_has_no_failed_rows(base_config):
 
 
 def test_ratio_sweep_load_evaluations(default_config, monkeypatch):
-    # 1,065 measured; a cold solve per sample takes about 8,400
+    # 1,065 measured; a cold solve per sample takes about 6,100
     calls = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 200.0, 0.5)
     assert len(table) == 401

@@ -332,6 +332,21 @@ def test_non_finite_sweep_range_fails_cleanly(tmp_path, capsys, command, bound):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("force", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["solve", "sweep-angle"])
+def test_bad_force_fails_cleanly(tmp_path, capsys, command, force):
+    # solve_equilibrium returns an unconverged result for a NaN force; the
+    # commands reject it before any solve, as they do a negative one
+    out = tmp_path / "a.csv"
+    args = ["--theta", "-88"] if command == "solve" else ["--out", str(out)]
+    assert run([command, DEFAULT, *args, "--force", force]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"lbvt {command}: f_cyl must be non-negative and finite, got {float(force)}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_oversized_sweep_ladder_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "ratio.csv"
     assert run(["ratio", DEFAULT, "--theta", "-88", "--step", "5e-324", "--out", str(out)]) == 1
