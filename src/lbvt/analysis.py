@@ -116,8 +116,7 @@ def sweep_torque_vs_angle(
     closure cannot assemble are flagged infeasible and kept in the table. A
     negative, infinite or NaN f_cyl raises ValueError before any solve.
     """
-    if not (0.0 <= f_cyl < math.inf):
-        raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
+    equilibrium._check_force(f_cyl)
     l4_closed = chain.closed_lever(config)
 
     def point(theta: float, start):

@@ -100,8 +100,7 @@ def _print_solve_report(result, theta_deg: float, out) -> None:
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
     # solve_equilibrium reports a NaN force as an unconverged solve; the CLI rejects it
-    if not (0.0 <= args.force < math.inf):
-        raise ValueError(f"f_cyl must be non-negative and finite, got {args.force}")
+    equilibrium._check_force(args.force)
     result = equilibrium.solve_equilibrium(config, math.radians(args.theta), args.force)
     _print_solve_report(result, args.theta, sys.stdout)
     return 0 if result.converged else 1

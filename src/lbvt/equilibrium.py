@@ -16,31 +16,29 @@ and the bound flip that mends the worst one; the solver and the oracle both
 read their residual from it.
 
 solve_equilibrium runs an active-set scheme over those regimes: for a fixed
-regime assignment the active torque balances are solved by Newton
-iterations whose full step is clamped to the travel limits, then the scan's
-flip is made (one joint per outer pass, largest violation first, lowest
-index on ties). Torque exactly at the holding threshold keeps a joint
-closed. The scheme is deterministic: identical inputs give identical
-results. The Newton jacobian is analytic: opening
-joint j rotates the chain tip and every later pivot about pivot j, and only
-the closure jacobian's dependence on the lever length is differenced, once
-per Newton step. Each load-map evaluation is made once and passed along:
-the point a Newton step reaches carries the torques of the next residual,
-the pivots of the next jacobian and, at the end, the geometry of the
-result. A Newton step must strictly lower the max-norm residual; the first
-one that does not is still taken (the bold step) and a second one ends the
-run, as does a step that would leave the deflections unchanged. A singular
-Newton system takes the spring-dominated step -r/k instead.
-A non-finite applied torque makes the residual NaN, so such a solve is
-reported as not converged. The direct attempt from the closed state is the
-one-rung case of the continuation ladder, so both run the same loop. An
-intermediate rung only seeds the next: its Newton runs stop at _RUNG_TOL, and
-the next rung starts from its point reweighed at the next force, since only
-the torques depend on the force (_LoadMap.reweigh). A caller
-that holds a converged state of the same config (a sweep's previous sample)
-may pass it as start: one more one-rung attempt then runs from that state
-first, and the two attempts from closed follow only if it fails. That
-start is clamped to the travel limits once, when its attempt is built.
+regime assignment the active torque balances are solved by Newton iterations
+whose full step is clamped to the travel limits, then the scan's flip is made
+(one joint per outer pass, largest violation first, lowest index on ties).
+Torque exactly at the holding threshold keeps a joint closed. The scheme is
+deterministic: identical inputs give identical results. The Newton jacobian
+is analytic: opening joint j rotates the chain tip and every later pivot
+about pivot j, and only the closure jacobian's dependence on the lever length
+is differenced, once per Newton step. Each load-map evaluation is made once
+and passed along: the point a Newton step reaches carries the torques of the
+next residual, the pivots of the next jacobian and, at the end, the geometry
+of the result. A Newton step must strictly lower the max-norm residual; the
+first one that does not is still taken (the bold step) and a second one ends
+the run, as does a step that would leave the deflections unchanged. A
+singular Newton system takes the spring-dominated step -r/k instead. A
+non-finite applied torque makes the residual NaN, so such a solve is reported
+as not converged. The direct attempt from the closed state is the one-rung
+case of the continuation ladder, so both run the same loop. An intermediate
+rung stops its Newton runs at _RUNG_TOL, and the next starts from its point
+reweighed at the next force (_LoadMap.reweigh). A caller that holds a
+converged state of the same config (a sweep's previous sample) may pass it as
+start: one more one-rung attempt then runs from that state first, and the two
+attempts from closed follow only if it fails. That start is clamped to the
+travel limits once, when its attempt is built.
 
 brute_force_equilibrium is the independent check: it minimizes elastic energy
 minus the work fed into the chain over an exhaustive deflection grid, with
@@ -103,11 +101,10 @@ class _LoadMap:
         pivots, tip = chain._geometry(cfg, d, xp)
         l4 = xp.hypot(*tip)
         _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, xp)
-        return self.reweigh((None, l4, jac, pivots))
+        return self.reweigh(l4, jac, pivots)
 
-    def reweigh(self, point):
-        """The point at the same deflections under this map's force: only the torques change."""
-        _, l4, jac, pivots = point
+    def reweigh(self, l4, jac, pivots):
+        """The point with this geometry under this map's force: only the torques depend on it."""
         return chain._torques(pivots, pivots[-1], jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
 
     def derivative(self, point, active):
@@ -255,17 +252,16 @@ def _solve_small(jac, r):
 def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
     """Newton on the torque balances of the active joints; d in place, returns its point.
 
-    point is the load-map evaluation at d; the run ends once the max-norm
+    point is the load-map evaluation at d; the run stops once the max-norm
     residual is below tol. Each pass evaluates the full Newton step once,
-    clamped to the travel range [0, limit] of each joint. A step must
-    strictly lower the max-norm residual. The first step that does not, the
-    bold step, is taken anyway: the balance then has no interior root on
-    this side (the opening torque beats the spring), so the clamped step
-    reaches the bound and hands the joint back to the regime logic. A second
-    such step ends the loop. Progress must be strict because a clamped
-    active joint can hold the max norm fixed while a free joint steps back
-    and forth between two points; accepting equal norms would replay that
-    2-cycle for all MAX_INNER passes.
+    clamped to the travel range [0, limit] of each joint. A step must strictly
+    lower the max-norm residual. The first step that does not, the bold step,
+    is taken anyway: the balance then has no interior root on this side (the
+    opening torque beats the spring), so the clamped step reaches the bound
+    and hands the joint back to the regime logic. A second such step ends the
+    loop. Progress must be strict because a clamped active joint can hold the
+    max norm fixed while a free joint steps back and forth between two points;
+    accepting equal norms would replay that 2-cycle for all MAX_INNER passes.
 
     The jacobian comes from load.derivative (analytic, minus k on the
     diagonal) at the point the last step reached. A step that leaves d
@@ -308,18 +304,17 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
     return point
 
 
-def _active_set(load, d, regimes, k, a0, limits, tol=_INNER_TOL, point=None):
+def _active_set(load, d, point, regimes, k, a0, limits, tol=_INNER_TOL):
     """Active-set iteration from the given state, in place.
 
     Returns (point at d, outer passes, residual of the state it ends in).
-    point is the load-map point at d (evaluated here if None) and tol the
-    Newton runs' stop. Closed joints must enter at 0 and stopped joints at
-    their limit. The clamped Newton step keeps d in [0, limit], so a joint
-    flips to closed only at d == 0 and to its stop only at d == limit: a
-    flip needs no clamp, and the point at d stays valid.
+    point is the load-map point at d and tol the Newton runs' stop. Closed
+    joints must enter at 0 and stopped joints at their limit. The clamped
+    Newton step keeps d in [0, limit], so a joint flips to closed only at d ==
+    0 and to its stop only at d == limit: a flip needs no clamp, and the point
+    at d stays valid.
     """
     n = len(d)
-    point = load.evaluate(d) if point is None else point
     for outer in range(1, MAX_OUTER + 1):
         active = [i for i in range(n) if regimes[i] is Regime.ACTIVE]
         point = _newton_active(load, d, point, active, k, a0, limits, tol)
@@ -330,6 +325,12 @@ def _active_set(load, d, regimes, k, a0, limits, tol=_INNER_TOL, point=None):
     else:
         residual, _ = _scan(d, regimes, point[0], k, a0, limits)  # after the last flip
     return point, outer, residual
+
+
+def _check_force(f_cyl: float) -> None:
+    """Reject a negative, infinite or NaN cylinder force."""
+    if not (0.0 <= f_cyl < math.inf):
+        raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
 
 
 def _check_theta(config: MechanismConfig, theta: float) -> None:
@@ -372,7 +373,7 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
     force is ramped over a fixed ladder with the state carried between rungs,
     which follows the physical loading branch. Intermediate rungs are solved
     to _RUNG_TOL only, and each later rung starts from the point the last one
-    ended on, reweighed at its own force. The direct attempt is the one-rung
+    ended on, reweighed at its force. The direct attempt is the one-rung
     ladder. Returns a non-converged result with the last residual if every
     attempt exhausts its iteration budget; geometric infeasibility raises.
     Identical inputs give identical results.
@@ -412,9 +413,9 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
         regimes = list(regimes0)
         for rung in range(1, rungs + 1):
             rung_load = load if rung == rungs else _LoadMap(config, theta, f_cyl * rung / rungs)
-            point = rung_load.reweigh(point) if rung > 1 else None
-            point, outer, residual = _active_set(rung_load, d, regimes, k, a0, limits,
-                                                 _RUNG_TOL if rung < rungs else _INNER_TOL, point)
+            point = rung_load.evaluate(d) if rung == 1 else rung_load.reweigh(*point[1:])
+            point, outer, residual = _active_set(rung_load, d, point, regimes, k, a0, limits,
+                                                 _RUNG_TOL if rung < rungs else _INNER_TOL)
             iterations += outer
         # written so that a NaN residual stops the attempts
         if not residual >= RESIDUAL_TOL:
@@ -443,8 +444,7 @@ def brute_force_equilibrium(
         raise ConfigError("invalid config: " + "; ".join(violations))
     if not (grid_step > 0.0):
         raise ValueError(f"grid_step must be positive, got {grid_step}")
-    if not (0.0 <= f_cyl < math.inf):
-        raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
+    _check_force(f_cyl)
     _check_theta(config, theta)
 
     # node counts stay floats until checked: a tiny step makes them too large,

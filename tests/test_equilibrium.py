@@ -247,7 +247,7 @@ def test_single_joint_closed_form_balance():
     d = [0.0]
     regimes = [Regime.CLOSED]
     load = _ConstantLoad(0.15, 1)
-    _, _, residual = equilibrium._active_set(load, d, regimes, 1.0, 0.1, (0.3,))
+    _, _, residual = equilibrium._active_set(load, d, load.evaluate(d), regimes, 1.0, 0.1, (0.3,))
     assert d[0] == pytest.approx(0.05, abs=1e-11)
     assert regimes[0] is Regime.ACTIVE
     assert residual < equilibrium.RESIDUAL_TOL
@@ -258,7 +258,8 @@ def test_threshold_tie_stays_closed():
     d = [0.0]
     regimes = [Regime.CLOSED]
     load = _ConstantLoad(0.1, 1)  # k * preload = 1.0 * 0.1
-    _, outer, residual = equilibrium._active_set(load, d, regimes, 1.0, 0.1, (0.3,))
+    _, outer, residual = equilibrium._active_set(
+        load, d, load.evaluate(d), regimes, 1.0, 0.1, (0.3,))
     assert d[0] == 0.0
     assert regimes[0] is Regime.CLOSED
     assert (outer, residual) == (1, 0.0)
@@ -268,7 +269,7 @@ def test_end_stop_engages_under_excess_torque():
     d = [0.0]
     regimes = [Regime.CLOSED]
     load = _ConstantLoad(1.0, 1)  # spring tops out at 1.0*(0.1+0.3) = 0.4
-    _, _, residual = equilibrium._active_set(load, d, regimes, 1.0, 0.1, (0.3,))
+    _, _, residual = equilibrium._active_set(load, d, load.evaluate(d), regimes, 1.0, 0.1, (0.3,))
     assert d[0] == 0.3
     assert regimes[0] is Regime.END_STOP
     assert residual == 0.0
@@ -280,9 +281,9 @@ def test_zero_travel_joint_is_never_violated(regime):
     # it (0.05) leaves the joint where it is
     for torque in (0.5, 0.05):
         assert equilibrium._scan([0.0], [regime], (torque,), 1.0, 0.1, (0.0,)) == (0.0, None)
-        d, regimes = [0.0], [regime]
+        d, regimes, load = [0.0], [regime], _ConstantLoad(torque, 1)
         _, outer, residual = equilibrium._active_set(
-            _ConstantLoad(torque, 1), d, regimes, 1.0, 0.1, (0.0,))
+            load, d, load.evaluate(d), regimes, 1.0, 0.1, (0.0,))
         assert (d, regimes, outer, residual) == ([0.0], [regime], 1, 0.0)
 
 
@@ -310,9 +311,9 @@ def test_residual_is_read_after_the_last_flip(monkeypatch):
     # the one pass flips the active joint, pulled below its preload at d = 0,
     # to closed, where nothing is violated
     monkeypatch.setattr(equilibrium, "MAX_OUTER", 1)
-    d, regimes = [0.0], [Regime.ACTIVE]
+    d, regimes, load = [0.0], [Regime.ACTIVE], _ConstantLoad(0.05, 1)
     _, outer, residual = equilibrium._active_set(
-        _ConstantLoad(0.05, 1), d, regimes, 1.0, 0.1, (0.3,))
+        load, d, load.evaluate(d), regimes, 1.0, 0.1, (0.3,))
     assert (regimes, outer, residual) == ([Regime.CLOSED], 1, 0.0)
 
 
@@ -320,7 +321,8 @@ def test_end_stop_clamped_step_is_not_replayed(monkeypatch):
     calls = count_calls(monkeypatch, _ConstantLoad, "evaluate")
     d = [0.0]
     regimes = [Regime.CLOSED]
-    equilibrium._active_set(_ConstantLoad(1.0, 1), d, regimes, 1.0, 0.1, (0.3,))
+    load = _ConstantLoad(1.0, 1)
+    equilibrium._active_set(load, d, load.evaluate(d), regimes, 1.0, 0.1, (0.3,))
     assert regimes[0] is Regime.END_STOP
     # the closed state on entry and the one trial, clamped to the stop
     assert calls[0] <= 2
@@ -447,7 +449,7 @@ def test_reweighed_point_equals_an_evaluation(default_config):
         f1, f2 = (float(f) for f in rng.uniform(0.0, 220.0, size=2))
         point = equilibrium._LoadMap(default_config, theta, f1).evaluate(d)
         load = equilibrium._LoadMap(default_config, theta, f2)
-        assert load.reweigh(point) == load.evaluate(d)
+        assert load.reweigh(*point[1:]) == load.evaluate(d)
 
 
 def test_no_negative_zero_deflection(default_config):

@@ -1,21 +1,25 @@
 """Run the benchmark in alternating parent/change pairs and write BENCH_<pr>.json.
 
-Usage, from the repository root, with two checkouts that each hold src/ and
-bench/ (for example a `git archive` of the parent commit and this tree):
+Usage, with two checkouts that each hold BENCHMARK.json, src/ and bench/
+(the parent a `git clone` of the parent commit, so that its commit can be
+read; the change for example a copy of this tree):
 
     python3 tools/bench_pairs.py --parent ../parent --change . --pr N \\
         --change-note "what the change does" --claim solve_random:op_tail_ms
 
-For each workload and each of --pairs seeds it runs
-`python3 bench/run.py --workload W --seed S --seconds T --trace 0` once in
-each checkout, one run at a time: the parent goes first for odd seeds and
-the change for even ones. The output keeps the layout of BENCH_13.json:
-per workload and side the median, quartiles (inclusive method) and sorted
-runs of every end-to-end metric, failed over attempted ops, the pairs the
-change won (ties count for neither side) and the change of the medians in
-percent. Which way is better comes from the change's BENCHMARK.json.
---per-layer adds one `--trace 1` run per side for a workload. Standard
-library only; the runs print their progress to stderr.
+For each workload of the change's BENCHMARK.json and each of 10 seeds from
+--first-seed on, it runs `python3 bench/run.py --workload W --seed S
+--seconds T --trace 0` once in each checkout, T being the declared
+run_seconds, one run at a time: the parent goes first for odd seeds and the
+change for even ones. It writes BENCH_<pr>.json in the working directory,
+in the layout of BENCH_13.json: per workload and side the median, quartiles
+(inclusive method) and sorted runs of every end-to-end metric, failed over
+attempted ops, the pairs the change won (ties count for neither side) and
+the change of the medians in percent. Which way is better comes from
+BENCHMARK.json. --per-layer adds one `--trace 1` run per side for a
+workload. If BENCH_<pr>.json exists, the run is a repeat on other seeds:
+the file keeps its first run as "benchmark" and appends this one to
+"repeats". Standard library only; the runs print their progress to stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PAIRS = 10
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -81,26 +87,20 @@ def main() -> int:
     parser.add_argument("--change", type=Path, required=True, help="change checkout")
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
     parser.add_argument("--change-note", required=True, help="one line on what changed")
-    parser.add_argument("--parent-commit", help="default: git rev-parse in --parent")
-    parser.add_argument("--workloads", nargs="+",
-                        default=["solve_random", "sweep_study", "design_loop"])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--first-seed", type=int, default=2001)
     parser.add_argument("--claim", help="workload:metric the change claims to improve")
     parser.add_argument("--per-layer", metavar="WORKLOAD",
                         help="also one traced run per side of this workload")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json here")
     args = parser.parse_args()
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    seconds = args.seconds or declared["run_seconds"]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seconds = declared["run_seconds"]
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     sides = {"parent": args.parent, "change": args.change}
 
     workloads = {}
-    for workload in args.workloads:
+    for workload in (w["name"] for w in declared["workloads"]):
         results = {"parent": [], "change": []}
         for seed in seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -138,7 +138,7 @@ def main() -> int:
 
     report = {
         "change": args.change_note,
-        "parent_commit": args.parent_commit or git_commit(args.parent),
+        "parent_commit": git_commit(args.parent),
         "machine": machine(),
         "benchmark": {
             "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
@@ -164,7 +164,11 @@ def main() -> int:
             **{side: {name: round(m["value"], 4) for name, m in metrics.items()}
                for side, metrics in traced.items()},
         }
-    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out = Path(f"BENCH_{args.pr}.json")
+    if out.exists():
+        first = json.loads(out.read_text())
+        report = {**first, **report, "benchmark": first["benchmark"],
+                  "repeats": first.get("repeats", []) + [report["benchmark"]]}
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}" + (f"; {claimed}" if claimed else ""), file=sys.stderr)
     return 0
