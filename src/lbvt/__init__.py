@@ -27,17 +27,15 @@ from .chain import (
     joint_torques,
     l4_length,
     make_chain_state,
-    moment_geometry,
     open_lever,
 )
 from .config import load_config, save_config
 from .equilibrium import (
     brute_force_equilibrium,
-    potential_energy,
     solve_equilibrium,
     triggering_force,
 )
-from .linkage import actuator_length, jacobian, solve_closure
+from .linkage import actuator_length, jacobian
 from .model import (
     CalibrationError,
     ChainState,
@@ -45,7 +43,6 @@ from .model import (
     EquilibriumResult,
     GeometryError,
     GridSizeError,
-    LinkageState,
     MechanismConfig,
     NoTriggerError,
     Regime,

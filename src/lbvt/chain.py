@@ -9,14 +9,7 @@ closed shape, the non-negative deflections measure the opening.
 
 The tip force considered here is the effective tangential load of the knee
 lever: it acts at the chain tip, perpendicular to the knee-to-tip ray, so the
-knee torque is exactly tip force times lever length. gamma[k] is the signed
-angle from the joint-k-to-tip ray to that force direction, which makes
-
-    joint torque k = moment_arm[k] * sin(gamma[k]) * tip force
-
-an exact identity with the planar cross product. Note this geometric gamma is
-not in general the sum of a joint's own offset and opening angles; that closed
-form only holds for the last joint up to a constant.
+knee torque is exactly tip force times lever length.
 """
 
 from __future__ import annotations
@@ -85,46 +78,12 @@ def l4_length(config: MechanismConfig, deflection) -> float:
     return math.hypot(*tip)
 
 
-def tip_bearing(config: MechanismConfig, deflection) -> float:
-    """Polar angle of the tip seen from the knee joint, in the lower-leg frame."""
-    _, (x, y) = _geometry(config, _check_deflection(config, deflection))
-    return math.atan2(y, x)
-
-
 def closed_lever(config: MechanismConfig) -> float:
     return l4_length(config, (0.0,) * config.n_joints)
 
 
 def open_lever(config: MechanismConfig) -> float:
     return l4_length(config, config.joint_open_limit)
-
-
-def moment_geometry(
-    config: MechanismConfig, deflection
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-joint (moment arm, load angle) for the tangential tip force.
-
-    moment_arm[k] is the joint-k pivot to tip distance. gamma[k] is the signed
-    angle from that ray to the force direction (perpendicular of the
-    knee-to-tip ray), zero when the force is aligned with the ray, so that
-    each joint torque equals moment_arm[k] * sin(gamma[k]) * tip force.
-    """
-    d = _check_deflection(config, deflection)
-    pivots, tip = _geometry(config, d)
-    l4 = _lever(tip)
-    tx, ty = tip
-    fx, fy = -ty / l4, tx / l4  # unit force direction, +90 deg from the tip ray
-    arms = []
-    gammas = []
-    for px, py in pivots[:-1]:
-        rx, ry = tx - px, ty - py
-        r = math.hypot(rx, ry)
-        arms.append(r)
-        if r == 0.0:
-            gammas.append(0.0)
-        else:
-            gammas.append(math.atan2(rx * fy - ry * fx, rx * fx + ry * fy))
-    return tuple(arms), tuple(gammas)
 
 
 def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[float, ...]:

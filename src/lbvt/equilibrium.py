@@ -2,7 +2,7 @@
 
 The load path is: actuator force -> knee torque through the four-bar jacobian
 -> tangential tip force (torque over lever length) -> per-joint chain torques
-through the moment geometry. Each joint then obeys one of three regimes:
+through the chain geometry. Each joint then obeys one of three regimes:
 
   closed    deflection 0, applied torque at most the preload holding torque
   active    torque balance, spring torque k * (preload + deflection)
@@ -141,12 +141,6 @@ class _LoadMap:
 def _energy(k, a0, d):
     """Spring energy of joint openings d above the closed state; floats or equal-shape arrays."""
     return sum(0.5 * k * ((a0 + dk) ** 2 - a0 * a0) for dk in d)
-
-
-def potential_energy(config: MechanismConfig, deflection) -> float:
-    """Elastic energy stored by opening the chain, zero at the closed state."""
-    d = chain._check_deflection(config, deflection)
-    return _energy(per_joint_stiffness(config), config.alpha_preload, d)
 
 
 def _trigger_torque(config: MechanismConfig, theta: float) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .model import GeometryError, LinkageState, MechanismConfig, SingularityError
+from .model import GeometryError, MechanismConfig, SingularityError
 
 SINGULARITY_SIN = 1e-8  # |sin(input-coupler angle)| below this raises
 
@@ -130,16 +130,6 @@ def _checked_kernel(config: MechanismConfig, theta: float, l4: float):
     if not math.isfinite(l4):
         raise ValueError(f"l4 must be finite, got {l4}")
     return _closure_kernel(config, theta, l4)
-
-
-def solve_closure(config: MechanismConfig, theta: float, l4: float) -> LinkageState:
-    """Assemble the four-bar at one knee angle and lever length.
-
-    All four link-length constraints hold to better than 1e-10 m in the
-    returned state, assembled on the config's branch_sign side.
-    """
-    a, b, c, d, jac = _checked_kernel(config, theta, l4)
-    return LinkageState(joints=((0.0, 0.0), a, b, c), actuator_length=d, jacobian=jac)
 
 
 def actuator_length(config: MechanismConfig, theta: float, l4: float) -> float:

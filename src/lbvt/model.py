@@ -121,8 +121,7 @@ class ChainState:
     [0, joint_open_limit[k]]; regime[k] follows from it (0 is closed, the
     limit is the end stop). tip is the chain end point in the lower-leg
     frame, l4 its distance from the knee joint, diameter its distance from
-    the anchor. The per-joint moment geometry comes from
-    chain.moment_geometry.
+    the anchor.
     """
 
     deflection: tuple[float, ...]
@@ -130,22 +129,6 @@ class ChainState:
     tip: tuple[float, float]
     l4: float
     diameter: float
-
-
-@dataclass(frozen=True)
-class LinkageState:
-    """Solved four-bar closure at one knee angle and lever length.
-
-    joints holds the four pivot positions in the upper-leg frame:
-    (knee, ground pivot, input/coupler joint, lever tip). jacobian is the
-    derivative of actuator length with respect to the knee angle at fixed
-    lever length; knee torque is jacobian times actuator force. The
-    assembly branch is the config's branch_sign.
-    """
-
-    joints: tuple[tuple[float, float], ...]
-    actuator_length: float
-    jacobian: float
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import math
 import pytest
 
 import lbvt
-from lbvt import chain
 from lbvt.model import MechanismConfig
 
 THETA_88 = math.radians(-88.0)
@@ -12,8 +11,7 @@ THETA_88 = math.radians(-88.0)
 def _with_bearing(target_bearing_deg: float, **kw) -> MechanismConfig:
     """Build a config, choosing beta so the closed tip bearing hits the target."""
     probe = MechanismConfig(beta=0.0, **kw)
-    bearing0 = chain.tip_bearing(probe, (0.0,) * probe.n_joints)
-    return MechanismConfig(beta=math.radians(target_bearing_deg) - bearing0, **kw)
+    return MechanismConfig(beta=math.radians(target_bearing_deg) - probe.lever_bearing, **kw)
 
 
 _FOURBAR = dict(
@@ -45,18 +43,6 @@ def reduced_chain(n: int, alpha_preload: float = 0.10) -> MechanismConfig:
         phi=tuple(math.radians(p) for p in phi_deg),
         joint_open_limit=limits,
         alpha_preload=alpha_preload,
-        **_FOURBAR,
-    )
-
-
-def convex_chain() -> MechanismConfig:
-    """Gently curved six-joint chain whose pivots recede monotonically from the tip."""
-    return _with_bearing(
-        -5.0,
-        segments=(0.016,) * 6,
-        phi=tuple(math.radians(p) for p in (6.0, -7.0, -7.0, -7.0, -7.0, -7.0)),
-        joint_open_limit=(math.radians(6.0),) * 6,
-        alpha_preload=0.10,
         **_FOURBAR,
     )
 

@@ -23,6 +23,8 @@ def test_ladder_snaps_close_endpoint():
     xs = analysis.sample_ladder(-141.0, -39.5, 10.0)
     assert len(xs) == 11
     assert xs[-1] == -39.5 and xs[-2] == -51.0
+    # an end between 0.4 and 0.5 step past the last sample still snaps
+    assert analysis.sample_ladder(0.0, 1.45, 1.0) == [0.0, 1.45]
 
 
 def test_ladder_appends_far_endpoint():
@@ -320,13 +322,14 @@ def test_calibrate_rejects_an_invalid_config(base_config, update, message):
 
 
 def test_calibrate_reads_the_bearing_off_the_config(base_config, monkeypatch):
-    calls = count_calls(monkeypatch, chain, "tip_bearing")
+    # __post_init__ is the only place a bearing is computed: once, for the result
+    calls = count_calls(monkeypatch, MechanismConfig, "__post_init__")
     analysis.calibrate(base_config, 20.0, 0.40, THETA_88)
-    assert calls[0] == 0
+    assert calls[0] == 1
 
 
 def test_angle_sweep_reads_the_bearing_off_the_config(default_config, monkeypatch):
-    calls = count_calls(monkeypatch, chain, "tip_bearing")
+    calls = count_calls(monkeypatch, MechanismConfig, "__post_init__")
     table = analysis.sweep_torque_vs_angle(default_config, 165.0, default_config.theta_min,
                                            default_config.theta_max, math.radians(1.0))
     assert len(table) == 103
@@ -407,15 +410,20 @@ def test_calibrate_rejects_non_finite_arguments(base_config, name, bad):
         analysis.calibrate(base_config, **args)
 
 
-@pytest.mark.parametrize("theta_deg", [-170.0, 10.0])
+@pytest.mark.parametrize("theta", [
+    lambda cfg: math.radians(-170.0),
+    lambda cfg: math.radians(10.0),
+    lambda cfg: cfg.theta_min - 1e-8,
+    lambda cfg: cfg.theta_max + 1e-8,
+], ids=["-170.0", "10.0", "min-1e-8", "max+1e-8"])
 @pytest.mark.parametrize("call", [
     equilibrium.triggering_force,
     lambda cfg, theta: analysis.calibrate(cfg, 20.0, 0.40, theta),
     analysis.ratio_step_direct,
 ], ids=["triggering_force", "calibrate", "ratio_step_direct"])
-def test_knee_angle_outside_the_range_is_rejected(base_config, call, theta_deg):
+def test_knee_angle_outside_the_range_is_rejected(base_config, call, theta):
     with pytest.raises(ValueError, match="outside the configured range"):
-        call(base_config, math.radians(theta_deg))
+        call(base_config, theta(base_config))
 
 
 def test_calibrated_output_validates(base_config):

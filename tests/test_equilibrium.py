@@ -7,7 +7,6 @@ import pytest
 from lbvt import analysis, chain, equilibrium, linkage
 from lbvt.equilibrium import (
     brute_force_equilibrium,
-    potential_energy,
     solve_equilibrium,
     triggering_force,
 )
@@ -521,14 +520,18 @@ def test_monotone_loading_at_minus_88(default_config):
         prev_l4, prev_t = res.chain.l4, res.kfe_torque
 
 
+def _energy(config, d):
+    return equilibrium._energy(per_joint_stiffness(config), config.alpha_preload, d)
+
+
 def test_potential_energy_reference_zero(default_config):
-    assert potential_energy(default_config, (0.0,) * 6) == 0.0
+    assert _energy(default_config, (0.0,) * 6) == 0.0
 
 
 def test_potential_energy_single_joint_value():
     cfg = reduced_chain(1).with_updates(
         springs_per_joint=1, k_spring=1.0, alpha_preload=0.1)
-    assert potential_energy(cfg, (0.05,)) == pytest.approx(6.25e-3, abs=1e-15)
+    assert _energy(cfg, (0.05,)) == pytest.approx(6.25e-3, abs=1e-15)
 
 
 def test_potential_energy_increasing_in_each_joint(default_config):
@@ -536,16 +539,11 @@ def test_potential_energy_increasing_in_each_joint(default_config):
     h = 1e-7
     for _ in range(50):
         d = [rng.uniform(0.0, 0.9 * lim) for lim in default_config.joint_open_limit]
-        e0 = potential_energy(default_config, d)
+        e0 = _energy(default_config, d)
         for j in range(6):
             up = list(d)
             up[j] += h
-            assert potential_energy(default_config, up) > e0
-
-
-def test_potential_energy_domain(default_config):
-    with pytest.raises(ValueError):
-        potential_energy(default_config, (-0.01,) + (0.0,) * 5)
+            assert _energy(default_config, up) > e0
 
 
 def test_virtual_work_consistency():
@@ -563,8 +561,7 @@ def test_virtual_work_consistency():
             f0 = float(f)
             break
     assert f0 is not None, "no stable interior-active window found"
-    de = (potential_energy(cfg, hi.chain.deflection)
-          - potential_energy(cfg, lo.chain.deflection)) / (2.0 * h)
+    de = (_energy(cfg, hi.chain.deflection) - _energy(cfg, lo.chain.deflection)) / (2.0 * h)
     torques = chain.joint_torques(cfg, mid.chain.deflection, mid.tip_force)
     dd = [(a - b) / (2.0 * h) for a, b in zip(hi.chain.deflection, lo.chain.deflection)]
     applied_power = sum(t * v for t, v in zip(torques, dd))

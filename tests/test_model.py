@@ -280,7 +280,8 @@ def test_config_is_immutable(default_config):
 
 
 def _closed_tip_bearing(config):
-    return chain.tip_bearing(config, (0.0,) * config.n_joints)
+    x, y = chain.make_chain_state(config, (0.0,) * config.n_joints).tip
+    return math.atan2(y, x)
 
 
 def test_lever_bearing_is_the_closed_tip_bearing(default_config, base_config):
