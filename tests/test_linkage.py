@@ -205,6 +205,15 @@ def test_open_lever_torque_exceeds_closed_at_165(default_config):
     (THETA_88, math.nan, "l4"),
     (THETA_88, math.inf, "l4"),
 ], ids=["theta-nan", "theta-inf", "l4-nan", "l4-inf"])
+def test_closure_rejects_non_finite_inputs(default_config, theta, l4, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        linkage._checked_kernel(default_config, theta, l4)
+
+
+@pytest.mark.parametrize("theta, l4, name", [
+    (math.nan, 0.1, "theta"),
+    (THETA_88, math.inf, "l4"),
+], ids=["theta-nan", "l4-inf"])
 @pytest.mark.parametrize("read", [
     linkage.actuator_length,
     linkage.jacobian,
