@@ -54,14 +54,14 @@ def _geometry(config: MechanismConfig, d, xp=math):
 
 
 def _torques(pivots, tip, scale):
-    """scale * (tip - pivot) . tip for each joint pivot, floats or arrays.
+    """scale * (tip - pivot) . tip for each joint pivot, floats or arrays, as a list.
 
     A tip force f_end along perp(tip) / |tip| exerts exactly these torques
     with scale = f_end / |tip|: the planar cross product of (tip - pivot)
     with the force, positive toward opening.
     """
     tx, ty = tip
-    return tuple(scale * ((tx - px) * tx + (ty - py) * ty) for px, py in pivots[:-1])
+    return [scale * ((tx - px) * tx + (ty - py) * ty) for px, py in pivots[:-1]]
 
 
 def _lever(tip) -> float:
@@ -96,7 +96,7 @@ def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[fl
         raise ValueError(f"f_end must be finite, got {f_end}")
     d = _check_deflection(config, deflection)
     pivots, tip = _geometry(config, d)
-    return _torques(pivots, tip, f_end / _lever(tip))
+    return tuple(_torques(pivots, tip, f_end / _lever(tip)))
 
 
 def _regimes(d, limits) -> tuple[Regime, ...]:

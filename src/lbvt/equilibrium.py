@@ -32,13 +32,15 @@ the run, as does a step that would leave the deflections unchanged. A
 singular Newton system takes the spring-dominated step -r/k instead. A
 non-finite applied torque makes the residual NaN, so such a solve is reported
 as not converged. The direct attempt from the closed state is the one-rung
-case of the continuation ladder, so both run the same loop. An intermediate
-rung stops its Newton runs at _RUNG_TOL, and the next starts from its point
-reweighed at the next force (_LoadMap.reweigh). A caller that holds a
-converged state of the same config (a sweep's previous sample) may pass it as
-start: one more one-rung attempt then runs from that state first, and the two
-attempts from closed follow only if it fails. That start is clamped to the
-travel limits once, when its attempt is built.
+case of the continuation ladder, so both run the same loop. The ladder's
+first rung starts from the closed-state point the direct attempt evaluated,
+reweighed at its force, so a solve evaluates the closed state once. An
+intermediate rung stops its Newton runs at _RUNG_TOL, and the next starts
+from its point reweighed at the next force (_LoadMap.reweigh). A caller
+that holds a converged state of the same config (a sweep's previous sample)
+may pass it as start: one more one-rung attempt then runs from that state
+first, and the two attempts from closed follow only if it fails. That start
+is clamped to the travel limits once, when its attempt is built.
 
 brute_force_equilibrium is the independent check: it minimizes elastic energy
 minus the work fed into the chain over an exhaustive deflection grid, with
@@ -101,7 +103,7 @@ class _LoadMap:
         pivots, tip = chain._geometry(cfg, d, xp)
         l4 = xp.hypot(*tip)
         _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, xp)
-        return self.reweigh(l4, jac, pivots)
+        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
 
     def reweigh(self, l4, jac, pivots):
         """The point with this geometry under this map's force: only the torques depend on it."""
@@ -132,7 +134,7 @@ class _LoadMap:
         for a, (wix, wiy) in enumerate(w):
             g = ds * (wix * tx + wiy * ty)
             rows.append([
-                g * c[b] + scale * (c[max(a, b)] + wjx * wiy - wjy * wix)
+                g * c[b] + scale * (c[a if a > b else b] + wjx * wiy - wjy * wix)
                 for b, (wjx, wjy) in enumerate(w)
             ])
         return rows
@@ -182,24 +184,22 @@ def _scan(d, regimes, torques, k, a0, limits):
     """
     if not all(map(math.isfinite, torques)):
         return math.nan, None
+    closed, active, stop = Regime.CLOSED, Regime.ACTIVE, Regime.END_STOP
     hold = k * a0
     residual = worst = 0.0
     flip = None
-    for i in range(len(d)):
-        lim = limits[i]
+    for i, (di, reg, a, lim) in enumerate(zip(d, regimes, torques, limits)):
         if not lim > 0.0:
             continue
-        a = torques[i]
-        reg = regimes[i]
-        if reg is Regime.CLOSED:
-            e, to = a - hold, Regime.ACTIVE
-        elif reg is Regime.END_STOP:
-            e, to = k * (a0 + lim) - a, Regime.ACTIVE
+        if reg is closed:
+            e, to = a - hold, active
+        elif reg is stop:
+            e, to = k * (a0 + lim) - a, active
         else:
-            r = a - k * (a0 + d[i])
+            r = a - k * (a0 + di)
             e = abs(r)
-            to = (Regime.CLOSED if r < 0.0 and d[i] <= 0.0
-                  else Regime.END_STOP if r > 0.0 and d[i] >= lim else None)
+            to = (closed if r < 0.0 and di <= 0.0
+                  else stop if r > 0.0 and di >= lim else None)
         if e > residual:
             residual = e
         if e > worst and to is not None:
@@ -227,7 +227,11 @@ def _solve_small(jac, r):
         ]
     rows = [row + [-x] for row, x in zip(jac, r)]  # augmented, so jac is not changed
     for c in range(m):
-        p = max(range(c, m), key=lambda i: abs(rows[i][c]))
+        p, best = c, abs(rows[c][c])
+        for i in range(c + 1, m):  # the first largest wins, as with max
+            v = abs(rows[i][c])
+            if v > best:
+                p, best = i, v
         if rows[p][c] == 0.0:
             return None
         rows[c], rows[p] = rows[p], rows[c]
@@ -265,12 +269,9 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
     """
     if not active:
         return point
-
-    def residual(torques, vec):
-        return [torques[i] - k * (a0 + vec[i]) for i in active]
-
-    r = residual(point[0], d)
-    norm = max(abs(x) for x in r)
+    torques = point[0]
+    r = [torques[i] - k * (a0 + d[i]) for i in active]
+    norm = max(map(abs, r))
     bold_used = False
     for _ in range(MAX_INNER):
         if norm < tol:
@@ -282,13 +283,21 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
         if step is None:
             step = [-x / k for x in r]  # singular: the spring-dominated step
         trial = list(d)
-        for idx, j in enumerate(active):
-            trial[j] = min(max(d[j] + step[idx], 0.0), limits[j])
+        for j, s in zip(active, step):
+            # min(max(x, 0.0), lim) as max and min take it: NaN and -0.0 stay
+            x = d[j] + s
+            if x < 0.0:
+                x = 0.0
+            lim = limits[j]
+            if x > lim:
+                x = lim
+            trial[j] = x
         if trial == d:
             break  # stalled: every later pass would replay this step
         trial_point = load.evaluate(trial)
-        r_trial = residual(trial_point[0], trial)
-        norm_trial = max(abs(x) for x in r_trial)
+        torques = trial_point[0]
+        r_trial = [torques[i] - k * (a0 + trial[i]) for i in active]
+        norm_trial = max(map(abs, r_trial))
         if not norm_trial < norm:
             if bold_used:
                 break
@@ -389,25 +398,33 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
     a0 = config.alpha_preload
     limits = config.joint_open_limit
 
-    # (deflections, regimes, rungs) per attempt; the ladder only helps under load
-    closed = ((0.0,) * n, (Regime.CLOSED,) * n)
-    attempts = [(*closed, 1)]
+    # (start deflections, None for the closed state, and rungs) per attempt;
+    # the ladder only helps under load
+    attempts = [(None, 1)]
     if f_cyl > 0.0:
-        attempts.append((*closed, _CONTINUATION_RUNGS))
+        attempts.append((None, _CONTINUATION_RUNGS))
     if start is not None:
         # clamped once, for a deflection within the check's slack past its limit
         d0 = [min(max(0.0, x), lim)
               for x, lim in zip(chain._check_deflection(config, start.deflection), limits)]
-        attempts.insert(0, (d0, chain._regimes(d0, limits), 1))
+        attempts.insert(0, (d0, 1))
 
     load = _LoadMap(config, theta, f_cyl)
     iterations = 0
-    for d0, regimes0, rungs in attempts:
-        d = list(d0)
-        regimes = list(regimes0)
+    closed_point = None  # evaluated by the direct attempt, reweighed by the ladder
+    for d0, rungs in attempts:
+        if d0 is None:
+            d, regimes = [0.0] * n, [Regime.CLOSED] * n
+            if closed_point is None:
+                closed_point = load.evaluate(d)
+            point = closed_point
+        else:
+            d, regimes = d0, list(chain._regimes(d0, limits))
+            point = load.evaluate(d)
         for rung in range(1, rungs + 1):
             rung_load = load if rung == rungs else _LoadMap(config, theta, f_cyl * rung / rungs)
-            point = rung_load.evaluate(d) if rung == 1 else rung_load.reweigh(*point[1:])
+            if rungs > 1:
+                point = rung_load.reweigh(*point[1:])
             point, outer, residual = _active_set(rung_load, d, point, regimes, k, a0, limits,
                                                  _RUNG_TOL if rung < rungs else _INNER_TOL)
             iterations += outer

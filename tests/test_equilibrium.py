@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -387,6 +388,29 @@ def test_step_that_keeps_the_residual_counts_as_rising(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "load, start, end",
+    [(_ConstantLoad(1.0, 1), 0.0, 0.3), (_ConstantLoad(0.05, 1), 0.2, 0.0)],
+    ids=["past-limit", "below-zero"],
+)
+def test_newton_step_is_clamped_to_the_travel_range(load, start, end):
+    # k = 1, a0 = 0.1, limit 0.3: the full step from start overshoots the range
+    # and lands exactly on its end, +0.0 at the closed end
+    d = [start]
+    equilibrium._newton_active(load, d, load.evaluate(d), [0], 1.0, 0.1, (0.3,))
+    assert d == [end]
+    assert math.copysign(1.0, d[0]) == 1.0
+
+
+def test_nan_newton_step_is_not_clamped():
+    # a NaN torque makes a NaN step, and min(max(x, 0.0), lim) keeps it NaN
+    # instead of landing it on a bound
+    load = _ConstantLoad(math.nan, 1)
+    d = [0.0]
+    equilibrium._newton_active(load, d, load.evaluate(d), [0], 1.0, 0.1, (0.3,))
+    assert math.isnan(d[0])
+
+
+@pytest.mark.parametrize(
     "force, bound", [(5.0, 1), (30.0, 8), (60.0, 6), (165.0, 45)],
     ids=["5N", "30N", "60N", "165N"],
 )
@@ -406,8 +430,9 @@ def _criterion_7_inputs(config, count):
 
 
 def test_load_evaluations_on_random_inputs(default_config, monkeypatch):
-    # 15.2 evaluations on average, 46 evaluations and 51 jacobians at most
-    # when measured (21.2, 66 and 64 when the ladder's intermediate rungs were
+    # 14.9 evaluations on average, 45 evaluations and 51 jacobians at most
+    # when measured (15.2 and 46 evaluations when the ladder evaluated the
+    # closed state again; 21.2, 66 and 64 when its intermediate rungs were
     # solved to _INNER_TOL and each re-evaluated its start); accepting steps
     # that keep the residual took 99 jacobians
     evaluations = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
@@ -418,8 +443,8 @@ def test_load_evaluations_on_random_inputs(default_config, monkeypatch):
         solve_equilibrium(default_config, theta, f)
         per_evaluations.append(evaluations[0] - before[0])
         per_jacobians.append(jacobians[0] - before[1])
-    assert sum(per_evaluations) / len(per_evaluations) <= 17.0
-    assert max(per_evaluations) <= 50
+    assert sum(per_evaluations) / len(per_evaluations) <= 16.0
+    assert max(per_evaluations) <= 48
     assert max(per_jacobians) <= 55
 
 
@@ -449,6 +474,27 @@ def test_reweighed_point_equals_an_evaluation(default_config):
         point = equilibrium._LoadMap(default_config, theta, f1).evaluate(d)
         load = equilibrium._LoadMap(default_config, theta, f2)
         assert load.reweigh(*point[1:]) == load.evaluate(d)
+
+
+# SHA-256 of the solves in test_solve_results_match_the_pinned_digest,
+# recorded on x86-64 Linux with CPython 3.11. A change that is meant to keep
+# every answer bit for bit must leave it as it is; one that changes answers
+# regenerates it and says so.
+SOLVE_DIGEST = "16f3ab9ff615ddd2a7ef8d22986a99f5cb565f56d5cc8d4dfd5bf064068fea04"
+
+
+def test_solve_results_match_the_pinned_digest(default_config, base_config):
+    # 300 inputs of criterion 7 per shipped config, then the -88 deg probes
+    # past the stops, far past them (unconverged) and at a NaN force
+    digest = hashlib.sha256()
+    for config in (default_config, base_config):
+        inputs = [*_criterion_7_inputs(config, 300), (THETA_88, 165.0), (THETA_88, 1e6),
+                  (THETA_88, math.nan)]
+        for theta, f in inputs:
+            res = solve_equilibrium(config, theta, f)
+            digest.update(repr((res.chain.deflection, res.chain.regime, res.transmission_ratio,
+                                res.converged, res.residual, res.iterations)).encode())
+    assert digest.hexdigest() == SOLVE_DIGEST
 
 
 def test_no_negative_zero_deflection(default_config):
