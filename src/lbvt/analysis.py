@@ -2,19 +2,22 @@
 
 Sweeps sample a closed ladder from the range start: start + k*step while it
 fits, then the range end is snapped onto the last sample when it lands within
-half a step, appended otherwise. Angle sweeps record the knee angle in
-degrees (the presentation unit); everything else is SI. Every sweep solves
-its samples in order, one row per sample, and each sample's solve starts
-from the last converged state of the sweep (a quasi-static loading path
-moves in small steps), falling back to the closed-state attempts when that
-warm start does not converge. A sample whose closure cannot assemble
-(GeometryError) or whose solve did not converge is kept as a row with NaN
-values, regimes "-" and feasible 0, and leaves the carried state as it was.
+half a step, appended otherwise; a range shorter than one step yields only
+its start. Angle sweeps record the knee angle in degrees (the presentation
+unit); everything else is SI. Every sweep solves its samples in order, one
+row per sample, and each sample's solve starts from the last converged state
+of the sweep (a quasi-static loading path moves in small steps), falling back
+to the closed-state attempts when that warm start does not converge. A
+sample whose closure cannot assemble (GeometryError) or whose solve did not
+converge is kept as a row with NaN values, regimes "-" and feasible 0, and
+leaves the carried state as it was.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import math
 
 from . import chain, equilibrium, linkage
@@ -29,10 +32,12 @@ MAX_SAMPLES = 1_000_000  # per ladder; a sweep solves each sample, so more is a 
 def sample_ladder(start: float, stop: float, step: float) -> list[float]:
     """Sweep abscissae: start + k*step, end snapped or appended; stop >= start.
 
-    A ladder of more than MAX_SAMPLES samples raises ValueError naming its size.
+    A range shorter than one step yields only its start. A step that is not
+    positive and finite, or a ladder of more than MAX_SAMPLES samples, raises
+    ValueError naming it.
     """
-    if not (step > 0.0):
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     for name, value in (("start", start), ("stop", stop)):
         if not math.isfinite(value):
             raise ValueError(f"range {name} must be finite, got {value}")
@@ -294,45 +299,43 @@ def calibrate(
     return cfg
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        if any(ch in value for ch in ',"\n'):
-            return '"' + value.replace('"', '""') + '"'
-        return value
-    return format(float(value), ".9g")
-
-
-def emit_csv(table: SweepTable, destination) -> int:
-    """Write the table as CSV (9 significant digits, LF endings); returns bytes written."""
-    if len(table) == 0:
-        raise ValueError("refusing to emit an empty sweep table")
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
+def _write(destination, text: str) -> int:
+    """Write text as UTF-8 bytes; returns the number of bytes written."""
+    payload = text.encode("utf-8")
     with open(destination, "wb") as fh:
         fh.write(payload)
     return len(payload)
 
 
+def emit_csv(table: SweepTable, destination) -> int:
+    """Write the table as CSV (9 significant digits, LF endings); returns bytes written.
+
+    A string cell holding a comma, a double quote or a line break is quoted.
+    """
+    if len(table) == 0:
+        raise ValueError("refusing to emit an empty sweep table")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows(
+        [v if isinstance(v, str) else format(float(v), ".9g") for v in row]
+        for row in table.rows
+    )
+    return _write(destination, buf.getvalue())
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def read_csv(path) -> SweepTable:
-    """Parse a table previously written by emit_csv (test and demo helper)."""
+    """Parse a table written by emit_csv; cells that read as numbers become floats."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    columns = tuple(lines[0].split(","))
-    rows = []
-    for line in lines[1:]:
-        cells = []
-        for cell in line.split(","):
-            try:
-                cells.append(float(cell))
-            except ValueError:
-                cells.append(cell)
-        rows.append(tuple(cells))
-    return SweepTable(columns=columns, rows=rows)
+        columns, *rows = csv.reader(fh)
+    return SweepTable(columns=columns, rows=[map(_cell, row) for row in rows])
 
 
 _PALETTE = ("#1f6fb4", "#d1495b", "#2e8b57", "#b8860b", "#6a5acd", "#444444")
@@ -342,22 +345,24 @@ _TICKS = 5  # target tick count per axis
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Multiples k*step of a 1-2-5 step in [lo, hi]; hi > lo."""
     span = hi - lo
-    if span <= 0.0:
-        return [lo]
     raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
-    return ticks
+    step = next((m * mag for m in (1.0, 2.0, 5.0) if raw <= m * mag), 10.0 * mag)
+    # the integer range is fixed up front, so a step below the ulp of lo cannot stall it
+    return [k * step for k in range(math.ceil(lo / step),
+                                    math.floor((hi + 1e-9 * span) / step) + 1)]
+
+
+def _tick(x1, y1, x2, y2, tx, ty, anchor, value) -> list[str]:
+    """The mark from (x1, y1) to (x2, y2) and the label at (tx, ty) of one axis tick."""
+    return [
+        f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+        f'y2="{y2:.2f}" stroke="#333333" stroke-width="1"/>',
+        f'<text x="{tx:.2f}" y="{ty:.2f}" font-family="sans-serif" '
+        f'font-size="11" text-anchor="{anchor}">{value:.6g}</text>',
+    ]
 
 
 def emit_svg_plot(table: SweepTable, y_columns, destination) -> int:
@@ -386,12 +391,8 @@ def emit_svg_plot(table: SweepTable, y_columns, destination) -> int:
     y_lo, y_hi = min(finite_y), max(finite_y)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        pad = max(abs(y_lo) * 0.1, 1.0)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    else:
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    pad = max(abs(y_lo) * 0.1, 1.0) if y_hi == y_lo else 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
     def sx(x: float) -> float:
         return ml + (x - x_lo) / (x_hi - x_lo) * pw
@@ -410,24 +411,10 @@ def emit_svg_plot(table: SweepTable, y_columns, destination) -> int:
 
     for t in _nice_ticks(x_lo, x_hi):
         px = sx(t)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{mt + ph:.2f}" x2="{px:.2f}" '
-            f'y2="{mt + ph + 5:.2f}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{mt + ph + 18:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{t:.6g}</text>'
-        )
+        parts += _tick(px, mt + ph, px, mt + ph + 5, px, mt + ph + 18, "middle", t)
     for t in _nice_ticks(y_lo, y_hi):
         py = sy(t)
-        parts.append(
-            f'<line x1="{ml - 5:.2f}" y1="{py:.2f}" x2="{ml:.2f}" '
-            f'y2="{py:.2f}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 8:.2f}" y="{py + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{t:.6g}</text>'
-        )
+        parts += _tick(ml - 5, py, ml, py, ml - 8, py + 4, "end", t)
 
     parts.append(
         f'<text x="{ml + pw / 2:.2f}" y="{height - 12:.2f}" font-family="sans-serif" '
@@ -462,7 +449,4 @@ def emit_svg_plot(table: SweepTable, y_columns, destination) -> int:
         )
 
     parts.append("</svg>")
-    payload = ("\n".join(parts) + "\n").encode("utf-8")
-    with open(destination, "wb") as fh:
-        fh.write(payload)
-    return len(payload)
+    return _write(destination, "\n".join(parts) + "\n")

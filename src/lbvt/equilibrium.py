@@ -29,9 +29,10 @@ next residual, the pivots of the next jacobian and, at the end, the geometry
 of the result. A Newton step must strictly lower the max-norm residual; the
 first one that does not is still taken (the bold step) and a second one ends
 the run, as does a step that would leave the deflections unchanged. A
-singular Newton system takes the spring-dominated step -r/k instead. A
-non-finite applied torque makes the residual NaN, so such a solve is reported
-as not converged. The direct attempt from the closed state is the one-rung
+singular Newton system takes the step r/k instead, the Newton step with the
+load held fixed (jacobian -k, residual r = a - k(a0 + d)). A non-finite
+applied torque makes the residual NaN, so such a solve is reported as not
+converged. The direct attempt from the closed state is the one-rung
 case of the continuation ladder, so both run the same loop. The ladder's
 first rung starts from the closed-state point the direct attempt evaluated,
 reweighed at its force, so a solve evaluates the closed state once. An
@@ -281,7 +282,7 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
             row[i] -= k
         step = _solve_small(jac, r)
         if step is None:
-            step = [-x / k for x in r]  # singular: the spring-dominated step
+            step = [x / k for x in r]  # singular: the step with the load held, jac = -k
         trial = list(d)
         for j, s in zip(active, step):
             # min(max(x, 0.0), lim) as max and min take it: NaN and -0.0 stay

@@ -50,6 +50,13 @@ def test_ladder_rejects_non_finite_range(start, stop, bad):
         analysis.sample_ladder(start, stop, 0.5)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_ladder_rejects_a_step_that_is_not_positive_and_finite(step):
+    # an infinite step would sample start + 0 * inf, a NaN abscissa
+    with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}"):
+        analysis.sample_ladder(0.0, 200.0, step)
+
+
 @pytest.mark.parametrize("step, samples", [(1e-4, "2000001"), (5e-324, "inf")])
 def test_ladder_rejects_too_many_samples(step, samples):
     with pytest.raises(ValueError, match=f"asks for {samples} samples"):
@@ -160,6 +167,12 @@ def test_force_sweep_amplifies_above_threshold(default_config):
         if f < trigger:
             assert tl == pytest.approx(tr, abs=1e-12)
     assert lbvt[-1] > rigid[-1]
+
+
+@pytest.mark.parametrize("sweep", ["sweep_trigger", "sweep_torque_vs_force", "sweep_ratio_vs_force"])
+def test_force_sweep_rejects_a_negative_start(default_config, sweep):
+    with pytest.raises(ValueError, match="force range must be non-negative, got start -1.0"):
+        getattr(analysis, sweep)(default_config, THETA_88, -1.0, 10.0, 1.0)
 
 
 def test_force_sweep_single_record(default_config):
@@ -275,6 +288,13 @@ def test_ratio_step_requires_saturation(default_config):
         analysis.ratio_step_from_sweep(table)
 
 
+def test_ratio_step_requires_a_closed_record(default_config):
+    # every joint holds closed only below the 20 N trigger
+    table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 25.0, 200.0, 25.0)
+    with pytest.raises(ValueError, match="no fully-closed record"):
+        analysis.ratio_step_from_sweep(table)
+
+
 def test_ratio_step_skips_infeasible_rows(default_config, monkeypatch):
     table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 200.0, 2.0)
     _fail_every_solve(monkeypatch, default_config)
@@ -386,6 +406,15 @@ def test_calibrate_unreachable_trigger_reports_the_last_preload(base_config):
         analysis.calibrate(base_config, 1e30, 0.40, THETA_88)
 
 
+def test_bisection_that_does_not_settle_reports_its_bracket():
+    # a jump across the target: no midpoint lands within tol of it
+    def jump(x):
+        return 0.0 if x < 0.5 else 1.0
+
+    with pytest.raises(CalibrationError, match=r"^unsettled within 0\.1: \[0\.4999\d*, 0\.5\]$"):
+        analysis._bisect(jump, 0.5, 1.0, 0.1, "unsettled within {tol}: [{lo}, {hi}]")
+
+
 def test_calibrate_rejects_a_preload_past_one_turn(base_config):
     # the doublings reach the target, but the preload it takes is about 4.7e17 rad
     with pytest.raises(CalibrationError,
@@ -471,6 +500,15 @@ def test_csv_round_trip(default_config, tmp_path):
                 assert float(vb) == pytest.approx(va, rel=1e-8, abs=1e-12)
 
 
+def test_csv_round_trips_string_cells_that_need_quoting(tmp_path):
+    table = SweepTable(columns=("x (s)", "note (-)"),
+                       rows=[(1.0, "a,b"), (2.0, 'say "hi"'), (3.0, "two\nlines")])
+    out = tmp_path / "quoted.csv"
+    analysis.emit_csv(table, out)
+    assert out.read_bytes() == b'x (s),note (-)\n1,"a,b"\n2,"say ""hi"""\n3,"two\nlines"\n'
+    assert analysis.read_csv(out) == table
+
+
 def test_csv_rejects_empty_table(tmp_path):
     with pytest.raises(ValueError):
         analysis.emit_csv(SweepTable(columns=("x (s)",)), tmp_path / "no.csv")
@@ -507,6 +545,15 @@ def test_svg_needs_two_records(tmp_path):
     table = SweepTable(columns=("x (s)", "y (m)"), rows=[(0.0, 1.0)])
     with pytest.raises(ValueError):
         analysis.emit_svg_plot(table, ["y (m)"], tmp_path / "x.svg")
+
+
+def test_svg_pads_an_axis_with_one_finite_value(tmp_path):
+    # the infinite abscissa is skipped, so x spans one value and y one value:
+    # both axes are padded about it, which puts the point mid-plot
+    table = SweepTable(columns=("x (s)", "y (m)"), rows=[(1.0, 5.0), (math.inf, 5.0)])
+    out = tmp_path / "x.svg"
+    analysis.emit_svg_plot(table, ["y (m)"], out)
+    assert '<polyline points="388.00,224.00" ' in out.read_text()
 
 
 def test_trigger_plot_renders_plateau(default_config, tmp_path):

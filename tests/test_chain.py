@@ -130,6 +130,12 @@ def test_joint_torques_zero_force(default_config):
     assert chain.joint_torques(default_config, (0.0,) * 6, 0.0) == (0.0,) * 6
 
 
+@pytest.mark.parametrize("f_end", [math.nan, math.inf, -math.inf])
+def test_joint_torques_reject_a_non_finite_force(default_config, f_end):
+    with pytest.raises(ValueError, match=f"f_end must be finite, got {f_end}"):
+        chain.joint_torques(default_config, (0.0,) * 6, f_end)
+
+
 def test_joint_torques_linear_in_force(default_config):
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -276,6 +278,20 @@ def test_ratio_subcommand(tmp_path):
     assert "ratio (m)" in header and "ratio_rigid (m)" in header
 
 
+def test_plot_of_a_constant_series_is_padded_about_it(tmp_path):
+    # below the 20 N trigger the ratio and the rigid ratio are one constant,
+    # so the y axis is padded by 1 on each side and both lines run mid-plot
+    svg = tmp_path / "ratio.svg"
+    code = run(["ratio", DEFAULT, "--theta", "-88", "--to", "10",
+                "--out", str(tmp_path / "ratio.csv"), "--plot", str(svg)])
+    assert code == 0
+    text = svg.read_text()
+    points = re.findall(r'<polyline points="([^"]*)"', text)
+    assert len(points) == 2
+    assert {p.split(",")[1] for line in points for p in line.split()} == {"224.00"}
+    assert re.findall(r'text-anchor="end">([^<]*)<', text) == ["-0.5", "0", "0.5", "1"]
+
+
 def test_failed_sweep_rows_fail_the_command(tmp_path, capsys, monkeypatch):
     # above 20 N every solve comes back unconverged: those rows are written
     # as failure rows, and the exit code reports them
@@ -352,6 +368,19 @@ def test_oversized_sweep_ladder_fails_cleanly(tmp_path, capsys):
     assert run(["ratio", DEFAULT, "--theta", "-88", "--step", "5e-324", "--out", str(out)]) == 1
     assert "lbvt ratio: step 5e-324 over [0.0, 200.0] asks for inf samples" in (
         capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("sweep-force", ["--theta", "-88"]),
+    ("sweep-angle", ["--force", "165"]),
+])
+def test_non_finite_sweep_step_fails_cleanly(tmp_path, capsys, command, args):
+    # rejected before any solve: the first sample would be start + 0 * inf, NaN
+    out = tmp_path / "sweep.csv"
+    assert run([command, DEFAULT, *args, "--step", "inf", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"lbvt {command}: step must be positive and finite, got inf\n")
     assert not out.exists()
 
 
@@ -651,6 +680,25 @@ def test_module_entry_point_exit_codes():
                           env=_src_env(), capture_output=True, text=True)
     assert bare.returncode == 2 and bare.stdout == ""
     assert bare.stderr.startswith("usage: lbvt ")
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_plot_with_a_tick_step_below_half_an_ulp_finishes(tmp_path):
+    # the force axis spans one ulp at 100 N, so its tick step (5e-15) is below
+    # half an ulp of every tick: ticks must be multiples of the step, since
+    # adding the step to the last tick would never reach the axis end. A
+    # child process with a memory cap and a timeout keeps a regression cheap.
+    svg = tmp_path / "h.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lbvt", "ratio", DEFAULT, "--theta", "-88",
+         "--from", "100", "--to", "100.00000000000001", "--step", "1e-14",
+         "--out", str(tmp_path / "h.csv"), "--plot", str(svg)],
+        env=_src_env(), capture_output=True, text=True, timeout=10, preexec_fn=_cap_memory)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert svg.read_text().endswith("</svg>\n")
 
 
 def test_library_import_loads_no_cli_or_optional_modules():

@@ -242,6 +242,23 @@ class _ConstantLoad:
         return [[0.0] * len(active) for _ in active]  # constant torque
 
 
+class _SingularLoad(_ConstantLoad):
+    """Constant torque whose derivative is k = 1: the Newton system k - k is singular."""
+
+    def derivative(self, point, active):
+        return [[1.0]]
+
+
+@pytest.mark.parametrize("d0", [0.0, 0.2])
+def test_singular_newton_system_takes_the_step_with_the_load_held(d0):
+    # r = 0.15 - (0.1 + d); with the load held the jacobian is -k, so the
+    # Newton step is +r/k and lands on the balance d = 0.05 from either side
+    load = _SingularLoad(0.15, 1)
+    d = [d0]
+    equilibrium._newton_active(load, d, load.evaluate(d), [0], 1.0, 0.1, (0.3,))
+    assert d[0] == pytest.approx(0.05, abs=1e-15)
+
+
 def test_single_joint_closed_form_balance():
     # constant applied torque 0.15, stiffness 1, preload 0.1: deflection 0.05
     d = [0.0]
@@ -648,6 +665,12 @@ def test_brute_force_checks_the_budget_before_building_an_axis(monkeypatch):
     monkeypatch.setattr(np, "arange", refuse)
     with pytest.raises(GridSizeError, match="500000001 nodes"):
         brute_force_equilibrium(reduced_chain(1), THETA_88, 10.0, 1e-10)
+
+
+@pytest.mark.parametrize("grid_step", [0.0, -1e-3, math.nan])
+def test_brute_force_rejects_a_grid_step_that_is_not_positive(grid_step):
+    with pytest.raises(ValueError, match=f"grid_step must be positive, got {grid_step}"):
+        brute_force_equilibrium(reduced_chain(1), THETA_88, 10.0, grid_step)
 
 
 @pytest.mark.parametrize("f_cyl", [-1.0, math.nan, math.inf])

@@ -53,6 +53,19 @@ def test_unreachable_closure_raises(default_config):
         linkage._closure_kernel(bad, THETA_88, chain.closed_lever(bad))
 
 
+def test_non_positive_lever_raises(default_config):
+    with pytest.raises(GeometryError, match="lever length must be positive, got -0.1"):
+        linkage.jacobian(default_config, THETA_88, -0.1)
+
+
+def test_lever_tip_on_the_ground_pivot_raises(default_config):
+    # with l2 == l3 a zero pivot span passes both circle checks; the lever
+    # along the frame line (theta = -bearing) with l4 = l1 puts its tip there
+    cfg = default_config.with_updates(l3=default_config.l2)
+    with pytest.raises(GeometryError, match="ground pivot and lever tip coincide"):
+        linkage.jacobian(cfg, -cfg.lever_bearing, cfg.l1)
+
+
 def test_branch_is_stable_across_the_range(default_config):
     l4c = chain.closed_lever(default_config)
     sides = set()
