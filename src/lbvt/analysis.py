@@ -16,11 +16,13 @@ leaves the carried state as it was.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import math
 
 from . import chain, equilibrium, linkage
+from .config import _write
 from .model import (CalibrationError, ConfigError, GeometryError, MechanismConfig,
                     SweepTable, per_joint_stiffness, validate_config)
 
@@ -60,19 +62,15 @@ def sample_ladder(start: float, stop: float, step: float) -> list[float]:
     return xs
 
 
-def _regime_code(state) -> str:
-    return "".join(r.code() for r in state.regime)
-
-
 def _sweep(columns, samples, point, record=lambda x: x) -> SweepTable:
     """Rows of (record(x), *values, regime code, feasible) for each sample x.
 
-    columns names the abscissa and the values; the regime and feasibility
-    columns are appended. point(x, start) returns the equilibrium result and
-    the row's values; start is the chain of the last converged row (None
-    before the first), for the solve's warm start. A sample that raises
-    GeometryError or does not converge gets NaN values, regimes "-" and
-    feasible 0, and start stays as it was.
+    columns names the abscissa and the values; the regime code (C, A or E
+    per joint) and feasibility columns are appended. point(x, start) returns
+    the equilibrium result and the row's values; start is the chain of the
+    last converged row (None before the first), for the solve's warm start.
+    A sample that raises GeometryError or does not converge gets NaN values,
+    regimes "-" and feasible 0, and start stays as it was.
     """
     failed = (math.nan,) * (len(columns) - 1) + ("-", 0.0)
     rows = []
@@ -84,7 +82,8 @@ def _sweep(columns, samples, point, record=lambda x: x) -> SweepTable:
             res = None
         if res is not None and res.converged:
             start = res.chain
-            rows.append((record(x), *values, _regime_code(res.chain), 1.0))
+            code = "".join(r.name[0] for r in res.chain.regime)
+            rows.append((record(x), *values, code, 1.0))
         else:
             rows.append((record(x), *failed))
     return SweepTable(columns=columns + ("regimes (-)", "feasible (-)"), rows=rows)
@@ -289,7 +288,7 @@ def calibrate(
                         "ratio-step bisection did not settle within {tol} (bracket [{lo}, {hi}])")
         limits = tuple(scale * lim for lim in config.joint_open_limit)
     # the ratio search never reads the preload, so one config takes both knobs
-    cfg = config.with_updates(alpha_preload=alpha, joint_open_limit=limits)
+    cfg = dataclasses.replace(config, alpha_preload=alpha, joint_open_limit=limits)
 
     violations = validate_config(cfg)
     if violations:
@@ -297,14 +296,6 @@ def calibrate(
             "calibrated config failed validation: " + "; ".join(violations)
         )
     return cfg
-
-
-def _write(destination, text: str) -> int:
-    """Write text as UTF-8 bytes; returns the number of bytes written."""
-    payload = text.encode("utf-8")
-    with open(destination, "wb") as fh:
-        fh.write(payload)
-    return len(payload)
 
 
 def emit_csv(table: SweepTable, destination) -> int:
@@ -348,8 +339,9 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Multiples k*step of a 1-2-5 step in [lo, hi]; hi > lo."""
     span = hi - lo
     raw = span / _TICKS
-    mag = 10.0 ** math.floor(math.log10(raw))
-    step = next((m * mag for m in (1.0, 2.0, 5.0) if raw <= m * mag), 10.0 * mag)
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    # a subnormal span can underflow the 1-2-5 step to 0; the span itself then steps
+    step = next((m * mag for m in (1.0, 2.0, 5.0) if raw <= m * mag), 10.0 * mag) or span
     # the integer range is fixed up front, so a step below the ulp of lo cannot stall it
     return [k * step for k in range(math.ceil(lo / step),
                                     math.floor((hi + 1e-9 * span) / step) + 1)]

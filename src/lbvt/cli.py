@@ -97,8 +97,7 @@ def _print_solve_report(result, theta_deg: float, out) -> None:
         print(f"{i:<6d} {format(math.degrees(d), '.9g'):<17s} {r.value}", file=out)
 
 
-def _cmd_solve(args) -> int:
-    config = load_config(args.config)
+def _cmd_solve(args, config) -> int:
     # solve_equilibrium reports a NaN force as an unconverged solve; the CLI rejects it
     equilibrium._check_force(args.force)
     result = equilibrium.solve_equilibrium(config, math.radians(args.theta), args.force)
@@ -106,8 +105,7 @@ def _cmd_solve(args) -> int:
     return 0 if result.converged else 1
 
 
-def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
+def _cmd_sweep(args, config) -> int:
     _, fn_name, _, y_cols = _SWEEPS[args.command]
     sweep = getattr(analysis, fn_name)
     if args.command == "sweep-angle":
@@ -126,8 +124,7 @@ def _cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_calibrate(args) -> int:
-    config = load_config(args.config)
+def _cmd_calibrate(args, config) -> int:
     calibrated = analysis.calibrate(
         config, args.trigger, args.ratio_step, math.radians(args.theta)
     )
@@ -161,14 +158,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        config = load_config(args.config)
         if args.command == "validate":
-            load_config(args.config)
             return 0
         if args.command == "solve":
-            return _cmd_solve(args)
+            return _cmd_solve(args, config)
         if args.command == "calibrate":
-            return _cmd_calibrate(args)
-        return _cmd_sweep(args)
+            return _cmd_calibrate(args, config)
+        return _cmd_sweep(args, config)
     except (ConfigError, GeometryError, CalibrationError, ValueError, OSError) as exc:
         print(f"lbvt {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -100,9 +100,9 @@ def save_config(config: MechanismConfig, path, provenance: dict | None = None) -
     """Write a config file (degrees for angle fields); returns bytes written.
 
     A save/load round trip is not bit-exact: math.radians(math.degrees(x))
-    can differ from x in its last bits, and for some radians no degree float
-    maps back at all (60 of 320 calibrated configs reload unequal, by at
-    most 1.8e-16 relative). Only radians in the file would make it exact.
+    can differ from x in its last bits (60 of 320 calibrated configs reload
+    unequal, by at most 1.8e-16 relative). A correctly rounded
+    degree-to-radian conversion on load would make it exact (ROADMAP item 10).
     """
     doc: dict = {}
     if provenance is not None:
@@ -110,7 +110,12 @@ def save_config(config: MechanismConfig, path, provenance: dict | None = None) -
     for name, (_, degrees) in _SCHEMA.items():
         value = getattr(config, name)
         doc[name] = _convert(value, math.degrees) if degrees else value  # tuples dump as lists
-    payload = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
+    return _write(path, json.dumps(doc, indent=2) + "\n")
+
+
+def _write(destination, text: str) -> int:
+    """Write text as UTF-8 bytes; returns the number of bytes written."""
+    payload = text.encode("utf-8")
+    with open(destination, "wb") as fh:
         fh.write(payload)
     return len(payload)

@@ -117,8 +117,6 @@ def _first(bad, *values):
         return values
     import numpy as np
 
-    if np.ndim(bad) == 0:
-        return values
     i = int(np.argmax(bad))
     return tuple(float(np.broadcast_to(v, np.shape(bad)).flat[i]) for v in values)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 
 class GeometryError(ValueError):
@@ -50,9 +50,6 @@ class Regime(enum.Enum):
     ACTIVE = "active"      # torque balance against the spring, 0 < deflection < limit
     END_STOP = "end_stop"  # resting on the travel stop, deflection exactly at the limit
 
-    def code(self) -> str:  # C, A or E in sweep tables
-        return self.name[0]
-
 
 @dataclass(frozen=True)
 class MechanismConfig:
@@ -71,8 +68,8 @@ class MechanismConfig:
     lever_bearing is derived, not a field: the polar angle of the closed
     chain tip seen from the knee, in the lower-leg frame, along which the
     output lever points. It is set once at construction (NaN when the chain
-    angles are not finite), so it is neither saved nor compared, and replace
-    or with_updates recompute it.
+    angles are not finite), so it is neither saved nor compared.
+    dataclasses.replace makes a modified copy and recomputes it.
     """
 
     l1: float
@@ -108,9 +105,6 @@ class MechanismConfig:
     @property
     def n_joints(self) -> int:
         return len(self.segments)
-
-    def with_updates(self, **changes) -> "MechanismConfig":
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

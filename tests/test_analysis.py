@@ -93,7 +93,7 @@ def test_angle_sweep_rejects_a_bad_force(default_config, f_cyl):
 ])
 def test_sweep_flags_infeasible_samples(default_config, sweep):
     # deliberately broken four-bar, constructed directly (no validation pass)
-    bad = default_config.with_updates(l2=0.01, l3=0.01)
+    bad = dataclasses.replace(default_config, l2=0.01, l3=0.01)
     if sweep == "sweep_torque_vs_angle":
         table = analysis.sweep_torque_vs_angle(
             bad, 50.0, bad.theta_min, bad.theta_max, math.radians(20.0))
@@ -132,7 +132,7 @@ def test_trigger_sweep_plateau_ends_in_window(default_config):
 
 
 def test_trigger_sweep_without_preload_moves_immediately(default_config):
-    cfg = default_config.with_updates(alpha_preload=0.0)
+    cfg = dataclasses.replace(default_config, alpha_preload=0.0)
     table = analysis.sweep_trigger(cfg, THETA_88, 0.0, 5.0, 0.5)
     diam = table.column("diameter (m)")
     assert diam[1] > diam[0]
@@ -324,7 +324,7 @@ def test_calibrate_evaluates_the_closed_chain_once(base_config, monkeypatch):
 
 
 def test_calibrate_builds_one_config(base_config, monkeypatch):
-    calls = count_calls(monkeypatch, MechanismConfig, "with_updates")
+    calls = count_calls(monkeypatch, MechanismConfig, "__post_init__")
     analysis.calibrate(base_config, 20.0, 0.40, THETA_88)
     assert calls[0] == 1
 
@@ -338,7 +338,7 @@ def test_calibrate_builds_one_config(base_config, monkeypatch):
 ], ids=["nan_k_spring", "zero_k_spring", "no_springs", "negative_limit"])
 def test_calibrate_rejects_an_invalid_config(base_config, update, message):
     with pytest.raises(ConfigError, match=f"^invalid config: .*{message}"):
-        analysis.calibrate(base_config.with_updates(**update), 20.0, 0.40, THETA_88)
+        analysis.calibrate(dataclasses.replace(base_config, **update), 20.0, 0.40, THETA_88)
 
 
 def test_calibrate_reads_the_bearing_off_the_config(base_config, monkeypatch):
@@ -554,6 +554,12 @@ def test_svg_pads_an_axis_with_one_finite_value(tmp_path):
     out = tmp_path / "x.svg"
     analysis.emit_svg_plot(table, ["y (m)"], out)
     assert '<polyline points="388.00,224.00" ' in out.read_text()
+
+
+@pytest.mark.parametrize("hi", [5e-324, 2.5e-323])
+def test_ticks_on_a_subnormal_span(hi):
+    # span / 5 underflows to 0 at 5e-324, and the 1-2-5 step 10**-324 at 2.5e-323
+    assert analysis._nice_ticks(0.0, hi) == [0.0, hi]
 
 
 def test_trigger_plot_renders_plateau(default_config, tmp_path):

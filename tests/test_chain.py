@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ def test_rotation_equivariance(default_config):
     for _ in range(50):
         d = tuple(rng.uniform(0.0, lim) for lim in default_config.joint_open_limit)
         delta = rng.uniform(-math.pi, math.pi)
-        rotated = default_config.with_updates(beta=default_config.beta + delta)
+        rotated = dataclasses.replace(default_config, beta=default_config.beta + delta)
 
         s0 = chain.make_chain_state(default_config, d)
         s1 = chain.make_chain_state(rotated, d)
@@ -98,6 +99,13 @@ def test_deflection_bounds_are_enforced(default_config):
             chain.l4_length(default_config, (over,) + (0.0,) * 5)
     with pytest.raises(ValueError):
         chain.make_chain_state(default_config, (0.0,) * 3)
+
+
+def test_tip_on_the_knee_has_no_lever():
+    # an unvalidated chain: anchor at (-0.05, 0) m, one 0.05 m segment along x ends on the knee
+    cfg = straight_chain(l_offset=-0.05, seg=0.05, n=1)
+    with pytest.raises(ValueError, match="^chain tip coincides with the knee joint"):
+        chain.make_chain_state(cfg, (0.0,))
 
 
 @pytest.mark.parametrize("check", [
@@ -196,7 +204,7 @@ def test_chain_state_builds_the_geometry_once(default_config, monkeypatch):
 @pytest.mark.parametrize("index,expected", [(1, 0.468), (3, 0.468), (6, 0.468)])
 def test_preload_threshold_uniform(default_config, index, expected):
     # every joint holds k * alpha_preload and opens only strictly above it
-    cfg = default_config.with_updates(alpha_preload=0.1)
+    cfg = dataclasses.replace(default_config, alpha_preload=0.1)
     k, limits = per_joint_stiffness(cfg), cfg.joint_open_limit
     assert k * cfg.alpha_preload == pytest.approx(expected, abs=1e-12)
     d, closed = [0.0] * 6, [Regime.CLOSED] * 6
@@ -209,7 +217,7 @@ def test_preload_threshold_uniform(default_config, index, expected):
 
 def test_preload_threshold_zero_preload(default_config):
     # without preload any opening torque moves a closed joint
-    cfg = default_config.with_updates(alpha_preload=0.0)
+    cfg = dataclasses.replace(default_config, alpha_preload=0.0)
     k, limits = per_joint_stiffness(cfg), cfg.joint_open_limit
     d, closed = [0.0] * 6, [Regime.CLOSED] * 6
     assert equilibrium._scan(d, closed, [0.0] * 6, k, 0.0, limits) == (0.0, None)

@@ -701,6 +701,15 @@ def test_plot_with_a_tick_step_below_half_an_ulp_finishes(tmp_path):
     assert svg.read_text().endswith("</svg>\n")
 
 
+def test_plot_of_a_subnormal_force_span_is_written(tmp_path, capsys):
+    # the x axis's 1-2-5 tick step underflows to 0, which divided by zero
+    svg = tmp_path / "d.svg"
+    code = run(["ratio", DEFAULT, "--theta", "-88", "--from", "0", "--to", "2.5e-323",
+                "--step", "5e-324", "--out", str(tmp_path / "d.csv"), "--plot", str(svg)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert svg.read_text().endswith("</svg>\n")
+
+
 def test_library_import_loads_no_cli_or_optional_modules():
     # a fresh interpreter, so modules the test session already imported do not count
     probe = ("import sys, lbvt; print(' '.join(m for m in "

@@ -54,13 +54,13 @@ def test_shipped_trigger_in_design_window(default_config):
 
 
 def test_zero_preload_triggers_immediately(default_config):
-    cfg = default_config.with_updates(alpha_preload=0.0)
+    cfg = dataclasses.replace(default_config, alpha_preload=0.0)
     assert triggering_force(cfg, THETA_88) == 0.0
 
 
 def test_trigger_scales_with_preload(default_config):
     f1 = triggering_force(default_config, THETA_88)
-    doubled = default_config.with_updates(alpha_preload=2.0 * default_config.alpha_preload)
+    doubled = dataclasses.replace(default_config, alpha_preload=2.0 * default_config.alpha_preload)
     assert triggering_force(doubled, THETA_88) == pytest.approx(2.0 * f1, rel=1e-12)
 
 
@@ -68,8 +68,8 @@ def test_no_trigger_for_degenerate_loading(default_config):
     # single joint whose arm is perpendicular to the tip ray: the tangential
     # load exerts no opening torque, so no force can trigger the chain
     seg_angle = math.asin(-0.6)
-    cfg = default_config.with_updates(
-        l_offset=0.05, beta=math.pi / 2,
+    cfg = dataclasses.replace(
+        default_config, l_offset=0.05, beta=math.pi / 2,
         segments=(0.03,), phi=(seg_angle - math.pi / 2,),
         joint_open_limit=(0.3,),
     )
@@ -135,9 +135,12 @@ def test_nan_force_is_not_converged(default_config):
     assert math.isnan(res.residual)
 
 
-def test_infinite_force_is_rejected_up_front(default_config):
-    with pytest.raises(ValueError, match="f_cyl"):
-        solve_equilibrium(default_config, THETA_88, math.inf)
+@pytest.mark.parametrize("f_cyl", [math.inf, -math.inf, -1.0])
+def test_infinite_force_is_rejected_up_front(default_config, f_cyl):
+    # the message of the shared check, _check_force
+    message = f"^f_cyl must be non-negative and finite, got {f_cyl}$"
+    with pytest.raises(ValueError, match=message):
+        solve_equilibrium(default_config, THETA_88, f_cyl)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -592,8 +595,8 @@ def test_potential_energy_reference_zero(default_config):
 
 
 def test_potential_energy_single_joint_value():
-    cfg = reduced_chain(1).with_updates(
-        springs_per_joint=1, k_spring=1.0, alpha_preload=0.1)
+    cfg = dataclasses.replace(
+        reduced_chain(1), springs_per_joint=1, k_spring=1.0, alpha_preload=0.1)
     assert _energy(cfg, (0.05,)) == pytest.approx(6.25e-3, abs=1e-15)
 
 
@@ -647,7 +650,7 @@ def test_brute_force_matches_solver_on_single_joint():
 
 
 def test_brute_force_rejects_large_grids():
-    cfg = reduced_chain(3).with_updates(joint_open_limit=(0.5, 0.5, 0.5))
+    cfg = dataclasses.replace(reduced_chain(3), joint_open_limit=(0.5, 0.5, 0.5))
     with pytest.raises(GridSizeError):
         brute_force_equilibrium(cfg, THETA_88, 10.0, 1e-6)
 
@@ -687,7 +690,7 @@ def test_brute_force_rejects_bad_theta(theta):
 
 @pytest.mark.parametrize("limit", [math.nan, -0.01], ids=["nan", "negative"])
 def test_brute_force_rejects_an_invalid_config(limit):
-    config = reduced_chain(1).with_updates(joint_open_limit=(limit,))
+    config = dataclasses.replace(reduced_chain(1), joint_open_limit=(limit,))
     # GridSizeError is a ValueError too, so the type alone would not tell
     with pytest.raises(ConfigError, match=r"joint_open_limit\[0\]"):
         brute_force_equilibrium(config, THETA_88, 10.0, 1e-3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -48,7 +49,7 @@ def test_range_endpoints_are_solvable(default_config):
 
 
 def test_unreachable_closure_raises(default_config):
-    bad = default_config.with_updates(l2=0.01, l3=0.01)
+    bad = dataclasses.replace(default_config, l2=0.01, l3=0.01)
     with pytest.raises(GeometryError, match="exceeds l2 \\+ l3"):
         linkage._closure_kernel(bad, THETA_88, chain.closed_lever(bad))
 
@@ -61,9 +62,21 @@ def test_non_positive_lever_raises(default_config):
 def test_lever_tip_on_the_ground_pivot_raises(default_config):
     # with l2 == l3 a zero pivot span passes both circle checks; the lever
     # along the frame line (theta = -bearing) with l4 = l1 puts its tip there
-    cfg = default_config.with_updates(l3=default_config.l2)
+    cfg = dataclasses.replace(default_config, l3=default_config.l2)
     with pytest.raises(GeometryError, match="ground pivot and lever tip coincide"):
         linkage.jacobian(cfg, -cfg.lever_bearing, cfg.l1)
+
+
+def test_actuator_attachment_on_its_base_raises(default_config):
+    # the base moved onto the attachment point A + r*(B - A), computed as the kernel does
+    l4 = chain.closed_lever(default_config)
+    (ax, ay), (bx, by), *_ = linkage._closure_kernel(default_config, THETA_88, l4)
+    r = default_config.actuator_attach_ratio
+    cfg = dataclasses.replace(default_config,
+                              actuator_base=(ax + r * (bx - ax), ay + r * (by - ay)))
+    message = "^actuator attachment coincides with the actuator base$"
+    with pytest.raises(GeometryError, match=message):
+        linkage.jacobian(cfg, THETA_88, l4)
 
 
 def test_branch_is_stable_across_the_range(default_config):
@@ -78,7 +91,7 @@ def test_branch_is_stable_across_the_range(default_config):
 
 
 def test_actuator_length_constant_at_fixed_pivot(default_config):
-    cfg = default_config.with_updates(actuator_attach_ratio=0.0)
+    cfg = dataclasses.replace(default_config, actuator_attach_ratio=0.0)
     l4c = chain.closed_lever(cfg)
     qx, qy = cfg.actuator_base
     expected = math.hypot(cfg.l1 - qx, -qy)
@@ -128,7 +141,7 @@ def test_jacobian_does_not_rebuild_the_closed_chain(default_config, monkeypatch)
 
 
 def test_jacobian_zero_at_fixed_attachment(default_config):
-    cfg = default_config.with_updates(actuator_attach_ratio=0.0)
+    cfg = dataclasses.replace(default_config, actuator_attach_ratio=0.0)
     l4c = chain.closed_lever(cfg)
     for theta in np.linspace(cfg.theta_min, cfg.theta_max, 11):
         assert linkage.jacobian(cfg, float(theta), l4c) == pytest.approx(0.0, abs=1e-15)
@@ -145,7 +158,7 @@ def test_singularity_at_folded_closure():
     # enough that the coupler circles touch: input bar and coupler collinear;
     # power-of-two lengths keep the tangency exact in floating point
     cfg = straight_chain(l_offset=0.125, seg=0.25, beta=0.0, n=1)
-    cfg = cfg.with_updates(l1=0.125, l2=0.125, l3=0.125)
+    cfg = dataclasses.replace(cfg, l1=0.125, l2=0.125, l3=0.125)
     with pytest.raises(SingularityError):
         linkage._closure_kernel(cfg, 0.0, 0.375)
 
@@ -185,6 +198,14 @@ def test_span_within_the_closure_slack_is_a_singularity(default_config):
     span = math.hypot(l4 * math.cos(phase) - default_config.l1, l4 * math.sin(phase))
     assert reach < span < reach + 1e-12
     with pytest.raises(SingularityError):
+        linkage.jacobian(default_config, THETA_88, l4)
+
+
+def test_span_past_the_closure_slack_is_infeasible(default_config):
+    # 1e-10 m past l2 + l3 is beyond the slack: infeasible, not a fold
+    reach = default_config.l2 + default_config.l3
+    l4 = _lever_at_span(default_config, THETA_88, reach + 1e-10)
+    with pytest.raises(GeometryError, match=r"^closure infeasible .* exceeds l2 \+ l3"):
         linkage.jacobian(default_config, THETA_88, l4)
 
 

@@ -27,27 +27,27 @@ def test_default_config_validates(default_config):
 
 
 def test_zero_input_bar_is_reported(default_config):
-    bad = default_config.with_updates(l2=0.0)
+    bad = dataclasses.replace(default_config, l2=0.0)
     violations = validate_config(bad)
     assert len(violations) == 1
     assert "l2" in violations[0]
 
 
 def test_degenerate_knee_range_is_reported(default_config):
-    bad = default_config.with_updates(theta_min=default_config.theta_max)
+    bad = dataclasses.replace(default_config, theta_min=default_config.theta_max)
     violations = validate_config(bad)
     assert any("theta_min" in v and "theta_max" in v for v in violations)
 
 
 def test_validation_is_deterministic(default_config):
-    bad = default_config.with_updates(l2=-1.0, k_spring=0.0, springs_per_joint=0)
+    bad = dataclasses.replace(default_config, l2=-1.0, k_spring=0.0, springs_per_joint=0)
     assert validate_config(bad) == validate_config(bad)
     assert len(validate_config(bad)) >= 3
 
 
 def test_infeasible_closure_is_reported_per_lever_state():
     # input bar plus coupler span 0.1 m, short of the ground pivot at 0.25 m
-    bad = reduced_chain(2).with_updates(l2=0.05, l3=0.05)
+    bad = dataclasses.replace(reduced_chain(2), l2=0.05, l3=0.05)
     violations = validate_config(bad)
     assert len(violations) == 2
     for label, v in zip(("closed", "fully open"), violations):
@@ -60,7 +60,7 @@ def test_open_lever_closure_failure_is_reported_once(default_config):
     # validating the valid default first leaves nothing behind for a changed config
     assert validate_config(default_config) == []
     # a shorter coupler still reaches the closed lever, not the fully open one
-    violations = validate_config(default_config.with_updates(l3=0.22))
+    violations = validate_config(dataclasses.replace(default_config, l3=0.22))
     assert len(violations) == 1
     assert "the fully open lever" in violations[0]
     assert re.search(r"theta=-141\.0+ deg, l4=0\.09277 m", violations[0])
@@ -96,8 +96,8 @@ def _random_config(base, rng, wide):
     else:
         theta_min = base.theta_min + rng.uniform(-0.1, 0.1)
         theta_max = base.theta_max + rng.uniform(-0.1, 0.1)
-    return base.with_updates(
-        l1=scaled(base.l1), l2=scaled(base.l2), l3=scaled(base.l3),
+    return dataclasses.replace(
+        base, l1=scaled(base.l1), l2=scaled(base.l2), l3=scaled(base.l3),
         actuator_attach_ratio=rng.uniform(0.0, 1.0),
         l_offset=scaled(base.l_offset),
         beta=base.beta + rng.uniform(-1.0, 1.0) * (2.0 if wide else 0.2),
@@ -137,7 +137,7 @@ def test_fold_between_old_sample_angles_is_rejected():
     config = _with_bearing(-55.0, segments=(0.05,), phi=(math.radians(-20.0),),
                            joint_open_limit=(0.05,), alpha_preload=0.1, **_FOURBAR)
     levers = np.array([[chain.closed_lever(config)], [chain.open_lever(config)]])
-    bad = config.with_updates(l3=config.l1 + levers.max() - 2e-7 - config.l2)
+    bad = dataclasses.replace(config, l3=config.l1 + levers.max() - 2e-7 - config.l2)
     linkage._closure_kernel(bad, _old_sample_angles(bad), levers, np)  # every sample assembles
     assert validate_config(bad) == [
         "four-bar closure fails with the fully open lever: closure infeasible at "
@@ -151,8 +151,8 @@ def test_shortest_span_at_a_partly_open_lever_is_rejected(default_config):
     # |l2 - l3| sits 1e-6 m above that span and below both end levers' spans
     closed, open_ = chain.closed_lever(default_config), chain.open_lever(default_config)
     cos_max = (closed + open_) / (2.0 * default_config.l1)
-    bad = default_config.with_updates(
-        theta_max=-math.acos(cos_max) - default_config.lever_bearing,
+    bad = dataclasses.replace(
+        default_config, theta_max=-math.acos(cos_max) - default_config.lever_bearing,
         l3=default_config.l2 + default_config.l1 * math.sqrt(1.0 - cos_max ** 2) + 1e-6,
     )
     levers = np.array([[closed], [open_]])
@@ -168,7 +168,7 @@ def test_shortest_span_at_a_partly_open_lever_is_rejected(default_config):
 def test_actuator_base_on_the_attachment_circle_is_rejected(default_config):
     # the attachment runs on a circle of radius r * l2 about the ground pivot (l1, 0)
     radius = default_config.actuator_attach_ratio * default_config.l2
-    bad = default_config.with_updates(actuator_base=(default_config.l1, radius))
+    bad = dataclasses.replace(default_config, actuator_base=(default_config.l1, radius))
     assert validate_config(bad) == [
         "actuator base lies on the attachment circle, 0.07575 m about the "
         "input-bar ground pivot: the actuator length can reach 0"
@@ -179,13 +179,13 @@ def test_actuator_base_on_the_attachment_circle_is_rejected(default_config):
     (2.0 * math.pi, True), (math.nextafter(2.0 * math.pi, 7.0), False), (1e6, False),
 ])
 def test_preload_is_at_most_one_turn(default_config, preload, ok):
-    violations = validate_config(default_config.with_updates(alpha_preload=preload))
+    violations = validate_config(dataclasses.replace(default_config, alpha_preload=preload))
     assert violations == ([] if ok else
                           [f"alpha_preload must not exceed 2*pi (one turn), got {preload}"])
 
 
 def test_validation_returns_a_fresh_list(default_config):
-    bad = default_config.with_updates(l3=0.22)
+    bad = dataclasses.replace(default_config, l3=0.22)
     first = validate_config(bad)
     first.append("appended by the caller")
     assert validate_config(bad) == first[:-1]
@@ -214,12 +214,12 @@ def test_non_finite_numbers_are_reported_by_name(default_config, bad):
         if i is not None:
             value = list(getattr(default_config, name))
             value[i] = bad
-        violations = validate_config(default_config.with_updates(**{name: value}))
+        violations = validate_config(dataclasses.replace(default_config, **{name: value}))
         assert f"{label} must be finite, got {bad}" in violations, label
 
 
 def test_mismatched_joint_arrays_are_reported(default_config):
-    bad = default_config.with_updates(phi=default_config.phi[:-1])
+    bad = dataclasses.replace(default_config, phi=default_config.phi[:-1])
     assert any("phi" in v for v in validate_config(bad))
 
 
@@ -229,7 +229,7 @@ def test_mismatched_joint_arrays_are_reported(default_config):
     (dict(branch_sign=0), "branch_sign must be +1 or -1, got 0"),
 ], ids=["no-segments", "short-open-limits", "branch-sign-0"])
 def test_shape_violations_are_reported(default_config, updates, message):
-    assert message in validate_config(default_config.with_updates(**updates))
+    assert message in validate_config(dataclasses.replace(default_config, **updates))
 
 
 @pytest.mark.parametrize(
@@ -237,7 +237,7 @@ def test_shape_violations_are_reported(default_config, updates, message):
     [(4, 1.17, 4.68), (1, 0.37, 0.37), (2, 0.5, 1.0)],
 )
 def test_per_joint_stiffness_parallel_sum(default_config, springs, k, expected):
-    cfg = default_config.with_updates(springs_per_joint=springs, k_spring=k)
+    cfg = dataclasses.replace(default_config, springs_per_joint=springs, k_spring=k)
     assert per_joint_stiffness(cfg) == pytest.approx(expected, abs=1e-12)
 
 
@@ -247,25 +247,25 @@ def test_total_stiffness_series_value(default_config):
 
 
 def test_total_stiffness_single_joint_identity():
-    cfg = reduced_chain(1).with_updates(springs_per_joint=1, k_spring=3.21)
+    cfg = dataclasses.replace(reduced_chain(1), springs_per_joint=1, k_spring=3.21)
     assert total_stiffness(cfg) == pytest.approx(3.21, abs=1e-12)
 
 
 def test_total_stiffness_equal_series_pair():
-    cfg = reduced_chain(2).with_updates(springs_per_joint=1, k_spring=1.0)
+    cfg = dataclasses.replace(reduced_chain(2), springs_per_joint=1, k_spring=1.0)
     assert total_stiffness(cfg) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_total_stiffness_rejects_nonpositive_joints(default_config):
-    bad = default_config.with_updates(k_spring=0.0)
+    bad = dataclasses.replace(default_config, k_spring=0.0)
     with pytest.raises(ConfigError):
         total_stiffness(bad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_series_stiffness_bounded_by_softest(default_config, n):
-    cfg = default_config.with_updates(
-        segments=(0.02,) * n,
+    cfg = dataclasses.replace(
+        default_config, segments=(0.02,) * n,
         phi=(0.0,) * n,
         joint_open_limit=(0.1,) * n,
     )
@@ -296,7 +296,7 @@ def test_lever_bearing_is_the_closed_tip_bearing(default_config, base_config):
     {"phi": tuple(math.radians(p) for p in (4.0, -9.0, -6.0, -8.0, -5.0, -7.0))},
 ], ids=["beta", "l_offset", "segments", "phi"])
 def test_lever_bearing_follows_updates(default_config, updates):
-    updated = default_config.with_updates(**updates)
+    updated = dataclasses.replace(default_config, **updates)
     assert updated.lever_bearing != default_config.lever_bearing
     assert updated.lever_bearing == _closed_tip_bearing(updated)
 
@@ -310,7 +310,7 @@ def test_lever_bearing_is_not_a_field(default_config):
 
 
 def test_infinite_beta_builds_with_a_nan_bearing(default_config):
-    config = default_config.with_updates(beta=math.inf)
+    config = dataclasses.replace(default_config, beta=math.inf)
     assert math.isnan(config.lever_bearing)
     assert "beta must be finite, got inf" in validate_config(config)
 

@@ -1,0 +1,128 @@
+"""Mutation survey: does tier-1 fail when one line of src/lbvt/ is changed?
+
+Usage, from anywhere:
+
+    python3 tools/mutants.py [mutant name ...]
+
+Each mutant in MUTANTS replaces one text, which must occur exactly once in
+its file, by another. For each mutant (all of them, or those named) the
+tree is copied to a temporary directory, the mutant applied to the copy, and
+tier-1 run there with `-x`. A mutant is killed when tier-1 fails, and the
+first failing test is printed next to it; it survived when tier-1 passes.
+A mutant with a reason is listed as equivalent: it is not expected to change
+any answer that tier-1 can see, and the reason says why. The repository
+itself is never written to. A survey means something only when tier-1
+passes on the unmutated tree.
+
+Standard library only (tier-1 itself needs pytest). The exit code is 0.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600  # a mutant that stalls the suite counts as killed
+
+# name -> (file under src/lbvt/, old text, new text, reason it is equivalent or "")
+MUTANTS = {
+    "ladder-4-rungs": ("equilibrium.py", "_CONTINUATION_RUNGS = 8", "_CONTINUATION_RUNGS = 4", ""),
+    "dl4-1e-5": ("equilibrium.py", "_DL4 = 1e-8", "_DL4 = 1e-5", ""),
+    "scan-tie": ("equilibrium.py", "if e > worst and", "if e >= worst and", ""),
+    "residual-tol-1e-7": ("equilibrium.py", "RESIDUAL_TOL = 1e-9", "RESIDUAL_TOL = 1e-7", ""),
+    "trigger-tol-0.5": ("analysis.py", "TRIGGER_TOL = 0.05", "TRIGGER_TOL = 0.5", ""),
+    "oracle-budget-1e9": ("equilibrium.py", "if total > 1e8:", "if total > 1e9:", ""),
+    "warm-start-last": ("equilibrium.py", "attempts.insert(0, (d0, 1))",
+                        "attempts.append((d0, 1))", ""),
+    "oracle-4-gauss-nodes": (
+        "equilibrium.py", "leggauss(16)", "leggauss(4)",
+        "4, 16 and 32 nodes pick the same grid node on 120 criterion-3-style inputs "
+        "(40 forces on each reduced chain at -88 deg, grid step 1e-3)"),
+    "ladder-snap-0.4": ("analysis.py", "< 0.5 * step:", "< 0.4 * step:", ""),
+    "singularity-1e-7": ("linkage.py", "SINGULARITY_SIN = 1e-8", "SINGULARITY_SIN = 1e-7", ""),
+    "deflection-slack-1e-6": ("chain.py", "dk <= lim + 1e-12", "dk <= lim + 1e-6", ""),
+    "theta-slack-1e-6": ("equilibrium.py", "theta_min - 1e-9 <= theta <= config.theta_max + 1e-9",
+                         "theta_min - 1e-6 <= theta <= config.theta_max + 1e-6", ""),
+    "max-inner-10": ("equilibrium.py", "MAX_INNER = 50", "MAX_INNER = 10", ""),
+    "rung-tol-1e-2": ("equilibrium.py", "_RUNG_TOL = 1e-3", "_RUNG_TOL = 1e-2", ""),
+    "bisect-tie": ("analysis.py", "if v < target:", "if v <= target:",
+                   "v == target is within tol, so the bisection returns before the tie is read"),
+    "trigger-cutoff-1e-6": ("equilibrium.py", "if a > 1e-12]", "if a > 1e-6]",
+                            "it matters only when the largest closed-chain torque per "
+                            "newton lies in (1e-12, 1e-6] Nm"),
+    "singular-step-sign": ("equilibrium.py", "step = [x / k for x in r]",
+                           "step = [-x / k for x in r]", ""),
+    "regime-at-limit": ("chain.py", "if dk >= lim else", "if dk > lim else", ""),
+    "closure-slack-1e-9": ("linkage.py", "g > l2 + l3 + 1e-12", "g > l2 + l3 + 1e-9", ""),
+    "preload-cap": ("model.py", "if config.alpha_preload > 2.0 * math.pi:",
+                    "if config.alpha_preload > 4.0 * math.pi:", ""),
+    "ignored-keys": ("config.py", '_IGNORED_KEYS = {"provenance", "spring_arm_length"}',
+                     '_IGNORED_KEYS = {"provenance"}', ""),
+    "csv-8-digits": ("analysis.py", 'format(float(v), ".9g")', 'format(float(v), ".8g")', ""),
+    "subnormal-tick-step": ("analysis.py", "10.0 * mag) or span", "10.0 * mag)", ""),
+    "sweep-exit-code": ("cli.py", "return 1 if failed else 0", "return 0", ""),
+    "default-is-base": ("__init__.py", "load_config(default_config_path())",
+                        "load_config(base_config_path())", ""),
+    "main-not-called": ("__main__.py", "\nmain()\n", "\nmain\n", ""),
+}
+
+
+def first_failure(output: str) -> str:
+    """The test id of pytest's first FAILED or ERROR summary line, or its last line."""
+    lines = output.splitlines()
+    line = next((l for l in lines if l.startswith(("FAILED ", "ERROR "))),
+                lines[-1] if lines else "")
+    return line.split(" - ")[0]
+
+
+def run(name: str, tmp: Path) -> tuple[bool, str]:
+    """Apply one mutant to a fresh copy of the tree; (killed, first failure)."""
+    filename, old, new, _ = MUTANTS[name]
+    tree = tmp / name
+    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchwork", ".benchmarks"))
+    path = tree / "src" / "lbvt" / filename
+    text = path.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise SystemExit(f"mutant {name}: {old!r} occurs {text.count(old)} times in {filename}")
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               HYPOTHESIS_STORAGE_DIRECTORY=str(tmp / f"{name}.hypothesis"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return True, f"timeout after {TIMEOUT_S} s"
+    finally:
+        shutil.rmtree(tree)
+    return proc.returncode != 0, first_failure(proc.stdout) if proc.returncode else ""
+
+
+def main(argv: list[str]) -> int:
+    names = argv or list(MUTANTS)
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(unknown)}")
+    started = time.perf_counter()
+    killed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            dead, failure = run(name, Path(tmp))
+            killed += dead
+            reason = MUTANTS[name][3]
+            status = "killed" if dead else "equivalent" if reason else "survived"
+            print(f"{status:<10} {name:<22} {failure or reason}", flush=True)
+    print(f"mutants: {killed} of {len(names)} killed in {time.perf_counter() - started:.0f} s",
+          file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
