@@ -35,8 +35,9 @@ def sample_ladder(start: float, stop: float, step: float) -> list[float]:
     """Sweep abscissae: start + k*step, end snapped or appended; stop >= start.
 
     A range shorter than one step yields only its start. A step that is not
-    positive and finite, or a ladder of more than MAX_SAMPLES samples, raises
-    ValueError naming it.
+    positive and finite, a ladder of more than MAX_SAMPLES samples, or a step
+    so small against the range that two samples coincide raises ValueError
+    naming it.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -59,6 +60,9 @@ def sample_ladder(start: float, stop: float, step: float) -> list[float]:
             xs[-1] = stop
         else:
             xs.append(stop)
+    for before, x in zip(xs, xs[1:]):
+        if not x > before:  # a step below the float spacing at the range
+            raise ValueError(f"step {step} does not advance the range past {before}")
     return xs
 
 
@@ -336,15 +340,22 @@ _TICKS = 5  # target tick count per axis
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """Multiples k*step of a 1-2-5 step in [lo, hi]; hi > lo."""
+    """Distinct multiples k*step of a 1-2-5 step in [lo, hi]; hi > lo."""
     span = hi - lo
     raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
     # a subnormal span can underflow the 1-2-5 step to 0; the span itself then steps
     step = next((m * mag for m in (1.0, 2.0, 5.0) if raw <= m * mag), 10.0 * mag) or span
-    # the integer range is fixed up front, so a step below the ulp of lo cannot stall it
-    return [k * step for k in range(math.ceil(lo / step),
-                                    math.floor((hi + 1e-9 * span) / step) + 1)]
+    slack = 1e-9 * span
+    ticks = []
+    # the integer range is fixed up front, so a step below the ulp of lo cannot
+    # stall it; across a few ulps, neighbouring multiples round to one float or
+    # past the axis, and those are dropped
+    for k in range(math.ceil(lo / step), math.floor((hi + slack) / step) + 1):
+        t = k * step
+        if lo - slack <= t <= hi + slack and (not ticks or t > ticks[-1]):
+            ticks.append(t)
+    return ticks
 
 
 def _tick(x1, y1, x2, y2, tx, ty, anchor, value) -> list[str]:

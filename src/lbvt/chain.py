@@ -101,9 +101,9 @@ def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[fl
 
 def _regimes(d, limits) -> tuple[Regime, ...]:
     """Regime of each joint read off its deflection: 0 is closed, the limit the end stop."""
+    closed, active, stop = Regime.CLOSED, Regime.ACTIVE, Regime.END_STOP
     return tuple(
-        Regime.CLOSED if dk == 0.0 else Regime.END_STOP if dk >= lim else Regime.ACTIVE
-        for dk, lim in zip(d, limits)
+        closed if dk == 0.0 else stop if dk >= lim else active for dk, lim in zip(d, limits)
     )
 
 

@@ -23,25 +23,28 @@ Torque exactly at the holding threshold keeps a joint closed. The scheme is
 deterministic: identical inputs give identical results. The Newton jacobian
 is analytic: opening joint j rotates the chain tip and every later pivot
 about pivot j, and only the closure jacobian's dependence on the lever length
-is differenced, once per Newton step. Each load-map evaluation is made once
-and passed along: the point a Newton step reaches carries the torques of the
-next residual, the pivots of the next jacobian and, at the end, the geometry
-of the result. A Newton step must strictly lower the max-norm residual; the
-first one that does not is still taken (the bold step) and a second one ends
-the run, as does a step that would leave the deflections unchanged. A
-singular Newton system takes the step r/k instead, the Newton step with the
-load held fixed (jacobian -k, residual r = a - k(a0 + d)). A non-finite
-applied torque makes the residual NaN, so such a solve is reported as not
-converged. The direct attempt from the closed state is the one-rung
-case of the continuation ladder, so both run the same loop. The ladder's
-first rung starts from the closed-state point the direct attempt evaluated,
-reweighed at its force, so a solve evaluates the closed state once. An
-intermediate rung stops its Newton runs at _RUNG_TOL, and the next starts
-from its point reweighed at the next force (_LoadMap.reweigh). A caller
-that holds a converged state of the same config (a sweep's previous sample)
-may pass it as start: one more one-rung attempt then runs from that state
-first, and the two attempts from closed follow only if it fails. That start
-is clamped to the travel limits once, when its attempt is built.
+is differenced, once per geometry. Each load-map evaluation is made once and
+passed along: the point a Newton step reaches carries the torques of the next
+residual, the pivots of the next jacobian and, at the end, the geometry of
+the result, plus a slot for that difference's closure-kernel value, which the
+first jacobian taken there fills and later ones at the same geometry read
+(after a regime flip, or on the next ladder rung). A Newton step must
+strictly lower the max-norm residual; the first one that does not is still
+taken (the bold step) and a second one ends the run, as does a step that
+would leave the deflections unchanged. A singular Newton system takes the
+step r/k instead, the Newton step with the load held fixed (jacobian -k,
+residual r = a - k(a0 + d)). A non-finite applied torque makes the residual
+NaN, so such a solve is reported as not converged. The direct attempt from
+the closed state is the one-rung case of the continuation ladder, so both run
+the same loop. The ladder's first rung starts from the closed-state point the
+direct attempt evaluated, reweighed at its force, so a solve evaluates the
+closed state once. An intermediate rung stops its Newton runs at _RUNG_TOL,
+and the next starts from its point reweighed at the next force
+(_LoadMap.reweigh). A caller that holds a converged state of the same config
+(a sweep's previous sample) may pass it as start: one more one-rung attempt
+then runs from that state first, and the two attempts from closed follow only
+if it fails. That start is clamped to the travel limits once, when its
+attempt is built.
 
 brute_force_equilibrium is the independent check: it minimizes elastic energy
 minus the work fed into the chain over an exhaustive deflection grid, with
@@ -86,7 +89,10 @@ class _LoadMap:
 
     Building one computes nothing: the lever bearing comes with the config.
     The map keeps no state: a solve holds each evaluated point and passes it
-    on, so counting evaluate calls counts evaluations.
+    on, so counting evaluate calls counts evaluations. A point is the tuple
+    (torques, l4, jac, pivots, fd). fd is a one-element list, [None] when
+    evaluated, in which derivative stores the closure jacobian at l4 + _DL4;
+    it depends on the geometry alone, so reweigh hands the same list on.
     """
 
     def __init__(self, config: MechanismConfig, theta: float, f_cyl: float):
@@ -95,20 +101,23 @@ class _LoadMap:
         self.f_cyl = f_cyl
 
     def evaluate(self, d, xp=math):
-        """The point (torques, l4, jac, pivots) at deflections d; pivots ends with the tip.
+        """The point (torques, l4, jac, pivots, fd) at deflections d; pivots ends with the tip.
 
         d is one float per joint, or with xp=numpy one equal-shape array per
-        joint; every output then has that shape.
+        joint; every output then has that shape. fd is a new, empty slot.
         """
         cfg = self.config
         pivots, tip = chain._geometry(cfg, d, xp)
         l4 = xp.hypot(*tip)
         _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, xp)
-        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
+        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac, pivots, [None]
 
-    def reweigh(self, l4, jac, pivots):
-        """The point with this geometry under this map's force: only the torques depend on it."""
-        return chain._torques(pivots, pivots[-1], jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
+    def reweigh(self, l4, jac, pivots, fd):
+        """The point with this geometry under this map's force: only the torques depend on it.
+
+        The geometry is the same, so the new point shares the fd slot.
+        """
+        return chain._torques(pivots, pivots[-1], jac * self.f_cyl / (l4 * l4)), l4, jac, pivots, fd
 
     def derivative(self, point, active):
         """Rows i, columns j of da_i/dd_j over the active joints at an evaluated point.
@@ -119,26 +128,31 @@ class _LoadMap:
 
             da_i/dd_j = s'(l4) dl4/dd_j (w_i . t) + s (c_max(i,j) + w_j x w_i)
 
-        with c_j = w_j x t. dJ/dl4 in s' is one forward difference in l4. The
-        rows are nested lists.
+        with c_j = w_j x t. dJ/dl4 in s' is one forward difference in l4; its
+        closure-kernel value lands in the point's fd slot, so a second
+        derivative at the same geometry (after a regime flip, or on the next
+        ladder rung) does not call the kernel again. The rows are nested lists.
         """
-        _, l4, jac, pivots = point
+        _, l4, jac, pivots, fd = point
+        jac_up = fd[0]
+        if jac_up is None:
+            jac_up = fd[0] = linkage._closure_kernel(self.config, self.theta, l4 + _DL4)[4]
         tx, ty = pivots[-1]
         f = self.f_cyl
         scale = jac * f / (l4 * l4)
-        _, _, _, _, jac_up = linkage._closure_kernel(self.config, self.theta, l4 + _DL4)
         # ds/dl4 over l4, the factor that turns c_j = l4 dl4/dd_j into ds/dd_j
         ds = f * ((jac_up - jac) / _DL4 - 2.0 * jac / l4) / (l4 * l4 * l4)
-        w = [(tx - pivots[i][0], ty - pivots[i][1]) for i in active]
-        c = [wx * ty - wy * tx for wx, wy in w]
-        rows = []
-        for a, (wix, wiy) in enumerate(w):
-            g = ds * (wix * tx + wiy * ty)
-            rows.append([
-                g * c[b] + scale * (c[a if a > b else b] + wjx * wiy - wjy * wix)
-                for b, (wjx, wjy) in enumerate(w)
-            ])
-        return rows
+        # (w_x, w_y, c, g = ds * w . t) per active joint
+        w = []
+        for i in active:
+            px, py = pivots[i]
+            wx, wy = tx - px, ty - py
+            w.append((wx, wy, wx * ty - wy * tx, ds * (wx * tx + wy * ty)))
+        return [
+            [gi * cj + scale * ((ci if a > b else cj) + wjx * wiy - wjy * wix)
+             for b, (wjx, wjy, cj, _) in enumerate(w)]
+            for a, (wix, wiy, ci, gi) in enumerate(w)
+        ]
 
 
 def _energy(k, a0, d):
@@ -211,13 +225,10 @@ def _scan(d, regimes, torques, k, a0, limits):
 def _solve_small(jac, r):
     """Newton step -jac\\r in floats; None if jac is singular (a zero pivot).
 
-    1x1 and 2x2 systems, the common ones, take the closed form; larger ones
-    Gaussian elimination with partial pivoting.
+    2x2 systems, the common ones, take the closed form; others Gaussian
+    elimination with partial pivoting, which gives a 1x1 system -r / jac.
     """
     m = len(r)
-    if m == 1:
-        a = jac[0][0]
-        return [-r[0] / a] if a != 0.0 else None
     if m == 2:
         det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
         if det == 0.0:
@@ -266,10 +277,13 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
     diagonal) at the point the last step reached. A step that leaves d
     unchanged (typically an active joint pushing past its bound and clamped
     back) ends the loop before it is evaluated: every later pass would
-    rebuild the same jacobian and take the same step.
+    rebuild the same jacobian and take the same step. One active joint, the
+    common case, runs _newton_one, the same loop in scalars.
     """
     if not active:
         return point
+    if len(active) == 1:
+        return _newton_one(load, d, point, active, k, a0, limits[active[0]], tol)
     torques = point[0]
     r = [torques[i] - k * (a0 + d[i]) for i in active]
     norm = max(map(abs, r))
@@ -304,6 +318,42 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
                 break
             bold_used = True
         d[:] = trial
+        point, r, norm = trial_point, r_trial, norm_trial
+    return point
+
+
+def _newton_one(load, d, point, active, k, a0, lim, tol):
+    """_newton_active on the one joint in active, of travel limit lim, in scalars.
+
+    The same floating-point operations in the same order: the Newton step
+    -r / (J - k), or r / k when J - k is 0, then the clamp, the stall test,
+    the bold step and the strict-progress rule.
+    """
+    (j,) = active
+    r = point[0][j] - k * (a0 + d[j])
+    norm = abs(r)
+    bold_used = False
+    for _ in range(MAX_INNER):
+        if norm < tol:
+            break
+        a = load.derivative(point, active)[0][0] - k
+        x = d[j] + (-r / a if a != 0.0 else r / k)
+        if x < 0.0:
+            x = 0.0
+        if x > lim:
+            x = lim
+        if x == d[j]:
+            break
+        trial = list(d)
+        trial[j] = x
+        trial_point = load.evaluate(trial)
+        r_trial = trial_point[0][j] - k * (a0 + x)
+        norm_trial = abs(r_trial)
+        if not norm_trial < norm:
+            if bold_used:
+                break
+            bold_used = True
+        d[j] = x
         point, r, norm = trial_point, r_trial, norm_trial
     return point
 
@@ -357,7 +407,7 @@ def _result(load: _LoadMap, d, point, converged: bool, residual: float,
     # the chain state reads the regimes off the deflections (chain._regimes);
     # closed joints hold exact zeros and stopped joints the exact limits, so
     # that reproduces the solver's assignment.
-    _, _, jac, pivots = point
+    _, _, jac, pivots, _ = point
     return EquilibriumResult(
         chain=chain._chain_state(load.config, d, pivots),
         transmission_ratio=jac,

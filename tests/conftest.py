@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 import lbvt
-from lbvt.model import MechanismConfig
+from lbvt import equilibrium
+from lbvt.model import MechanismConfig, per_joint_stiffness, validate_config
 
 THETA_88 = math.radians(-88.0)
 
@@ -81,3 +83,56 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def random_config(rng) -> MechanismConfig:
+    """The default config with its chain and spring fields perturbed, redrawn until valid.
+
+    Each draw scales l_offset by 1 +- 0.3, each segment by 1 +- 0.4, each
+    travel limit by 1 +- 0.6, alpha_preload by 1 +- 0.8 and k_spring by
+    1 +- 0.5, and shifts beta and each phi by +-0.3 rad, all uniform; about
+    nine draws in ten validate.
+    """
+    base = lbvt.load_default_config()
+
+    def scaled(values, rel):
+        return tuple(float(v * rng.uniform(1.0 - rel, 1.0 + rel)) for v in values)
+
+    while True:
+        config = dataclasses.replace(
+            base,
+            l_offset=scaled([base.l_offset], 0.3)[0],
+            beta=float(base.beta + rng.uniform(-0.3, 0.3)),
+            segments=scaled(base.segments, 0.4),
+            phi=tuple(float(p + rng.uniform(-0.3, 0.3)) for p in base.phi),
+            joint_open_limit=scaled(base.joint_open_limit, 0.6),
+            alpha_preload=scaled([base.alpha_preload], 0.8)[0],
+            k_spring=scaled([base.k_spring], 0.5)[0],
+        )
+        if not validate_config(config):
+            return config
+
+
+def _climb(config: MechanismConfig, theta: float, f_cyl: float, budget: int):
+    """The loading-branch equilibrium by plain iteration d <- T(d) from the closed chain.
+
+    T(d) = clip(a(d) / k - a0, 0, limit) per joint, with a(d) the applied
+    joint torques of the solver's own load map (_LoadMap.evaluate). T is
+    isotone, so the iteration climbs monotonically to the least fixed point,
+    the branch that loading from zero force follows. Its independence from
+    the solver lies in the method: no Newton step, no regime logic and no
+    force ladder. Returns the deflections once max |T(d) - d| <= 1e-14 rad,
+    or None if that takes more than budget passes.
+    """
+    load = equilibrium._LoadMap(config, theta, f_cyl)
+    k = per_joint_stiffness(config)
+    a0 = config.alpha_preload
+    limits = config.joint_open_limit
+    d = [0.0] * config.n_joints
+    for _ in range(budget):
+        torques = load.evaluate(d)[0]
+        t = [min(max(a / k - a0, 0.0), lim) for a, lim in zip(torques, limits)]
+        if max(abs(x - y) for x, y in zip(t, d)) <= 1e-14:
+            return t
+        d = t
+    return None

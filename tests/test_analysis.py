@@ -63,6 +63,12 @@ def test_ladder_rejects_too_many_samples(step, samples):
         analysis.sample_ladder(0.0, 200.0, step)
 
 
+def test_ladder_rejects_a_step_below_the_float_spacing():
+    # 100 + 1e-14 and 100 + 2e-14 both round to 100.00000000000001
+    with pytest.raises(ValueError, match="step 1e-14 does not advance the range"):
+        analysis.sample_ladder(100.0, 100.00000000000003, 1e-14)
+
+
 # ---------- angle sweep ----------
 
 def test_angle_sweep_zero_force_is_flat(default_config):
@@ -560,6 +566,12 @@ def test_svg_pads_an_axis_with_one_finite_value(tmp_path):
 def test_ticks_on_a_subnormal_span(hi):
     # span / 5 underflows to 0 at 5e-324, and the 1-2-5 step 10**-324 at 2.5e-323
     assert analysis._nice_ticks(0.0, hi) == [0.0, hi]
+
+
+def test_ticks_across_a_few_ulps_are_distinct_and_inside_the_axis():
+    # multiples of the 1e-14 step round to 100.00000000000001 three times and
+    # the last one lands past the axis end
+    assert analysis._nice_ticks(100.0, 100.00000000000003) == [100.0, 100.00000000000001]
 
 
 def test_trigger_plot_renders_plateau(default_config, tmp_path):

@@ -701,6 +701,39 @@ def test_plot_with_a_tick_step_below_half_an_ulp_finishes(tmp_path):
     assert svg.read_text().endswith("</svg>\n")
 
 
+def test_sweep_step_below_the_float_spacing_names_the_step(tmp_path, capsys):
+    out = tmp_path / "u.csv"
+    assert run(["ratio", DEFAULT, "--theta", "-88", "--from", "100",
+                "--to", "100.00000000000003", "--step", "1e-14", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "lbvt ratio: step 1e-14 does not advance the range past 100.00000000000001\n")
+    assert not out.exists()
+
+
+def _tick_marks(svg: str):
+    """Pixel positions of the x-axis and y-axis tick marks of an emit_svg_plot file."""
+    marks = re.findall(r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)" '
+                       r'stroke="#333333"', svg)
+    xs = [float(x1) for x1, y1, x2, y2 in marks if x1 == x2]
+    ys = [float(y1) for x1, y1, x2, y2 in marks if y1 == y2]
+    return xs, ys
+
+
+def test_plot_ticks_across_a_few_ulps_are_distinct_and_inside_the_frame(tmp_path, capsys):
+    # the torque column spans a few ulps of 0.903419: its ticks repeated, and
+    # three sat on one pixel
+    svg = tmp_path / "y.svg"
+    code = run(["sweep-force", DEFAULT, "--theta", "-124.14303877943516",
+                "--from", "21.230551399973844", "--to", "21.230551399973855",
+                "--step", "5.861977570020827e-15", "--out", str(tmp_path / "y.csv"),
+                "--plot", str(svg)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    xs, ys = _tick_marks(svg.read_text())
+    assert xs and ys
+    assert len(set(xs)) == len(xs) and all(76.0 <= x <= 700.0 for x in xs)
+    assert len(set(ys)) == len(ys) and all(20.0 <= y <= 428.0 for y in ys)
+
+
 def test_plot_of_a_subnormal_force_span_is_written(tmp_path, capsys):
     # the x axis's 1-2-5 tick step underflows to 0, which divided by zero
     svg = tmp_path / "d.svg"

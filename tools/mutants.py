@@ -58,6 +58,9 @@ MUTANTS = {
                             "newton lies in (1e-12, 1e-6] Nm"),
     "singular-step-sign": ("equilibrium.py", "step = [x / k for x in r]",
                            "step = [-x / k for x in r]", ""),
+    "singular-sign-1-joint": ("equilibrium.py", "if a != 0.0 else r / k)",
+                              "if a != 0.0 else -r / k)", ""),
+    "fd-slot-unread": ("equilibrium.py", "if jac_up is None:", "if True:", ""),
     "regime-at-limit": ("chain.py", "if dk >= lim else", "if dk > lim else", ""),
     "closure-slack-1e-9": ("linkage.py", "g > l2 + l3 + 1e-12", "g > l2 + l3 + 1e-9", ""),
     "preload-cap": ("model.py", "if config.alpha_preload > 2.0 * math.pi:",
