@@ -31,6 +31,22 @@ RATIO_STEP_TOL = 0.005  # calibration tolerance on the ratio step
 MAX_SAMPLES = 1_000_000  # per ladder; a sweep solves each sample, so more is a mistyped step
 
 
+class _LadderError(ValueError):
+    """A sample_ladder error that a caller can restate in the unit its user typed.
+
+    template names start, stop and step, the ladder's arguments, and may name
+    before, a sample, and count, a sample count.
+    """
+
+    def __init__(self, template: str, start, stop, step, before=None, count=None):
+        self.template, self.before, self.count = template, before, count
+        super().__init__(self.restate(start, stop, step, before))
+
+    def restate(self, start, stop, step, before) -> str:
+        return self.template.format(start=start, stop=stop, step=step, before=before,
+                                    count=self.count)
+
+
 def sample_ladder(start: float, stop: float, step: float) -> list[float]:
     """Sweep abscissae: start + k*step, end snapped or appended; stop >= start.
 
@@ -40,19 +56,18 @@ def sample_ladder(start: float, stop: float, step: float) -> list[float]:
     naming it.
     """
     if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
+        raise _LadderError("step must be positive and finite, got {step}", start, stop, step)
     for name, value in (("start", start), ("stop", stop)):
         if not math.isfinite(value):
-            raise ValueError(f"range {name} must be finite, got {value}")
+            raise _LadderError(f"range {name} must be finite, got {{{name}}}", start, stop, step)
     if stop < start:
-        raise ValueError(f"range end {stop} below start {start}")
+        raise _LadderError("range end {stop} below start {start}", start, stop, step)
     # a float until checked: a tiny step makes it too large, or infinite, for an int
     steps = (stop - start) / step + 1e-9
     if steps + 1.0 > MAX_SAMPLES:
-        raise ValueError(
-            f"step {step} over [{start}, {stop}] asks for {steps + 1.0:.0f} samples "
-            f"(limit {MAX_SAMPLES})"
-        )
+        raise _LadderError(
+            "step {step} over [{start}, {stop}] asks for {count:.0f} samples "
+            f"(limit {MAX_SAMPLES})", start, stop, step, count=steps + 1.0)
     count = math.floor(steps)
     xs = [start + i * step for i in range(count + 1)]
     if count >= 1 and xs[-1] != stop:
@@ -62,7 +77,8 @@ def sample_ladder(start: float, stop: float, step: float) -> list[float]:
             xs.append(stop)
     for before, x in zip(xs, xs[1:]):
         if not x > before:  # a step below the float spacing at the range
-            raise ValueError(f"step {step} does not advance the range past {before}")
+            raise _LadderError("step {step} does not advance the range past {before}",
+                               start, stop, step, before)
     return xs
 
 
@@ -358,13 +374,22 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-def _tick(x1, y1, x2, y2, tx, ty, anchor, value) -> list[str]:
+def _labels(ticks) -> list[str]:
+    """Tick labels to 6 significant digits, or the fewest (at most 17) that tell them apart."""
+    for digits in range(6, 18):
+        labels = [format(t, f".{digits}g") for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
+def _tick(x1, y1, x2, y2, tx, ty, anchor, label) -> list[str]:
     """The mark from (x1, y1) to (x2, y2) and the label at (tx, ty) of one axis tick."""
     return [
         f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
         f'y2="{y2:.2f}" stroke="#333333" stroke-width="1"/>',
         f'<text x="{tx:.2f}" y="{ty:.2f}" font-family="sans-serif" '
-        f'font-size="11" text-anchor="{anchor}">{value:.6g}</text>',
+        f'font-size="11" text-anchor="{anchor}">{label}</text>',
     ]
 
 
@@ -373,7 +398,9 @@ def emit_svg_plot(table: SweepTable, y_columns, destination) -> int:
 
     The x axis is the table's independent column. Deterministic output:
     identical tables give identical bytes. Non-finite points (flagged
-    infeasible samples) are skipped.
+    infeasible samples) are skipped. Tick labels carry 6 significant digits,
+    or on an axis where those repeat the fewest that tell them apart. An
+    axis whose width, margin included, overflows a float raises ValueError.
     """
     y_columns = list(y_columns)
     if len(table) < 2:
@@ -391,11 +418,15 @@ def emit_svg_plot(table: SweepTable, y_columns, destination) -> int:
     if not finite_x or not finite_y:
         raise ValueError("no finite data points to plot")
     x_lo, x_hi = min(finite_x), max(finite_x)
-    y_lo, y_hi = min(finite_y), max(finite_y)
+    y_min, y_max = min(finite_y), max(finite_y)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    pad = max(abs(y_lo) * 0.1, 1.0) if y_hi == y_lo else 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    pad = max(abs(y_min) * 0.1, 1.0) if y_max == y_min else 0.05 * (y_max - y_min)
+    y_lo, y_hi = y_min - pad, y_max + pad
+    for axis, lo, hi, span in (("x", x_lo, x_hi, x_hi - x_lo), ("y", y_min, y_max, y_hi - y_lo)):
+        if not math.isfinite(span):
+            raise ValueError(f"cannot plot a {axis} axis spanning [{lo}, {hi}]: "
+                             "the axis width overflows a float")
 
     def sx(x: float) -> float:
         return ml + (x - x_lo) / (x_hi - x_lo) * pw
@@ -412,12 +443,14 @@ def emit_svg_plot(table: SweepTable, y_columns, destination) -> int:
         f'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
 
-    for t in _nice_ticks(x_lo, x_hi):
+    ticks = _nice_ticks(x_lo, x_hi)
+    for t, label in zip(ticks, _labels(ticks)):
         px = sx(t)
-        parts += _tick(px, mt + ph, px, mt + ph + 5, px, mt + ph + 18, "middle", t)
-    for t in _nice_ticks(y_lo, y_hi):
+        parts += _tick(px, mt + ph, px, mt + ph + 5, px, mt + ph + 18, "middle", label)
+    ticks = _nice_ticks(y_lo, y_hi)
+    for t, label in zip(ticks, _labels(ticks)):
         py = sy(t)
-        parts += _tick(ml - 5, py, ml, py, ml - 8, py + 4, "end", t)
+        parts += _tick(ml - 5, py, ml, py, ml - 8, py + 4, "end", label)
 
     parts.append(
         f'<text x="{ml + pw / 2:.2f}" y="{height - 12:.2f}" font-family="sans-serif" '

@@ -111,7 +111,13 @@ def _cmd_sweep(args, config) -> int:
     if args.command == "sweep-angle":
         start = math.radians(args.start) if args.start is not None else config.theta_min
         stop = math.radians(args.stop) if args.stop is not None else config.theta_max
-        table = sweep(config, args.force, start, stop, math.radians(args.step))
+        try:
+            table = sweep(config, args.force, start, stop, math.radians(args.step))
+        except analysis._LadderError as exc:  # restated in degrees, the flags as typed
+            shown = [math.degrees(rad) if deg is None else deg
+                     for deg, rad in ((args.start, start), (args.stop, stop))]
+            before = None if exc.before is None else math.degrees(exc.before)
+            raise ValueError(exc.restate(*shown, args.step, before)) from None
     else:
         table = sweep(config, math.radians(args.theta), args.start, args.stop, args.step)
     analysis.emit_csv(table, args.out)

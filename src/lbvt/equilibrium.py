@@ -46,17 +46,20 @@ then runs from that state first, and the two attempts from closed follow only
 if it fails. That start is clamped to the travel limits once, when its
 attempt is built.
 
-brute_force_equilibrium is the independent check: it minimizes elastic energy
-minus the work fed into the chain over an exhaustive deflection grid, with
-the work path-integrated along the uniform-opening ray to each grid node
-(all joints scaled together). It evaluates the whole grid through the
-solver's own load map (_LoadMap.evaluate on arrays: the same chain geometry,
-four-bar closure and joint-torque kernels), so its independence lies in the
-method, an energy minimum over a grid against an active-set iteration on
-the torque balances. It never iterates. The solver and the oracle build
-their result through one helper, _result, from the final deflections and the
-load-map point evaluated there; each supplies its own convergence flag and
-iteration count.
+brute_force_equilibrium is the independent check. An equilibrium is a fixed
+point of T(d) = clip(a(d)/k - a0, 0, limit) per joint, with a(d) the applied
+joint torques. The oracle evaluates T once on every node of an exhaustive
+deflection grid, keeps the super-solutions (nodes where T(node) <= node in
+every joint) and returns their componentwise minimum. T is isotone, so by
+Tarski's theorem the meet of all super-solutions is the least fixed point,
+the equilibrium that loading from zero force reaches; the grid's meet lies on
+or above it. It evaluates the grid through the solver's own load map
+(_LoadMap.evaluate on arrays: the same chain geometry, four-bar closure and
+joint-torque kernels), so its independence lies in the method, a sieve over
+a grid against an active-set iteration on the torque balances. It never
+iterates. The solver and the oracle build their result through one helper,
+_result, from the final deflections and the load-map point evaluated there;
+each supplies its own convergence flag and iteration count.
 """
 
 from __future__ import annotations
@@ -153,11 +156,6 @@ class _LoadMap:
              for b, (wjx, wjy, cj, _) in enumerate(w)]
             for a, (wix, wiy, ci, gi) in enumerate(w)
         ]
-
-
-def _energy(k, a0, d):
-    """Spring energy of joint openings d above the closed state; floats or equal-shape arrays."""
-    return sum(0.5 * k * ((a0 + dk) ** 2 - a0 * a0) for dk in d)
 
 
 def _trigger_torque(config: MechanismConfig, theta: float) -> float:
@@ -489,19 +487,21 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
 def brute_force_equilibrium(
     config: MechanismConfig, theta: float, f_cyl: float, grid_step: float
 ) -> EquilibriumResult:
-    """Grid-search oracle: minimize elastic energy minus fed-in work.
+    """Grid oracle: the meet of the grid's super-solutions of d = T(d).
 
-    Only reduced chains of up to 3 joints are accepted; the deflection box is
-    enumerated exhaustively at grid_step resolution (travel limits included as
-    exact nodes). The work at each node integrates the applied joint torques
-    along the uniform-opening ray from the closed state to the node, with
-    fixed Gauss-Legendre quadrature. An invalid config raises ConfigError
-    naming its violations before any node is counted.
+    T(d) = clip(a(d)/k - a0, 0, limit) per joint, a(d) the applied joint
+    torques. The deflection box is enumerated exhaustively at grid_step
+    resolution (travel limits included as exact nodes), T is evaluated once
+    on the whole grid, and the componentwise minimum of the nodes with
+    T(node) <= node in every joint is returned. The top node (every joint at
+    its limit) always qualifies. Every super-solution of the isotone T lies
+    on or above the least fixed point, so the result does too. Any joint
+    count is accepted; a grid of more than 1e8 nodes raises GridSizeError
+    before any axis is built. An invalid config raises ConfigError naming
+    its violations before any node is counted.
     """
     import numpy as np  # here, so that importing lbvt does not load numpy
 
-    if config.n_joints > 3:
-        raise ValueError("grid oracle supports at most 3 chain joints")
     violations = validate_config(config)
     if violations:
         raise ConfigError("invalid config: " + "; ".join(violations))
@@ -532,19 +532,12 @@ def brute_force_equilibrium(
 
     k = per_joint_stiffness(config)
     a0 = config.alpha_preload
-    energy = _energy(k, a0, grid.T)
-
     load = _LoadMap(config, theta, f_cyl)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-    s_nodes = 0.5 * (gl_x + 1.0)
-    s_weights = 0.5 * gl_w
-    work = np.zeros(len(grid))
-    for s, w in zip(s_nodes, s_weights):
-        a_q = load.evaluate(s * grid.T, np)[0]
-        work += w * sum(a * col for a, col in zip(a_q, grid.T))
-
-    best = int(np.argmin(energy - work))
-    d_star = [float(v) for v in grid[best]]
+    # super-solutions: T(node) <= node in every joint; the top node always is one
+    above = np.ones(len(grid), dtype=bool)
+    for a, col, lim in zip(load.evaluate(grid.T, np)[0], grid.T, limits):
+        above &= np.clip(a / k - a0, 0.0, lim) <= col
+    d_star = [float(v) for v in grid[above].min(axis=0)]
 
     point = load.evaluate(d_star)
     residual, _ = _scan(d_star, chain._regimes(d_star, limits), point[0], k, a0, limits)

@@ -67,7 +67,7 @@ def test_criterion_2_jacobian_matches_finite_differences(default_config):
 
 def test_criterion_3_oracle_equivalence():
     grid_step = 1e-3
-    with criterion(3, "active-set solver matches the energy-grid oracle", 60.0):
+    with criterion(3, "active-set solver matches the fixed-point grid oracle", 60.0):
         rng = np.random.default_rng(20240811)
         spans = {1: 25.0, 2: 40.0, 3: 52.0}  # beyond each chain's saturation force
         for n in (1, 2, 3):

@@ -562,6 +562,27 @@ def test_svg_pads_an_axis_with_one_finite_value(tmp_path):
     assert '<polyline points="388.00,224.00" ' in out.read_text()
 
 
+@pytest.mark.parametrize("xs, ys, message", [
+    ((0.0, 1.0), (-1e308, 1e308), r"y axis spanning \[-1e\+308, 1e\+308\]"),
+    ((0.0, 1.0), (1.7e308, 1.7e308), r"y axis spanning \[1.7e\+308, 1.7e\+308\]"),
+    ((-1e308, 1e308), (0.0, 1.0), r"x axis spanning \[-1e\+308, 1e\+308\]"),
+], ids=["y-span", "y-margin", "x-span"])
+def test_svg_rejects_an_axis_too_wide_for_a_float(tmp_path, xs, ys, message):
+    # the width, or the margin about a constant column, overflows to inf
+    table = SweepTable(columns=("x (s)", "y (m)"), rows=list(zip(xs, ys)))
+    out = tmp_path / "w.svg"
+    with pytest.raises(ValueError, match=message + ": the axis width overflows a float"):
+        analysis.emit_svg_plot(table, ["y (m)"], out)
+    assert not out.exists()
+
+
+def test_tick_labels_take_the_fewest_digits_that_tell_them_apart():
+    assert analysis._labels([0.5, 1.0, 1.5]) == ["0.5", "1", "1.5"]
+    assert analysis._labels([1.0, 1.0000001, 1.0000002]) == ["1", "1.0000001", "1.0000002"]
+    ulps = [100.0, 100.00000000000001]
+    assert analysis._labels(ulps) == ["100", "100.00000000000001"]
+
+
 @pytest.mark.parametrize("hi", [5e-324, 2.5e-323])
 def test_ticks_on_a_subnormal_span(hi):
     # span / 5 underflows to 0 at 5e-324, and the 1-2-5 step 10**-324 at 2.5e-323

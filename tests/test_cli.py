@@ -710,6 +710,23 @@ def test_sweep_step_below_the_float_spacing_names_the_step(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--from", "-88", "--to", "-87.99999999999997", "--step", "1e-15"],
+     "step 1e-15 does not advance the range past -88.0"),
+    (["--from", "-88", "--to", "-40", "--step", "1e-5"],
+     "step 1e-05 over [-88.0, -40.0] asks for 4800001 samples (limit 1000000)"),
+    (["--from", "-88", "--to", "-40", "--step", "-1"],
+     "step must be positive and finite, got -1.0"),
+    (["--from", "-80", "--to", "-90"], "range end -90.0 below start -80.0"),
+], ids=["below-spacing", "too-many", "negative", "reversed"])
+def test_sweep_angle_ladder_errors_name_degrees_as_typed(tmp_path, capsys, args, message):
+    # the ladder runs in radians, and its errors are restated in the flags' degrees
+    out = tmp_path / "a.csv"
+    assert run(["sweep-angle", DEFAULT, "--force", "165", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"lbvt sweep-angle: {message}\n"
+    assert not out.exists()
+
+
 def _tick_marks(svg: str):
     """Pixel positions of the x-axis and y-axis tick marks of an emit_svg_plot file."""
     marks = re.findall(r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)" '
@@ -721,7 +738,8 @@ def _tick_marks(svg: str):
 
 def test_plot_ticks_across_a_few_ulps_are_distinct_and_inside_the_frame(tmp_path, capsys):
     # the torque column spans a few ulps of 0.903419: its ticks repeated, and
-    # three sat on one pixel
+    # three sat on one pixel; to 6 digits its labels all read 0.903419, and
+    # the force labels all 21.2306
     svg = tmp_path / "y.svg"
     code = run(["sweep-force", DEFAULT, "--theta", "-124.14303877943516",
                 "--from", "21.230551399973844", "--to", "21.230551399973855",
@@ -732,6 +750,11 @@ def test_plot_ticks_across_a_few_ulps_are_distinct_and_inside_the_frame(tmp_path
     assert xs and ys
     assert len(set(xs)) == len(xs) and all(76.0 <= x <= 700.0 for x in xs)
     assert len(set(ys)) == len(ys) and all(20.0 <= y <= 428.0 for y in ys)
+    labels = re.findall(r'font-size="11" text-anchor="(middle|end)">([^<]*)<', svg.read_text())
+    assert [v for a, v in labels if a == "middle"] == [
+        "21.23055139997384", "21.23055139997385", "21.23055139997386"]
+    assert [v for a, v in labels if a == "end"] == [
+        "0.9034194338577091", "0.9034194338577093", "0.9034194338577095"]
 
 
 def test_plot_of_a_subnormal_force_span_is_written(tmp_path, capsys):

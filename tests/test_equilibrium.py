@@ -638,32 +638,6 @@ def test_monotone_loading_at_minus_88(default_config):
         prev_l4, prev_t = res.chain.l4, res.kfe_torque
 
 
-def _energy(config, d):
-    return equilibrium._energy(per_joint_stiffness(config), config.alpha_preload, d)
-
-
-def test_potential_energy_reference_zero(default_config):
-    assert _energy(default_config, (0.0,) * 6) == 0.0
-
-
-def test_potential_energy_single_joint_value():
-    cfg = dataclasses.replace(
-        reduced_chain(1), springs_per_joint=1, k_spring=1.0, alpha_preload=0.1)
-    assert _energy(cfg, (0.05,)) == pytest.approx(6.25e-3, abs=1e-15)
-
-
-def test_potential_energy_increasing_in_each_joint(default_config):
-    rng = np.random.default_rng(17)
-    h = 1e-7
-    for _ in range(50):
-        d = [rng.uniform(0.0, 0.9 * lim) for lim in default_config.joint_open_limit]
-        e0 = _energy(default_config, d)
-        for j in range(6):
-            up = list(d)
-            up[j] += h
-            assert _energy(default_config, up) > e0
-
-
 def test_virtual_work_consistency():
     """dE/df along the solution path equals the applied generalized power."""
     cfg = reduced_chain(2)
@@ -679,7 +653,12 @@ def test_virtual_work_consistency():
             f0 = float(f)
             break
     assert f0 is not None, "no stable interior-active window found"
-    de = (_energy(cfg, hi.chain.deflection) - _energy(cfg, lo.chain.deflection)) / (2.0 * h)
+    k, a0 = per_joint_stiffness(cfg), cfg.alpha_preload
+
+    def energy(d):  # spring energy above the closed state
+        return sum(0.5 * k * ((a0 + dk) ** 2 - a0 * a0) for dk in d)
+
+    de = (energy(hi.chain.deflection) - energy(lo.chain.deflection)) / (2.0 * h)
     torques = chain.joint_torques(cfg, mid.chain.deflection, mid.tip_force)
     dd = [(a - b) / (2.0 * h) for a, b in zip(hi.chain.deflection, lo.chain.deflection)]
     applied_power = sum(t * v for t, v in zip(torques, dd))
@@ -754,9 +733,38 @@ def test_load_map_takes_the_bearing_off_the_config(default_config, monkeypatch):
     assert calls[0] == 0
 
 
-def test_brute_force_rejects_full_chain(default_config):
-    with pytest.raises(ValueError):
+def test_brute_force_rejects_a_full_chain_grid_over_budget(default_config):
+    # six 0.131 rad axes at 1e-3 would hold 132**6, about 5e12 nodes
+    with pytest.raises(GridSizeError):
         brute_force_equilibrium(default_config, THETA_88, 10.0, 1e-3)
+
+
+@pytest.mark.parametrize("f_cyl", [26.4, 30.0])
+def test_brute_force_lies_within_a_step_above_the_solver(f_cyl):
+    """The meet of the grid's super-solutions bounds the solve from above, within one step.
+
+    So the gap shrinks with the step: 8.5e-5 and 5.8e-5 rad at 1e-4.
+    """
+    cfg = reduced_chain(2)
+    direct = solve_equilibrium(cfg, THETA_88, f_cyl)
+    assert direct.converged
+    for step in (2e-3, 1e-3, 5e-4, 2.5e-4, 1e-4):
+        grid = brute_force_equilibrium(cfg, THETA_88, f_cyl, step)
+        for d, u in zip(direct.chain.deflection, grid.chain.deflection):
+            assert -1e-9 <= u - d <= step
+
+
+@pytest.mark.parametrize("theta_deg, f_cyl", [(-88.0, 30.0), (-88.0, 60.0), (-120.0, 45.0),
+                                              (-60.0, 40.0)])
+def test_brute_force_covers_the_six_joint_chain(default_config, theta_deg, f_cyl):
+    # 9 nodes per axis, 531,441 in all; the gaps measure 0 to 1.18 steps
+    step = default_config.joint_open_limit[0] / 8
+    theta = math.radians(theta_deg)
+    direct = solve_equilibrium(default_config, theta, f_cyl)
+    grid = brute_force_equilibrium(default_config, theta, f_cyl, step)
+    assert direct.converged
+    for d, u in zip(direct.chain.deflection, grid.chain.deflection):
+        assert -1e-9 <= u - d <= 1.5 * step
 
 
 def test_vectorized_load_map_matches_scalar(default_config):

@@ -40,10 +40,8 @@ MUTANTS = {
     "oracle-budget-1e9": ("equilibrium.py", "if total > 1e8:", "if total > 1e9:", ""),
     "warm-start-last": ("equilibrium.py", "attempts.insert(0, (d0, 1))",
                         "attempts.append((d0, 1))", ""),
-    "oracle-4-gauss-nodes": (
-        "equilibrium.py", "leggauss(16)", "leggauss(4)",
-        "4, 16 and 32 nodes pick the same grid node on 120 criterion-3-style inputs "
-        "(40 forces on each reduced chain at -88 deg, grid step 1e-3)"),
+    "oracle-strict-super-solution": ("equilibrium.py", "0.0, lim) <= col", "0.0, lim) < col", ""),
+    "oracle-join": ("equilibrium.py", "grid[above].min(axis=0)", "grid[above].max(axis=0)", ""),
     "ladder-snap-0.4": ("analysis.py", "< 0.5 * step:", "< 0.4 * step:", ""),
     "singularity-1e-7": ("linkage.py", "SINGULARITY_SIN = 1e-8", "SINGULARITY_SIN = 1e-7", ""),
     "deflection-slack-1e-6": ("chain.py", "dk <= lim + 1e-12", "dk <= lim + 1e-6", ""),
@@ -121,7 +119,7 @@ def main(argv: list[str]) -> int:
             killed += dead
             reason = MUTANTS[name][3]
             status = "killed" if dead else "equivalent" if reason else "survived"
-            print(f"{status:<10} {name:<22} {failure or reason}", flush=True)
+            print(f"{status:<10} {name:<28} {failure or reason}", flush=True)
     print(f"mutants: {killed} of {len(names)} killed in {time.perf_counter() - started:.0f} s",
           file=sys.stderr)
     return 0
