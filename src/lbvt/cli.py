@@ -111,8 +111,11 @@ def _cmd_sweep(args, config) -> int:
     if args.command == "sweep-angle":
         start = math.radians(args.start) if args.start is not None else config.theta_min
         stop = math.radians(args.stop) if args.stop is not None else config.theta_max
+        step = math.radians(args.step)
+        if step == 0.0 < args.step:
+            raise ValueError(f"--step {args.step} underflows to 0 when converted to radians")
         try:
-            table = sweep(config, args.force, start, stop, math.radians(args.step))
+            table = sweep(config, args.force, start, stop, step)
         except analysis._LadderError as exc:  # restated in degrees, the flags as typed
             shown = [math.degrees(rad) if deg is None else deg
                      for deg, rad in ((args.start, start), (args.stop, stop))]
@@ -172,9 +175,30 @@ def run(argv=None) -> int:
         if args.command == "calibrate":
             return _cmd_calibrate(args, config)
         return _cmd_sweep(args, config)
+    except equilibrium._AngleError as exc:
+        message = _angle_message(args, config, exc.theta)
     except (ConfigError, GeometryError, CalibrationError, ValueError, OSError) as exc:
-        print(f"lbvt {args.command}: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    print(f"lbvt {args.command}: {message}", file=sys.stderr)
+    return 1
+
+
+def _angle_message(args, config, theta: float) -> str:
+    """A knee angle outside the config's range, restated in degrees with its flag as typed.
+
+    sweep-angle's first sample is --from; every later one lies between --from
+    and --to, so it can leave the range only when --to does.
+    """
+    if args.command != "sweep-angle":
+        flag, typed = "--theta", args.theta
+    elif args.start is not None and theta == math.radians(args.start):
+        flag, typed = "--from", args.start
+    else:
+        flag, typed = "--to", args.stop
+    # to 1e-9 deg, finer than the range check's 1e-9 rad slack, so that a
+    # config's degree round trip shows no last-bit noise
+    lo, hi = (round(math.degrees(t), 9) for t in (config.theta_min, config.theta_max))
+    return f"{flag} {typed} outside the configured range [{lo}, {hi}] deg"
 
 
 def main() -> None:

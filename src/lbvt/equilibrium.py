@@ -385,15 +385,21 @@ def _check_force(f_cyl: float) -> None:
         raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
 
 
+class _AngleError(ValueError):
+    """A finite knee angle theta outside the config's range; the CLI restates it in degrees."""
+
+    def __init__(self, config: MechanismConfig, theta: float):
+        self.theta = theta
+        super().__init__(f"theta={theta} outside the configured range "
+                         f"[{config.theta_min}, {config.theta_max}]")
+
+
 def _check_theta(config: MechanismConfig, theta: float) -> None:
     """Reject a non-finite knee angle, or one outside the configured range."""
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if not (config.theta_min - 1e-9 <= theta <= config.theta_max + 1e-9):
-        raise ValueError(
-            f"theta={theta} outside the configured range "
-            f"[{config.theta_min}, {config.theta_max}]"
-        )
+        raise _AngleError(config, theta)
 
 
 _CONTINUATION_RUNGS = 8

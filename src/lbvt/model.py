@@ -10,6 +10,8 @@ Sign conventions:
     non-negative; opening a joint increases its deflection.
 
 All types are immutable after construction and safe to share across threads.
+A MechanismConfig keeps the verdict of its first validate_config call; two
+threads that race to compute it store equal tuples.
 """
 
 from __future__ import annotations
@@ -68,8 +70,11 @@ class MechanismConfig:
     lever_bearing is derived, not a field: the polar angle of the closed
     chain tip seen from the knee, in the lower-leg frame, along which the
     output lever points. It is set once at construction (NaN when the chain
-    angles are not finite), so it is neither saved nor compared.
-    dataclasses.replace makes a modified copy and recomputes it.
+    angles are not finite), so it is neither saved nor compared. Nor is
+    _violations, validate_config's verdict as a tuple: None until the first
+    validate_config call on the config computes it and keeps it here.
+    dataclasses.replace makes a modified copy, which recomputes the bearing
+    and starts with no verdict.
     """
 
     l1: float
@@ -101,6 +106,7 @@ class MechanismConfig:
         except (ValueError, OverflowError):  # cos of an infinite angle; validate_config names it
             x = y = math.nan
         object.__setattr__(self, "lever_bearing", math.atan2(y, x))
+        object.__setattr__(self, "_violations", None)
 
     @property
     def n_joints(self) -> int:
@@ -207,15 +213,31 @@ def total_stiffness(config: MechanismConfig) -> float:
 def validate_config(config: MechanismConfig) -> list[str]:
     """Check every config invariant; returns human-readable violations, empty if valid.
 
-    Deterministic and side-effect free. Every number must be finite; a NaN or
-    infinite field is reported by name (with its index in a tuple field), and
-    so is a per-joint stiffness springs_per_joint * k_spring that overflows.
-    alpha_preload must lie in [0, 2*pi], at most one turn of a torsion
-    spring. Once the fields are sound, closure solvability is checked
-    exactly over the whole knee range and lever range: the closure kernel
-    runs at the at most three points of longest and shortest pivot span
-    (see _closure_violations), and an actuator base on the attachment
-    circle is rejected. Each call returns a fresh list.
+    Deterministic. The first call on a config computes the verdict and keeps
+    it on the config (see _find_violations); since the fields are frozen, it
+    cannot go stale, and a later call runs no check. Each call returns a
+    fresh list.
+    """
+    verdict = config._violations
+    if verdict is None:
+        # object.__setattr__, not vars(config): building the instance dict
+        # slows every later attribute read of this config in the kernels
+        verdict = tuple(_find_violations(config))
+        object.__setattr__(config, "_violations", verdict)
+    return list(verdict)
+
+
+def _find_violations(config: MechanismConfig) -> list[str]:
+    """Every violated config invariant, as validate_config reports it.
+
+    Every number must be finite; a NaN or infinite field is reported by name
+    (with its index in a tuple field), and so is a per-joint stiffness
+    springs_per_joint * k_spring that overflows. alpha_preload must lie in
+    [0, 2*pi], at most one turn of a torsion spring. Once the fields are
+    sound, closure solvability is checked exactly over the whole knee range
+    and lever range: the closure kernel runs at the at most three points of
+    longest and shortest pivot span (see _closure_violations), and an
+    actuator base on the attachment circle is rejected.
     """
     v: list[str] = []
 

@@ -727,6 +727,38 @@ def test_sweep_angle_ladder_errors_name_degrees_as_typed(tmp_path, capsys, args,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, args, typed", [
+    ("solve", ["--theta", "-170", "--force", "10"], "--theta -170.0"),
+    ("trigger", ["--theta", "-170"], "--theta -170.0"),
+    ("sweep-force", ["--theta", "-30"], "--theta -30.0"),
+    ("ratio", ["--theta", "10"], "--theta 10.0"),
+    ("calibrate", ["--trigger", "20", "--ratio-step", "0.40", "--theta", "-170"],
+     "--theta -170.0"),
+    ("sweep-angle", ["--force", "165", "--from", "-170"], "--from -170.0"),
+    # the sample at -38 deg leaves the range first; --to is what put it there
+    ("sweep-angle", ["--force", "165", "--from", "-88", "--to", "10"], "--to 10.0"),
+], ids=["solve", "trigger", "sweep-force", "ratio", "calibrate", "sweep-angle-from",
+        "sweep-angle-to"])
+def test_out_of_range_angles_name_degrees_as_typed(tmp_path, capsys, command, args, typed):
+    # the range check runs in radians, and its error is restated in the flag's degrees
+    out = tmp_path / "out"
+    argv = [command, DEFAULT, *args] + ([] if command == "solve" else ["--out", str(out)])
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"lbvt {command}: {typed} outside the configured "
+                                       "range [-141.0, -39.5] deg\n")
+    assert not out.exists()
+
+
+def test_sweep_angle_step_underflowing_in_radians_is_named(tmp_path, capsys):
+    # math.radians(5e-324) is 0.0: the step is positive as typed
+    out = tmp_path / "a.csv"
+    assert run(["sweep-angle", DEFAULT, "--force", "165", "--step", "5e-324",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "lbvt sweep-angle: --step 5e-324 underflows to 0 when converted to radians\n")
+    assert not out.exists()
+
+
 def _tick_marks(svg: str):
     """Pixel positions of the x-axis and y-axis tick marks of an emit_svg_plot file."""
     marks = re.findall(r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)" '

@@ -40,9 +40,12 @@ def test_degenerate_knee_range_is_reported(default_config):
 
 
 def test_validation_is_deterministic(default_config):
+    # the verdict kept on the config repeats on every call, and a copy finds it again
     bad = dataclasses.replace(default_config, l2=-1.0, k_spring=0.0, springs_per_joint=0)
-    assert validate_config(bad) == validate_config(bad)
-    assert len(validate_config(bad)) >= 3
+    first = validate_config(bad)
+    assert len(first) == 3
+    assert all(validate_config(bad) == first for _ in range(3))
+    assert validate_config(dataclasses.replace(bad)) == first
 
 
 def test_infeasible_closure_is_reported_per_lever_state():
@@ -60,11 +63,14 @@ def test_open_lever_closure_failure_is_reported_once(default_config):
     # validating the valid default first leaves nothing behind for a changed config
     assert validate_config(default_config) == []
     # a shorter coupler still reaches the closed lever, not the fully open one
-    violations = validate_config(dataclasses.replace(default_config, l3=0.22))
+    bad = dataclasses.replace(default_config, l3=0.22)
+    violations = validate_config(bad)
     assert len(violations) == 1
     assert "the fully open lever" in violations[0]
     assert re.search(r"theta=-141\.0+ deg, l4=0\.09277 m", violations[0])
     assert "exceeds l2 + l3" in violations[0]
+    # nor does a validated invalid config for its mended copy
+    assert validate_config(dataclasses.replace(bad, l3=default_config.l3)) == []
 
 
 def test_validation_runs_at_most_three_scalar_kernel_calls(default_config, monkeypatch):
@@ -76,11 +82,13 @@ def test_validation_runs_at_most_three_scalar_kernel_calls(default_config, monke
         return original(config, theta, l4, xp)
 
     monkeypatch.setattr(linkage, "_closure_kernel", recorded)
-    for _ in range(2):  # nothing is remembered: a repeat checks again
-        calls.clear()
-        assert validate_config(default_config) == []
-        assert 1 <= len(calls) <= 3
-        assert all(call == (float, float, math) for call in calls)
+    config = dataclasses.replace(default_config)  # the fixture was validated when loaded
+    assert validate_config(config) == []
+    assert 1 <= len(calls) <= 3
+    assert all(call == (float, float, math) for call in calls)
+    calls.clear()
+    assert validate_config(config) == []
+    assert calls == []  # the config keeps its verdict
 
 
 def _random_config(base, rng, wide):

@@ -1,4 +1,4 @@
-"""Mutation survey: does tier-1 fail when one line of src/lbvt/ is changed?
+"""Mutation survey: does tier-1 fail when src/lbvt/ is changed in one place?
 
 Usage, from anywhere:
 
@@ -61,6 +61,12 @@ MUTANTS = {
     "fd-slot-unread": ("equilibrium.py", "if jac_up is None:", "if True:", ""),
     "regime-at-limit": ("chain.py", "if dk >= lim else", "if dk > lim else", ""),
     "closure-slack-1e-9": ("linkage.py", "g > l2 + l3 + 1e-12", "g > l2 + l3 + 1e-9", ""),
+    "verdict-not-copied": ("model.py", 'tuple(_find_violations(config))\n'
+                           '        object.__setattr__(config, "_violations", verdict)\n'
+                           '    return list(verdict)',
+                           '_find_violations(config)\n'
+                           '        object.__setattr__(config, "_violations", verdict)\n'
+                           '    return verdict', ""),
     "preload-cap": ("model.py", "if config.alpha_preload > 2.0 * math.pi:",
                     "if config.alpha_preload > 4.0 * math.pi:", ""),
     "ignored-keys": ("config.py", '_IGNORED_KEYS = {"provenance", "spring_arm_length"}',
