@@ -7,7 +7,9 @@ its start. Angle sweeps record the knee angle in degrees (the presentation
 unit); everything else is SI. Every sweep solves its samples in order, one
 row per sample, and each sample's solve starts from the last converged state
 of the sweep (a quasi-static loading path moves in small steps), falling back
-to the closed-state attempts when that warm start does not converge. A
+to the closed-state attempts when that warm start does not converge. That
+state brings the load-map point its solve ended on, so a warm start
+evaluates nothing (equilibrium._warm_start). A
 sample whose closure cannot assemble (GeometryError) or whose solve did not
 converge is kept as a row with NaN values, regimes "-" and feasible 0, and
 leaves the carried state as it was.
@@ -88,7 +90,8 @@ def _sweep(columns, samples, point, record=lambda x: x) -> SweepTable:
     columns names the abscissa and the values; the regime code (C, A or E
     per joint) and feasibility columns are appended. point(x, start) returns
     the equilibrium result and the row's values; start is the chain of the
-    last converged row (None before the first), for the solve's warm start.
+    last converged row (None before the first), for the solve's warm start,
+    which reuses the load-map point that row's solve ended on.
     A sample that raises GeometryError or does not converge gets NaN values,
     regimes "-" and feasible 0, and start stays as it was.
     """
@@ -321,17 +324,24 @@ def calibrate(
 def emit_csv(table: SweepTable, destination) -> int:
     """Write the table as CSV (9 significant digits, LF endings); returns bytes written.
 
-    A string cell holding a comma, a double quote or a line break is quoted.
+    Abscissae that 9 digits cannot tell apart (a range a few ulps wide) take
+    the fewest digits, at most 17, at which they read back strictly
+    increasing. A string cell holding a comma, a double quote or a line break
+    is quoted.
     """
     if len(table) == 0:
         raise ValueError("refusing to emit an empty sweep table")
+    rows = [[v if isinstance(v, str) else format(float(v), ".9g") for v in row]
+            for row in table.rows]
+    digits = 9
+    while digits < 17 and not all(_cell(a[0]) < _cell(b[0]) for a, b in zip(rows, rows[1:])):
+        digits += 1
+        for row, cells in zip(rows, table.rows):
+            row[0] = format(float(cells[0]), f".{digits}g")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
-    writer.writerows(
-        [v if isinstance(v, str) else format(float(v), ".9g") for v in row]
-        for row in table.rows
-    )
+    writer.writerows(rows)
     return _write(destination, buf.getvalue())
 
 

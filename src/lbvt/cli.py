@@ -78,6 +78,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _PARSER = _build_parser()
 
+# the flags of type float, over every subcommand
+_FLOAT_FLAGS = frozenset(("--theta", "--force", "--from", "--to", "--step", "--trigger",
+                          "--ratio-step"))
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """argv with each float flag written --flag=value when its value reads as a float.
+
+    argparse takes a separate value that starts with '-' for an option unless
+    it reads as a plain negative decimal, so `--theta -8.8e1` would be a usage
+    error; joined, a float flag takes any value that float() reads. A flag
+    counts in full or abbreviated (argparse resolves `--thet=...` as it does
+    `--thet ...`; no other option shares a prefix with a float flag). A value
+    that does not read as a float is left for argparse to report.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if (len(arg) > 2 and any(flag.startswith(arg) for flag in _FLOAT_FLAGS)
+                and i + 1 < len(argv) and _is_float(argv[i + 1])):
+            out.append(f"{arg}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
 
 def _print_solve_report(result, theta_deg: float, out) -> None:
     g = lambda v: format(v, ".9g")
@@ -163,7 +199,7 @@ def _cmd_calibrate(args, config) -> int:
 def run(argv=None) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

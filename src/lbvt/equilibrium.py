@@ -43,8 +43,13 @@ and the next starts from its point reweighed at the next force
 (_LoadMap.reweigh). A caller that holds a converged state of the same config
 (a sweep's previous sample) may pass it as start: one more one-rung attempt
 then runs from that state first, and the two attempts from closed follow only
-if it fails. That start is clamped to the travel limits once, when its
-attempt is built.
+if it fails. Evaluations are passed along across a sweep's samples too: a
+converged solve's chain keeps the solve's config, angle and final point in a
+slot that is not a field (ChainState._origin), and a start that carries this
+very config object is taken as it is, its point reweighed at the new force
+(at a new angle, with one closure-kernel call for the jacobian). Any other
+start is checked, clamped to the travel limits once and evaluated when its
+attempt is built (_warm_start).
 
 brute_force_equilibrium is the independent check. An equilibrium is a fixed
 point of T(d) = clip(a(d)/k - a0, 0, limit) per joint, with a(d) the applied
@@ -115,11 +120,16 @@ class _LoadMap:
         _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, xp)
         return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac, pivots, [None]
 
-    def reweigh(self, l4, jac, pivots, fd):
-        """The point with this geometry under this map's force: only the torques depend on it.
+    def reweigh(self, theta, l4, jac, pivots, fd):
+        """The point (l4, jac, pivots, fd), evaluated at knee angle theta, under this map.
 
-        The geometry is the same, so the new point shares the fd slot.
+        At this map's angle only the torques depend on the force, and the new
+        point shares the fd slot. At another angle the pivots and l4 still
+        hold, since the chain geometry does not depend on theta: one
+        closure-kernel call gives jac, and fd is a new, empty slot.
         """
+        if theta != self.theta:
+            jac, fd = linkage._closure_kernel(self.config, self.theta, l4)[4], [None]
         return chain._torques(pivots, pivots[-1], jac * self.f_cyl / (l4 * l4)), l4, jac, pivots, fd
 
     def derivative(self, point, active):
@@ -407,19 +417,47 @@ _CONTINUATION_RUNGS = 8
 
 def _result(load: _LoadMap, d, point, converged: bool, residual: float,
             iterations: int) -> EquilibriumResult:
-    """Equilibrium result at deflections d from the load map's point there."""
+    """Equilibrium result at deflections d from the load map's point there.
+
+    A converged result's chain keeps (config, theta, point) in its _origin
+    slot, from which a solve it starts takes its first point (_warm_start).
+    """
     # the chain state reads the regimes off the deflections (chain._regimes);
     # closed joints hold exact zeros and stopped joints the exact limits, so
     # that reproduces the solver's assignment.
     _, _, jac, pivots, _ = point
+    state = chain._chain_state(load.config, d, pivots)
+    if converged:
+        object.__setattr__(state, "_origin", (load.config, load.theta, point))
     return EquilibriumResult(
-        chain=chain._chain_state(load.config, d, pivots),
+        chain=state,
         transmission_ratio=jac,
         input_force=load.f_cyl,
         converged=converged,
         residual=residual,
         iterations=iterations,
     )
+
+
+def _warm_start(load: _LoadMap, start: ChainState):
+    """Deflections, regimes and load-map point of a warm start, as lists and a point.
+
+    A chain that a converged solve of this very config object returned
+    carries that solve's angle and final point (_result): its deflections
+    lie within the travel limits and its regimes were read off them, so they
+    are taken as they are, and the point is reweighed at this map's angle and
+    force. Any other start is checked, clamped once to the travel limits (for
+    a deflection within the check's slack past its limit), has its regimes
+    read off and is evaluated. Both give the same attempt, bit for bit.
+    """
+    origin = start._origin
+    if origin is not None and origin[0] is load.config:
+        _, theta, point = origin
+        return list(start.deflection), list(start.regime), load.reweigh(theta, *point[1:])
+    limits = load.config.joint_open_limit
+    d = [min(max(0.0, x), lim)
+         for x, lim in zip(chain._check_deflection(load.config, start.deflection), limits)]
+    return d, list(chain._regimes(d, limits)), load.evaluate(d)
 
 
 def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
@@ -440,9 +478,15 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
     same config, typically the previous sample of a sweep. The solve then
     first runs one rung from that state (its regimes read off its
     deflections) and falls back to the closed-state attempts if that does not
-    converge. A start of the wrong length, with a NaN or out-of-range
-    deflection raises ValueError, and so does a non-finite theta or one
-    outside the config's range. Without start the solve is unchanged.
+    converge. A chain that a converged solve of this very config object
+    returned brings the point that solve ended on: the attempt starts from
+    it, reweighed at this angle and force, with no check and no load-map
+    evaluation (at another angle, one closure-kernel call). Any other start
+    (built by hand, copied by dataclasses.replace, or from another config
+    object) is checked and evaluated, to the same result bit for bit. A start
+    of the wrong length, with a NaN or out-of-range deflection raises
+    ValueError, and so does a non-finite theta or one outside the config's
+    range. Without start the solve is unchanged.
     """
     # a NaN force stays an unconverged solve: bench's checker_self_test solves one outside its try
     if not math.isnan(f_cyl):
@@ -454,33 +498,29 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
     a0 = config.alpha_preload
     limits = config.joint_open_limit
 
-    # (start deflections, None for the closed state, and rungs) per attempt;
-    # the ladder only helps under load
+    load = _LoadMap(config, theta, f_cyl)
+    # (start deflections, regimes and point, None for the closed state, and
+    # rungs) per attempt; the ladder only helps under load
     attempts = [(None, 1)]
     if f_cyl > 0.0:
         attempts.append((None, _CONTINUATION_RUNGS))
     if start is not None:
-        # clamped once, for a deflection within the check's slack past its limit
-        d0 = [min(max(0.0, x), lim)
-              for x, lim in zip(chain._check_deflection(config, start.deflection), limits)]
-        attempts.insert(0, (d0, 1))
+        attempts.insert(0, (_warm_start(load, start), 1))
 
-    load = _LoadMap(config, theta, f_cyl)
     iterations = 0
     closed_point = None  # evaluated by the direct attempt, reweighed by the ladder
-    for d0, rungs in attempts:
-        if d0 is None:
+    for warm, rungs in attempts:
+        if warm is None:
             d, regimes = [0.0] * n, [Regime.CLOSED] * n
             if closed_point is None:
                 closed_point = load.evaluate(d)
             point = closed_point
         else:
-            d, regimes = d0, list(chain._regimes(d0, limits))
-            point = load.evaluate(d)
+            d, regimes, point = warm
         for rung in range(1, rungs + 1):
             rung_load = load if rung == rungs else _LoadMap(config, theta, f_cyl * rung / rungs)
             if rungs > 1:
-                point = rung_load.reweigh(*point[1:])
+                point = rung_load.reweigh(theta, *point[1:])
             point, outer, residual = _active_set(rung_load, d, point, regimes, k, a0, limits,
                                                  _RUNG_TOL if rung < rungs else _INNER_TOL)
             iterations += outer

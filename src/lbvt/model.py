@@ -122,6 +122,13 @@ class ChainState:
     limit is the end stop). tip is the chain end point in the lower-leg
     frame, l4 its distance from the knee joint, diameter its distance from
     the anchor.
+
+    _origin is not a field, so it is neither compared, saved nor shown by
+    repr: a converged solve writes its (config, theta, final load-map
+    point) there with object.__setattr__, and a later solve of that very
+    config object started from this state reuses the point (see
+    equilibrium.solve_equilibrium). Every other state, dataclasses.replace's
+    copies included, reads the class default None.
     """
 
     deflection: tuple[float, ...]
@@ -129,6 +136,8 @@ class ChainState:
     tip: tuple[float, float]
     l4: float
     diameter: float
+
+    _origin = None
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,33 @@ def test_warm_sweep_rows_equal_cold_solves(default_config, monkeypatch):
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
+def test_warm_angle_sweep_rows_equal_cold_solves(default_config, monkeypatch):
+    # each angle sample starts from the previous row's point, its jacobian
+    # taken again at the new angle, yet lands where a solve from the closed
+    # state lands
+    cold = equilibrium.solve_equilibrium
+    warm = []
+
+    def recording(config, theta, f_cyl, **kwargs):
+        res = cold(config, theta, f_cyl, **kwargs)
+        warm.append((theta, f_cyl, kwargs.get("start"), res))
+        return res
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", recording)
+    for f in (30.0, 60.0, 165.0):
+        analysis.sweep_torque_vs_angle(default_config, f, default_config.theta_min,
+                                       default_config.theta_max, math.radians(1.0))
+    assert len(warm) == 3 * 103
+    assert sum(start is not None for _, _, start, _ in warm) == 3 * 102
+    for theta, f, _, res in warm:
+        ref = cold(default_config, theta, f)
+        assert res.converged and ref.converged
+        assert res.chain.regime == ref.chain.regime
+        got = (res.kfe_torque, res.transmission_ratio, res.chain.l4) + res.chain.deflection
+        want = (ref.kfe_torque, ref.transmission_ratio, ref.chain.l4) + ref.chain.deflection
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_base_config_ratio_sweep_has_no_failed_rows(base_config):
     # cold solves stall on 119 of these 401 samples
     table = analysis.sweep_ratio_vs_force(base_config, THETA_88, 0.0, 400.0, 1.0)
@@ -242,11 +269,12 @@ def test_base_config_ratio_sweep_has_no_failed_rows(base_config):
 
 
 def test_ratio_sweep_load_evaluations(default_config, monkeypatch):
-    # 1,065 measured; a cold solve per sample takes about 6,100
+    # 665 measured (1,065 while each sample evaluated its start again); a
+    # cold solve per sample takes about 6,100
     calls = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 200.0, 0.5)
     assert len(table) == 401
-    assert calls[0] <= 1150
+    assert calls[0] <= 680
 
 
 def test_failed_row_keeps_the_carried_state(default_config, monkeypatch):
@@ -513,6 +541,18 @@ def test_csv_round_trips_string_cells_that_need_quoting(tmp_path):
     analysis.emit_csv(table, out)
     assert out.read_bytes() == b'x (s),note (-)\n1,"a,b"\n2,"say ""hi"""\n3,"two\nlines"\n'
     assert analysis.read_csv(out) == table
+
+
+def test_csv_abscissae_a_few_ulps_apart_read_back_increasing(tmp_path):
+    # to 9 digits these forces all read 100, which read_csv rejected; they
+    # take the fewest digits that tell them apart, and the values keep 9
+    xs = [100.0, math.nextafter(100.0, 200.0), 100.00000000000003]
+    table = SweepTable(columns=("f_cyl (N)", "ratio (m)"), rows=[(x, 0.06473175174) for x in xs])
+    out = tmp_path / "ulps.csv"
+    analysis.emit_csv(table, out)
+    assert out.read_text().splitlines()[1:] == [
+        "100,0.0647317517", "100.00000000000001,0.0647317517", "100.00000000000003,0.0647317517"]
+    assert analysis.read_csv(out).column("f_cyl (N)") == tuple(xs)
 
 
 def test_csv_rejects_empty_table(tmp_path):

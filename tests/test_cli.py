@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import lbvt
 from lbvt import analysis, equilibrium
@@ -462,6 +462,16 @@ def test_unknown_flag_is_usage_error(capsys):
     assert run(["validate", DEFAULT, "--wat"]) == 2
 
 
+@pytest.mark.parametrize("value, message", [
+    (["abc"], "argument --theta: invalid float value: 'abc'"),
+    ([], "argument --theta: expected one argument"),
+], ids=["text", "missing"])
+def test_float_flag_without_a_number_is_usage_error(capsys, value, message):
+    # a value that float() does not read is left to argparse, as typed
+    assert run(["solve", DEFAULT, "--theta", *value, "--force", "10"]) == 2
+    assert capsys.readouterr().err.endswith(f"lbvt solve: error: {message}\n")
+
+
 def test_missing_config_file_fails_cleanly(capsys):
     assert run(["validate", "/nonexistent/cfg.json"]) == 1
     assert "cfg.json" in capsys.readouterr().err
@@ -761,8 +771,8 @@ def test_sweep_angle_step_underflowing_in_radians_is_named(tmp_path, capsys):
 
 def _tick_marks(svg: str):
     """Pixel positions of the x-axis and y-axis tick marks of an emit_svg_plot file."""
-    marks = re.findall(r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)" '
-                       r'stroke="#333333"', svg)
+    marks = re.findall(r'<line x1="(-?[\d.]+)" y1="(-?[\d.]+)" x2="(-?[\d.]+)" '
+                       r'y2="(-?[\d.]+)" stroke="#333333"', svg)
     xs = [float(x1) for x1, y1, x2, y2 in marks if x1 == x2]
     ys = [float(y1) for x1, y1, x2, y2 in marks if y1 == y2]
     return xs, ys
@@ -796,6 +806,161 @@ def test_plot_of_a_subnormal_force_span_is_written(tmp_path, capsys):
                 "--step", "5e-324", "--out", str(tmp_path / "d.csv"), "--plot", str(svg)])
     assert (code, capsys.readouterr().err) == (0, "")
     assert svg.read_text().endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("command, flag, plain, exponent, rest", [
+    ("solve", "--theta", "-88", "-8.8e1", ["--force", "10"]),
+    ("solve", "--theta", "-0." + "0" * 319 + "1", "-1e-320", ["--force", "10"]),
+    ("solve", "--thet", "-88", "-8.8e1", ["--force", "10"]),
+    ("solve", "--force", "-10", "-1e1", ["--theta", "-88"]),
+    ("sweep-angle", "--from", "-120", "-1.2e2", ["--force", "165", "--to", "-100"]),
+    ("sweep-angle", "--to", "-100", "-1e2", ["--force", "165", "--from", "-120"]),
+    ("ratio", "--step", "-0.5", "-5e-1", ["--theta", "-88"]),
+    ("calibrate", "--trigger", "-20", "-2e1", ["--ratio-step", "0.4", "--theta", "-88"]),
+    ("calibrate", "--ratio-step", "-0.4", "-4e-1", ["--trigger", "20", "--theta", "-88"]),
+], ids=["theta", "theta-subnormal", "theta-abbreviated", "force", "from", "to", "step",
+        "trigger", "ratio-step"])
+def test_negative_flag_values_in_exponent_notation_are_read(tmp_path, capsys, command, flag,
+                                                             plain, exponent, rest):
+    # argparse took a separate -8.8e1 for an option, so it exited 2 with
+    # "expected one argument"; every float flag reads what float() reads
+    files = {"solve": [], "calibrate": ["--out", str(tmp_path / "out")]}.get(
+        command, ["--out", str(tmp_path / "out"), "--plot", str(tmp_path / "out.svg")])
+
+    def outputs(value):
+        code = run([command, DEFAULT, flag, value, *rest, *files])
+        written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return code, capsys.readouterr(), written
+
+    got = outputs(exponent)
+    assert got[0] in (0, 1)
+    assert got == outputs(plain)
+
+
+# ---------- the CLI contract, fuzzed ----------
+
+_SWEEP_COMMANDS = ("sweep-angle", "trigger", "sweep-force", "ratio")
+_VALUES = (st.floats(-300.0, 300.0)
+           | st.integers(-(2 ** 52 - 1), 2 ** 52 - 1).map(lambda n: n * 5e-324)  # subnormals
+           | st.tuples(st.sampled_from((1.0, -1.0)), st.floats(1e299, 1e301)
+                       | st.floats(1e-301, 1e-299)).map(lambda pair: pair[0] * pair[1]))
+
+
+def _mostly(usual):
+    """Values of usual three times in four, of _VALUES otherwise."""
+    return st.sampled_from((True, True, True, False)).flatmap(
+        lambda is_usual: usual if is_usual else _VALUES)
+
+
+_ANGLES = _mostly(st.floats(-141.0, -39.5))  # the shipped configs' knee range, in degrees
+_FORCES = _mostly(st.floats(0.0, 250.0))
+
+
+@st.composite
+def _ladder(draw, values):
+    """--from, --to and --step: a range drawn freely, 1-8 ulps wide or of a drawn span."""
+    lo = draw(values)
+    shape = draw(st.sampled_from(("free", "ulps", "span")))
+    if shape == "ulps":
+        hi = lo
+        for _ in range(draw(st.integers(1, 8))):
+            hi = math.nextafter(hi, math.inf)
+    elif shape == "span":
+        hi = lo + draw(st.floats(0.0, 120.0))
+    else:
+        hi = draw(values)
+    step = draw(st.integers(1, 40).map(lambda n: (hi - lo) / n)
+                | st.integers(1, 8).map(lambda n: n * math.ulp(lo)) | values)
+    # a few dozen samples, or more than MAX_SAMPLES, which fails before any solve
+    if hi > lo and 0.0 < step < math.inf:
+        assume(not 50.0 < (hi - lo) / step <= 2.0 * analysis.MAX_SAMPLES)
+    return lo, hi, step
+
+
+@st.composite
+def _cli_cases(draw):
+    """(command, config path, arguments) of a data subcommand with drawn float flags."""
+    command = draw(st.sampled_from(("solve", "calibrate") + _SWEEP_COMMANDS))
+    config = str(draw(st.sampled_from(SHIPPED)))
+    if command == "solve":
+        flags = {"--theta": draw(_ANGLES), "--force": draw(_FORCES)}
+    elif command == "calibrate":
+        flags = {"--trigger": draw(_mostly(st.floats(0.0, 40.0))),
+                 "--ratio-step": draw(_mostly(st.floats(0.0, 0.45))),
+                 "--theta": draw(_ANGLES)}
+    elif command == "sweep-angle":
+        lo, hi, step = draw(_ladder(_ANGLES))
+        flags = {"--force": draw(_FORCES), "--from": lo, "--to": hi, "--step": step}
+    else:
+        lo, hi, step = draw(_ladder(_FORCES))
+        flags = {"--theta": draw(_ANGLES), "--from": lo, "--to": hi, "--step": step}
+    args = []
+    for flag, value in flags.items():
+        args += [flag, draw(st.sampled_from((repr, "{:.16e}".format)))(value)]
+    return command, config, args
+
+
+# the CHANGES.md reproducers; the plot whose tick step is below half an ulp
+# once never ended, so it runs in a child process with a memory cap instead
+# (test_plot_with_a_tick_step_below_half_an_ulp_finishes)
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(case=_cli_cases())
+@example(case=("solve", DEFAULT, ["--theta", "-8.8e1", "--force", "10"]))
+@example(case=("solve", DEFAULT, ["--theta", "-170", "--force", "10"]))
+@example(case=("solve", DEFAULT, ["--theta", "-88", "--force", "nan"]))
+@example(case=("sweep-angle", DEFAULT, ["--force", "165", "--step", "5e-324"]))
+@example(case=("sweep-angle", DEFAULT, ["--force", "165", "--from", "-88",
+                                        "--to", "-87.99999999999997", "--step", "1e-15"]))
+@example(case=("sweep-angle", DEFAULT, ["--force", "5000"]))
+@example(case=("sweep-force", DEFAULT, ["--theta", "-124.14303877943516",
+                                        "--from", "21.230551399973844",
+                                        "--to", "21.230551399973855",
+                                        "--step", "5.861977570020827e-15"]))
+@example(case=("ratio", DEFAULT, ["--theta", "-88", "--from", "100",
+                                  "--to", "100.00000000000003", "--step", "1e-14"]))
+@example(case=("ratio", DEFAULT, ["--theta", "-88", "--from", "100",
+                                  "--to", "100.00000000000003", "--step", "2.8e-14"]))
+@example(case=("ratio", DEFAULT, ["--theta", "-88", "--from", "0", "--to", "5e-324",
+                                  "--step", "5e-324"]))
+@example(case=("ratio", DEFAULT, ["--theta", "-88", "--from", "0", "--to", "2.5e-323",
+                                  "--step", "5e-324"]))
+def test_cli_contract_holds_for_any_float_flags(tmp_path_factory, case):
+    # exit 0, or 1 with one "lbvt <cmd>: " line (after the failed-rows line
+    # of a sweep whose plot then cannot be drawn); every CSV reads back with
+    # strictly increasing abscissae, and every SVG has distinct ticks inside
+    # its frame with distinct labels
+    command, config, args = case
+    out_dir = tmp_path_factory.mktemp("contract")
+    csv, svg = out_dir / "t.csv", out_dir / "t.svg"
+    files = {"solve": [], "calibrate": ["--out", str(out_dir / "c.json")]}.get(
+        command, ["--out", str(csv), "--plot", str(svg)])
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = run([command, config, *args, *files])
+    lines = stderr.getvalue().splitlines()
+    assert code in (0, 1), lines
+    if code == 1:
+        assert lines and all(line.startswith(f"lbvt {command}: ") for line in lines), lines
+        assert len(lines) == 1 or (len(lines) == 2
+                                   and lines[0].endswith(" rows failed (feasible 0)")), lines
+    elif command != "calibrate":
+        assert lines == []
+        assert command == "solve" or (csv.exists() and svg.exists())
+    if csv.exists():
+        table = analysis.read_csv(csv)
+        xs = table.column(table.independent)
+        assert all(b > a for a, b in zip(xs, xs[1:]))
+    if svg.exists():
+        text = svg.read_text()
+        for ticks, lo, hi in zip(_tick_marks(text), (76.0, 20.0), (700.0, 428.0)):
+            assert len(set(ticks)) == len(ticks) and all(lo <= t <= hi for t in ticks)
+        labels = re.findall(r'font-size="11" text-anchor="(middle|end)">([^<]*)<', text)
+        for anchor in ("middle", "end"):
+            axis = [v for a, v in labels if a == anchor]
+            assert len(set(axis)) == len(axis), axis
 
 
 def test_library_import_loads_no_cli_or_optional_modules():

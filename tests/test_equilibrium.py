@@ -179,6 +179,66 @@ def test_result_reuses_the_last_evaluated_geometry(default_config, monkeypatch):
     assert geometry[0] == evaluations[0]
 
 
+def test_only_a_converged_chain_carries_its_origin(default_config):
+    # the slot is not a field: not compared or shown, and replace drops it
+    res = solve_equilibrium(default_config, THETA_88, 165.0)
+    config, theta, point = res.chain._origin
+    assert config is default_config and theta == THETA_88
+    assert point[3][-1] == res.chain.tip and point[2] == res.transmission_ratio
+    copy = dataclasses.replace(res.chain)
+    assert copy._origin is None
+    assert copy == res.chain and repr(copy) == repr(res.chain)
+    stuck = solve_equilibrium(default_config, THETA_88, 1e6)
+    assert not stuck.converged and stuck.chain._origin is None
+    assert chain.make_chain_state(default_config, res.chain.deflection)._origin is None
+
+
+@pytest.mark.parametrize("name", ["default", "base"])
+def test_carried_start_equals_the_same_start_checked(request, name):
+    # a sweep's next sample starts from the point the last solve ended on;
+    # the same start with its origin stripped is checked and evaluated, and
+    # both must give the same result, bit for bit. Half the inputs keep the
+    # last angle (a force sweep), half move it (an angle sweep).
+    config = request.getfixturevalue(f"{name}_config")
+    rng = np.random.default_rng(7)
+    start = theta = None
+    compared = 0
+    for _ in range(3000):
+        if theta is None or rng.uniform() < 0.5:
+            theta = float(rng.uniform(config.theta_min, config.theta_max))
+        f = float(rng.uniform(0.0, 300.0))
+        res = solve_equilibrium(config, theta, f, start=start)
+        if start is not None:
+            assert start._origin is not None
+            checked = solve_equilibrium(config, theta, f, start=dataclasses.replace(start))
+            assert repr(res) == repr(checked)
+            compared += 1
+        if res.converged:
+            start = res.chain
+    assert compared == 2999
+
+
+def test_start_without_this_configs_origin_is_checked_and_evaluated(default_config,
+                                                                   monkeypatch):
+    # an equal but distinct config object, or an unconverged solve's chain,
+    # takes the checked path: one deflection check and one more evaluation
+    good = solve_equilibrium(default_config, THETA_88, 150.0).chain
+    stuck = solve_equilibrium(default_config, THETA_88, 1e6).chain
+    twin = dataclasses.replace(default_config)
+    checks = count_calls(monkeypatch, chain, "_check_deflection")
+    evaluations = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
+
+    def counted(config, start):
+        checks[0] = evaluations[0] = 0
+        res = solve_equilibrium(config, THETA_88, 165.0, start=start)
+        return repr(res), checks[0], evaluations[0]
+
+    carried, carried_checks, carried_evaluations = counted(default_config, good)
+    assert carried_checks == 0
+    assert counted(twin, good) == (carried, 1, carried_evaluations + 1)
+    assert counted(default_config, stuck)[1] == 1
+
+
 def test_result_chain_state_matches_make_chain_state(default_config):
     rng = np.random.default_rng(8)
     oracle_config = reduced_chain(2)
@@ -513,7 +573,7 @@ def test_reweighed_point_equals_an_evaluation(default_config):
         f1, f2 = (float(f) for f in rng.uniform(0.0, 220.0, size=2))
         point = equilibrium._LoadMap(default_config, theta, f1).evaluate(d)
         load = equilibrium._LoadMap(default_config, theta, f2)
-        reweighed = load.reweigh(*point[1:])
+        reweighed = load.reweigh(theta, *point[1:])
         assert reweighed == load.evaluate(d)
         # the geometry is shared, so is the closure-kernel slot of the derivative
         assert reweighed[4] is point[4]
@@ -521,6 +581,27 @@ def test_reweighed_point_equals_an_evaluation(default_config):
         assert point[4] != [None]
         assert load.derivative(reweighed, [0, 2, 5]) == rows
         assert load.derivative(load.evaluate(d), [0, 2, 5]) == rows
+
+
+def test_point_reweighed_at_another_angle_equals_an_evaluation(default_config, monkeypatch):
+    # a warm angle sweep starts from the last sample's point: the chain
+    # geometry holds, and one closure-kernel call gives the jacobian there
+    rng = np.random.default_rng(21)
+    limits = default_config.joint_open_limit
+    kernel = count_calls(monkeypatch, linkage, "_closure_kernel")
+    for _ in range(50):
+        theta0, theta = (float(t) for t in rng.uniform(default_config.theta_min,
+                                                       default_config.theta_max, size=2))
+        d = [float(rng.uniform(0.0, lim)) for lim in limits]
+        f0, f = (float(x) for x in rng.uniform(0.0, 220.0, size=2))
+        point = equilibrium._LoadMap(default_config, theta0, f0).evaluate(d)
+        point[4][0] = 1.0  # a filled slot at theta0 must not reach theta
+        load = equilibrium._LoadMap(default_config, theta, f)
+        kernel[0] = 0
+        reweighed = load.reweigh(theta0, *point[1:])
+        assert kernel[0] == 1
+        assert reweighed == load.evaluate(d)
+        assert reweighed[3] is point[3] and reweighed[4] == [None]
 
 
 # SHA-256 of the solves in test_solve_results_match_the_pinned_digest,

@@ -38,8 +38,12 @@ MUTANTS = {
     "residual-tol-1e-7": ("equilibrium.py", "RESIDUAL_TOL = 1e-9", "RESIDUAL_TOL = 1e-7", ""),
     "trigger-tol-0.5": ("analysis.py", "TRIGGER_TOL = 0.05", "TRIGGER_TOL = 0.5", ""),
     "oracle-budget-1e9": ("equilibrium.py", "if total > 1e8:", "if total > 1e9:", ""),
-    "warm-start-last": ("equilibrium.py", "attempts.insert(0, (d0, 1))",
-                        "attempts.append((d0, 1))", ""),
+    "warm-start-last": ("equilibrium.py", "attempts.insert(0, (_warm_start(load, start), 1))",
+                        "attempts.append((_warm_start(load, start), 1))", ""),
+    "carry-ignores-theta": ("equilibrium.py", "if theta != self.theta:", "if False:", ""),
+    "carry-ignores-config": ("equilibrium.py",
+                             "if origin is not None and origin[0] is load.config:",
+                             "if origin is not None:", ""),
     "oracle-strict-super-solution": ("equilibrium.py", "0.0, lim) <= col", "0.0, lim) < col", ""),
     "oracle-join": ("equilibrium.py", "grid[above].min(axis=0)", "grid[above].max(axis=0)", ""),
     "ladder-snap-0.4": ("analysis.py", "< 0.5 * step:", "< 0.4 * step:", ""),
@@ -72,8 +76,10 @@ MUTANTS = {
     "ignored-keys": ("config.py", '_IGNORED_KEYS = {"provenance", "spring_arm_length"}',
                      '_IGNORED_KEYS = {"provenance"}', ""),
     "csv-8-digits": ("analysis.py", 'format(float(v), ".9g")', 'format(float(v), ".8g")', ""),
+    "csv-abscissae-9-digits": ("analysis.py", "while digits < 17 and", "while digits < 9 and", ""),
     "subnormal-tick-step": ("analysis.py", "10.0 * mag) or span", "10.0 * mag)", ""),
     "sweep-exit-code": ("cli.py", "return 1 if failed else 0", "return 0", ""),
+    "trigger-value-unjoined": ("cli.py", '"--step", "--trigger",', '"--step",', ""),
     "default-is-base": ("__init__.py", "load_config(default_config_path())",
                         "load_config(base_config_path())", ""),
     "main-not-called": ("__main__.py", "\nmain()\n", "\nmain\n", ""),
