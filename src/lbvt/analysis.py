@@ -256,12 +256,16 @@ def calibrate(
     until the open/closed ratio step lands within RATIO_STEP_TOL of
     target_ratio_step. The two knobs are independent: preload never moves the
     geometry and the travel scale never moves the closed state. So the closed
-    chain is evaluated once: a trial preload costs one division, and a trial
-    travel scale costs one jacobian at the scaled open lever (the lever points
-    along config.lever_bearing, so no trial rebuilds the closed chain), and
-    the one new config is built at the end. An invalid config raises
-    ConfigError with its violations; a non-finite target, or a theta that is
-    not finite or lies outside the config's range, raises ValueError.
+    chain is evaluated once and its lever comes with the config: a trial
+    preload costs one division, and a trial travel scale one chain pass and
+    one closure-kernel call at the scaled open lever (the lever points along
+    config.lever_bearing, so no trial rebuilds the closed chain). The config
+    was validated and theta checked on entry, so a trial runs no deflection
+    check; the kernel's finite-lever check stays, since finite fields can
+    still overflow a float in the chain's sum. The one new config is built
+    at the end. An invalid config raises ConfigError with its violations; a
+    non-finite target, or a theta that is not finite or lies outside the
+    config's range, raises ValueError.
     """
     violations = validate_config(config)
     if violations:
@@ -298,8 +302,9 @@ def calibrate(
     if target_ratio_step != 0.0:
         j_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
         def step_at(scale: float) -> float:
-            l4 = chain.l4_length(config, tuple(scale * lim for lim in config.joint_open_limit))
-            return linkage.jacobian(config, theta, l4) / j_closed - 1.0
+            # scale * lim lies in [0, lim]: no deflection check can fail
+            _, tip = chain._geometry(config, [scale * lim for lim in config.joint_open_limit])
+            return linkage._checked_kernel(config, theta, math.hypot(*tip))[4] / j_closed - 1.0
 
         full = step_at(1.0)
         if full < target_ratio_step - RATIO_STEP_TOL:

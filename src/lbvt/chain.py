@@ -78,12 +78,37 @@ def l4_length(config: MechanismConfig, deflection) -> float:
     return math.hypot(*tip)
 
 
+def _lever_or_none(config: MechanismConfig, deflection) -> float | None:
+    """l4_length(config, deflection), or None where it raises (MechanismConfig stores these)."""
+    try:
+        return l4_length(config, deflection)
+    except (ValueError, OverflowError):  # a travel limit out of range, cos of an infinite angle
+        return None
+
+
 def closed_lever(config: MechanismConfig) -> float:
-    return l4_length(config, (0.0,) * config.n_joints)
+    """Lever length of the closed chain, l4_length at zero deflection.
+
+    The config computed it when it was built, so this runs no chain pass.
+    Where l4_length raises (a NaN or negative travel limit, an infinite chain
+    angle) the config holds None and this takes the checked path, which
+    raises the same error with the same message.
+    """
+    l4 = config._closed_lever
+    return l4_length(config, (0.0,) * config.n_joints) if l4 is None else l4
 
 
 def open_lever(config: MechanismConfig) -> float:
-    return l4_length(config, config.joint_open_limit)
+    """Lever length of the fully open chain, l4_length at joint_open_limit.
+
+    The config computed it when it was built, so this runs no chain pass.
+    Where l4_length raises (a travel limit that is NaN, negative or
+    infinite, a limit count other than the joint count, an infinite chain
+    angle) the config holds None and this takes the checked path, which
+    raises the same error with the same message.
+    """
+    l4 = config._open_lever
+    return l4_length(config, config.joint_open_limit) if l4 is None else l4
 
 
 def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[float, ...]:

@@ -34,10 +34,12 @@ taken (the bold step) and a second one ends the run, as does a step that
 would leave the deflections unchanged. A singular Newton system takes the
 step r/k instead, the Newton step with the load held fixed (jacobian -k,
 residual r = a - k(a0 + d)). A non-finite applied torque makes the residual
-NaN, so such a solve is reported as not converged. The direct attempt from
-the closed state is the one-rung case of the continuation ladder, so both run
-the same loop. The ladder's first rung starts from the closed-state point the
-direct attempt evaluated, reweighed at its force, so a solve evaluates the
+NaN, so such a solve is reported as not converged. A Newton step that is NaN
+(a huge force overflows the jacobian) ends the run before it is evaluated,
+like a stalled step, so such a solve ends unconverged too. The direct attempt
+from the closed state is the one-rung case of the continuation ladder, so both
+run the same loop. The ladder's first rung starts from the closed-state point
+the direct attempt evaluated, reweighed at its force, so a solve evaluates the
 closed state once. An intermediate rung stops its Newton runs at _RUNG_TOL,
 and the next starts from its point reweighed at the next force
 (_LoadMap.reweigh). A caller that holds a converged state of the same config
@@ -46,10 +48,10 @@ then runs from that state first, and the two attempts from closed follow only
 if it fails. Evaluations are passed along across a sweep's samples too: a
 converged solve's chain keeps the solve's config, angle and final point in a
 slot that is not a field (ChainState._origin), and a start that carries this
-very config object is taken as it is, its point reweighed at the new force
-(at a new angle, with one closure-kernel call for the jacobian). Any other
-start is checked, clamped to the travel limits once and evaluated when its
-attempt is built (_warm_start).
+very config object is taken as it is, its point reweighed at the new force (at
+a new angle, with one closure-kernel call for the jacobian). Any other start
+is checked, clamped to the travel limits once and evaluated when its attempt
+is built (_warm_start).
 
 brute_force_equilibrium is the independent check. An equilibrium is a fixed
 point of T(d) = clip(a(d)/k - a0, 0, limit) per joint, with a(d) the applied
@@ -285,8 +287,10 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
     diagonal) at the point the last step reached. A step that leaves d
     unchanged (typically an active joint pushing past its bound and clamped
     back) ends the loop before it is evaluated: every later pass would
-    rebuild the same jacobian and take the same step. One active joint, the
-    common case, runs _newton_one, the same loop in scalars.
+    rebuild the same jacobian and take the same step. So does a trial with a
+    NaN deflection, which the clamp lets through: the load is too large for
+    the jacobian's floats, and evaluating it would raise. One active joint,
+    the common case, runs _newton_one, the same loop in scalars.
     """
     if not active:
         return point
@@ -314,6 +318,9 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
             lim = limits[j]
             if x > lim:
                 x = lim
+            elif x != x:
+                trial = d  # NaN, from an overflowing jacobian: stop as if stalled
+                break
             trial[j] = x
         if trial == d:
             break  # stalled: every later pass would replay this step
@@ -334,8 +341,8 @@ def _newton_one(load, d, point, active, k, a0, lim, tol):
     """_newton_active on the one joint in active, of travel limit lim, in scalars.
 
     The same floating-point operations in the same order: the Newton step
-    -r / (J - k), or r / k when J - k is 0, then the clamp, the stall test,
-    the bold step and the strict-progress rule.
+    -r / (J - k), or r / k when J - k is 0, then the clamp, the stall and
+    NaN tests, the bold step and the strict-progress rule.
     """
     (j,) = active
     r = point[0][j] - k * (a0 + d[j])
@@ -350,7 +357,7 @@ def _newton_one(load, d, point, active, k, a0, lim, tol):
             x = 0.0
         if x > lim:
             x = lim
-        if x == d[j]:
+        if x == d[j] or x != x:
             break
         trial = list(d)
         trial[j] = x

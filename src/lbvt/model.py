@@ -70,11 +70,15 @@ class MechanismConfig:
     lever_bearing is derived, not a field: the polar angle of the closed
     chain tip seen from the knee, in the lower-leg frame, along which the
     output lever points. It is set once at construction (NaN when the chain
-    angles are not finite), so it is neither saved nor compared. Nor is
-    _violations, validate_config's verdict as a tuple: None until the first
-    validate_config call on the config computes it and keeps it here.
-    dataclasses.replace makes a modified copy, which recomputes the bearing
-    and starts with no verdict.
+    angles are not finite), so it is neither saved nor compared. So are the
+    closed and the fully open lever, _closed_lever and _open_lever: what
+    chain.l4_length gives at zero and at full travel, or None where it
+    raises (read them through chain.closed_lever and chain.open_lever, which
+    take the checked path on None). Nor is _violations, validate_config's
+    verdict as a tuple: None until the first validate_config call on the
+    config computes it and keeps it here. dataclasses.replace makes a
+    modified copy, which recomputes the bearing and both levers and starts
+    with no verdict.
     """
 
     l1: float
@@ -99,13 +103,21 @@ class MechanismConfig:
         object.__setattr__(self, "segments", tuple(float(v) for v in self.segments))
         object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
         object.__setattr__(self, "joint_open_limit", tuple(float(v) for v in self.joint_open_limit))
-        from .chain import _geometry  # deferred: import cycle
+        from .chain import _geometry, _lever_or_none  # deferred: import cycle
 
+        zeros = (0.0,) * self.n_joints
         try:
-            _, (x, y) = _geometry(self, (0.0,) * self.n_joints)
+            _, tip = _geometry(self, zeros)
         except (ValueError, OverflowError):  # cos of an infinite angle; validate_config names it
-            x = y = math.nan
+            tip = None
+        x, y = tip or (math.nan, math.nan)
         object.__setattr__(self, "lever_bearing", math.atan2(y, x))
+        open_lever = _lever_or_none(self, self.joint_open_limit)
+        # limits that pass the deflection check at full travel pass it at zero
+        closed_lever = (math.hypot(x, y) if tip and open_lever is not None
+                        else _lever_or_none(self, zeros))
+        object.__setattr__(self, "_closed_lever", closed_lever)
+        object.__setattr__(self, "_open_lever", open_lever)
         object.__setattr__(self, "_violations", None)
 
     @property
@@ -342,8 +354,9 @@ def _closure_violations(config: MechanismConfig) -> list[str]:
     """Exact closure check over the box of knee angles x lever lengths.
 
     The box is theta in [theta_min, theta_max] and l4 between the closed and
-    the fully open lever. Every check of linkage._closure_kernel but the
-    actuator one accepts an interval of the pivot span g, where
+    the fully open lever, both stored on the config when it was built, so
+    the check runs no chain pass. Every check of linkage._closure_kernel but
+    the actuator one accepts an interval of the pivot span g, where
     g**2 = l4**2 + l1**2 - 2*l1*l4*cos(theta + lever_bearing): the circle
     checks bound g, and the fold test |sin B| = 2*area/(l2*l3) fails only
     near both ends of [|l2 - l3|, l2 + l3], since 16*area**2 is a concave

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -355,6 +357,37 @@ def test_calibrate_evaluates_the_closed_chain_once(base_config, monkeypatch):
     calls = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     analysis.calibrate(base_config, 20.0, 0.40, THETA_88)
     assert calls[0] == 1
+
+
+def test_calibrate_takes_one_jacobian(base_config, monkeypatch):
+    # the closed one; each trial travel scale is one chain pass and one kernel call
+    calls = count_calls(monkeypatch, linkage, "jacobian")
+    analysis.calibrate(base_config, 20.0, 0.40, THETA_88)
+    assert calls[0] == 1
+
+
+def test_ratio_step_direct_runs_no_chain_pass(default_config, monkeypatch):
+    calls = count_calls(monkeypatch, chain, "_geometry")
+    analysis.ratio_step_direct(default_config, THETA_88)
+    assert calls[0] == 0
+
+
+# SHA-256 of the configs in test_calibration_matches_the_pinned_digest,
+# recorded on x86-64 Linux with CPython 3.11. A change that is meant to keep
+# every calibration bit for bit must leave it as it is.
+CALIBRATE_DIGEST = "0151314888e98b285540b5744898d48138a48796ca58410b848f79a7dc003465"
+
+
+def test_calibration_matches_the_pinned_digest(base_config):
+    # 200 seeded targets in design_loop's ranges
+    rng = np.random.default_rng(2030)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        trigger = float(rng.uniform(10.0, 30.0))
+        ratio_step = float(rng.uniform(0.20, 0.40))
+        theta = math.radians(float(rng.uniform(-130.0, -50.0)))
+        digest.update(repr(analysis.calibrate(base_config, trigger, ratio_step, theta)).encode())
+    assert digest.hexdigest() == CALIBRATE_DIGEST
 
 
 def test_calibrate_builds_one_config(base_config, monkeypatch):

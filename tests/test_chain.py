@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from lbvt import chain, equilibrium
-from lbvt.model import MechanismConfig, Regime, per_joint_stiffness
+from lbvt import analysis, chain, equilibrium
+from lbvt.model import (CalibrationError, MechanismConfig, NoTriggerError, Regime,
+                        per_joint_stiffness)
 
-from conftest import straight_chain
+from conftest import random_config, straight_chain
 
 
 def test_collinear_chain_tip_along_axis():
@@ -49,6 +50,72 @@ def test_rotation_equivariance(default_config):
 
 def test_open_lever_exceeds_closed(default_config):
     assert chain.closed_lever(default_config) < chain.open_lever(default_config)
+
+
+def _assert_stored_levers_are_the_checked_ones(config):
+    zeros = (0.0,) * config.n_joints
+    assert chain.closed_lever(config) == chain.l4_length(config, zeros)
+    assert chain.open_lever(config) == chain.l4_length(config, config.joint_open_limit)
+
+
+def test_stored_levers_equal_l4_length(default_config, base_config):
+    # the shipped configs, 300 random ones and their calibrations, bit for bit
+    rng = np.random.default_rng(2026)
+    configs = [default_config, base_config] + [random_config(rng) for _ in range(300)]
+    calibrated = 0
+    for config in list(configs):
+        trigger, ratio_step = float(rng.uniform(10.0, 30.0)), float(rng.uniform(0.2, 0.4))
+        theta = float(rng.uniform(config.theta_min, config.theta_max))
+        try:
+            configs.append(analysis.calibrate(config, trigger, ratio_step, theta))
+            calibrated += 1
+        except (CalibrationError, NoTriggerError):  # a target this config cannot meet there
+            pass
+    assert calibrated >= 150
+    for config in configs:
+        _assert_stored_levers_are_the_checked_ones(config)
+
+
+def test_replaced_config_recomputes_its_levers(default_config):
+    half = dataclasses.replace(
+        default_config, joint_open_limit=tuple(0.5 * x for x in default_config.joint_open_limit))
+    moved = dataclasses.replace(default_config, l_offset=0.05)
+    for copy in (half, moved):
+        _assert_stored_levers_are_the_checked_ones(copy)
+    assert chain.closed_lever(half) == chain.closed_lever(default_config)
+    assert chain.open_lever(half) != chain.open_lever(default_config)
+    assert chain.closed_lever(moved) != chain.closed_lever(default_config)
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("updates", [
+    {"joint_open_limit": (-0.1,) + (0.1,) * 5},
+    {"joint_open_limit": (0.1,) * 5 + (-1e-13,)},
+    {"joint_open_limit": (math.nan,) + (0.1,) * 5},
+    {"joint_open_limit": (math.inf,) + (0.1,) * 5},
+    {"joint_open_limit": (0.1,) * 5 + (-math.inf,)},
+    {"joint_open_limit": (0.1,) * 3},
+    {"beta": math.inf},
+    {"beta": math.nan},
+    {"beta": 10 ** 400},
+    {"phi": (-math.inf,) + (0.0,) * 5, "joint_open_limit": (math.inf,) + (0.1,) * 5},
+], ids=["negative", "barely_negative", "nan", "inf", "minus_inf", "short", "inf_beta",
+        "nan_beta", "huge_int_beta", "open_angle_nan"])
+def test_stored_levers_raise_what_l4_length_raises(default_config, updates):
+    config = dataclasses.replace(default_config, **updates)
+    zeros = (0.0,) * config.n_joints
+    closed = _outcome(lambda: chain.l4_length(config, zeros))
+    opened = _outcome(lambda: chain.l4_length(config, config.joint_open_limit))
+    assert _outcome(lambda: chain.closed_lever(config)) == closed
+    assert _outcome(lambda: chain.open_lever(config)) == opened
+    # each raises at zero or at full travel, or both, but a NaN beta
+    assert isinstance(closed, tuple) or isinstance(opened, tuple) or math.isnan(config.beta)
 
 
 def test_shipped_lever_lengths():

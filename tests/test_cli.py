@@ -232,6 +232,14 @@ def test_solve_unconverged_residual_prints_its_digits(capsys, monkeypatch):
     assert "residual (Nm):           0.123456789\n" in out
 
 
+def test_solve_at_a_huge_force_reports_an_unconverged_solve(capsys):
+    # it exited 1 with "lever length must be positive, got nan" on stderr
+    assert run(["solve", DEFAULT, "--theta", "-88", "--force", "1e300"]) == 1
+    out, err = capsys.readouterr()
+    assert "converged:               no\n" in out
+    assert err == ""
+
+
 def test_sweep_angle_defaults_cover_the_working_range(tmp_path):
     out = tmp_path / "angle.csv"
     code = run(["sweep-angle", DEFAULT, "--force", "165", "--out", str(out)])

@@ -489,13 +489,33 @@ def test_newton_step_is_clamped_to_the_travel_range(load, start, end):
     assert math.copysign(1.0, d[0]) == 1.0
 
 
-def test_nan_newton_step_is_not_clamped():
-    # a NaN torque makes a NaN step, and min(max(x, 0.0), lim) keeps it NaN
-    # instead of landing it on a bound
-    load = _ConstantLoad(math.nan, 1)
-    d = [0.0]
-    equilibrium._newton_active(load, d, load.evaluate(d), [0], 1.0, 0.1, (0.3,))
-    assert math.isnan(d[0])
+def test_nan_newton_step_is_not_clamped(monkeypatch):
+    # a NaN torque makes a NaN step, which min(max(x, 0.0), lim) would keep
+    # NaN rather than land on a bound: the run ends before evaluating that
+    # trial, and d keeps its last finite value, in the scalar loop and the
+    # general one
+    for active, d0 in (([0], [0.2]), ([0, 1], [0.0, 0.2])):
+        load = _ConstantLoad(math.nan, len(active))
+        d = list(d0)
+        point = load.evaluate(d)
+        calls = count_calls(monkeypatch, load, "evaluate")
+        assert equilibrium._newton_active(load, d, point, active, 1.0, 0.1,
+                                          (0.3,) * len(active)) is point
+        assert d == d0 and calls[0] == 0
+
+
+@pytest.mark.parametrize("force", [1e200, 1e300])
+@pytest.mark.parametrize("theta_deg", [-130.0, -88.0, -50.0])
+@pytest.mark.parametrize("name", ["default", "base"])
+def test_huge_force_solve_ends_unconverged(request, name, theta_deg, force):
+    # the load overflows the Newton jacobian, whose NaN step ends the run
+    # unevaluated; before, the next evaluation raised "lever length must be
+    # positive, got nan"
+    config = request.getfixturevalue(f"{name}_config")
+    res = solve_equilibrium(config, math.radians(theta_deg), force)
+    assert not res.converged
+    assert all(0.0 <= x <= lim for x, lim in zip(res.chain.deflection, config.joint_open_limit))
+    assert math.isfinite(res.residual) and math.isfinite(res.transmission_ratio)
 
 
 @pytest.mark.parametrize(

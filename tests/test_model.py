@@ -19,7 +19,7 @@ from lbvt.model import (
 from lbvt import chain, linkage, model
 from lbvt.config import save_config
 
-from conftest import _FOURBAR, _with_bearing, reduced_chain
+from conftest import _FOURBAR, _with_bearing, count_calls, reduced_chain
 
 
 def test_default_config_validates(default_config):
@@ -89,6 +89,14 @@ def test_validation_runs_at_most_three_scalar_kernel_calls(default_config, monke
     calls.clear()
     assert validate_config(config) == []
     assert calls == []  # the config keeps its verdict
+
+
+def test_validation_runs_no_chain_pass(base_config, monkeypatch):
+    # the closed and fully open lever come with the config
+    config = dataclasses.replace(base_config, alpha_preload=0.1)
+    calls = count_calls(monkeypatch, chain, "_geometry")
+    assert validate_config(config) == []
+    assert calls[0] == 0
 
 
 def _random_config(base, rng, wide):

@@ -83,6 +83,21 @@ MUTANTS = {
     "default-is-base": ("__init__.py", "load_config(default_config_path())",
                         "load_config(base_config_path())", ""),
     "main-not-called": ("__main__.py", "\nmain()\n", "\nmain\n", ""),
+    "open-slot-holds-closed": ("model.py", 'object.__setattr__(self, "_open_lever", open_lever)',
+                               'object.__setattr__(self, "_open_lever", closed_lever)', ""),
+    "closed-slot-unguarded": ("model.py", "if tip and open_lever is not None",
+                              "if open_lever is not None", ""),
+    "closed-none-unchecked": ("chain.py", "(0.0,) * config.n_joints) if l4 is None else l4",
+                              "(0.0,) * config.n_joints) if False else l4", ""),
+    "open-none-unchecked": ("chain.py", "config.joint_open_limit) if l4 is None else l4",
+                            "config.joint_open_limit) if False else l4", ""),
+    "nan-trial-evaluated": ("equilibrium.py", "elif x != x:", "elif False:", ""),
+    "nan-trial-evaluated-1-joint": ("equilibrium.py", "if x == d[j] or x != x:",
+                                    "if x == d[j]:", ""),
+    "travel-trial-unchecked": ("analysis.py", "linkage._checked_kernel(config, theta, math.hypot",
+                               "linkage._closure_kernel(config, theta, math.hypot",
+                               "a validated config's trial lever is finite unless the chain's "
+                               "float sum overflows, which needs lengths near 1e308"),
 }
 
 
