@@ -13,33 +13,40 @@ A joint with no travel is closed and at its stop at once, so no torque
 violates it and it never flips. The regime conditions are written once, in
 _scan, which returns the largest violation (the residual a solve reports)
 and the bound flip that mends the worst one; the solver and the oracle both
-read their residual from it.
+read their residual from it. The condition under which an active joint flips
+to a bound, its residual pushing it past the bound it sits on, is _pushed,
+which the Newton runs read too.
 
 solve_equilibrium runs an active-set scheme over those regimes: for a fixed
-regime assignment the active torque balances are solved by Newton iterations
-whose full step is clamped to the travel limits, then the scan's flip is made
-(one joint per outer pass, largest violation first, lowest index on ties).
-Torque exactly at the holding threshold keeps a joint closed. The scheme is
-deterministic: identical inputs give identical results. The Newton jacobian
-is analytic: opening joint j rotates the chain tip and every later pivot
-about pivot j, and only the closure jacobian's dependence on the lever length
-is differenced, once per geometry. Each load-map evaluation is made once and
-passed along: the point a Newton step reaches carries the torques of the next
-residual, the pivots of the next jacobian and, at the end, the geometry of
-the result, plus a slot for that difference's closure-kernel value, which the
-first jacobian taken there fills and later ones at the same geometry read
-(after a regime flip, or on the next ladder rung). A Newton step must
-strictly lower the max-norm residual; the first one that does not is still
-taken (the bold step) and a second one ends the run, as does a step that
-would leave the deflections unchanged. A singular Newton system takes the
-step r/k instead, the Newton step with the load held fixed (jacobian -k,
-residual r = a - k(a0 + d)). A non-finite applied torque makes the residual
-NaN, so such a solve is reported as not converged. A Newton step that is NaN
-(a huge force overflows the jacobian) ends the run before it is evaluated,
-like a stalled step, so such a solve ends unconverged too. The direct attempt
-from the closed state is the one-rung case of the continuation ladder, so both
-run the same loop. The ladder's first rung starts from the closed-state point
-the direct attempt evaluated, reweighed at its force, so a solve evaluates the
+regime assignment the active torque balances are solved by projected Newton
+iterations (Bertsekas, SIAM J. Control Optim. 20(2), 1982), then the scan's
+flip is made (one joint per outer pass, largest violation first, lowest index
+on ties). At each Newton point an active joint that _pushed finds pushed past
+its bound is pinned: it keeps its deflection and leaves the jacobian, the step
+and the residual norm, and the full step of the free joints is clamped to the
+travel limits. Once every active joint is pinned the run ends with no further
+evaluation, and the scan flips the pinned joints one per pass. Torque exactly
+at the holding threshold keeps a joint closed. The scheme is deterministic:
+identical inputs give identical results. The Newton jacobian is analytic:
+opening joint j rotates the chain tip and every later pivot about pivot j, and
+only the closure jacobian's dependence on the lever length is differenced,
+once per geometry. Each load-map evaluation is made once and passed along: the
+point a Newton step reaches carries the torques of the next residual, the
+pivots of the next jacobian and, at the end, the geometry of the result, plus
+a slot for that difference's closure-kernel value, which the first jacobian
+taken there fills and later ones at the same geometry read (after a regime
+flip, or on the next ladder rung). A Newton step must strictly lower the
+max-norm residual of the free joints; the first one that does not is still
+taken (the bold step) and a second one ends the run, as does a step that would
+leave the deflections unchanged. A singular Newton system takes the step r/k
+instead, the Newton step with the load held fixed (jacobian -k, residual
+r = a - k(a0 + d)). A non-finite applied torque makes the residual NaN, so
+such a solve is reported as not converged. A Newton step that is NaN (a huge
+force overflows the jacobian) ends the run before it is evaluated, like a
+stalled step, so such a solve ends unconverged too. The direct attempt from
+the closed state is the one-rung case of the continuation ladder, so both run
+the same loop. The ladder's first rung starts from the closed-state point the
+direct attempt evaluated, reweighed at its force, so a solve evaluates the
 closed state once. An intermediate rung stops its Newton runs at _RUNG_TOL,
 and the next starts from its point reweighed at the next force
 (_LoadMap.reweigh). A caller that holds a converged state of the same config
@@ -196,6 +203,16 @@ def triggering_force(config: MechanismConfig, theta: float) -> float:
     return per_joint_stiffness(config) * config.alpha_preload / _trigger_torque(config, theta)
 
 
+def _pushed(r, di, lim):
+    """The bound an active joint at deflection di is pushed past by its residual r, or None.
+
+    r = a - k (a0 + di) below 0 at di <= 0 pushes it closed, above 0 at
+    di >= lim onto its end stop; a Newton run holds such a joint pinned.
+    """
+    return (Regime.CLOSED if r < 0.0 and di <= 0.0
+            else Regime.END_STOP if r > 0.0 and di >= lim else None)
+
+
 def _scan(d, regimes, torques, k, a0, limits):
     """Worst regime-condition violation at d and the bound flip that mends it.
 
@@ -222,9 +239,7 @@ def _scan(d, regimes, torques, k, a0, limits):
             e, to = k * (a0 + lim) - a, active
         else:
             r = a - k * (a0 + di)
-            e = abs(r)
-            to = (closed if r < 0.0 and di <= 0.0
-                  else stop if r > 0.0 and di >= lim else None)
+            e, to = abs(r), _pushed(r, di, lim)
         if e > residual:
             residual = e
         if e > worst and to is not None:
@@ -270,47 +285,56 @@ def _solve_small(jac, r):
 
 
 def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
-    """Newton on the torque balances of the active joints; d in place, returns its point.
+    """Projected Newton on the torque balances of the active joints; d in place, returns its point.
 
-    point is the load-map evaluation at d; the run stops once the max-norm
-    residual is below tol. Each pass evaluates the full Newton step once,
-    clamped to the travel range [0, limit] of each joint. A step must strictly
-    lower the max-norm residual. The first step that does not, the bold step,
-    is taken anyway: the balance then has no interior root on this side (the
-    opening torque beats the spring), so the clamped step reaches the bound
-    and hands the joint back to the regime logic. A second such step ends the
-    loop. Progress must be strict because a clamped active joint can hold the
-    max norm fixed while a free joint steps back and forth between two points;
-    accepting equal norms would replay that 2-cycle for all MAX_INNER passes.
+    point is the load-map evaluation at d. At every Newton point an active
+    joint that _pushed finds pushed past the bound it sits on (r > 0 at its
+    limit, r < 0 at 0) is pinned: it keeps its deflection and leaves the
+    jacobian, the linear solve, the step and the max-norm residual, which is
+    taken over the free joints alone (0 when none is free). A pinned joint
+    is thus never stepped toward a move that the clamp would cancel, nor does
+    its residual hide the free joints' progress; _scan flips it to its bound
+    once the run ends. The run stops once the norm is below tol, so at once,
+    with no derivative and no evaluation, when every active joint is pinned.
+    Each pass evaluates the full Newton step of the free joints once, clamped
+    to the travel range [0, limit] of each joint. A step must strictly lower
+    the norm. The first step that does not, the bold step, is taken anyway:
+    the balance then has no interior root on this side (the opening torque
+    beats the spring), so the clamped step reaches the bound and hands the
+    joint back to the regime logic. A second such step ends the loop.
+    Progress stays strict because the hold does not end every cycle: a free
+    joint whose residual points into its range can still have its coupled
+    step clamped back to the bound it sits on, holding the norm fixed while
+    another joint steps back and forth between two points, and a Newton
+    step can map a point to its mirror image at the same norm. Accepting
+    equal norms would replay such a 2-cycle for all MAX_INNER passes.
 
     The jacobian comes from load.derivative (analytic, minus k on the
-    diagonal) at the point the last step reached. A step that leaves d
-    unchanged (typically an active joint pushing past its bound and clamped
-    back) ends the loop before it is evaluated: every later pass would
-    rebuild the same jacobian and take the same step. So does a trial with a
-    NaN deflection, which the clamp lets through: the load is too large for
-    the jacobian's floats, and evaluating it would raise. One active joint,
-    the common case, runs _newton_one, the same loop in scalars.
+    diagonal) over the free joints, at the point the last step reached. A
+    step that leaves d unchanged ends the loop before it is evaluated: every
+    later pass would rebuild the same jacobian and take the same step. So
+    does a trial with a NaN deflection, which the clamp lets through: the
+    load is too large for the jacobian's floats, and evaluating it would
+    raise. One active joint, the common case, runs _newton_one, the same
+    loop in scalars.
     """
     if not active:
         return point
     if len(active) == 1:
         return _newton_one(load, d, point, active, k, a0, limits[active[0]], tol)
-    torques = point[0]
-    r = [torques[i] - k * (a0 + d[i]) for i in active]
-    norm = max(map(abs, r))
+    free, r, norm = _free_residuals(point[0], d, active, k, a0, limits)
     bold_used = False
     for _ in range(MAX_INNER):
         if norm < tol:
             break
-        jac = load.derivative(point, active)
+        jac = load.derivative(point, free)
         for i, row in enumerate(jac):
             row[i] -= k
         step = _solve_small(jac, r)
         if step is None:
             step = [x / k for x in r]  # singular: the step with the load held, jac = -k
         trial = list(d)
-        for j, s in zip(active, step):
+        for j, s in zip(free, step):
             # min(max(x, 0.0), lim) as max and min take it: NaN and -0.0 stay
             x = d[j] + s
             if x < 0.0:
@@ -325,28 +349,39 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
         if trial == d:
             break  # stalled: every later pass would replay this step
         trial_point = load.evaluate(trial)
-        torques = trial_point[0]
-        r_trial = [torques[i] - k * (a0 + trial[i]) for i in active]
-        norm_trial = max(map(abs, r_trial))
+        free_trial, r_trial, norm_trial = _free_residuals(trial_point[0], trial, active, k, a0,
+                                                          limits)
         if not norm_trial < norm:
             if bold_used:
                 break
             bold_used = True
         d[:] = trial
-        point, r, norm = trial_point, r_trial, norm_trial
+        point, free, r, norm = trial_point, free_trial, r_trial, norm_trial
     return point
+
+
+def _free_residuals(torques, d, active, k, a0, limits):
+    """(free, r, norm): the active joints no bound pins at d, their residuals, max |r| or 0."""
+    free, r = [], []
+    for i in active:
+        ri = torques[i] - k * (a0 + d[i])
+        if _pushed(ri, d[i], limits[i]) is None:
+            free.append(i)
+            r.append(ri)
+    return free, r, max(map(abs, r), default=0.0)
 
 
 def _newton_one(load, d, point, active, k, a0, lim, tol):
     """_newton_active on the one joint in active, of travel limit lim, in scalars.
 
-    The same floating-point operations in the same order: the Newton step
-    -r / (J - k), or r / k when J - k is 0, then the clamp, the stall and
-    NaN tests, the bold step and the strict-progress rule.
+    The same floating-point operations in the same order: the hold (a pinned
+    joint has norm 0, so the run stops at once, before any derivative), the
+    Newton step -r / (J - k), or r / k when J - k is 0, then the clamp, the
+    stall and NaN tests, the bold step and the strict-progress rule.
     """
     (j,) = active
     r = point[0][j] - k * (a0 + d[j])
-    norm = abs(r)
+    norm = abs(r) if _pushed(r, d[j], lim) is None else 0.0
     bold_used = False
     for _ in range(MAX_INNER):
         if norm < tol:
@@ -363,7 +398,7 @@ def _newton_one(load, d, point, active, k, a0, lim, tol):
         trial[j] = x
         trial_point = load.evaluate(trial)
         r_trial = trial_point[0][j] - k * (a0 + x)
-        norm_trial = abs(r_trial)
+        norm_trial = abs(r_trial) if _pushed(r_trial, x, lim) is None else 0.0
         if not norm_trial < norm:
             if bold_used:
                 break

@@ -251,8 +251,9 @@ def validate_config(config: MechanismConfig) -> list[str]:
 def _find_violations(config: MechanismConfig) -> list[str]:
     """Every violated config invariant, as validate_config reports it.
 
-    Every number must be finite; a NaN or infinite field is reported by name
-    (with its index in a tuple field), and so is a per-joint stiffness
+    Every number must be finite; a NaN or infinite field, or an int too large
+    for a float in a float field, is reported by name (with its index in a
+    tuple field) before any chain pass, and so is a per-joint stiffness
     springs_per_joint * k_spring that overflows. alpha_preload must lie in
     [0, 2*pi], at most one turn of a torsion spring. Once the fields are
     sound, closure solvability is checked exactly over the whole knee range
@@ -270,8 +271,14 @@ def _find_violations(config: MechanismConfig) -> list[str]:
             if not all(map(math.isfinite, value)):
                 v.extend(f"{f.name}[{i}] must be finite, got {x}"
                          for i, x in enumerate(value) if not math.isfinite(x))
-        elif isinstance(value, float) and not math.isfinite(value):  # ints are finite
-            v.append(f"{f.name} must be finite, got {value}")
+        elif isinstance(value, float):
+            if not math.isfinite(value):
+                v.append(f"{f.name} must be finite, got {value}")
+        elif f.type == "float":  # an int, checked as config._require_number checks one
+            try:
+                float(value)
+            except OverflowError:  # too many digits for a float
+                v.append(f"{f.name}: integer too large for a float")
 
     for name in ("l1", "l2", "l3", "l_offset"):
         value = getattr(config, name)

@@ -234,6 +234,17 @@ def test_non_finite_numbers_are_reported_by_name(default_config, bad):
         assert f"{label} must be finite, got {bad}" in violations, label
 
 
+def test_float_field_holding_an_int_too_large_for_a_float_is_reported(default_config):
+    # worded as a config file's reader words it, and found before any chain
+    # pass, which would raise OverflowError; tuple fields convert their
+    # entries to floats on construction, so only a scalar field can hold one
+    names = [label for label, (_, i) in _number_slots(default_config) if i is None]
+    assert {"beta", "l1", "l_offset"} <= set(names) and len(names) == 10
+    for name in names:
+        config = dataclasses.replace(default_config, **{name: 10 ** 400})
+        assert f"{name}: integer too large for a float" in validate_config(config), name
+
+
 def test_mismatched_joint_arrays_are_reported(default_config):
     bad = dataclasses.replace(default_config, phi=default_config.phi[:-1])
     assert any("phi" in v for v in validate_config(bad))

@@ -94,6 +94,18 @@ MUTANTS = {
     "nan-trial-evaluated": ("equilibrium.py", "elif x != x:", "elif False:", ""),
     "nan-trial-evaluated-1-joint": ("equilibrium.py", "if x == d[j] or x != x:",
                                     "if x == d[j]:", ""),
+    "hold-nothing": ("equilibrium.py", "if _pushed(ri, d[i], limits[i]) is None:", "if True:",
+                     ""),
+    "hold-only-at-stop": ("equilibrium.py", "if _pushed(ri, d[i], limits[i]) is None:",
+                          "if _pushed(ri, d[i], limits[i]) is not Regime.END_STOP:", ""),
+    "hold-only-at-0": ("equilibrium.py", "if _pushed(ri, d[i], limits[i]) is None:",
+                       "if _pushed(ri, d[i], limits[i]) is not Regime.CLOSED:", ""),
+    "hold-nothing-1-joint": ("equilibrium.py",
+                             "norm = abs(r) if _pushed(r, d[j], lim) is None else 0.0",
+                             "norm = abs(r)", ""),
+    "hold-no-trial-1-joint": ("equilibrium.py",
+                              "norm_trial = abs(r_trial) if _pushed(r_trial, x, lim) is None "
+                              "else 0.0", "norm_trial = abs(r_trial)", ""),
     "travel-trial-unchecked": ("analysis.py", "linkage._checked_kernel(config, theta, math.hypot",
                                "linkage._closure_kernel(config, theta, math.hypot",
                                "a validated config's trial lever is finite unless the chain's "
