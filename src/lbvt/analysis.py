@@ -265,7 +265,8 @@ def calibrate(
     still overflow a float in the chain's sum. The one new config is built
     at the end. An invalid config raises ConfigError with its violations; a
     non-finite target, or a theta that is not finite or lies outside the
-    config's range, raises ValueError.
+    config's range, raises ValueError. A trigger target that one turn of
+    preload, the most a config may hold, cannot reach raises CalibrationError.
     """
     violations = validate_config(config)
     if violations:
@@ -284,16 +285,15 @@ def calibrate(
         def trigger_at(preload: float) -> float:
             return per_joint_stiffness(config) * preload / a_max
 
+        turn = 2.0 * math.pi  # validate_config's preload cap: the doublings stop there
         hi = max(config.alpha_preload, 0.05)
-        for _ in range(64):
-            if trigger_at(hi) >= target_trigger:
-                break
-            hi *= 2.0
-        else:
-            raise CalibrationError(
-                f"trigger target {target_trigger} N unreachable: preload {hi} rad "
-                f"yields only {trigger_at(hi):.3f} N"
-            )
+        while trigger_at(hi) < target_trigger:
+            if hi == turn:
+                raise CalibrationError(
+                    f"trigger target {target_trigger} N unreachable: preload {hi} rad "
+                    f"yields only {trigger_at(hi):.3f} N"
+                )
+            hi = min(2.0 * hi, turn)
         alpha = _bisect(trigger_at, target_trigger, hi, TRIGGER_TOL,
                         "trigger bisection did not settle within {tol} N "
                         "(bracket [{lo}, {hi}] rad)")

@@ -30,35 +30,32 @@ at the holding threshold keeps a joint closed. The scheme is deterministic:
 identical inputs give identical results. The Newton jacobian is analytic:
 opening joint j rotates the chain tip and every later pivot about pivot j, and
 only the closure jacobian's dependence on the lever length is differenced,
-once per geometry. Each load-map evaluation is made once and passed along: the
-point a Newton step reaches carries the torques of the next residual, the
-pivots of the next jacobian and, at the end, the geometry of the result, plus
-a slot for that difference's closure-kernel value, which the first jacobian
-taken there fills and later ones at the same geometry read (after a regime
-flip, or on the next ladder rung). A Newton step must strictly lower the
-max-norm residual of the free joints; the first one that does not is still
-taken (the bold step) and a second one ends the run, as does a step that would
-leave the deflections unchanged. A singular Newton system takes the step r/k
-instead, the Newton step with the load held fixed (jacobian -k, residual
-r = a - k(a0 + d)). A non-finite applied torque makes the residual NaN, so
-such a solve is reported as not converged. A Newton step that is NaN (a huge
-force overflows the jacobian) ends the run before it is evaluated, like a
-stalled step, so such a solve ends unconverged too. The direct attempt from
-the closed state is the one-rung case of the continuation ladder, so both run
-the same loop. The ladder's first rung starts from the closed-state point the
-direct attempt evaluated, reweighed at its force, so a solve evaluates the
-closed state once. An intermediate rung stops its Newton runs at _RUNG_TOL,
-and the next starts from its point reweighed at the next force
-(_LoadMap.reweigh). A caller that holds a converged state of the same config
-(a sweep's previous sample) may pass it as start: one more one-rung attempt
-then runs from that state first, and the two attempts from closed follow only
-if it fails. Evaluations are passed along across a sweep's samples too: a
-converged solve's chain keeps the solve's config, angle and final point in a
-slot that is not a field (ChainState._origin), and a start that carries this
-very config object is taken as it is, its point reweighed at the new force (at
-a new angle, with one closure-kernel call for the jacobian). Any other start
-is checked, clamped to the travel limits once and evaluated when its attempt
-is built (_warm_start).
+once per derivative. Each load-map evaluation is made once and passed along:
+the point a Newton step reaches carries the torques of the next residual, the
+pivots of the next jacobian and, at the end, the geometry of the result. A
+Newton step must strictly lower the max-norm residual of the free joints; the
+first one that does not is still taken (the bold step) and a second one ends
+the run, as does a step that would leave the deflections unchanged. A singular
+Newton system takes the step r/k instead, the Newton step with the load held
+fixed (jacobian -k, residual r = a - k(a0 + d)). A non-finite applied torque
+makes the residual NaN, so such a solve is reported as not converged. A Newton
+step that is NaN (a huge force overflows the jacobian) ends the run before it
+is evaluated, like a stalled step, so such a solve ends unconverged too. The
+direct attempt from the closed state is the one-rung case of the continuation
+ladder, so both run the same loop. The ladder's first rung starts from the
+closed-state point the direct attempt evaluated, reweighed at its force, so a
+solve evaluates the closed state once. An intermediate rung stops its Newton
+runs at _RUNG_TOL, and the next starts from its point reweighed at the next
+force (_LoadMap.reweigh). A caller that holds a converged state of the same
+config (a sweep's previous sample) may pass it as start: one more one-rung
+attempt then runs from that state first, and the two attempts from closed
+follow only if it fails. Evaluations are passed along across a sweep's samples
+too: a converged solve's chain keeps the solve's config, angle and final point
+in a slot that is not a field (ChainState._origin), and a start that carries
+this very config object is taken as it is, its point reweighed at the new
+force (at a new angle, with one closure-kernel call for the jacobian). Any
+other start is checked, clamped to the travel limits once and evaluated when
+its attempt is built (_warm_start).
 
 brute_force_equilibrium is the independent check. An equilibrium is a fixed
 point of T(d) = clip(a(d)/k - a0, 0, limit) per joint, with a(d) the applied
@@ -105,11 +102,9 @@ class _LoadMap:
     """Applied chain-joint torques as a function of the deflections.
 
     Building one computes nothing: the lever bearing comes with the config.
-    The map keeps no state: a solve holds each evaluated point and passes it
-    on, so counting evaluate calls counts evaluations. A point is the tuple
-    (torques, l4, jac, pivots, fd). fd is a one-element list, [None] when
-    evaluated, in which derivative stores the closure jacobian at l4 + _DL4;
-    it depends on the geometry alone, so reweigh hands the same list on.
+    The map keeps no state: a solve passes each point (torques, l4, jac,
+    pivots) on, so counting evaluate calls counts evaluations. Nothing writes
+    into a point once it is built, so solves share no mutable state.
     """
 
     def __init__(self, config: MechanismConfig, theta: float, f_cyl: float):
@@ -118,28 +113,27 @@ class _LoadMap:
         self.f_cyl = f_cyl
 
     def evaluate(self, d, xp=math):
-        """The point (torques, l4, jac, pivots, fd) at deflections d; pivots ends with the tip.
+        """The point (torques, l4, jac, pivots) at deflections d; pivots ends with the tip.
 
         d is one float per joint, or with xp=numpy one equal-shape array per
-        joint; every output then has that shape. fd is a new, empty slot.
+        joint; every output then has that shape.
         """
         cfg = self.config
         pivots, tip = chain._geometry(cfg, d, xp)
         l4 = xp.hypot(*tip)
         _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, xp)
-        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac, pivots, [None]
+        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
 
-    def reweigh(self, theta, l4, jac, pivots, fd):
-        """The point (l4, jac, pivots, fd), evaluated at knee angle theta, under this map.
+    def reweigh(self, theta, l4, jac, pivots):
+        """The point (l4, jac, pivots), evaluated at knee angle theta, under this map.
 
-        At this map's angle only the torques depend on the force, and the new
-        point shares the fd slot. At another angle the pivots and l4 still
-        hold, since the chain geometry does not depend on theta: one
-        closure-kernel call gives jac, and fd is a new, empty slot.
+        At this map's angle only the torques depend on the force. At another
+        angle the pivots and l4 still hold, since the chain geometry does not
+        depend on theta: one closure-kernel call gives jac.
         """
         if theta != self.theta:
-            jac, fd = linkage._closure_kernel(self.config, self.theta, l4)[4], [None]
-        return chain._torques(pivots, pivots[-1], jac * self.f_cyl / (l4 * l4)), l4, jac, pivots, fd
+            jac = linkage._closure_kernel(self.config, self.theta, l4)[4]
+        return chain._torques(pivots, pivots[-1], jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
 
     def derivative(self, point, active):
         """Rows i, columns j of da_i/dd_j over the active joints at an evaluated point.
@@ -150,15 +144,11 @@ class _LoadMap:
 
             da_i/dd_j = s'(l4) dl4/dd_j (w_i . t) + s (c_max(i,j) + w_j x w_i)
 
-        with c_j = w_j x t. dJ/dl4 in s' is one forward difference in l4; its
-        closure-kernel value lands in the point's fd slot, so a second
-        derivative at the same geometry (after a regime flip, or on the next
-        ladder rung) does not call the kernel again. The rows are nested lists.
+        with c_j = w_j x t. dJ/dl4 in s' is one forward difference in l4, one
+        closure-kernel call at l4 + _DL4. The rows are nested lists.
         """
-        _, l4, jac, pivots, fd = point
-        jac_up = fd[0]
-        if jac_up is None:
-            jac_up = fd[0] = linkage._closure_kernel(self.config, self.theta, l4 + _DL4)[4]
+        _, l4, jac, pivots = point
+        jac_up = linkage._closure_kernel(self.config, self.theta, l4 + _DL4)[4]
         tx, ty = pivots[-1]
         f = self.f_cyl
         scale = jac * f / (l4 * l4)
@@ -467,7 +457,7 @@ def _result(load: _LoadMap, d, point, converged: bool, residual: float,
     # the chain state reads the regimes off the deflections (chain._regimes);
     # closed joints hold exact zeros and stopped joints the exact limits, so
     # that reproduces the solver's assignment.
-    _, _, jac, pivots, _ = point
+    _, _, jac, pivots = point
     state = chain._chain_state(load.config, d, pivots)
     if converged:
         object.__setattr__(state, "_origin", (load.config, load.theta, point))

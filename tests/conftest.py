@@ -113,25 +113,34 @@ def random_config(rng) -> MechanismConfig:
             return config
 
 
-def _climb(config: MechanismConfig, theta: float, f_cyl: float, budget: int):
-    """The loading-branch equilibrium by plain iteration d <- T(d) from the closed chain.
+def fixed_point_map(config: MechanismConfig, theta: float, f_cyl: float):
+    """T(d) = clip(a(d) / k - a0, 0, limit) per joint, as a function of the deflections d.
 
-    T(d) = clip(a(d) / k - a0, 0, limit) per joint, with a(d) the applied
-    joint torques of the solver's own load map (_LoadMap.evaluate). T is
-    isotone, so the iteration climbs monotonically to the least fixed point,
-    the branch that loading from zero force follows. Its independence from
-    the solver lies in the method: no Newton step, no regime logic and no
-    force ladder. Returns the deflections once max |T(d) - d| <= 1e-14 rad,
-    or None if that takes more than budget passes.
+    a(d) are the applied joint torques of the solver's own load map
+    (_LoadMap.evaluate). An equilibrium is a fixed point of T.
     """
     load = equilibrium._LoadMap(config, theta, f_cyl)
     k = per_joint_stiffness(config)
     a0 = config.alpha_preload
     limits = config.joint_open_limit
+    return lambda d: [min(max(a / k - a0, 0.0), lim)
+                      for a, lim in zip(load.evaluate(d)[0], limits)]
+
+
+def _climb(config: MechanismConfig, theta: float, f_cyl: float, budget: int):
+    """The loading-branch equilibrium by plain iteration d <- T(d) from the closed chain.
+
+    T is fixed_point_map. It is isotone, so the iteration climbs
+    monotonically to the least fixed point, the branch that loading from
+    zero force follows. Its independence from the solver lies in the
+    method: no Newton step, no regime logic and no force ladder. Returns the
+    deflections once max |T(d) - d| <= 1e-14 rad, or None if that takes
+    more than budget passes.
+    """
+    step = fixed_point_map(config, theta, f_cyl)
     d = [0.0] * config.n_joints
     for _ in range(budget):
-        torques = load.evaluate(d)[0]
-        t = [min(max(a / k - a0, 0.0), lim) for a, lim in zip(torques, limits)]
+        t = step(d)
         if max(abs(x - y) for x, y in zip(t, d)) <= 1e-14:
             return t
         d = t

@@ -10,7 +10,7 @@ from lbvt import analysis, chain, equilibrium, linkage
 from lbvt.model import (CalibrationError, ConfigError, GeometryError, MechanismConfig,
                         SweepTable, validate_config)
 
-from conftest import THETA_88, count_calls
+from conftest import THETA_88, count_calls, random_config
 
 
 # ---------- sampling ----------
@@ -263,6 +263,42 @@ def test_warm_angle_sweep_rows_equal_cold_solves(default_config, monkeypatch):
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("kind", ["force", "angle"])
+def test_warm_sweeps_agree_with_cold_solves_on_random_configs(monkeypatch, kind):
+    # a sweep sample starts from the last converged row; on perturbed configs
+    # it must land where a solve from the closed state lands, within 1e-9 rad,
+    # and converge wherever that solve does. 8 configs, a 61-point force sweep
+    # (0 to 300 N) at one angle or a 41-point angle sweep at one force each.
+    # When measured, 367 of the 488 force samples converged both ways (121
+    # neither) and 327 of the 328 angle samples (1 warm only); warm and cold
+    # answers differed by at most 7.7e-13 rad
+    cold = equilibrium.solve_equilibrium
+    warm = []
+
+    def recording(config, theta, f_cyl, **kwargs):
+        res = cold(config, theta, f_cyl, **kwargs)
+        warm.append((config, theta, f_cyl, res))
+        return res
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", recording)
+    rng = np.random.default_rng(1515 if kind == "force" else 1616)
+    for _ in range(8):
+        config = random_config(rng)
+        if kind == "force":
+            theta = float(rng.uniform(config.theta_min, config.theta_max))
+            analysis.sweep_trigger(config, theta, 0.0, 300.0, 5.0)
+        else:
+            f = float(rng.uniform(0.0, 300.0))
+            analysis.sweep_torque_vs_angle(config, f, config.theta_min, config.theta_max,
+                                           (config.theta_max - config.theta_min) / 40.0)
+    assert len(warm) == 8 * (61 if kind == "force" else 41)
+    for config, theta, f, res in warm:
+        ref = cold(config, theta, f)
+        if ref.converged:
+            assert res.converged, (theta, f)
+            assert res.chain.deflection == pytest.approx(ref.chain.deflection, rel=0.0, abs=1e-9)
+
+
 def test_base_config_ratio_sweep_has_no_failed_rows(base_config):
     # cold solves stall on 119 of these 401 samples
     table = analysis.sweep_ratio_vs_force(base_config, THETA_88, 0.0, 400.0, 1.0)
@@ -468,7 +504,7 @@ def test_calibrate_unreachable_targets_report_bracket(base_config):
 
 
 def test_calibrate_unreachable_trigger_reports_the_last_preload(base_config):
-    # 64 preload doublings from 0.05 rad stop near 1e18 rad, far short of 1e30 N
+    # the preload doublings stop at one turn, 2*pi rad, far short of 1e30 N
     with pytest.raises(CalibrationError,
                        match=r"^trigger target 1e\+30 N unreachable: preload \S+ rad yields only"):
         analysis.calibrate(base_config, 1e30, 0.40, THETA_88)
@@ -484,11 +520,23 @@ def test_bisection_that_does_not_settle_reports_its_bracket():
 
 
 def test_calibrate_rejects_a_preload_past_one_turn(base_config):
-    # the doublings reach the target, but the preload it takes is about 4.7e17 rad
+    # the target takes a preload of about 4.7e17 rad; the search stops at one turn
     with pytest.raises(CalibrationError,
-                       match=r"^calibrated config failed validation: "
-                             r"alpha_preload must not exceed 2\*pi \(one turn\)"):
+                       match=r"^trigger target 1e\+20 N unreachable: "
+                             r"preload 6\.283185307179586 rad"):
         analysis.calibrate(base_config, 1e20, 0.40, THETA_88)
+
+
+@pytest.mark.parametrize("name, target", [("default", 5000.0), ("base", 2000.0)])
+def test_calibrate_tries_no_preload_past_one_turn(request, name, target):
+    # one turn of preload triggers at 1339.206 N at -88 deg; a target above it
+    # is unreachable, where a doubling past one turn once bisected to a
+    # preload that validation then rejected (23.46 rad for 5000 N)
+    config = request.getfixturevalue(f"{name}_config")
+    with pytest.raises(CalibrationError) as raised:
+        analysis.calibrate(config, target, 0.40, THETA_88)
+    assert str(raised.value) == (f"trigger target {target} N unreachable: "
+                                 "preload 6.283185307179586 rad yields only 1339.206 N")
 
 
 @pytest.mark.parametrize("trigger, ratio_step", [(-1.0, 0.40), (20.0, -0.1)])

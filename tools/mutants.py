@@ -62,7 +62,6 @@ MUTANTS = {
                            "step = [-x / k for x in r]", ""),
     "singular-sign-1-joint": ("equilibrium.py", "if a != 0.0 else r / k)",
                               "if a != 0.0 else -r / k)", ""),
-    "fd-slot-unread": ("equilibrium.py", "if jac_up is None:", "if True:", ""),
     "regime-at-limit": ("chain.py", "if dk >= lim else", "if dk > lim else", ""),
     "closure-slack-1e-9": ("linkage.py", "g > l2 + l3 + 1e-12", "g > l2 + l3 + 1e-9", ""),
     "verdict-not-copied": ("model.py", 'tuple(_find_violations(config))\n'
@@ -73,6 +72,7 @@ MUTANTS = {
                            '    return verdict', ""),
     "preload-cap": ("model.py", "if config.alpha_preload > 2.0 * math.pi:",
                     "if config.alpha_preload > 4.0 * math.pi:", ""),
+    "calibrate-cap": ("analysis.py", "turn = 2.0 * math.pi", "turn = 4.0 * math.pi", ""),
     "ignored-keys": ("config.py", '_IGNORED_KEYS = {"provenance", "spring_arm_length"}',
                      '_IGNORED_KEYS = {"provenance"}', ""),
     "csv-8-digits": ("analysis.py", 'format(float(v), ".9g")', 'format(float(v), ".8g")', ""),
