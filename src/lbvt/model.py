@@ -10,8 +10,6 @@ Sign conventions:
     non-negative; opening a joint increases its deflection.
 
 All types are immutable after construction and safe to share across threads.
-A MechanismConfig keeps the verdict of its first validate_config call; two
-threads that race to compute it store equal tuples.
 """
 
 from __future__ import annotations
@@ -75,10 +73,9 @@ class MechanismConfig:
     chain.l4_length gives at zero and at full travel, or None where it
     raises (read them through chain.closed_lever and chain.open_lever, which
     take the checked path on None). Nor is _violations, validate_config's
-    verdict as a tuple: None until the first validate_config call on the
-    config computes it and keeps it here. dataclasses.replace makes a
-    modified copy, which recomputes the bearing and both levers and starts
-    with no verdict.
+    verdict as a tuple, computed last since the closure check reads the
+    bearing and both levers. dataclasses.replace makes a modified copy,
+    which recomputes the bearing, both levers and the verdict.
     """
 
     l1: float
@@ -118,7 +115,7 @@ class MechanismConfig:
                         else _lever_or_none(self, zeros))
         object.__setattr__(self, "_closed_lever", closed_lever)
         object.__setattr__(self, "_open_lever", open_lever)
-        object.__setattr__(self, "_violations", None)
+        object.__setattr__(self, "_violations", tuple(_find_violations(self)))
 
     @property
     def n_joints(self) -> int:
@@ -234,32 +231,28 @@ def total_stiffness(config: MechanismConfig) -> float:
 def validate_config(config: MechanismConfig) -> list[str]:
     """Check every config invariant; returns human-readable violations, empty if valid.
 
-    Deterministic. The first call on a config computes the verdict and keeps
-    it on the config (see _find_violations); since the fields are frozen, it
-    cannot go stale, and a later call runs no check. Each call returns a
-    fresh list.
+    Deterministic. The config computed the verdict when it was built (see
+    _find_violations); since the fields are frozen, it cannot go stale, so
+    this runs no check. Each call returns a fresh list.
     """
-    verdict = config._violations
-    if verdict is None:
-        # object.__setattr__, not vars(config): building the instance dict
-        # slows every later attribute read of this config in the kernels
-        verdict = tuple(_find_violations(config))
-        object.__setattr__(config, "_violations", verdict)
-    return list(verdict)
+    return list(config._violations)
 
 
 def _find_violations(config: MechanismConfig) -> list[str]:
     """Every violated config invariant, as validate_config reports it.
 
-    Every number must be finite; a NaN or infinite field, or an int too large
-    for a float in a float field, is reported by name (with its index in a
-    tuple field) before any chain pass, and so is a per-joint stiffness
-    springs_per_joint * k_spring that overflows. alpha_preload must lie in
-    [0, 2*pi], at most one turn of a torsion spring. Once the fields are
-    sound, closure solvability is checked exactly over the whole knee range
-    and lever range: the closure kernel runs at the at most three points of
-    longest and shortest pivot span (see _closure_violations), and an
-    actuator base on the attachment circle is rejected.
+    The checks run in three stages, each only when the one before found
+    nothing, so each bad number is reported once. First every number must
+    be finite: a NaN or infinite field, or an int too large for a float in a
+    float field, is reported by name (with its index in a tuple field).
+    Then each field is checked on its own: signs, counts, ranges, and a
+    per-joint stiffness springs_per_joint * k_spring that overflows;
+    alpha_preload must lie in [0, 2*pi], at most one turn of a torsion
+    spring. Last, closure solvability is checked exactly over the whole
+    knee range and lever range: the closure kernel runs at the at most
+    three points of longest and shortest pivot span (see
+    _closure_violations), and an actuator base on the attachment circle is
+    rejected.
     """
     v: list[str] = []
 
@@ -279,6 +272,8 @@ def _find_violations(config: MechanismConfig) -> list[str]:
                 float(value)
             except OverflowError:  # too many digits for a float
                 v.append(f"{f.name}: integer too large for a float")
+    if v:  # a non-finite number would fail the checks below again
+        return v
 
     for name in ("l1", "l2", "l3", "l_offset"):
         value = getattr(config, name)
@@ -309,8 +304,7 @@ def _find_violations(config: MechanismConfig) -> list[str]:
         k_joint = per_joint_stiffness(config)
     except OverflowError:  # springs_per_joint has too many digits for a float
         k_joint = math.inf
-    # a NaN or infinite k_spring is reported above
-    if abs(k_joint) == math.inf and abs(config.k_spring) != math.inf:
+    if abs(k_joint) == math.inf:
         v.append("per-joint stiffness springs_per_joint * k_spring must be finite")
     if config.alpha_preload < 0.0:
         v.append(f"alpha_preload must be non-negative, got {config.alpha_preload}")

@@ -5,6 +5,7 @@ from copy import deepcopy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lbvt import analysis, chain, equilibrium, linkage
 from lbvt.equilibrium import (
@@ -782,6 +783,20 @@ def test_converged_answers_are_fixed_points_below_the_descent_from_the_top():
             for _ in range(3):
                 upper = t(upper)
                 assert all(x <= u + 1e-12 for x, u in zip(d, upper)), (theta, f)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), where=st.floats(0.0, 1.0), f=st.floats(0.0, 300.0))
+def test_converged_answers_match_the_climb_on_drawn_inputs(seed, where, f):
+    # any converged answer is the loading branch's least fixed point wherever
+    # the climb settles within its budget; theta is drawn as a fraction of
+    # the config's knee range
+    config = random_config(np.random.default_rng(seed))
+    theta = config.theta_min + where * (config.theta_max - config.theta_min)
+    res = solve_equilibrium(config, theta, f)
+    reference = _climb(config, theta, f, 20_000) if res.converged else None
+    if reference is not None:
+        assert res.chain.deflection == pytest.approx(reference, rel=0.0, abs=1e-9)
 
 
 def test_no_negative_zero_deflection(default_config):

@@ -16,10 +16,10 @@ from lbvt.model import (
     total_stiffness,
     validate_config,
 )
-from lbvt import chain, linkage, model
+from lbvt import analysis, chain, equilibrium, linkage, model
 from lbvt.config import save_config
 
-from conftest import _FOURBAR, _with_bearing, count_calls, reduced_chain
+from conftest import THETA_88, _FOURBAR, _with_bearing, count_calls, reduced_chain
 
 
 def test_default_config_validates(default_config):
@@ -82,13 +82,28 @@ def test_validation_runs_at_most_three_scalar_kernel_calls(default_config, monke
         return original(config, theta, l4, xp)
 
     monkeypatch.setattr(linkage, "_closure_kernel", recorded)
-    config = dataclasses.replace(default_config)  # the fixture was validated when loaded
+    config = dataclasses.replace(default_config)  # the copy checks its closure here
     assert validate_config(config) == []
     assert 1 <= len(calls) <= 3
     assert all(call == (float, float, math) for call in calls)
     calls.clear()
     assert validate_config(config) == []
-    assert calls == []  # the config keeps its verdict
+    assert calls == []  # validate_config reads the verdict the config was built with
+
+
+def test_no_call_writes_to_a_built_config(default_config, base_config):
+    config = dataclasses.replace(base_config)
+    built = dict(vars(config))
+    assert validate_config(config) == []
+    equilibrium.solve_equilibrium(config, THETA_88, 165.0)
+    equilibrium.triggering_force(config, THETA_88)
+    analysis.ratio_step_direct(config, THETA_88)
+    analysis.calibrate(config, 20.0, 0.40, THETA_88)
+    assert vars(config) == built
+    bad = dataclasses.replace(default_config, l2=-1.0)
+    built = dict(vars(bad))
+    assert validate_config(bad) == ["l2 must be strictly positive, got -1.0"]
+    assert vars(bad) == built
 
 
 def test_validation_runs_no_chain_pass(base_config, monkeypatch):
@@ -234,6 +249,16 @@ def test_non_finite_numbers_are_reported_by_name(default_config, bad):
         assert f"{label} must be finite, got {bad}" in violations, label
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("theta_min", math.nan), ("actuator_attach_ratio", math.nan), ("l_offset", -math.inf),
+    ("alpha_preload", math.inf), ("theta_max", math.inf),
+])
+def test_a_non_finite_number_is_reported_once(default_config, name, bad):
+    # not again by the range checks it would fail too
+    config = dataclasses.replace(default_config, **{name: bad})
+    assert validate_config(config) == [f"{name} must be finite, got {bad}"]
+
+
 def test_float_field_holding_an_int_too_large_for_a_float_is_reported(default_config):
     # worded as a config file's reader words it, and found before any chain
     # pass, which would raise OverflowError; tuple fields convert their
@@ -242,7 +267,7 @@ def test_float_field_holding_an_int_too_large_for_a_float_is_reported(default_co
     assert {"beta", "l1", "l_offset"} <= set(names) and len(names) == 10
     for name in names:
         config = dataclasses.replace(default_config, **{name: 10 ** 400})
-        assert f"{name}: integer too large for a float" in validate_config(config), name
+        assert validate_config(config) == [f"{name}: integer too large for a float"], name
 
 
 def test_mismatched_joint_arrays_are_reported(default_config):

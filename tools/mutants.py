@@ -64,12 +64,11 @@ MUTANTS = {
                               "if a != 0.0 else -r / k)", ""),
     "regime-at-limit": ("chain.py", "if dk >= lim else", "if dk > lim else", ""),
     "closure-slack-1e-9": ("linkage.py", "g > l2 + l3 + 1e-12", "g > l2 + l3 + 1e-9", ""),
-    "verdict-not-copied": ("model.py", 'tuple(_find_violations(config))\n'
-                           '        object.__setattr__(config, "_violations", verdict)\n'
-                           '    return list(verdict)',
-                           '_find_violations(config)\n'
-                           '        object.__setattr__(config, "_violations", verdict)\n'
-                           '    return verdict', ""),
+    "verdict-not-copied": ("model.py", "return list(config._violations)",
+                           'return vars(config).setdefault("_list", list(config._violations))',
+                           ""),
+    "validation-stages-ungated": ("model.py", "    if v:  # a non-finite number would fail the "
+                                  "checks below again\n        return v\n", "", ""),
     "preload-cap": ("model.py", "if config.alpha_preload > 2.0 * math.pi:",
                     "if config.alpha_preload > 4.0 * math.pi:", ""),
     "calibrate-cap": ("analysis.py", "turn = 2.0 * math.pi", "turn = 4.0 * math.pi", ""),
