@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import io
 import math
 
 from . import chain, equilibrium, linkage
 from .config import _write
-from .model import (CalibrationError, ConfigError, GeometryError, MechanismConfig,
-                    SweepTable, per_joint_stiffness, validate_config)
+from .model import (CalibrationError, GeometryError, MechanismConfig, SweepTable,
+                    _require_valid, per_joint_stiffness, validate_config)
 
 TRIGGER_TOL = 0.05   # N, calibration tolerance on the triggering force
 RATIO_STEP_TOL = 0.005  # calibration tolerance on the ratio step
@@ -115,19 +114,20 @@ def _sweep(columns, samples, point, record=lambda x: x) -> SweepTable:
 def _force_sweep(config, theta, f_from, f_to, step, columns, values) -> SweepTable:
     """Sweep the actuator force at one knee angle; values(f, res, jac_closed) fills a row.
 
-    jac_closed() is the closed-lever jacobian at theta, computed on first use.
+    jac_closed is the closed-lever jacobian at theta, computed once, after
+    the force range and theta are checked.
     """
     if f_from < 0.0:
         raise ValueError(f"force range must be non-negative, got start {f_from}")
-    jac_closed = functools.cache(
-        lambda: linkage.jacobian(config, theta, chain.closed_lever(config))
-    )
+    forces = sample_ladder(f_from, f_to, step)
+    equilibrium._check_theta(config, theta)
+    jac_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
 
     def point(f: float, start):
         res = equilibrium.solve_equilibrium(config, theta, f, start=start)
         return res, values(f, res, jac_closed)
 
-    return _sweep(("f_cyl (N)",) + columns, sample_ladder(f_from, f_to, step), point)
+    return _sweep(("f_cyl (N)",) + columns, forces, point)
 
 
 def sweep_torque_vs_angle(
@@ -185,7 +185,7 @@ def sweep_torque_vs_force(
     """Knee torque against actuator force, with the rigid baseline alongside."""
     return _force_sweep(
         config, theta, f_from, f_to, step, ("torque_lbvt (Nm)", "torque_rigid (Nm)"),
-        lambda f, res, jac_closed: (res.kfe_torque, jac_closed() * f),
+        lambda f, res, jac_closed: (res.kfe_torque, jac_closed * f),
     )
 
 
@@ -199,13 +199,13 @@ def sweep_ratio_vs_force(
     """Transmission ratio against actuator force; zero force uses the closed-lever limit."""
     return _force_sweep(
         config, theta, f_from, f_to, step, ("ratio (m)", "ratio_rigid (m)"),
-        lambda f, res, jac_closed: (res.transmission_ratio, jac_closed()),
+        lambda f, res, jac_closed: (res.transmission_ratio, jac_closed),
     )
 
 
 def ratio_step_direct(config: MechanismConfig, theta: float) -> float:
     """Fully-open over closed transmission ratio minus one, straight from geometry."""
-    equilibrium._check_theta(config, theta)
+    equilibrium._check_theta(_require_valid(config), theta)
     j_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
     j_open = linkage.jacobian(config, theta, chain.open_lever(config))
     return j_open / j_closed - 1.0
@@ -268,9 +268,7 @@ def calibrate(
     config's range, raises ValueError. A trigger target that one turn of
     preload, the most a config may hold, cannot reach raises CalibrationError.
     """
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError("invalid config: " + "; ".join(violations))
+    _require_valid(config)
     for name, value in (("target_trigger", target_trigger),
                         ("target_ratio_step", target_ratio_step)):
         if not math.isfinite(value):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ChainState, MechanismConfig, Regime
+from .model import ChainState, MechanismConfig, Regime, _require_valid
 
 
 def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
@@ -74,41 +74,24 @@ def _lever(tip) -> float:
 
 def l4_length(config: MechanismConfig, deflection) -> float:
     """Distance from the knee joint to the chain tip (the output lever length)."""
-    _, tip = _geometry(config, _check_deflection(config, deflection))
+    _, tip = _geometry(_require_valid(config), _check_deflection(config, deflection))
     return math.hypot(*tip)
-
-
-def _lever_or_none(config: MechanismConfig, deflection) -> float | None:
-    """l4_length(config, deflection), or None where it raises (MechanismConfig stores these)."""
-    try:
-        return l4_length(config, deflection)
-    except (ValueError, OverflowError):  # a travel limit out of range, cos of an infinite angle
-        return None
 
 
 def closed_lever(config: MechanismConfig) -> float:
     """Lever length of the closed chain, l4_length at zero deflection.
 
     The config computed it when it was built, so this runs no chain pass.
-    Where l4_length raises (a NaN or negative travel limit, an infinite chain
-    angle) the config holds None and this takes the checked path, which
-    raises the same error with the same message.
     """
-    l4 = config._closed_lever
-    return l4_length(config, (0.0,) * config.n_joints) if l4 is None else l4
+    return _require_valid(config)._closed_lever
 
 
 def open_lever(config: MechanismConfig) -> float:
     """Lever length of the fully open chain, l4_length at joint_open_limit.
 
     The config computed it when it was built, so this runs no chain pass.
-    Where l4_length raises (a travel limit that is NaN, negative or
-    infinite, a limit count other than the joint count, an infinite chain
-    angle) the config holds None and this takes the checked path, which
-    raises the same error with the same message.
     """
-    l4 = config._open_lever
-    return l4_length(config, config.joint_open_limit) if l4 is None else l4
+    return _require_valid(config)._open_lever
 
 
 def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[float, ...]:
@@ -117,6 +100,7 @@ def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[fl
     Equals the planar cross product of (tip - pivot) with the force vector;
     positive torque drives the joint toward opening. Linear in f_end.
     """
+    _require_valid(config)
     if not math.isfinite(f_end):
         raise ValueError(f"f_end must be finite, got {f_end}")
     d = _check_deflection(config, deflection)
@@ -148,6 +132,6 @@ def _chain_state(config: MechanismConfig, d, pivots) -> ChainState:
 
 def make_chain_state(config: MechanismConfig, deflection) -> ChainState:
     """Build a fully consistent ChainState from the deflections alone."""
-    d = _check_deflection(config, deflection)
+    d = _check_deflection(_require_valid(config), deflection)
     pivots, _ = _geometry(config, d)
     return _chain_state(config, d, pivots)

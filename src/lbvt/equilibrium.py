@@ -80,14 +80,13 @@ import math
 from . import chain, linkage
 from .model import (
     ChainState,
-    ConfigError,
     EquilibriumResult,
     GridSizeError,
     MechanismConfig,
     NoTriggerError,
     Regime,
+    _require_valid,
     per_joint_stiffness,
-    validate_config,
 )
 
 MAX_OUTER = 200
@@ -169,7 +168,7 @@ class _LoadMap:
 
 def _trigger_torque(config: MechanismConfig, theta: float) -> float:
     """Largest closed-chain joint torque per newton of actuator force; preload-independent."""
-    _check_theta(config, theta)
+    _check_theta(_require_valid(config), theta)
     per_unit = _LoadMap(config, theta, 1.0).evaluate((0.0,) * config.n_joints)[0]
     loaded = [a for a in per_unit if a > 1e-12]
     if not loaded:
@@ -518,8 +517,11 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
     object) is checked and evaluated, to the same result bit for bit. A start
     of the wrong length, with a NaN or out-of-range deflection raises
     ValueError, and so does a non-finite theta or one outside the config's
-    range. Without start the solve is unchanged.
+    range. Without start the solve is unchanged. A config that fails
+    validation raises ConfigError naming its violations, before any other
+    check.
     """
+    _require_valid(config)
     # a NaN force stays an unconverged solve: bench's checker_self_test solves one outside its try
     if not math.isnan(f_cyl):
         _check_force(f_cyl)
@@ -580,9 +582,7 @@ def brute_force_equilibrium(
     """
     import numpy as np  # here, so that importing lbvt does not load numpy
 
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError("invalid config: " + "; ".join(violations))
+    _require_valid(config)
     if not (grid_step > 0.0):
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     _check_force(f_cyl)

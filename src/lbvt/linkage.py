@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .model import GeometryError, MechanismConfig, SingularityError
+from .model import GeometryError, MechanismConfig, SingularityError, _require_valid
 
 SINGULARITY_SIN = 1e-8  # |sin(input-coupler angle)| below this raises
 
@@ -132,9 +132,9 @@ def _checked_kernel(config: MechanismConfig, theta: float, l4: float):
 
 def actuator_length(config: MechanismConfig, theta: float, l4: float) -> float:
     """Distance from the actuator base to its attachment point on the input bar."""
-    return _checked_kernel(config, theta, l4)[3]
+    return _checked_kernel(_require_valid(config), theta, l4)[3]
 
 
 def jacobian(config: MechanismConfig, theta: float, l4: float) -> float:
     """Actuator extension per unit knee rotation at fixed lever length (m/rad)."""
-    return _checked_kernel(config, theta, l4)[4]
+    return _checked_kernel(_require_valid(config), theta, l4)[4]

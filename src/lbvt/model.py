@@ -67,15 +67,16 @@ class MechanismConfig:
 
     lever_bearing is derived, not a field: the polar angle of the closed
     chain tip seen from the knee, in the lower-leg frame, along which the
-    output lever points. It is set once at construction (NaN when the chain
-    angles are not finite), so it is neither saved nor compared. So are the
-    closed and the fully open lever, _closed_lever and _open_lever: what
-    chain.l4_length gives at zero and at full travel, or None where it
-    raises (read them through chain.closed_lever and chain.open_lever, which
-    take the checked path on None). Nor is _violations, validate_config's
-    verdict as a tuple, computed last since the closure check reads the
-    bearing and both levers. dataclasses.replace makes a modified copy,
-    which recomputes the bearing, both levers and the verdict.
+    output lever points. It is set once at construction, so it is neither
+    saved nor compared. So are the closed and the fully open lever,
+    _closed_lever and _open_lever: what chain.l4_length gives at zero and at
+    full travel (read them through chain.closed_lever and chain.open_lever).
+    Nor is _violations, validate_config's verdict as a tuple. The field
+    checks run first; only a config that passes them gets its bearing and
+    levers (otherwise NaN and None, which no entry reads, since every entry
+    refuses an invalid config), and then the closure check, which reads
+    them. dataclasses.replace makes a modified copy, which recomputes the
+    bearing, both levers and the verdict.
     """
 
     l1: float
@@ -100,22 +101,18 @@ class MechanismConfig:
         object.__setattr__(self, "segments", tuple(float(v) for v in self.segments))
         object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
         object.__setattr__(self, "joint_open_limit", tuple(float(v) for v in self.joint_open_limit))
-        from .chain import _geometry, _lever_or_none  # deferred: import cycle
+        from .chain import _geometry  # deferred: import cycle
 
-        zeros = (0.0,) * self.n_joints
-        try:
-            _, tip = _geometry(self, zeros)
-        except (ValueError, OverflowError):  # cos of an infinite angle; validate_config names it
-            tip = None
-        x, y = tip or (math.nan, math.nan)
-        object.__setattr__(self, "lever_bearing", math.atan2(y, x))
-        open_lever = _lever_or_none(self, self.joint_open_limit)
-        # limits that pass the deflection check at full travel pass it at zero
-        closed_lever = (math.hypot(x, y) if tip and open_lever is not None
-                        else _lever_or_none(self, zeros))
+        violations = _field_violations(self)
+        bearing, closed_lever, open_lever = math.nan, None, None
+        if not violations:  # finite angles and one non-negative limit per joint
+            _, (x, y) = _geometry(self, (0.0,) * self.n_joints)
+            bearing, closed_lever = math.atan2(y, x), math.hypot(x, y)
+            open_lever = math.hypot(*_geometry(self, self.joint_open_limit)[1])
+        object.__setattr__(self, "lever_bearing", bearing)
         object.__setattr__(self, "_closed_lever", closed_lever)
         object.__setattr__(self, "_open_lever", open_lever)
-        object.__setattr__(self, "_violations", tuple(_find_violations(self)))
+        object.__setattr__(self, "_violations", tuple(violations or _closure_violations(self)))
 
     @property
     def n_joints(self) -> int:
@@ -231,28 +228,37 @@ def total_stiffness(config: MechanismConfig) -> float:
 def validate_config(config: MechanismConfig) -> list[str]:
     """Check every config invariant; returns human-readable violations, empty if valid.
 
-    Deterministic. The config computed the verdict when it was built (see
-    _find_violations); since the fields are frozen, it cannot go stale, so
-    this runs no check. Each call returns a fresh list.
+    Deterministic. The config computed the verdict when it was built; since
+    the fields are frozen, it cannot go stale, so this runs no check. The
+    checks run in three stages, each only when the one before found nothing,
+    so each bad number is reported once: the finiteness and the per-field
+    checks of _field_violations, then closure solvability over the whole
+    knee range and lever range (_closure_violations). Each call returns a
+    fresh list.
     """
     return list(config._violations)
 
 
-def _find_violations(config: MechanismConfig) -> list[str]:
-    """Every violated config invariant, as validate_config reports it.
+def _require_valid(config: MechanismConfig) -> MechanismConfig:
+    """config itself when it passed validation; ConfigError naming its violations otherwise.
 
-    The checks run in three stages, each only when the one before found
-    nothing, so each bad number is reported once. First every number must
-    be finite: a NaN or infinite field, or an int too large for a float in a
-    float field, is reported by name (with its index in a tuple field).
-    Then each field is checked on its own: signs, counts, ranges, and a
-    per-joint stiffness springs_per_joint * k_spring that overflows;
-    alpha_preload must lie in [0, 2*pi], at most one turn of a torsion
-    spring. Last, closure solvability is checked exactly over the whole
-    knee range and lever range: the closure kernel runs at the at most
-    three points of longest and shortest pivot span (see
-    _closure_violations), and an actuator base on the attachment circle is
-    rejected.
+    The library's entries call this before they read a config, so no answer
+    is computed from a config that validate_config rejects.
+    """
+    if config._violations:
+        raise ConfigError("invalid config: " + "; ".join(config._violations))
+    return config
+
+
+def _field_violations(config: MechanismConfig) -> list[str]:
+    """The violated invariants that each field decides on its own, in two stages.
+
+    First every number must be finite: a NaN or infinite field, or an int
+    too large for a float in a float field, is reported by name (with its
+    index in a tuple field). Only when all are, each field is checked on its
+    own: signs, counts, ranges, and a per-joint stiffness springs_per_joint
+    * k_spring that overflows; alpha_preload must lie in [0, 2*pi], at most
+    one turn of a torsion spring.
     """
     v: list[str] = []
 
@@ -327,11 +333,6 @@ def _find_violations(config: MechanismConfig) -> list[str]:
         value = getattr(config, name)
         if not (-math.pi < value <= 0.0):
             v.append(f"{name} must lie in (-pi, 0], got {value}")
-
-    # Closure feasibility across the knee range only makes sense once the
-    # basic geometry above is sound.
-    if not v:
-        v.extend(_closure_violations(config))
     return v
 
 
@@ -354,9 +355,10 @@ def _extreme_angle(config: MechanismConfig, phase: float) -> float:
 def _closure_violations(config: MechanismConfig) -> list[str]:
     """Exact closure check over the box of knee angles x lever lengths.
 
+    Runs while the config is built, once its fields passed their checks.
     The box is theta in [theta_min, theta_max] and l4 between the closed and
-    the fully open lever, both stored on the config when it was built, so
-    the check runs no chain pass. Every check of linkage._closure_kernel but
+    the fully open lever, both already stored on the config, so the check
+    runs no chain pass. Every check of linkage._closure_kernel but
     the actuator one accepts an interval of the pivot span g, where
     g**2 = l4**2 + l1**2 - 2*l1*l4*cos(theta + lever_bearing): the circle
     checks bound g, and the fold test |sin B| = 2*area/(l2*l3) fails only
@@ -370,9 +372,9 @@ def _closure_violations(config: MechanismConfig) -> list[str]:
     circle of radius actuator_attach_ratio * l2 about the ground pivot, so
     the actuator length can reach 0 only when the actuator base lies on it.
     """
-    from . import chain as _chain, linkage as _linkage  # deferred: import cycle
+    from . import linkage as _linkage  # deferred: import cycle
 
-    closed, open_ = _chain.closed_lever(config), _chain.open_lever(config)
+    closed, open_ = config._closed_lever, config._open_lever
     theta_far = _extreme_angle(config, math.pi)
     theta_near = _extreme_angle(config, 0.0)
     near = min(max(config.l1 * math.cos(theta_near + config.lever_bearing),

@@ -31,6 +31,27 @@ _FOURBAR = dict(
 )
 
 
+# field updates that make the default config invalid, by id: travel limits
+# and chain angles at which chain.l4_length could not run, a preload past
+# one turn and a negative one, and a four-bar too short to close
+INVALID_UPDATES = {
+    "negative": {"joint_open_limit": (-0.1,) + (0.1,) * 5},
+    "barely_negative": {"joint_open_limit": (0.1,) * 5 + (-1e-13,)},
+    "nan": {"joint_open_limit": (math.nan,) + (0.1,) * 5},
+    "inf": {"joint_open_limit": (math.inf,) + (0.1,) * 5},
+    "minus_inf": {"joint_open_limit": (0.1,) * 5 + (-math.inf,)},
+    "short": {"joint_open_limit": (0.1,) * 3},
+    "inf_beta": {"beta": math.inf},
+    "nan_beta": {"beta": math.nan},
+    "huge_int_beta": {"beta": 10 ** 400},
+    "open_angle_nan": {"phi": (-math.inf,) + (0.0,) * 5,
+                       "joint_open_limit": (math.inf,) + (0.1,) * 5},
+    "preload_past_one_turn": {"alpha_preload": 7.0},
+    "negative_preload": {"alpha_preload": -0.5},
+    "short_fourbar": {"l2": 0.01, "l3": 0.01},
+}
+
+
 def reduced_chain(n: int, alpha_preload: float = 0.10) -> MechanismConfig:
     """Reduced 1-, 2- or 3-joint chain on the shipped four-bar, oracle-friendly."""
     shapes = {

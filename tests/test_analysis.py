@@ -99,15 +99,27 @@ def test_angle_sweep_rejects_a_bad_force(default_config, f_cyl):
 @pytest.mark.parametrize("sweep", [
     "sweep_torque_vs_angle", "sweep_trigger", "sweep_torque_vs_force", "sweep_ratio_vs_force",
 ])
-def test_sweep_flags_infeasible_samples(default_config, sweep):
-    # deliberately broken four-bar, constructed directly (no validation pass)
-    bad = dataclasses.replace(default_config, l2=0.01, l3=0.01)
+def test_sweep_flags_infeasible_samples(default_config, sweep, monkeypatch):
+    # a valid config's samples all solve, so the failures are forged: every
+    # other solve raises GeometryError, the rest end unconverged
+    solve = equilibrium.solve_equilibrium
+    starts = []
+
+    def failing(config, theta, f_cyl, *, start=None):
+        starts.append(start)
+        if len(starts) % 2:
+            raise GeometryError("closure fails")
+        return dataclasses.replace(solve(config, theta, f_cyl), converged=False)
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", failing)
+    config = default_config
     if sweep == "sweep_torque_vs_angle":
         table = analysis.sweep_torque_vs_angle(
-            bad, 50.0, bad.theta_min, bad.theta_max, math.radians(20.0))
+            config, 50.0, config.theta_min, config.theta_max, math.radians(20.0))
     else:
-        table = getattr(analysis, sweep)(bad, THETA_88, 0.0, 50.0, 10.0)
+        table = getattr(analysis, sweep)(config, THETA_88, 0.0, 50.0, 10.0)
     assert len(table) == 6
+    assert starts == [None] * 6  # no row converged, so none carries a start
     assert all(f == 0.0 for f in table.column("feasible (-)"))
     assert all(c == "-" for c in table.column("regimes (-)"))
     assert all(math.isnan(v) for row in table.rows for v in row[1:-2])

@@ -5,23 +5,36 @@ import numpy as np
 import pytest
 
 from lbvt import analysis, chain, equilibrium
-from lbvt.model import (CalibrationError, MechanismConfig, NoTriggerError, Regime,
-                        per_joint_stiffness)
+from lbvt.model import (CalibrationError, ConfigError, MechanismConfig, NoTriggerError,
+                        Regime, per_joint_stiffness, validate_config)
 
-from conftest import random_config, straight_chain
+from conftest import INVALID_UPDATES, random_config, straight_chain
+
+
+def _kinematics(config, d):
+    """ChainState and 17 N tip-force joint torques at d, from the chain kernels.
+
+    The public entries refuse a config that fails validation; these chains
+    (a straight one, the default one turned about the knee) mostly do,
+    since the four-bar cannot close on their levers.
+    """
+    pivots, tip = chain._geometry(config, d)
+    state = chain._chain_state(config, d, pivots)
+    return state, tuple(chain._torques(pivots, tip, 17.0 / state.l4))
 
 
 def test_collinear_chain_tip_along_axis():
     cfg = straight_chain(l_offset=0.1, seg=0.05, beta=0.0)
-    x, y = chain.make_chain_state(cfg, (0.0,) * 6).tip
+    state, _ = _kinematics(cfg, (0.0,) * 6)
+    x, y = state.tip
     assert x == pytest.approx(0.4, abs=1e-15)
     assert y == pytest.approx(0.0, abs=1e-15)
-    assert chain.l4_length(cfg, (0.0,) * 6) == pytest.approx(0.4, abs=1e-15)
+    assert state.l4 == pytest.approx(0.4, abs=1e-15)
 
 
 def test_collinear_chain_rotates_with_anchor():
     cfg = straight_chain(l_offset=0.1, seg=0.05, beta=math.pi / 2)
-    x, y = chain.make_chain_state(cfg, (0.0,) * 6).tip
+    x, y = _kinematics(cfg, (0.0,) * 6)[0].tip
     assert x == pytest.approx(0.0, abs=1e-15)
     assert y == pytest.approx(0.4, abs=1e-15)
 
@@ -33,18 +46,17 @@ def test_rotation_equivariance(default_config):
         delta = rng.uniform(-math.pi, math.pi)
         rotated = dataclasses.replace(default_config, beta=default_config.beta + delta)
 
-        s0 = chain.make_chain_state(default_config, d)
-        s1 = chain.make_chain_state(rotated, d)
+        s0, t0 = _kinematics(default_config, d)
+        s1, t1 = _kinematics(rotated, d)
+        assert (s0, t0) == (chain.make_chain_state(default_config, d),
+                            chain.joint_torques(default_config, d, 17.0))
         (x0, y0), (x1, y1) = s0.tip, s1.tip
         c, s = math.cos(delta), math.sin(delta)
         assert x1 == pytest.approx(c * x0 - s * y0, abs=1e-12)
         assert y1 == pytest.approx(s * x0 + c * y0, abs=1e-12)
 
-        assert chain.l4_length(rotated, d) == pytest.approx(
-            chain.l4_length(default_config, d), abs=1e-12)
+        assert s1.l4 == pytest.approx(s0.l4, abs=1e-12)
         assert s1.diameter == pytest.approx(s0.diameter, abs=1e-12)
-        t0 = chain.joint_torques(default_config, d, 17.0)
-        t1 = chain.joint_torques(rotated, d, 17.0)
         assert t1 == pytest.approx(t0, abs=1e-12)
 
 
@@ -87,35 +99,22 @@ def test_replaced_config_recomputes_its_levers(default_config):
     assert chain.closed_lever(moved) != chain.closed_lever(default_config)
 
 
-def _outcome(call):
-    try:
-        return repr(call())
-    except Exception as exc:  # the type and message are what is compared
-        return type(exc), str(exc)
+_STORED_LEVER_CASES = ["negative", "barely_negative", "nan", "inf", "minus_inf", "short",
+                       "inf_beta", "nan_beta", "huge_int_beta", "open_angle_nan"]
 
 
-@pytest.mark.parametrize("updates", [
-    {"joint_open_limit": (-0.1,) + (0.1,) * 5},
-    {"joint_open_limit": (0.1,) * 5 + (-1e-13,)},
-    {"joint_open_limit": (math.nan,) + (0.1,) * 5},
-    {"joint_open_limit": (math.inf,) + (0.1,) * 5},
-    {"joint_open_limit": (0.1,) * 5 + (-math.inf,)},
-    {"joint_open_limit": (0.1,) * 3},
-    {"beta": math.inf},
-    {"beta": math.nan},
-    {"beta": 10 ** 400},
-    {"phi": (-math.inf,) + (0.0,) * 5, "joint_open_limit": (math.inf,) + (0.1,) * 5},
-], ids=["negative", "barely_negative", "nan", "inf", "minus_inf", "short", "inf_beta",
-        "nan_beta", "huge_int_beta", "open_angle_nan"])
-def test_stored_levers_raise_what_l4_length_raises(default_config, updates):
-    config = dataclasses.replace(default_config, **updates)
-    zeros = (0.0,) * config.n_joints
-    closed = _outcome(lambda: chain.l4_length(config, zeros))
-    opened = _outcome(lambda: chain.l4_length(config, config.joint_open_limit))
-    assert _outcome(lambda: chain.closed_lever(config)) == closed
-    assert _outcome(lambda: chain.open_lever(config)) == opened
-    # each raises at zero or at full travel, or both, but a NaN beta
-    assert isinstance(closed, tuple) or isinstance(opened, tuple) or math.isnan(config.beta)
+@pytest.mark.parametrize("case", _STORED_LEVER_CASES, ids=_STORED_LEVER_CASES)
+def test_stored_levers_raise_what_l4_length_raises(default_config, case):
+    # each config fails its field checks, so it holds no lever, and all three
+    # refuse it with the one message (test_model.py holds it to every entry)
+    config = dataclasses.replace(default_config, **INVALID_UPDATES[case])
+    assert config._closed_lever is config._open_lever is None
+    message = "invalid config: " + "; ".join(validate_config(config))
+    for call in (lambda: chain.l4_length(config, (0.0,) * config.n_joints),
+                 lambda: chain.closed_lever(config), lambda: chain.open_lever(config)):
+        with pytest.raises(ConfigError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_shipped_lever_lengths():
@@ -169,10 +168,15 @@ def test_deflection_bounds_are_enforced(default_config):
 
 
 def test_tip_on_the_knee_has_no_lever():
-    # an unvalidated chain: anchor at (-0.05, 0) m, one 0.05 m segment along x ends on the knee
+    # anchor at (-0.05, 0) m, one 0.05 m segment along x ends on the knee; the
+    # entries refuse the negative offset, and the state a solve builds
+    # (chain._chain_state) still refuses a tip on the knee
     cfg = straight_chain(l_offset=-0.05, seg=0.05, n=1)
-    with pytest.raises(ValueError, match="^chain tip coincides with the knee joint"):
+    with pytest.raises(ConfigError, match="^invalid config: l_offset must be strictly positive"):
         chain.make_chain_state(cfg, (0.0,))
+    pivots, _ = chain._geometry(cfg, (0.0,))
+    with pytest.raises(ValueError, match="^chain tip coincides with the knee joint"):
+        chain._chain_state(cfg, (0.0,), pivots)
 
 
 @pytest.mark.parametrize("check", [

@@ -51,7 +51,7 @@ def test_range_endpoints_are_solvable(default_config):
 def test_unreachable_closure_raises(default_config):
     bad = dataclasses.replace(default_config, l2=0.01, l3=0.01)
     with pytest.raises(GeometryError, match="exceeds l2 \\+ l3"):
-        linkage._closure_kernel(bad, THETA_88, chain.closed_lever(bad))
+        linkage._closure_kernel(bad, THETA_88, bad._closed_lever)
 
 
 def test_non_positive_lever_raises(default_config):
@@ -61,10 +61,11 @@ def test_non_positive_lever_raises(default_config):
 
 def test_lever_tip_on_the_ground_pivot_raises(default_config):
     # with l2 == l3 a zero pivot span passes both circle checks; the lever
-    # along the frame line (theta = -bearing) with l4 = l1 puts its tip there
+    # along the frame line (theta = -bearing) with l4 = l1 puts its tip there.
+    # The config fails validation, so the kernel is called directly.
     cfg = dataclasses.replace(default_config, l3=default_config.l2)
     with pytest.raises(GeometryError, match="ground pivot and lever tip coincide"):
-        linkage.jacobian(cfg, -cfg.lever_bearing, cfg.l1)
+        linkage._closure_kernel(cfg, -cfg.lever_bearing, cfg.l1)
 
 
 def test_actuator_attachment_on_its_base_raises(default_config):
@@ -75,8 +76,8 @@ def test_actuator_attachment_on_its_base_raises(default_config):
     cfg = dataclasses.replace(default_config,
                               actuator_base=(ax + r * (bx - ax), ay + r * (by - ay)))
     message = "^actuator attachment coincides with the actuator base$"
-    with pytest.raises(GeometryError, match=message):
-        linkage.jacobian(cfg, THETA_88, l4)
+    with pytest.raises(GeometryError, match=message):  # cfg fails validation: the kernel
+        linkage._closure_kernel(cfg, THETA_88, l4)
 
 
 def test_branch_is_stable_across_the_range(default_config):

@@ -19,7 +19,8 @@ from lbvt.model import (
 from lbvt import analysis, chain, equilibrium, linkage, model
 from lbvt.config import save_config
 
-from conftest import THETA_88, _FOURBAR, _with_bearing, count_calls, reduced_chain
+from conftest import (INVALID_UPDATES, THETA_88, _FOURBAR, _with_bearing, count_calls,
+                      reduced_chain)
 
 
 def test_default_config_validates(default_config):
@@ -146,7 +147,8 @@ def test_closure_verdict_matches_a_dense_kernel_grid(base_config):
     for i in range(1200):
         config = _random_config(base_config, rng, wide=i % 2 == 1)
         thetas = np.linspace(config.theta_min, config.theta_max, 401)[:, None]
-        levers = np.linspace(chain.closed_lever(config), chain.open_lever(config), 21)
+        # the stored levers: the entries refuse a config that fails the check
+        levers = np.linspace(config._closed_lever, config._open_lever, 21)
         try:
             linkage._closure_kernel(config, thetas, levers, np)
             grid_ok = True
@@ -332,7 +334,8 @@ def test_config_is_immutable(default_config):
 
 
 def _closed_tip_bearing(config):
-    x, y = chain.make_chain_state(config, (0.0,) * config.n_joints).tip
+    # the kernel, not make_chain_state: an updated chain need not pass validation
+    _, (x, y) = chain._geometry(config, (0.0,) * config.n_joints)
     return math.atan2(y, x)
 
 
@@ -426,3 +429,38 @@ def test_chain_state_geometry_is_reproducible(default_config):
         assert abs(a.l4 - b.l4) < 1e-12
         assert abs(a.tip[0] - b.tip[0]) < 1e-12
         assert abs(a.tip[1] - b.tip[1]) < 1e-12
+
+
+# every library entry that reads a config, called with arguments it accepts
+# from a valid one
+_GATED_ENTRIES = {
+    "solve_equilibrium": lambda c: equilibrium.solve_equilibrium(c, THETA_88, 5.0),
+    "triggering_force": lambda c: equilibrium.triggering_force(c, THETA_88),
+    "brute_force_equilibrium":
+        lambda c: equilibrium.brute_force_equilibrium(c, THETA_88, 5.0, 0.1),
+    "calibrate": lambda c: analysis.calibrate(c, 20.0, 0.4, THETA_88),
+    "ratio_step_direct": lambda c: analysis.ratio_step_direct(c, THETA_88),
+    "closed_lever": chain.closed_lever,
+    "open_lever": chain.open_lever,
+    "l4_length": lambda c: chain.l4_length(c, (0.0,) * c.n_joints),
+    "joint_torques": lambda c: chain.joint_torques(c, (0.0,) * c.n_joints, 1.0),
+    "make_chain_state": lambda c: chain.make_chain_state(c, (0.0,) * c.n_joints),
+    "jacobian": lambda c: linkage.jacobian(c, THETA_88, 0.07),
+    "actuator_length": lambda c: linkage.actuator_length(c, THETA_88, 0.07),
+    "sweep_torque_vs_angle": lambda c: analysis.sweep_torque_vs_angle(
+        c, 50.0, c.theta_min, c.theta_max, math.radians(20.0)),
+    **{name: lambda c, name=name: getattr(analysis, name)(c, THETA_88, 0.0, 50.0, 10.0)
+       for name in ("sweep_trigger", "sweep_torque_vs_force", "sweep_ratio_vs_force")},
+}
+
+
+@pytest.mark.parametrize("case", INVALID_UPDATES, ids=list(INVALID_UPDATES))
+def test_every_entry_refuses_an_invalid_config(default_config, case):
+    # with validate_config's violations; a preload outside [0, 2*pi] passes
+    # every other check, so without the gate a trigger and a solve come out
+    config = dataclasses.replace(default_config, **INVALID_UPDATES[case])
+    message = "invalid config: " + "; ".join(validate_config(config))
+    for name, call in _GATED_ENTRIES.items():
+        with pytest.raises(ConfigError) as exc:
+            call(config)
+        assert str(exc.value) == message, name

@@ -84,12 +84,11 @@ MUTANTS = {
     "main-not-called": ("__main__.py", "\nmain()\n", "\nmain\n", ""),
     "open-slot-holds-closed": ("model.py", 'object.__setattr__(self, "_open_lever", open_lever)',
                                'object.__setattr__(self, "_open_lever", closed_lever)', ""),
-    "closed-slot-unguarded": ("model.py", "if tip and open_lever is not None",
-                              "if open_lever is not None", ""),
-    "closed-none-unchecked": ("chain.py", "(0.0,) * config.n_joints) if l4 is None else l4",
-                              "(0.0,) * config.n_joints) if False else l4", ""),
-    "open-none-unchecked": ("chain.py", "config.joint_open_limit) if l4 is None else l4",
-                            "config.joint_open_limit) if False else l4", ""),
+    "closed-slot-unguarded": ("model.py", "if not violations:  # finite angles",
+                              "if True:  # finite angles", ""),
+    "gate-off": ("model.py", "if config._violations:", "if False:", ""),
+    "gate-skipped-solve": ("equilibrium.py", "    _require_valid(config)\n    # a NaN force",
+                           "    # a NaN force", ""),
     "nan-trial-evaluated": ("equilibrium.py", "elif x != x:", "elif False:", ""),
     "nan-trial-evaluated-1-joint": ("equilibrium.py", "if x == d[j] or x != x:",
                                     "if x == d[j]:", ""),
