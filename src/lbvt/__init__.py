@@ -25,7 +25,6 @@ from .analysis import (
 from .chain import (
     closed_lever,
     joint_torques,
-    l4_length,
     make_chain_state,
     open_lever,
 )

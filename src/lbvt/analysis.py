@@ -5,14 +5,15 @@ fits, then the range end is snapped onto the last sample when it lands within
 half a step, appended otherwise; a range shorter than one step yields only
 its start. Angle sweeps record the knee angle in degrees (the presentation
 unit); everything else is SI. Every sweep solves its samples in order, one
-row per sample, and each sample's solve starts from the last converged state
-of the sweep (a quasi-static loading path moves in small steps), falling back
-to the closed-state attempts when that warm start does not converge. That
-state brings the load-map point its solve ended on, so a warm start
-evaluates nothing (equilibrium._warm_start). A
-sample whose closure cannot assemble (GeometryError) or whose solve did not
-converge is kept as a row with NaN values, regimes "-" and feasible 0, and
-leaves the carried state as it was.
+row per sample, in one loop, _sweep, which owns the solve, the warm start
+and the failure rule. Each sample's solve starts from the last converged
+state of the sweep (a quasi-static loading path moves in small steps),
+falling back to the closed-state attempts when that warm start does not
+converge. That state brings the load-map point its solve ended on, so a
+warm start evaluates nothing (equilibrium._warm_start). A sample whose
+closure cannot assemble (GeometryError) or whose solve did not converge is
+kept as a row with NaN values, regimes "-" and feasible 0, computes no row
+value, and leaves the carried state as it was.
 """
 
 from __future__ import annotations
@@ -83,29 +84,30 @@ def sample_ladder(start: float, stop: float, step: float) -> list[float]:
     return xs
 
 
-def _sweep(columns, samples, point, record=lambda x: x) -> SweepTable:
-    """Rows of (record(x), *values, regime code, feasible) for each sample x.
+def _sweep(config, columns, samples, load, values, record=lambda x: x) -> SweepTable:
+    """Rows of (record(x), *values(x, res), regime code, feasible) for each sample x.
 
     columns names the abscissa and the values; the regime code (C, A or E
-    per joint) and feasibility columns are appended. point(x, start) returns
-    the equilibrium result and the row's values; start is the chain of the
-    last converged row (None before the first), for the solve's warm start,
-    which reuses the load-map point that row's solve ended on.
-    A sample that raises GeometryError or does not converge gets NaN values,
-    regimes "-" and feasible 0, and start stays as it was.
+    per joint) and feasibility columns are appended. This loop is the one
+    place a sweep solves: load(x) gives the sample's (theta, f_cyl), and the
+    solve starts from the chain of the last converged row (none before the
+    first), reusing the load-map point that row's solve ended on. A sample
+    that raises GeometryError or does not converge gets NaN values, regimes
+    "-" and feasible 0 before values is called, and the start stays as it
+    was; values(x, res) fills only a converged row.
     """
     failed = (math.nan,) * (len(columns) - 1) + ("-", 0.0)
     rows = []
     start = None
     for x in samples:
         try:
-            res, values = point(x, start)
+            res = equilibrium.solve_equilibrium(config, *load(x), start=start)
         except GeometryError:
             res = None
         if res is not None and res.converged:
             start = res.chain
             code = "".join(r.name[0] for r in res.chain.regime)
-            rows.append((record(x), *values, code, 1.0))
+            rows.append((record(x), *values(x, res), code, 1.0))
         else:
             rows.append((record(x), *failed))
     return SweepTable(columns=columns + ("regimes (-)", "feasible (-)"), rows=rows)
@@ -122,12 +124,8 @@ def _force_sweep(config, theta, f_from, f_to, step, columns, values) -> SweepTab
     forces = sample_ladder(f_from, f_to, step)
     equilibrium._check_theta(config, theta)
     jac_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
-
-    def point(f: float, start):
-        res = equilibrium.solve_equilibrium(config, theta, f, start=start)
-        return res, values(f, res, jac_closed)
-
-    return _sweep(("f_cyl (N)",) + columns, forces, point)
+    return _sweep(config, ("f_cyl (N)",) + columns, forces, lambda f: (theta, f),
+                  lambda f, res: values(f, res, jac_closed))
 
 
 def sweep_torque_vs_angle(
@@ -145,18 +143,14 @@ def sweep_torque_vs_angle(
     """
     equilibrium._check_force(f_cyl)
     l4_closed = chain.closed_lever(config)
-
-    def point(theta: float, start):
-        res = equilibrium.solve_equilibrium(config, theta, f_cyl, start=start)
-        rigid = linkage.jacobian(config, theta, l4_closed) * f_cyl
-        return res, (res.kfe_torque, rigid, res.tip_force, res.chain.l4,
-                     res.transmission_ratio)
-
     return _sweep(
+        config,
         ("theta (deg)", "torque_lbvt (Nm)", "torque_rigid (Nm)", "tip_force (N)",
          "l4 (m)", "ratio (m)"),
         sample_ladder(theta_from, theta_to, step),
-        point,
+        lambda theta: (theta, f_cyl),
+        lambda theta, res: (res.kfe_torque, linkage.jacobian(config, theta, l4_closed) * f_cyl,
+                            res.tip_force, res.chain.l4, res.transmission_ratio),
         record=math.degrees,
     )
 

@@ -72,14 +72,8 @@ def _lever(tip) -> float:
     return l4
 
 
-def l4_length(config: MechanismConfig, deflection) -> float:
-    """Distance from the knee joint to the chain tip (the output lever length)."""
-    _, tip = _geometry(_require_valid(config), _check_deflection(config, deflection))
-    return math.hypot(*tip)
-
-
 def closed_lever(config: MechanismConfig) -> float:
-    """Lever length of the closed chain, l4_length at zero deflection.
+    """Lever length of the closed chain, make_chain_state's l4 at zero deflection.
 
     The config computed it when it was built, so this runs no chain pass.
     """
@@ -87,7 +81,7 @@ def closed_lever(config: MechanismConfig) -> float:
 
 
 def open_lever(config: MechanismConfig) -> float:
-    """Lever length of the fully open chain, l4_length at joint_open_limit.
+    """Lever length of the fully open chain, make_chain_state's l4 at joint_open_limit.
 
     The config computed it when it was built, so this runs no chain pass.
     """

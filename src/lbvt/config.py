@@ -35,7 +35,7 @@ def _require_int(raw, path: str) -> int:
 
 
 def _require_number_list(raw, path: str) -> tuple[float, ...]:
-    if not isinstance(raw, list):
+    if not isinstance(raw, (list, tuple)):  # a tuple only from a config built in Python
         raise ConfigError(f"{path}: expected a list of numbers, got {type(raw).__name__}")
     return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
 

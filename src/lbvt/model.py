@@ -69,8 +69,9 @@ class MechanismConfig:
     chain tip seen from the knee, in the lower-leg frame, along which the
     output lever points. It is set once at construction, so it is neither
     saved nor compared. So are the closed and the fully open lever,
-    _closed_lever and _open_lever: what chain.l4_length gives at zero and at
-    full travel (read them through chain.closed_lever and chain.open_lever).
+    _closed_lever and _open_lever: the l4 of chain.make_chain_state at zero
+    and at full travel (read them through chain.closed_lever and
+    chain.open_lever).
     Nor is _violations, validate_config's verdict as a tuple. The field
     checks run first; only a config that passes them gets its bearing and
     levers (otherwise NaN and None, which no entry reads, since every entry
@@ -97,13 +98,15 @@ class MechanismConfig:
     branch_sign: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actuator_base", tuple(float(v) for v in self.actuator_base))
-        object.__setattr__(self, "segments", tuple(float(v) for v in self.segments))
-        object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
-        object.__setattr__(self, "joint_open_limit", tuple(float(v) for v in self.joint_open_limit))
+        unread = []  # tuple fields float() cannot convert, left as given
+        for name in ("actuator_base", "segments", "phi", "joint_open_limit"):
+            try:
+                object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            except (TypeError, ValueError, OverflowError):
+                unread.append(name)
         from .chain import _geometry  # deferred: import cycle
 
-        violations = _field_violations(self)
+        violations = _field_violations(self, unread)
         bearing, closed_lever, open_lever = math.nan, None, None
         if not violations:  # finite angles and one non-negative limit per joint
             _, (x, y) = _geometry(self, (0.0,) * self.n_joints)
@@ -250,15 +253,18 @@ def _require_valid(config: MechanismConfig) -> MechanismConfig:
     return config
 
 
-def _field_violations(config: MechanismConfig) -> list[str]:
+def _field_violations(config: MechanismConfig, unread) -> list[str]:
     """The violated invariants that each field decides on its own, in two stages.
 
-    First every number must be finite: a NaN or infinite field, or an int
-    too large for a float in a float field, is reported by name (with its
-    index in a tuple field). Only when all are, each field is checked on its
-    own: signs, counts, ranges, and a per-joint stiffness springs_per_joint
-    * k_spring that overflows; alpha_preload must lie in [0, 2*pi], at most
-    one turn of a torsion spring.
+    First every field must hold what config.py's reader of it accepts in a
+    file, and every number must be finite: a value of another type, a tuple
+    field float() could not convert (its name in unread), an actuator_base
+    without exactly two coordinates, an int too large for a float in a float
+    field, or a NaN or infinite number is reported by name (with its index
+    in a tuple field), once. Only when all pass, each field is checked on
+    its own: signs, counts, ranges, and a per-joint stiffness
+    springs_per_joint * k_spring that overflows; alpha_preload must lie in
+    [0, 2*pi], at most one turn of a torsion spring.
     """
     v: list[str] = []
 
@@ -266,19 +272,20 @@ def _field_violations(config: MechanismConfig) -> list[str]:
     # attribute read of this config in the kernels
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            if not all(map(math.isfinite, value)):
-                v.extend(f"{f.name}[{i}] must be finite, got {x}"
-                         for i, x in enumerate(value) if not math.isfinite(x))
-        elif isinstance(value, float):
-            if not math.isfinite(value):
+        if f.type == "int":
+            if type(value) is not int:
+                v.extend(_misread(f, value))
+        elif f.type == "float":
+            if not isinstance(value, float):  # an int or another type
+                v.extend(_misread(f, value))
+            elif not math.isfinite(value):
                 v.append(f"{f.name} must be finite, got {value}")
-        elif f.type == "float":  # an int, checked as config._require_number checks one
-            try:
-                float(value)
-            except OverflowError:  # too many digits for a float
-                v.append(f"{f.name}: integer too large for a float")
-    if v:  # a non-finite number would fail the checks below again
+        elif f.name in unread or f.type == "tuple[float, float]" and len(value) != 2:
+            v.extend(_misread(f, value))
+        elif not all(map(math.isfinite, value)):
+            v.extend(f"{f.name}[{i}] must be finite, got {x}"
+                     for i, x in enumerate(value) if not math.isfinite(x))
+    if v:  # a malformed or non-finite number would break or fail the checks below
         return v
 
     for name in ("l1", "l2", "l3", "l_offset"):
@@ -334,6 +341,21 @@ def _field_violations(config: MechanismConfig) -> list[str]:
         if not (-math.pi < value <= 0.0):
             v.append(f"{name} must lie in (-pi, 0], got {value}")
     return v
+
+
+def _misread(f, value) -> list[str]:
+    """config.py's message for a field value its reader refuses in a file; [] if it reads.
+
+    Runs only for a value of another type than the field's annotation, or a
+    pair without two coordinates, so a well-formed config reads no reader.
+    """
+    from .config import _READERS  # deferred: import cycle
+
+    try:
+        _READERS[f.type](value, f.name)
+    except ConfigError as exc:
+        return [str(exc)]
+    return []
 
 
 def _extreme_angle(config: MechanismConfig, phase: float) -> float:

@@ -32,7 +32,7 @@ _FOURBAR = dict(
 
 
 # field updates that make the default config invalid, by id: travel limits
-# and chain angles at which chain.l4_length could not run, a preload past
+# and chain angles at which no fully open lever can be built, a preload past
 # one turn and a negative one, and a four-bar too short to close
 INVALID_UPDATES = {
     "negative": {"joint_open_limit": (-0.1,) + (0.1,) * 5},

@@ -218,6 +218,19 @@ def test_force_sweep_flags_unconverged_solve(default_config, monkeypatch):
     assert table.column("feasible (-)") == (0.0,)
 
 
+def test_failed_angle_sample_computes_no_row_value(default_config, monkeypatch):
+    # the failure rule comes before the row values, so an unconverged sample
+    # pays for no rigid-baseline jacobian
+    _fail_every_solve(monkeypatch, default_config)
+    calls = count_calls(monkeypatch, linkage, "jacobian")
+    table = analysis.sweep_torque_vs_angle(default_config, 165.0, default_config.theta_min,
+                                           default_config.theta_max, math.radians(10.0))
+    assert len(table) == 11
+    assert table.column("feasible (-)") == (0.0,) * 11
+    assert all(math.isnan(v) for row in table.rows for v in row[1:-2])
+    assert calls[0] == 0
+
+
 # ---------- warm start ----------
 
 STUDY_ANGLES = (-130.0, -110.0, -88.0, -65.0, -45.0)

@@ -66,8 +66,8 @@ def test_open_lever_exceeds_closed(default_config):
 
 def _assert_stored_levers_are_the_checked_ones(config):
     zeros = (0.0,) * config.n_joints
-    assert chain.closed_lever(config) == chain.l4_length(config, zeros)
-    assert chain.open_lever(config) == chain.l4_length(config, config.joint_open_limit)
+    assert chain.closed_lever(config) == chain.make_chain_state(config, zeros).l4
+    assert chain.open_lever(config) == chain.make_chain_state(config, config.joint_open_limit).l4
 
 
 def test_stored_levers_equal_l4_length(default_config, base_config):
@@ -105,12 +105,13 @@ _STORED_LEVER_CASES = ["negative", "barely_negative", "nan", "inf", "minus_inf",
 
 @pytest.mark.parametrize("case", _STORED_LEVER_CASES, ids=_STORED_LEVER_CASES)
 def test_stored_levers_raise_what_l4_length_raises(default_config, case):
-    # each config fails its field checks, so it holds no lever, and all three
-    # refuse it with the one message (test_model.py holds it to every entry)
+    # each config fails its field checks, so it holds no lever; both stored
+    # levers and the chain state whose l4 they store refuse it with the one
+    # message (test_model.py holds it to every entry)
     config = dataclasses.replace(default_config, **INVALID_UPDATES[case])
     assert config._closed_lever is config._open_lever is None
     message = "invalid config: " + "; ".join(validate_config(config))
-    for call in (lambda: chain.l4_length(config, (0.0,) * config.n_joints),
+    for call in (lambda: chain.make_chain_state(config, (0.0,) * config.n_joints),
                  lambda: chain.closed_lever(config), lambda: chain.open_lever(config)):
         with pytest.raises(ConfigError) as exc:
             call()
@@ -129,7 +130,7 @@ def test_lever_monotone_along_uniform_opening(default_config):
     values = []
     for s in np.linspace(0.0, 1.0, 1000):
         d = tuple(s * lim for lim in default_config.joint_open_limit)
-        values.append(chain.l4_length(default_config, d))
+        values.append(chain.make_chain_state(default_config, d).l4)
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -162,7 +163,7 @@ def test_deflection_bounds_are_enforced(default_config):
     for past in (1e-3, 1e-9):
         over = default_config.joint_open_limit[0] + past
         with pytest.raises(ValueError):
-            chain.l4_length(default_config, (over,) + (0.0,) * 5)
+            chain.make_chain_state(default_config, (over,) + (0.0,) * 5)
     with pytest.raises(ValueError):
         chain.make_chain_state(default_config, (0.0,) * 3)
 
@@ -180,10 +181,9 @@ def test_tip_on_the_knee_has_no_lever():
 
 
 @pytest.mark.parametrize("check", [
-    chain.l4_length,
     chain.make_chain_state,
     lambda cfg, d: chain.joint_torques(cfg, d, 1.0),
-], ids=["l4_length", "make_chain_state", "joint_torques"])
+], ids=["make_chain_state", "joint_torques"])
 def test_nan_deflection_is_out_of_range(default_config, check):
     d = (0.0, 0.0, math.nan, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match=r"deflection\[2\]=nan outside"):

@@ -263,13 +263,54 @@ def test_a_non_finite_number_is_reported_once(default_config, name, bad):
 
 def test_float_field_holding_an_int_too_large_for_a_float_is_reported(default_config):
     # worded as a config file's reader words it, and found before any chain
-    # pass, which would raise OverflowError; tuple fields convert their
-    # entries to floats on construction, so only a scalar field can hold one
+    # pass, which would raise OverflowError (a tuple field holding one is
+    # test_a_malformed_field_is_one_violation's)
     names = [label for label, (_, i) in _number_slots(default_config) if i is None]
     assert {"beta", "l1", "l_offset"} <= set(names) and len(names) == 10
     for name in names:
         config = dataclasses.replace(default_config, **{name: 10 ** 400})
         assert validate_config(config) == [f"{name}: integer too large for a float"], name
+
+
+_MALFORMED = {
+    "three-coordinate-base": ({"actuator_base": (0.05, -0.05, 0.0)},
+                              "actuator_base: expected exactly two coordinates, got 3"),
+    "one-coordinate-base": ({"actuator_base": (0.05,)},
+                            "actuator_base: expected exactly two coordinates, got 1"),
+    "huge-int-phi": ({"phi": (10 ** 400,) * 6}, "phi[0]: integer too large for a float"),
+    "str-l1": ({"l1": "a"}, "l1: expected a number, got str"),
+    "float-springs": ({"springs_per_joint": 2.5},
+                      "springs_per_joint: expected an integer, got float"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED, ids=list(_MALFORMED))
+def test_a_malformed_field_is_one_violation(default_config, case, tmp_path):
+    # building the config raises nothing, and the one violation is worded as
+    # load_config words the same value in a file
+    updates, message = _MALFORMED[case]
+    config = dataclasses.replace(default_config, **updates)
+    assert validate_config(config) == [message]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        equilibrium.solve_equilibrium(config, THETA_88, 5.0)
+    path = tmp_path / "config.json"
+    save_config(default_config, path)
+    doc = json.loads(path.read_text())
+    doc.update({k: list(v) if isinstance(v, tuple) else v for k, v in updates.items()})
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as exc:
+        lbvt.load_config(path)
+    assert str(exc.value) == message
+
+
+def test_float_field_holding_a_small_int_reads_as_its_float(default_config):
+    # as load_config reads an integer in a float field: a valid one and one
+    # that the four-bar closure refuses
+    assert validate_config(dataclasses.replace(default_config, k_spring=2)) == []
+    for name, value in (("k_spring", 2), ("l1", 1)):
+        as_int = dataclasses.replace(default_config, **{name: value})
+        as_float = dataclasses.replace(default_config, **{name: float(value)})
+        assert validate_config(as_int) == validate_config(as_float), name
 
 
 def test_mismatched_joint_arrays_are_reported(default_config):
@@ -442,7 +483,6 @@ _GATED_ENTRIES = {
     "ratio_step_direct": lambda c: analysis.ratio_step_direct(c, THETA_88),
     "closed_lever": chain.closed_lever,
     "open_lever": chain.open_lever,
-    "l4_length": lambda c: chain.l4_length(c, (0.0,) * c.n_joints),
     "joint_torques": lambda c: chain.joint_torques(c, (0.0,) * c.n_joints, 1.0),
     "make_chain_state": lambda c: chain.make_chain_state(c, (0.0,) * c.n_joints),
     "jacobian": lambda c: linkage.jacobian(c, THETA_88, 0.07),

@@ -46,6 +46,13 @@ MUTANTS = {
                              "if origin is not None:", ""),
     "oracle-strict-super-solution": ("equilibrium.py", "0.0, lim) <= col", "0.0, lim) < col", ""),
     "oracle-join": ("equilibrium.py", "grid[above].min(axis=0)", "grid[above].max(axis=0)", ""),
+    "sweep-carries-unconverged": ("analysis.py", "        except GeometryError:\n"
+                                  "            res = None\n",
+                                  "        except GeometryError:\n            res = None\n"
+                                  "        else:\n            start = res.chain\n", ""),
+    "sweep-values-before-check": ("analysis.py", "        if res is not None and res.converged:",
+                                  "        _ = res is not None and values(x, res)\n"
+                                  "        if res is not None and res.converged:", ""),
     "ladder-snap-0.4": ("analysis.py", "< 0.5 * step:", "< 0.4 * step:", ""),
     "singularity-1e-7": ("linkage.py", "SINGULARITY_SIN = 1e-8", "SINGULARITY_SIN = 1e-7", ""),
     "deflection-slack-1e-6": ("chain.py", "dk <= lim + 1e-12", "dk <= lim + 1e-6", ""),
@@ -67,8 +74,11 @@ MUTANTS = {
     "verdict-not-copied": ("model.py", "return list(config._violations)",
                            'return vars(config).setdefault("_list", list(config._violations))',
                            ""),
-    "validation-stages-ungated": ("model.py", "    if v:  # a non-finite number would fail the "
-                                  "checks below again\n        return v\n", "", ""),
+    "validation-stages-ungated": ("model.py", "    if v:  # a malformed or non-finite number "
+                                  "would break or fail the checks below\n        return v\n",
+                                  "", ""),
+    "pair-length-unchecked": ("model.py", 'f.name in unread or f.type == "tuple[float, float]" '
+                              "and len(value) != 2:", "f.name in unread:", ""),
     "preload-cap": ("model.py", "if config.alpha_preload > 2.0 * math.pi:",
                     "if config.alpha_preload > 4.0 * math.pi:", ""),
     "calibrate-cap": ("analysis.py", "turn = 2.0 * math.pi", "turn = 4.0 * math.pi", ""),
