@@ -30,7 +30,6 @@ from .chain import (
 )
 from .config import load_config, save_config
 from .equilibrium import (
-    brute_force_equilibrium,
     solve_equilibrium,
     triggering_force,
 )
@@ -41,7 +40,6 @@ from .model import (
     ConfigError,
     EquilibriumResult,
     GeometryError,
-    GridSizeError,
     MechanismConfig,
     NoTriggerError,
     Regime,

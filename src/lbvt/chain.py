@@ -15,6 +15,7 @@ knee torque is exactly tip force times lever length.
 from __future__ import annotations
 
 import math
+from math import cos, sin
 
 from .model import ChainState, MechanismConfig, Regime, _require_valid
 
@@ -31,21 +32,17 @@ def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
     return d
 
 
-def _geometry(config: MechanismConfig, d, xp=math):
+def _geometry(config: MechanismConfig, d):
     """Joint pivots and the chain tip; the pivot list ends with the tip itself.
 
-    d holds one deflection per joint: floats with xp=math (the solver's hot
-    path), or equal-shape numpy arrays with xp=numpy to evaluate a whole grid
-    of chain states at once. Every coordinate after the anchor then has that
-    shape. No checks run here; callers validate d first.
+    d holds one deflection per joint. The anchor and the (segment, phi)
+    pairs come with the config, computed when it was built. No checks run
+    here; callers validate d first.
     """
-    cos, sin = xp.cos, xp.sin
     ang = config.beta
-    x = config.l_offset * cos(ang)
-    y = config.l_offset * sin(ang)
-    pivots = [(x, y)]
-    for sk, pk, dk in zip(config.segments, config.phi, d):
-        # rebind rather than +=: in place, arrays would alias the stored pivots
+    x, y = anchor = config._anchor
+    pivots = [anchor]
+    for (sk, pk), dk in zip(config._links, d):
         ang = ang + (pk + dk)
         x = x + sk * cos(ang)
         y = y + sk * sin(ang)
@@ -54,7 +51,7 @@ def _geometry(config: MechanismConfig, d, xp=math):
 
 
 def _torques(pivots, tip, scale):
-    """scale * (tip - pivot) . tip for each joint pivot, floats or arrays, as a list.
+    """scale * (tip - pivot) . tip for each joint pivot, as a list.
 
     A tip force f_end along perp(tip) / |tip| exerts exactly these torques
     with scale = f_end / |tip|: the planar cross product of (tip - pivot)

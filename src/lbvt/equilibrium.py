@@ -12,10 +12,10 @@ through the chain geometry. Each joint then obeys one of three regimes:
 A joint with no travel is closed and at its stop at once, so no torque
 violates it and it never flips. The regime conditions are written once, in
 _scan, which returns the largest violation (the residual a solve reports)
-and the bound flip that mends the worst one; the solver and the oracle both
-read their residual from it. The condition under which an active joint flips
-to a bound, its residual pushing it past the bound it sits on, is _pushed,
-which the Newton runs read too.
+and the bound flip that mends the worst one; the solver and the tests' grid
+oracle both read their residual from it. The condition under which an
+active joint flips to a bound, its residual pushing it past the bound it
+sits on, is _pushed, which the Newton runs read too.
 
 solve_equilibrium runs an active-set scheme over those regimes: for a fixed
 regime assignment the active torque balances are solved by projected Newton
@@ -57,31 +57,29 @@ force (at a new angle, with one closure-kernel call for the jacobian). Any
 other start is checked, clamped to the travel limits once and evaluated when
 its attempt is built (_warm_start).
 
-brute_force_equilibrium is the independent check. An equilibrium is a fixed
-point of T(d) = clip(a(d)/k - a0, 0, limit) per joint, with a(d) the applied
-joint torques. The oracle evaluates T once on every node of an exhaustive
-deflection grid, keeps the super-solutions (nodes where T(node) <= node in
-every joint) and returns their componentwise minimum. T is isotone, so by
-Tarski's theorem the meet of all super-solutions is the least fixed point,
-the equilibrium that loading from zero force reaches; the grid's meet lies on
-or above it. It evaluates the grid through the solver's own load map
-(_LoadMap.evaluate on arrays: the same chain geometry, four-bar closure and
-joint-torque kernels), so its independence lies in the method, a sieve over
-a grid against an active-set iteration on the torque balances. It never
-iterates. The solver and the oracle build their result through one helper,
-_result, from the final deflections and the load-map point evaluated there;
-each supplies its own convergence flag and iteration count.
+The independent check is the fixed-point grid oracle in the test suite
+(tests/oracle.py). An equilibrium is a fixed point of T(d) = clip(a(d)/k -
+a0, 0, limit) per joint, with a(d) the applied joint torques. The oracle
+evaluates T once on every node of an exhaustive deflection grid, with numpy
+kernels of its own written from the model's equations, and returns the
+componentwise minimum of the super-solutions (nodes where T(node) <= node in
+every joint): by Tarski's theorem, the least fixed point that loading from
+zero force reaches, or a node on or above it. Its independence lies in the
+method and in the arithmetic. It builds its result through this module's
+_result and _scan, from the deflections it found and the load-map point
+there, so the two compare field by field. The library itself runs on the
+standard library alone.
 """
 
 from __future__ import annotations
 
 import math
+from math import hypot
 
 from . import chain, linkage
 from .model import (
     ChainState,
     EquilibriumResult,
-    GridSizeError,
     MechanismConfig,
     NoTriggerError,
     Regime,
@@ -111,17 +109,14 @@ class _LoadMap:
         self.theta = theta
         self.f_cyl = f_cyl
 
-    def evaluate(self, d, xp=math):
-        """The point (torques, l4, jac, pivots) at deflections d; pivots ends with the tip.
-
-        d is one float per joint, or with xp=numpy one equal-shape array per
-        joint; every output then has that shape.
-        """
-        cfg = self.config
-        pivots, tip = chain._geometry(cfg, d, xp)
-        l4 = xp.hypot(*tip)
-        _, _, _, _, jac = linkage._closure_kernel(cfg, self.theta, l4, xp)
-        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
+    def evaluate(self, d):
+        """The point (torques, l4, jac, pivots) at deflections d; pivots ends with the tip."""
+        pivots, (tx, ty) = chain._geometry(self.config, d)
+        l4 = hypot(tx, ty)
+        jac = linkage._closure_kernel(self.config, self.theta, l4)[4]
+        scale = jac * self.f_cyl / (l4 * l4)
+        torques = [scale * ((tx - px) * tx + (ty - py) * ty) for px, py in pivots[:-1]]
+        return torques, l4, jac, pivots
 
     def reweigh(self, theta, l4, jac, pivots):
         """The point (l4, jac, pivots), evaluated at knee angle theta, under this map.
@@ -144,15 +139,12 @@ class _LoadMap:
             da_i/dd_j = s'(l4) dl4/dd_j (w_i . t) + s (c_max(i,j) + w_j x w_i)
 
         with c_j = w_j x t. dJ/dl4 in s' is one forward difference in l4, one
-        closure-kernel call at l4 + _DL4. The rows are nested lists.
+        closure-kernel call at l4 + _DL4 (_scales). The rows are nested lists;
+        slope gives one diagonal entry as a float.
         """
         _, l4, jac, pivots = point
-        jac_up = linkage._closure_kernel(self.config, self.theta, l4 + _DL4)[4]
+        scale, ds = self._scales(l4, jac)
         tx, ty = pivots[-1]
-        f = self.f_cyl
-        scale = jac * f / (l4 * l4)
-        # ds/dl4 over l4, the factor that turns c_j = l4 dl4/dd_j into ds/dd_j
-        ds = f * ((jac_up - jac) / _DL4 - 2.0 * jac / l4) / (l4 * l4 * l4)
         # (w_x, w_y, c, g = ds * w . t) per active joint
         w = []
         for i in active:
@@ -164,6 +156,29 @@ class _LoadMap:
              for b, (wjx, wjy, cj, _) in enumerate(w)]
             for a, (wix, wiy, ci, gi) in enumerate(w)
         ]
+
+    def slope(self, point, j):
+        """da_j/dd_j at an evaluated point, derivative(point, [j])[0][0] as a float.
+
+        The same floating-point operations in the same order, with no lists.
+        """
+        _, l4, jac, pivots = point
+        scale, ds = self._scales(l4, jac)
+        tx, ty = pivots[-1]
+        px, py = pivots[j]
+        wx, wy = tx - px, ty - py
+        c = wx * ty - wy * tx
+        return ds * (wx * tx + wy * ty) * c + scale * (c + wx * wy - wy * wx)
+
+    def _scales(self, l4, jac):
+        """(s, ds/dl4 / l4) at lever l4 and kernel value jac, with s = J(l4) f / l4^2.
+
+        ds/dl4 over l4 is the factor that turns c_j = l4 dl4/dd_j into ds/dd_j;
+        dJ/dl4 in it is one forward difference, one closure-kernel call.
+        """
+        jac_up = linkage._closure_kernel(self.config, self.theta, l4 + _DL4)[4]
+        f = self.f_cyl
+        return jac * f / (l4 * l4), f * ((jac_up - jac) / _DL4 - 2.0 * jac / l4) / (l4 * l4 * l4)
 
 
 def _trigger_torque(config: MechanismConfig, theta: float) -> float:
@@ -366,7 +381,8 @@ def _newton_one(load, d, point, active, k, a0, lim, tol):
     The same floating-point operations in the same order: the hold (a pinned
     joint has norm 0, so the run stops at once, before any derivative), the
     Newton step -r / (J - k), or r / k when J - k is 0, then the clamp, the
-    stall and NaN tests, the bold step and the strict-progress rule.
+    stall and NaN tests, the bold step and the strict-progress rule. J is
+    load.slope, the 1x1 jacobian as a float.
     """
     (j,) = active
     r = point[0][j] - k * (a0 + d[j])
@@ -375,7 +391,7 @@ def _newton_one(load, d, point, active, k, a0, lim, tol):
     for _ in range(MAX_INNER):
         if norm < tol:
             break
-        a = load.derivative(point, active)[0][0] - k
+        a = load.slope(point, j) - k
         x = d[j] + (-r / a if a != 0.0 else r / k)
         if x < 0.0:
             x = 0.0
@@ -563,60 +579,3 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
             break
     return _result(load, d, point, residual < RESIDUAL_TOL, residual, iterations)
 
-
-def brute_force_equilibrium(
-    config: MechanismConfig, theta: float, f_cyl: float, grid_step: float
-) -> EquilibriumResult:
-    """Grid oracle: the meet of the grid's super-solutions of d = T(d).
-
-    T(d) = clip(a(d)/k - a0, 0, limit) per joint, a(d) the applied joint
-    torques. The deflection box is enumerated exhaustively at grid_step
-    resolution (travel limits included as exact nodes), T is evaluated once
-    on the whole grid, and the componentwise minimum of the nodes with
-    T(node) <= node in every joint is returned. The top node (every joint at
-    its limit) always qualifies. Every super-solution of the isotone T lies
-    on or above the least fixed point, so the result does too. Any joint
-    count is accepted; a grid of more than 1e8 nodes raises GridSizeError
-    before any axis is built. An invalid config raises ConfigError naming
-    its violations before any node is counted.
-    """
-    import numpy as np  # here, so that importing lbvt does not load numpy
-
-    _require_valid(config)
-    if not (grid_step > 0.0):
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
-    _check_force(f_cyl)
-    _check_theta(config, theta)
-
-    # node counts stay floats until checked: a tiny step makes them too large,
-    # or infinite, for an int, and no axis is built before the budget holds
-    limits = config.joint_open_limit
-    steps = [np.floor(lim / grid_step + 1e-9) for lim in limits]
-    appended = [m * grid_step < lim - 1e-15 for m, lim in zip(steps, limits)]
-    sizes = [m + 1.0 + end for m, end in zip(steps, appended)]
-    total = math.prod(map(int, sizes)) if all(map(math.isfinite, sizes)) else math.inf
-    if total > 1e8:
-        raise GridSizeError(
-            f"deflection grid would hold {total} nodes (limit 1e8); "
-            "coarsen grid_step or reduce the travel limits"
-        )
-    axes = []
-    for m, lim, end in zip(steps, limits, appended):
-        nodes = np.arange(m + 1.0) * grid_step
-        axes.append(np.append(nodes, lim) if end else nodes)
-
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)  # (N, n)
-
-    k = per_joint_stiffness(config)
-    a0 = config.alpha_preload
-    load = _LoadMap(config, theta, f_cyl)
-    # super-solutions: T(node) <= node in every joint; the top node always is one
-    above = np.ones(len(grid), dtype=bool)
-    for a, col, lim in zip(load.evaluate(grid.T, np)[0], grid.T, limits):
-        above &= np.clip(a / k - a0, 0.0, lim) <= col
-    d_star = [float(v) for v in grid[above].min(axis=0)]
-
-    point = load.evaluate(d_star)
-    residual, _ = _scan(d_star, chain._regimes(d_star, limits), point[0], k, a0, limits)
-    return _result(load, d_star, point, True, residual, total)

@@ -19,106 +19,78 @@ which degenerates when input bar and coupler are collinear.
 from __future__ import annotations
 
 import math
+from math import cos, hypot, sin, sqrt
 
 from .model import GeometryError, MechanismConfig, SingularityError, _require_valid
 
 SINGULARITY_SIN = 1e-8  # |sin(input-coupler angle)| below this raises
 
 
-def _closure_kernel(config: MechanismConfig, theta, l4, xp=math):
+def _closure_kernel(config: MechanismConfig, theta: float, l4: float):
     """Pivot positions and jacobian for a lever of length l4 along config.lever_bearing.
 
-    Returns (A, B, C, actuator_length, jacobian). theta and l4 are floats with
-    xp=math (the solver's hot path), or numpy arrays (or a float and an
-    array) that broadcast together with xp=numpy; B, C, the actuator length
-    and the jacobian then take the broadcast shape. Every check covers every
-    element and runs before the division it guards. GeometryError is raised
-    when the lever is not positive or the coupler circles do not intersect,
-    SingularityError at the fold line; the message names the first failing
-    element.
+    Returns (A, B, C, actuator_length, jacobian) at one knee angle and lever
+    length. The terms that depend on the config alone (l2**2, l2**2 - l3**2,
+    the span bounds, l2 * l3, the branch sign and the actuator's ratio and
+    base) come with it, computed when it was built. Every check runs before
+    the division it guards. GeometryError is raised when the lever is not
+    positive or the coupler circles do not intersect, SingularityError at
+    the fold line.
     """
-    if xp is math:
-        any_ = all_ = bool
-    else:
-        any_, all_ = xp.any, xp.all
-    if not all_(l4 > 0.0):
-        (l4,) = _first(True if xp is math else ~(l4 > 0.0), l4)
+    if not l4 > 0.0:
         raise GeometryError(f"lever length must be positive, got {l4}")
-    l2, l3 = config.l2, config.l3
-    ax_, ay_ = config.l1, 0.0
+    l2_sq, l2_sq_minus_l3_sq, span_max, span_min, l2_l3, s = config._closure
+    ax_ = config.l1
     phase = theta + config.lever_bearing
-    cx = l4 * xp.cos(phase)
-    cy = l4 * xp.sin(phase)
+    cx = l4 * cos(phase)
+    cy = l4 * sin(phase)
 
-    dx, dy = cx - ax_, cy - ay_
-    g = xp.hypot(dx, dy)
-    too_far = g > l2 + l3 + 1e-12
-    if any_(too_far):
-        theta, l4, g = _first(too_far, theta, l4, g)
+    dx = cx - ax_  # the ground pivot lies on the x axis, so dy is cy
+    g = hypot(dx, cy)
+    if g > span_max:
+        l2, l3 = config.l2, config.l3
         raise GeometryError(
             f"closure infeasible at theta={math.degrees(theta):.3f} deg, l4={l4:.5f} m: "
             f"pivot span {g:.5f} m exceeds l2 + l3 = {l2 + l3:.5f} m"
         )
-    too_near = g < abs(l2 - l3) - 1e-12
-    if any_(too_near):
-        theta, l4, g = _first(too_near, theta, l4, g)
+    if g < span_min:
+        l2, l3 = config.l2, config.l3
         raise GeometryError(
             f"closure infeasible at theta={math.degrees(theta):.3f} deg, l4={l4:.5f} m: "
             f"pivot span {g:.5f} m is below |l2 - l3| = {abs(l2 - l3):.5f} m"
         )
-    if any_(g == 0.0):
+    if g == 0.0:
         raise GeometryError("ground pivot and lever tip coincide; closure undefined")
 
-    ux, uy = dx / g, dy / g
-    a = (l2 * l2 - l3 * l3 + g * g) / (2.0 * g)
-    h_sq = l2 * l2 - a * a
-    # round-off past tangency reads 0; the multiply only runs in that case
-    h = xp.sqrt(h_sq if all_(h_sq > 0.0) else h_sq * (h_sq > 0.0))
-    s = float(config.branch_sign)
+    ux, uy = dx / g, cy / g
+    a = (l2_sq_minus_l3_sq + g * g) / (2.0 * g)
+    h_sq = l2_sq - a * a
+    # round-off past tangency reads 0, with the sign of h_sq's zero
+    h = sqrt(h_sq if h_sq > 0.0 else h_sq * 0.0)
     bx = ax_ + a * ux - s * h * uy
-    by = ay_ + a * uy + s * h * ux
+    by = 0.0 + a * uy + s * h * ux  # the ground pivot's y, 0.0, turns a -0.0 into +0.0
 
-    e2x, e2y = bx - ax_, by - ay_
+    e2x = bx - ax_  # e2y is by
     e3x, e3y = cx - bx, cy - by
-    cross_e2e3 = e2x * e3y - e2y * e3x
-    folded = abs(cross_e2e3 / (l2 * l3)) < SINGULARITY_SIN
-    if any_(folded):
-        theta, l4 = _first(folded, theta, l4)
+    cross_e2e3 = e2x * e3y - by * e3x
+    if abs(cross_e2e3 / l2_l3) < SINGULARITY_SIN:
         raise SingularityError(
             f"transmission singularity at theta={math.degrees(theta):.3f} deg, "
             f"l4={l4:.5f} m: input bar and coupler are collinear"
         )
 
-    r = config.actuator_attach_ratio
-    px = ax_ + r * e2x
-    py = ay_ + r * e2y
-    qx, qy = config.actuator_base
-    ex, ey = px - qx, py - qy
-    d = xp.hypot(ex, ey)
-    if not all_(d > 0.0):
+    r, qx, qy = config._actuator
+    ex = ax_ + r * e2x - qx
+    ey = 0.0 + r * by - qy
+    d = hypot(ex, ey)
+    if not d > 0.0:
         raise GeometryError("actuator attachment coincides with the actuator base")
 
-    cross_c_e3 = cx * e3y - cy * e3x
-    lam = cross_c_e3 / cross_e2e3
+    lam = (cx * e3y - cy * e3x) / cross_e2e3
     # dP/dtheta = r * lam * perp(e2); J = unit(P - base) . dP/dtheta
-    jac = r * lam * (ex * (-e2y) + ey * e2x) / d
+    jac = r * lam * (ex * (-by) + ey * e2x) / d
 
-    return (ax_, ay_), (bx, by), (cx, cy), d, jac
-
-
-def _first(bad, *values):
-    """The values at the first element where bad holds, as floats.
-
-    Scalar checks pass their values through unchanged; only failing checks
-    call this, so the solver's happy path never formats a message or loads
-    numpy.
-    """
-    if isinstance(bad, bool):
-        return values
-    import numpy as np
-
-    i = int(np.argmax(bad))
-    return tuple(float(np.broadcast_to(v, np.shape(bad)).flat[i]) for v in values)
+    return (ax_, 0.0), (bx, by), (cx, cy), d, jac
 
 
 def _checked_kernel(config: MechanismConfig, theta: float, l4: float):

@@ -35,10 +35,6 @@ class CalibrationError(RuntimeError):
     """A calibration target cannot be met within the searchable parameter range."""
 
 
-class GridSizeError(ValueError):
-    """A brute-force deflection grid would exceed the allowed node budget."""
-
-
 class ConfigError(ValueError):
     """A config file failed parsing, schema checks, or validation."""
 
@@ -72,12 +68,16 @@ class MechanismConfig:
     _closed_lever and _open_lever: the l4 of chain.make_chain_state at zero
     and at full travel (read them through chain.closed_lever and
     chain.open_lever).
-    Nor is _violations, validate_config's verdict as a tuple. The field
-    checks run first; only a config that passes them gets its bearing and
-    levers (otherwise NaN and None, which no entry reads, since every entry
-    refuses an invalid config), and then the closure check, which reads
-    them. dataclasses.replace makes a modified copy, which recomputes the
-    bearing, both levers and the verdict.
+    Nor is _violations, validate_config's verdict as a tuple, nor are the
+    kernels' config-only terms (_store_kernel_terms). A tuple field holding
+    anything but floats is read as config.py reads the field in a file (an
+    int becomes a float, a string or a bool is a violation). The field
+    checks run first; only a config that passes them gets its kernel terms,
+    bearing and levers (otherwise no terms, and NaN and None, which no entry
+    reads, since every entry refuses an invalid config), and then the
+    closure check, which reads them. dataclasses.replace makes a modified
+    copy, which recomputes the terms, the bearing, both levers and the
+    verdict.
     """
 
     l1: float
@@ -98,17 +98,22 @@ class MechanismConfig:
     branch_sign: int = 1
 
     def __post_init__(self) -> None:
-        unread = []  # tuple fields float() cannot convert, left as given
-        for name in ("actuator_base", "segments", "phi", "joint_open_limit"):
-            try:
-                object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-            except (TypeError, ValueError, OverflowError):
-                unread.append(name)
+        unread = []  # tuple fields config.py's reader refuses, left as given
+        for f in _TUPLE_FIELDS:
+            value = getattr(self, f.name)
+            if type(value) is not tuple or not all(type(v) is float for v in value):
+                try:  # ints, lists and float subclasses read as a file's numbers do
+                    value = _read(f, value)
+                except ConfigError:
+                    unread.append(f.name)
+                    continue
+                object.__setattr__(self, f.name, value)
         from .chain import _geometry  # deferred: import cycle
 
         violations = _field_violations(self, unread)
         bearing, closed_lever, open_lever = math.nan, None, None
-        if not violations:  # finite angles and one non-negative limit per joint
+        if not violations:  # finite numbers, one phi and one non-negative limit per joint
+            _store_kernel_terms(self)
             _, (x, y) = _geometry(self, (0.0,) * self.n_joints)
             bearing, closed_lever = math.atan2(y, x), math.hypot(x, y)
             open_lever = math.hypot(*_geometry(self, self.joint_open_limit)[1])
@@ -120,6 +125,33 @@ class MechanismConfig:
     @property
     def n_joints(self) -> int:
         return len(self.segments)
+
+
+_TUPLE_FIELDS = tuple(f for f in fields(MechanismConfig) if f.type.startswith("tuple"))
+
+
+def _store_kernel_terms(config: MechanismConfig) -> None:
+    """Store the config-only subexpressions of the chain and closure kernels on config.
+
+    They are not fields: _anchor (the chain anchor l_offset * (cos beta,
+    sin beta)), _links (the (segment, phi) pairs), _closure (l2**2,
+    l2**2 - l3**2, the pivot span bounds l2 + l3 + 1e-12 and
+    |l2 - l3| - 1e-12, l2 * l3 and the branch sign as a float) and
+    _actuator (actuator_attach_ratio and the base coordinates). Each is
+    computed as the kernels computed it on every call, so every answer
+    stays the same, bit for bit.
+    """
+    l2, l3 = config.l2, config.l3
+    terms = {
+        "_anchor": (config.l_offset * math.cos(config.beta),
+                    config.l_offset * math.sin(config.beta)),
+        "_links": tuple(zip(config.segments, config.phi)),
+        "_closure": (l2 * l2, l2 * l2 - l3 * l3, l2 + l3 + 1e-12, abs(l2 - l3) - 1e-12,
+                     l2 * l3, float(config.branch_sign)),
+        "_actuator": (config.actuator_attach_ratio, *config.actuator_base),
+    }
+    for name, value in terms.items():
+        object.__setattr__(config, name, value)
 
 
 @dataclass(frozen=True)
@@ -343,16 +375,21 @@ def _field_violations(config: MechanismConfig, unread) -> list[str]:
     return v
 
 
+def _read(f, value):
+    """value as config.py's reader of field f reads it in a file; ConfigError if it refuses."""
+    from .config import _READERS  # deferred: import cycle
+
+    return _READERS[f.type](value, f.name)
+
+
 def _misread(f, value) -> list[str]:
     """config.py's message for a field value its reader refuses in a file; [] if it reads.
 
     Runs only for a value of another type than the field's annotation, or a
     pair without two coordinates, so a well-formed config reads no reader.
     """
-    from .config import _READERS  # deferred: import cycle
-
     try:
-        _READERS[f.type](value, f.name)
+        _read(f, value)
     except ConfigError as exc:
         return [str(exc)]
     return []

@@ -106,6 +106,22 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+KERNEL_ULPS = 8
+
+
+def assert_ulps(array_values, scalar_values, ulps=KERNEL_ULPS):
+    """Equal within ulps units in the last place of the largest magnitude among both.
+
+    The oracle's numpy kernels and the library's float kernels evaluate the
+    same expressions, but numpy's vectorized sin and cos may round
+    differently from the math module's. Measured on x86-64 with numpy 2.4,
+    the kernel tests differ by 4 ulps at most.
+    """
+    scale = max(map(abs, [*array_values, *scalar_values]))
+    for a, b in zip(array_values, scalar_values, strict=True):
+        assert abs(float(a) - b) <= ulps * math.ulp(scale), (a, b)
+
+
 def random_config(rng) -> MechanismConfig:
     """The default config with its chain and spring fields perturbed, redrawn until valid.
 

@@ -17,6 +17,7 @@ from lbvt.cli import run
 from lbvt.model import Regime, per_joint_stiffness
 
 from conftest import THETA_88, reduced_chain
+from oracle import brute_force_equilibrium
 
 DEFAULT = str(lbvt.default_config_path())
 
@@ -75,7 +76,7 @@ def test_criterion_3_oracle_equivalence():
             forces = rng.uniform(0.0, spans[n], 50)
             for f in forces:
                 direct = equilibrium.solve_equilibrium(cfg, THETA_88, float(f))
-                oracle = equilibrium.brute_force_equilibrium(
+                oracle = brute_force_equilibrium(
                     cfg, THETA_88, float(f), grid_step)
                 assert direct.converged
                 for a, b in zip(direct.chain.deflection, oracle.chain.deflection):

@@ -10,7 +10,7 @@ from lbvt import analysis, chain, equilibrium, linkage
 from lbvt.model import (CalibrationError, ConfigError, GeometryError, MechanismConfig,
                         SweepTable, validate_config)
 
-from conftest import THETA_88, count_calls, random_config
+from conftest import THETA_88, _FOURBAR, _with_bearing, count_calls, random_config
 
 
 # ---------- sampling ----------
@@ -601,6 +601,23 @@ def test_calibrated_output_validates(base_config):
     assert validate_config(cal) == []
     assert equilibrium.triggering_force(cal, THETA_88) == pytest.approx(12.0, abs=0.05)
     assert analysis.ratio_step_direct(cal, THETA_88) == pytest.approx(0.25, abs=0.005)
+
+
+def test_calibrate_refuses_a_result_that_fails_validation():
+    # one joint whose segment turns through the anchor ray at half travel:
+    # the lever is longest there, past both end levers that bound the input
+    # config's closure check. The first travel scale the ratio-step search
+    # tries, 0.5, meets the target, and at theta_min the coupler no longer
+    # reaches that lever.
+    config = _with_bearing(-5.0, segments=(0.05,), phi=(-0.15,), joint_open_limit=(0.3,),
+                           alpha_preload=0.1, **{**_FOURBAR, "l3": 0.2319})
+    assert validate_config(config) == []
+    with pytest.raises(CalibrationError) as exc:
+        analysis.calibrate(config, 0.0, 0.003, THETA_88)
+    assert str(exc.value) == (
+        "calibrated config failed validation: four-bar closure fails with the fully open "
+        "lever: closure infeasible at theta=-141.000 deg, l4=0.09500 m: pivot span 0.33302 m "
+        "exceeds l2 + l3 = 0.33290 m")
 
 
 # ---------- emitters ----------

@@ -171,11 +171,12 @@ def test_deflection_bounds_are_enforced(default_config):
 def test_tip_on_the_knee_has_no_lever():
     # anchor at (-0.05, 0) m, one 0.05 m segment along x ends on the knee; the
     # entries refuse the negative offset, and the state a solve builds
-    # (chain._chain_state) still refuses a tip on the knee
+    # (chain._chain_state) still refuses a tip on the knee. An invalid config
+    # carries no kernel terms, so its pivots are written out here.
     cfg = straight_chain(l_offset=-0.05, seg=0.05, n=1)
     with pytest.raises(ConfigError, match="^invalid config: l_offset must be strictly positive"):
         chain.make_chain_state(cfg, (0.0,))
-    pivots, _ = chain._geometry(cfg, (0.0,))
+    pivots = [(-0.05, 0.0), (0.0, 0.0)]
     with pytest.raises(ValueError, match="^chain tip coincides with the knee joint"):
         chain._chain_state(cfg, (0.0,), pivots)
 

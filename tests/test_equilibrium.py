@@ -8,22 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lbvt import analysis, chain, equilibrium, linkage
-from lbvt.equilibrium import (
-    brute_force_equilibrium,
-    solve_equilibrium,
-    triggering_force,
-)
+from lbvt.equilibrium import solve_equilibrium, triggering_force
 from lbvt.model import (
     ConfigError,
     EquilibriumResult,
-    GridSizeError,
     NoTriggerError,
     Regime,
     per_joint_stiffness,
 )
 
-from conftest import (THETA_88, _climb, count_calls, fixed_point_map, random_config,
-                      reduced_chain)
+import oracle
+from conftest import (THETA_88, _climb, assert_ulps, count_calls, fixed_point_map,
+                      random_config, reduced_chain)
+from oracle import GridSizeError, brute_force_equilibrium
 
 
 def _closed_result(config, ratio, force, l4=None):
@@ -317,12 +314,18 @@ class _ConstantLoad:
     def derivative(self, point, active):
         return [[0.0] * len(active) for _ in active]  # constant torque
 
+    def slope(self, point, j):
+        return 0.0
+
 
 class _SingularLoad(_ConstantLoad):
     """Constant torque whose derivative is k = 1: the Newton system k - k is singular."""
 
     def derivative(self, point, active):
         return [[float(i == j) for j in active] for i in active]
+
+    def slope(self, point, j):
+        return 1.0
 
 
 @pytest.mark.parametrize("d0", [0.0, 0.2])
@@ -439,9 +442,9 @@ class _CubeRootLoad:
     def evaluate(self, d):
         return (d[0] + math.cbrt(d[0] - 0.5),), 1.0, 1.0, tuple(d)
 
-    def derivative(self, point, active):
+    def slope(self, point, j):
         d = point[3]
-        return [[1.0 + abs(d[0] - 0.5) ** (-2.0 / 3.0) / 3.0]]
+        return 1.0 + abs(d[0] - 0.5) ** (-2.0 / 3.0) / 3.0
 
 
 class _SquareRootLoad:
@@ -455,9 +458,9 @@ class _SquareRootLoad:
         x = d[0] - 0.5
         return (d[0] + math.copysign(math.sqrt(abs(x)), x),), 1.0, 1.0, tuple(d)
 
-    def derivative(self, point, active):
+    def slope(self, point, j):
         d = point[3]
-        return [[1.0 + 0.5 / math.sqrt(abs(d[0] - 0.5))]]
+        return 1.0 + 0.5 / math.sqrt(abs(d[0] - 0.5))
 
 
 def _run_newton(monkeypatch, load, d):
@@ -538,11 +541,12 @@ def test_run_with_every_active_joint_pinned_takes_no_derivative(monkeypatch, act
     load = _ConstantLoad(None, len(active))
     point = (torques, 1.0, 1.0, None)
     derivatives = count_calls(monkeypatch, _ConstantLoad, "derivative")
+    slopes = count_calls(monkeypatch, _ConstantLoad, "slope")
     evaluations = count_calls(monkeypatch, _ConstantLoad, "evaluate")
     d = list(d0)
     assert equilibrium._newton_active(load, d, point, active, 1.0, 0.1, (0.3,) * len(active)) \
         is point
-    assert d == d0 and derivatives[0] == evaluations[0] == 0
+    assert d == d0 and derivatives[0] == slopes[0] == evaluations[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -614,15 +618,17 @@ def test_load_evaluations_on_random_inputs(default_config, monkeypatch):
     # when the ladder evaluated
     # the closed state again; 21.2, 66 and 64 when its intermediate rungs
     # were solved to _INNER_TOL and each re-evaluated its start); accepting
-    # steps that keep the residual took 99 jacobians
+    # steps that keep the residual took 99 jacobians. A one-joint run's 1x1
+    # jacobian is a slope.
     evaluations = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
-    jacobians = count_calls(monkeypatch, equilibrium._LoadMap, "derivative")
+    derivatives = count_calls(monkeypatch, equilibrium._LoadMap, "derivative")
+    slopes = count_calls(monkeypatch, equilibrium._LoadMap, "slope")
     per_evaluations, per_jacobians = [], []
     for theta, f in _criterion_7_inputs(default_config, 1000):
-        before = evaluations[0], jacobians[0]
+        before = evaluations[0], derivatives[0] + slopes[0]
         solve_equilibrium(default_config, theta, f)
         per_evaluations.append(evaluations[0] - before[0])
-        per_jacobians.append(jacobians[0] - before[1])
+        per_jacobians.append(derivatives[0] + slopes[0] - before[1])
     assert sum(per_evaluations) / len(per_evaluations) <= 11.2
     assert max(per_evaluations) <= 27
     assert max(per_jacobians) <= 28
@@ -631,15 +637,17 @@ def test_load_evaluations_on_random_inputs(default_config, monkeypatch):
 
 def test_closure_kernel_calls_on_random_inputs(default_config, monkeypatch):
     # a cold solve calls the closure kernel once per evaluation and once per
-    # derivative, for its forward difference: 21,900 calls when measured, for
-    # 11,110 evaluations and 10,790 derivatives (21,205 calls while a point
-    # kept the forward-difference value for a later derivative at its geometry)
+    # derivative or slope, for its forward difference: 21,900 calls when
+    # measured, for 11,110 evaluations and 10,790 derivatives and slopes
+    # (21,205 calls while a point kept the forward-difference value for a
+    # later derivative at its geometry)
     calls = count_calls(monkeypatch, linkage, "_closure_kernel")
     evaluations = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     derivatives = count_calls(monkeypatch, equilibrium._LoadMap, "derivative")
+    slopes = count_calls(monkeypatch, equilibrium._LoadMap, "slope")
     for theta, f in _criterion_7_inputs(default_config, 1000):
         solve_equilibrium(default_config, theta, f)
-    assert calls[0] == evaluations[0] + derivatives[0]
+    assert calls[0] == evaluations[0] + derivatives[0] + slopes[0]
 
 
 def test_rung_tolerance_keeps_the_convergence_set(default_config, base_config, monkeypatch):
@@ -828,6 +836,7 @@ def test_load_map_derivative_matches_central_differences(default_config):
             tol = 1e-6 * max(abs(x) for x in column)
             for i in range(6):
                 assert full[i][j] == pytest.approx(column[i], rel=0.0, abs=tol)
+            assert load.slope(point, j) == full[j][j]  # bit for bit
         picked = rng.choice(6, size=int(rng.integers(1, 6)), replace=False)
         active = sorted(int(i) for i in picked)
         sub = load.derivative(point, active)
@@ -998,32 +1007,31 @@ def test_brute_force_covers_the_six_joint_chain(default_config, theta_deg, f_cyl
 
 
 def test_vectorized_load_map_matches_scalar(default_config):
-    """The array path of the load map agrees with the float path row by row."""
+    """The oracle's array load map agrees with the solver's float one row by row."""
     rng = np.random.default_rng(4)
     d_matrix = np.column_stack([
         rng.uniform(0.0, lim, 64) for lim in default_config.joint_open_limit
     ])
     load = equilibrium._LoadMap(default_config, THETA_88, 33.0)
-    vec, l4s, jacs = load.evaluate(d_matrix.T, np)[:3]
-    assert len(vec) == 6 and all(col.shape == (64,) for col in vec)
+    vec, l4s, jacs = oracle.load_torques(default_config, THETA_88, 33.0, d_matrix.T)
+    assert vec.shape == (6, 64)
     for i, d in enumerate(d_matrix):
         scalar, l4, jac = load.evaluate(tuple(float(x) for x in d))[:3]
-        assert tuple(col[i] for col in vec) == pytest.approx(scalar, abs=1e-12)
-        assert (l4s[i], jacs[i]) == pytest.approx((l4, jac), abs=1e-14)
+        assert_ulps(vec[:, i], scalar)
+        assert_ulps([l4s[i]], [l4])
+        assert_ulps([jacs[i]], [jac])
 
 
 def test_vectorized_jacobian_matches_scalar(default_config):
-    """The closure kernel broadcasts over knee angle and lever length."""
+    """The oracle's closure kernel broadcasts over knee angle and lever length."""
     thetas = np.linspace(default_config.theta_min, default_config.theta_max, 7)
     l4s = np.linspace(chain.closed_lever(default_config),
                       chain.open_lever(default_config), 50)
-    vec = linkage._closure_kernel(
-        default_config, thetas[:, None], l4s[None, :], np)[4]
+    vec = oracle.closure_kernel(default_config, thetas[:, None], l4s[None, :])[3]
     assert vec.shape == (7, 50)
     for i, theta in enumerate(thetas):
         for l4, jv in zip(l4s, vec[i]):
-            assert jv == pytest.approx(
-                linkage.jacobian(default_config, float(theta), float(l4)), abs=1e-14)
+            assert_ulps([jv], [linkage.jacobian(default_config, float(theta), float(l4))])
 
 
 def test_zero_travel_config_solves_above_the_trigger(base_config):

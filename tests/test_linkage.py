@@ -8,7 +8,8 @@ from lbvt import chain, linkage
 from lbvt.equilibrium import solve_equilibrium
 from lbvt.model import GeometryError, SingularityError
 
-from conftest import count_calls, straight_chain
+import oracle
+from conftest import assert_ulps, count_calls, random_config, straight_chain
 
 THETA_88 = math.radians(-88.0)
 
@@ -268,3 +269,30 @@ def test_scalar_closure_maps_read_the_kernel(default_config):
         *_, length, jac = linkage._closure_kernel(default_config, theta, l4)
         assert linkage.actuator_length(default_config, theta, l4) == length
         assert linkage.jacobian(default_config, theta, l4) == jac
+
+
+def test_scalar_kernels_match_the_oracle_kernels_on_random_configs():
+    # the library's float chain and closure kernels against the oracle's
+    # numpy ones, written independently from the model's equations, within
+    # the ulps of conftest.assert_ulps: random deflections within the
+    # travel limits, and random (theta, l4) over the closure box that the
+    # config's validation decided, knee range x lever range
+    rng = np.random.default_rng(36)
+    for _ in range(40):
+        config = random_config(rng)
+        d = np.array([rng.uniform(0.0, lim, 25) for lim in config.joint_open_limit])
+        xs, ys = oracle.chain_geometry(config, d)
+        for i in range(25):
+            pivots, _ = chain._geometry(config, [float(x) for x in d[:, i]])
+            assert_ulps([*xs[:, i], *ys[:, i]], [p[0] for p in pivots] + [p[1] for p in pivots])
+        levers = sorted((config._closed_lever, config._open_lever))
+        thetas = rng.uniform(config.theta_min, config.theta_max, 25)
+        l4s = rng.uniform(*levers, 25)
+        (bx, by), (cx, cy), length, jac = oracle.closure_kernel(config, thetas, l4s)
+        for i, (theta, l4) in enumerate(zip(thetas, l4s)):
+            _, b, c, scalar_length, scalar_jac = linkage._closure_kernel(config, float(theta),
+                                                                         float(l4))
+            assert_ulps([bx[i], by[i]], b)
+            assert_ulps([cx[i], cy[i]], c)
+            assert_ulps([length[i]], [scalar_length])
+            assert_ulps([jac[i]], [scalar_jac])

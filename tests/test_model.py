@@ -19,6 +19,7 @@ from lbvt.model import (
 from lbvt import analysis, chain, equilibrium, linkage, model
 from lbvt.config import save_config
 
+import oracle
 from conftest import (INVALID_UPDATES, THETA_88, _FOURBAR, _with_bearing, count_calls,
                       reduced_chain)
 
@@ -78,15 +79,15 @@ def test_validation_runs_at_most_three_scalar_kernel_calls(default_config, monke
     calls = []
     original = linkage._closure_kernel
 
-    def recorded(config, theta, l4, xp=math):
-        calls.append((type(theta), type(l4), xp))
-        return original(config, theta, l4, xp)
+    def recorded(config, theta, l4):
+        calls.append((type(theta), type(l4)))
+        return original(config, theta, l4)
 
     monkeypatch.setattr(linkage, "_closure_kernel", recorded)
     config = dataclasses.replace(default_config)  # the copy checks its closure here
     assert validate_config(config) == []
     assert 1 <= len(calls) <= 3
-    assert all(call == (float, float, math) for call in calls)
+    assert all(call == (float, float) for call in calls)
     calls.clear()
     assert validate_config(config) == []
     assert calls == []  # validate_config reads the verdict the config was built with
@@ -150,7 +151,7 @@ def test_closure_verdict_matches_a_dense_kernel_grid(base_config):
         # the stored levers: the entries refuse a config that fails the check
         levers = np.linspace(config._closed_lever, config._open_lever, 21)
         try:
-            linkage._closure_kernel(config, thetas, levers, np)
+            oracle.closure_kernel(config, thetas, levers)
             grid_ok = True
         except model.GeometryError:
             grid_ok = False
@@ -171,7 +172,7 @@ def test_fold_between_old_sample_angles_is_rejected():
                            joint_open_limit=(0.05,), alpha_preload=0.1, **_FOURBAR)
     levers = np.array([[chain.closed_lever(config)], [chain.open_lever(config)]])
     bad = dataclasses.replace(config, l3=config.l1 + levers.max() - 2e-7 - config.l2)
-    linkage._closure_kernel(bad, _old_sample_angles(bad), levers, np)  # every sample assembles
+    oracle.closure_kernel(bad, _old_sample_angles(bad), levers)  # every sample assembles
     assert validate_config(bad) == [
         "four-bar closure fails with the fully open lever: closure infeasible at "
         "theta=-125.000 deg, l4=0.09394 m: pivot span 0.34394 m exceeds l2 + l3 = 0.34394 m"
@@ -189,7 +190,7 @@ def test_shortest_span_at_a_partly_open_lever_is_rejected(default_config):
         l3=default_config.l2 + default_config.l1 * math.sqrt(1.0 - cos_max ** 2) + 1e-6,
     )
     levers = np.array([[closed], [open_]])
-    linkage._closure_kernel(bad, _old_sample_angles(bad), levers, np)  # both end levers assemble
+    oracle.closure_kernel(bad, _old_sample_angles(bad), levers)  # both end levers assemble
     violations = validate_config(bad)
     assert len(violations) == 1
     assert violations[0].startswith(
@@ -279,6 +280,9 @@ _MALFORMED = {
                             "actuator_base: expected exactly two coordinates, got 1"),
     "huge-int-phi": ({"phi": (10 ** 400,) * 6}, "phi[0]: integer too large for a float"),
     "str-l1": ({"l1": "a"}, "l1: expected a number, got str"),
+    "str-phi": ({"phi": ("-0.1",) * 6}, "phi[0]: expected a number, got str"),
+    "bool-base": ({"actuator_base": (True, -0.05)},
+                  "actuator_base[0]: expected a number, got bool"),
     "float-springs": ({"springs_per_joint": 2.5},
                       "springs_per_joint: expected an integer, got float"),
 }
@@ -301,6 +305,40 @@ def test_a_malformed_field_is_one_violation(default_config, case, tmp_path):
     with pytest.raises(ConfigError) as exc:
         lbvt.load_config(path)
     assert str(exc.value) == message
+
+
+def test_only_a_tuple_field_of_non_floats_is_read(default_config, monkeypatch):
+    # a well-formed config converts nothing; ints and a list read as floats,
+    # as load_config reads them in a file
+    from lbvt import config as config_io
+
+    reads = []
+    for key, read in config_io._READERS.items():
+        monkeypatch.setitem(config_io._READERS, key,
+                            lambda raw, path, read=read: reads.append(path) or read(raw, path))
+    assert validate_config(dataclasses.replace(default_config)) == [] and reads == []
+    config = dataclasses.replace(default_config, joint_open_limit=[0] * 6,
+                                 actuator_base=(0, -0.05))
+    assert reads == ["actuator_base", "joint_open_limit"]
+    assert config.joint_open_limit == (0.0,) * 6 and config.actuator_base == (0.0, -0.05)
+    assert all(type(x) is float for x in config.joint_open_limit + config.actuator_base)
+
+
+def test_replaced_config_recomputes_its_kernel_terms(default_config):
+    # the kernels' config-only terms follow the copy's own fields, and a
+    # config that fails a field check carries none
+    config = dataclasses.replace(
+        default_config, l2=0.11, l3=0.26, l_offset=0.05, beta=default_config.beta + 0.1,
+        segments=default_config.segments[::-1], phi=default_config.phi[::-1],
+        actuator_base=(0.04, -0.06), actuator_attach_ratio=0.7, branch_sign=-1)
+    assert config._anchor == (0.05 * math.cos(config.beta), 0.05 * math.sin(config.beta))
+    assert config._links == tuple(zip(config.segments, config.phi))
+    assert config._closure == (0.11 * 0.11, 0.11 * 0.11 - 0.26 * 0.26, 0.11 + 0.26 + 1e-12,
+                               abs(0.11 - 0.26) - 1e-12, 0.11 * 0.26, -1.0)
+    assert config._actuator == (0.7, 0.04, -0.06)
+    for name in ("_anchor", "_links", "_closure", "_actuator"):
+        assert getattr(config, name) != getattr(default_config, name), name
+        assert not hasattr(dataclasses.replace(default_config, l2=-1.0), name)
 
 
 def test_float_field_holding_a_small_int_reads_as_its_float(default_config):
@@ -477,8 +515,6 @@ def test_chain_state_geometry_is_reproducible(default_config):
 _GATED_ENTRIES = {
     "solve_equilibrium": lambda c: equilibrium.solve_equilibrium(c, THETA_88, 5.0),
     "triggering_force": lambda c: equilibrium.triggering_force(c, THETA_88),
-    "brute_force_equilibrium":
-        lambda c: equilibrium.brute_force_equilibrium(c, THETA_88, 5.0, 0.1),
     "calibrate": lambda c: analysis.calibrate(c, 20.0, 0.4, THETA_88),
     "ratio_step_direct": lambda c: analysis.ratio_step_direct(c, THETA_88),
     "closed_lever": chain.closed_lever,

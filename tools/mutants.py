@@ -37,15 +37,12 @@ MUTANTS = {
     "scan-tie": ("equilibrium.py", "if e > worst and", "if e >= worst and", ""),
     "residual-tol-1e-7": ("equilibrium.py", "RESIDUAL_TOL = 1e-9", "RESIDUAL_TOL = 1e-7", ""),
     "trigger-tol-0.5": ("analysis.py", "TRIGGER_TOL = 0.05", "TRIGGER_TOL = 0.5", ""),
-    "oracle-budget-1e9": ("equilibrium.py", "if total > 1e8:", "if total > 1e9:", ""),
     "warm-start-last": ("equilibrium.py", "attempts.insert(0, (_warm_start(load, start), 1))",
                         "attempts.append((_warm_start(load, start), 1))", ""),
     "carry-ignores-theta": ("equilibrium.py", "if theta != self.theta:", "if False:", ""),
     "carry-ignores-config": ("equilibrium.py",
                              "if origin is not None and origin[0] is load.config:",
                              "if origin is not None:", ""),
-    "oracle-strict-super-solution": ("equilibrium.py", "0.0, lim) <= col", "0.0, lim) < col", ""),
-    "oracle-join": ("equilibrium.py", "grid[above].min(axis=0)", "grid[above].max(axis=0)", ""),
     "sweep-carries-unconverged": ("analysis.py", "        except GeometryError:\n"
                                   "            res = None\n",
                                   "        except GeometryError:\n            res = None\n"
@@ -70,7 +67,14 @@ MUTANTS = {
     "singular-sign-1-joint": ("equilibrium.py", "if a != 0.0 else r / k)",
                               "if a != 0.0 else -r / k)", ""),
     "regime-at-limit": ("chain.py", "if dk >= lim else", "if dk > lim else", ""),
-    "closure-slack-1e-9": ("linkage.py", "g > l2 + l3 + 1e-12", "g > l2 + l3 + 1e-9", ""),
+    "closure-slack-1e-9": ("model.py", "l2 + l3 + 1e-12,", "l2 + l3 + 1e-9,", ""),
+    "closure-term-sum": ("model.py", "l2 * l2 - l3 * l3,", "l2 * l2 + l3 * l3,", ""),
+    "anchor-cos-sin-swapped": ("model.py", "(config.l_offset * math.cos(config.beta),\n"
+                               "                    config.l_offset * math.sin(config.beta))",
+                               "(config.l_offset * math.sin(config.beta),\n"
+                               "                    config.l_offset * math.cos(config.beta))", ""),
+    "slope-without-ds": ("equilibrium.py", "return ds * (wx * tx + wy * ty) * c + scale *",
+                         "return scale *", ""),
     "verdict-not-copied": ("model.py", "return list(config._violations)",
                            'return vars(config).setdefault("_list", list(config._violations))',
                            ""),
@@ -94,8 +98,8 @@ MUTANTS = {
     "main-not-called": ("__main__.py", "\nmain()\n", "\nmain\n", ""),
     "open-slot-holds-closed": ("model.py", 'object.__setattr__(self, "_open_lever", open_lever)',
                                'object.__setattr__(self, "_open_lever", closed_lever)', ""),
-    "closed-slot-unguarded": ("model.py", "if not violations:  # finite angles",
-                              "if True:  # finite angles", ""),
+    "closed-slot-unguarded": ("model.py", "if not violations:  # finite numbers",
+                              "if True:  # finite numbers", ""),
     "gate-off": ("model.py", "if config._violations:", "if False:", ""),
     "gate-skipped-solve": ("equilibrium.py", "    _require_valid(config)\n    # a NaN force",
                            "    # a NaN force", ""),
