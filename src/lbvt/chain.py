@@ -32,12 +32,22 @@ def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
     return d
 
 
+def _chain_terms(config: MechanismConfig) -> dict:
+    """The config-only terms _geometry reads, by name; the config stores them when built.
+
+    _anchor is the chain anchor l_offset * (cos beta, sin beta) and _links
+    the (segment, phi) pairs.
+    """
+    return {"_anchor": (config.l_offset * cos(config.beta), config.l_offset * sin(config.beta)),
+            "_links": tuple(zip(config.segments, config.phi))}
+
+
 def _geometry(config: MechanismConfig, d):
     """Joint pivots and the chain tip; the pivot list ends with the tip itself.
 
     d holds one deflection per joint. The anchor and the (segment, phi)
-    pairs come with the config, computed when it was built. No checks run
-    here; callers validate d first.
+    pairs come with the config (_chain_terms). No checks run here; callers
+    validate d first.
     """
     ang = config.beta
     x, y = anchor = config._anchor

@@ -26,16 +26,27 @@ from .model import GeometryError, MechanismConfig, SingularityError, _require_va
 SINGULARITY_SIN = 1e-8  # |sin(input-coupler angle)| below this raises
 
 
+def _closure_terms(config: MechanismConfig) -> dict:
+    """The config-only terms _closure_kernel reads, by name; the config stores them when built.
+
+    _closure is (l2**2, l2**2 - l3**2, the pivot span bounds l2 + l3 and
+    |l2 - l3| widened by 1e-12 m, l2 * l3, the branch sign as a float) and
+    _actuator is (actuator_attach_ratio, *actuator_base).
+    """
+    l2, l3 = config.l2, config.l3
+    return {"_closure": (l2 * l2, l2 * l2 - l3 * l3, l2 + l3 + 1e-12, abs(l2 - l3) - 1e-12,
+                         l2 * l3, float(config.branch_sign)),
+            "_actuator": (config.actuator_attach_ratio, *config.actuator_base)}
+
+
 def _closure_kernel(config: MechanismConfig, theta: float, l4: float):
     """Pivot positions and jacobian for a lever of length l4 along config.lever_bearing.
 
     Returns (A, B, C, actuator_length, jacobian) at one knee angle and lever
-    length. The terms that depend on the config alone (l2**2, l2**2 - l3**2,
-    the span bounds, l2 * l3, the branch sign and the actuator's ratio and
-    base) come with it, computed when it was built. Every check runs before
-    the division it guards. GeometryError is raised when the lever is not
-    positive or the coupler circles do not intersect, SingularityError at
-    the fold line.
+    length. The terms that depend on the config alone come with it
+    (_closure_terms). Every check runs before the division it guards.
+    GeometryError is raised when the lever is not positive or the coupler
+    circles do not intersect, SingularityError at the fold line.
     """
     if not l4 > 0.0:
         raise GeometryError(f"lever length must be positive, got {l4}")

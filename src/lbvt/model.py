@@ -69,15 +69,17 @@ class MechanismConfig:
     and at full travel (read them through chain.closed_lever and
     chain.open_lever).
     Nor is _violations, validate_config's verdict as a tuple, nor are the
-    kernels' config-only terms (_store_kernel_terms). A tuple field holding
-    anything but floats is read as config.py reads the field in a file (an
-    int becomes a float, a string or a bool is a violation). The field
-    checks run first; only a config that passes them gets its kernel terms,
-    bearing and levers (otherwise no terms, and NaN and None, which no entry
-    reads, since every entry refuses an invalid config), and then the
-    closure check, which reads them. dataclasses.replace makes a modified
-    copy, which recomputes the terms, the bearing, both levers and the
-    verdict.
+    kernels' config-only terms (chain._chain_terms and
+    linkage._closure_terms). A tuple field holding anything but floats, or a
+    pair without two of them, is read as config.py reads the field in a
+    file: an int becomes a float; a string, a bool, a numpy scalar that is
+    not a float, or a sequence that is not a list or tuple (a numpy array, a
+    range, a generator) is a violation. The field checks run first; only a
+    config that passes them gets its kernel terms, bearing and levers
+    (otherwise no terms, and NaN and None, which no entry reads, since every
+    entry refuses an invalid config), and then the closure check, which
+    reads them. dataclasses.replace makes a modified copy, which recomputes
+    the terms, the bearing, both levers and the verdict.
     """
 
     l1: float
@@ -98,22 +100,25 @@ class MechanismConfig:
     branch_sign: int = 1
 
     def __post_init__(self) -> None:
-        unread = []  # tuple fields config.py's reader refuses, left as given
+        refused = {}  # tuple field -> config.py's message for it; the field stays as given
         for f in _TUPLE_FIELDS:
             value = getattr(self, f.name)
-            if type(value) is not tuple or not all(type(v) is float for v in value):
+            if (type(value) is not tuple or not all(type(v) is float for v in value)
+                    or f.type == "tuple[float, float]" and len(value) != 2):
                 try:  # ints, lists and float subclasses read as a file's numbers do
                     value = _read(f, value)
-                except ConfigError:
-                    unread.append(f.name)
+                except ConfigError as exc:
+                    refused[f.name] = str(exc)
                     continue
                 object.__setattr__(self, f.name, value)
-        from .chain import _geometry  # deferred: import cycle
+        from .chain import _chain_terms, _geometry  # deferred: import cycle
+        from .linkage import _closure_terms
 
-        violations = _field_violations(self, unread)
+        violations = _field_violations(self, refused)
         bearing, closed_lever, open_lever = math.nan, None, None
         if not violations:  # finite numbers, one phi and one non-negative limit per joint
-            _store_kernel_terms(self)
+            for name, value in {**_chain_terms(self), **_closure_terms(self)}.items():
+                object.__setattr__(self, name, value)
             _, (x, y) = _geometry(self, (0.0,) * self.n_joints)
             bearing, closed_lever = math.atan2(y, x), math.hypot(x, y)
             open_lever = math.hypot(*_geometry(self, self.joint_open_limit)[1])
@@ -128,30 +133,6 @@ class MechanismConfig:
 
 
 _TUPLE_FIELDS = tuple(f for f in fields(MechanismConfig) if f.type.startswith("tuple"))
-
-
-def _store_kernel_terms(config: MechanismConfig) -> None:
-    """Store the config-only subexpressions of the chain and closure kernels on config.
-
-    They are not fields: _anchor (the chain anchor l_offset * (cos beta,
-    sin beta)), _links (the (segment, phi) pairs), _closure (l2**2,
-    l2**2 - l3**2, the pivot span bounds l2 + l3 + 1e-12 and
-    |l2 - l3| - 1e-12, l2 * l3 and the branch sign as a float) and
-    _actuator (actuator_attach_ratio and the base coordinates). Each is
-    computed as the kernels computed it on every call, so every answer
-    stays the same, bit for bit.
-    """
-    l2, l3 = config.l2, config.l3
-    terms = {
-        "_anchor": (config.l_offset * math.cos(config.beta),
-                    config.l_offset * math.sin(config.beta)),
-        "_links": tuple(zip(config.segments, config.phi)),
-        "_closure": (l2 * l2, l2 * l2 - l3 * l3, l2 + l3 + 1e-12, abs(l2 - l3) - 1e-12,
-                     l2 * l3, float(config.branch_sign)),
-        "_actuator": (config.actuator_attach_ratio, *config.actuator_base),
-    }
-    for name, value in terms.items():
-        object.__setattr__(config, name, value)
 
 
 @dataclass(frozen=True)
@@ -285,13 +266,13 @@ def _require_valid(config: MechanismConfig) -> MechanismConfig:
     return config
 
 
-def _field_violations(config: MechanismConfig, unread) -> list[str]:
+def _field_violations(config: MechanismConfig, refused) -> list[str]:
     """The violated invariants that each field decides on its own, in two stages.
 
     First every field must hold what config.py's reader of it accepts in a
     file, and every number must be finite: a value of another type, a tuple
-    field float() could not convert (its name in unread), an actuator_base
-    without exactly two coordinates, an int too large for a float in a float
+    field the reader refused when the config was built (refused maps its
+    name to the reader's message), an int too large for a float in a float
     field, or a NaN or infinite number is reported by name (with its index
     in a tuple field), once. Only when all pass, each field is checked on
     its own: signs, counts, ranges, and a per-joint stiffness
@@ -312,8 +293,8 @@ def _field_violations(config: MechanismConfig, unread) -> list[str]:
                 v.extend(_misread(f, value))
             elif not math.isfinite(value):
                 v.append(f"{f.name} must be finite, got {value}")
-        elif f.name in unread or f.type == "tuple[float, float]" and len(value) != 2:
-            v.extend(_misread(f, value))
+        elif f.name in refused:
+            v.append(refused[f.name])
         elif not all(map(math.isfinite, value)):
             v.extend(f"{f.name}[{i}] must be finite, got {x}"
                      for i, x in enumerate(value) if not math.isfinite(x))
@@ -385,8 +366,8 @@ def _read(f, value):
 def _misread(f, value) -> list[str]:
     """config.py's message for a field value its reader refuses in a file; [] if it reads.
 
-    Runs only for a value of another type than the field's annotation, or a
-    pair without two coordinates, so a well-formed config reads no reader.
+    Runs only for a value of another type than the field's annotation, so a
+    well-formed config reads no reader.
     """
     try:
         _read(f, value)

@@ -715,7 +715,7 @@ def test_plot_with_a_tick_step_below_half_an_ulp_finishes(tmp_path):
          "--from", "100", "--to", "100.00000000000001", "--step", "1e-14",
          "--out", str(tmp_path / "h.csv"), "--plot", str(svg)],
         env=_src_env(), capture_output=True, text=True, timeout=10, preexec_fn=_cap_memory)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert svg.read_text().endswith("</svg>\n")
 
 

@@ -307,6 +307,24 @@ def test_a_malformed_field_is_one_violation(default_config, case, tmp_path):
     assert str(exc.value) == message
 
 
+_NOT_IN_A_FILE = {
+    "ndarray-phi": ({"phi": np.radians([-10.0] * 6)}, "phi: expected a list of numbers, got ndarray"),
+    "range-limits": ({"joint_open_limit": range(6)},
+                     "joint_open_limit: expected a list of numbers, got range"),
+    "generator-segments": ({"segments": (x for x in (0.01,) * 6)},
+                           "segments: expected a list of numbers, got generator"),
+    "float32-phi": ({"phi": (np.float32(-0.1),) * 6}, "phi[0]: expected a number, got float32"),
+}
+
+
+@pytest.mark.parametrize("case", _NOT_IN_A_FILE, ids=list(_NOT_IN_A_FILE))
+def test_a_tuple_field_no_config_file_holds_is_one_violation(default_config, case):
+    # a config file holds lists of JSON numbers; other sequences and numpy
+    # scalars that are not floats are refused by the reader's own words
+    updates, message = _NOT_IN_A_FILE[case]
+    assert validate_config(dataclasses.replace(default_config, **updates)) == [message]
+
+
 def test_only_a_tuple_field_of_non_floats_is_read(default_config, monkeypatch):
     # a well-formed config converts nothing; ints and a list read as floats,
     # as load_config reads them in a file
@@ -331,13 +349,11 @@ def test_replaced_config_recomputes_its_kernel_terms(default_config):
         default_config, l2=0.11, l3=0.26, l_offset=0.05, beta=default_config.beta + 0.1,
         segments=default_config.segments[::-1], phi=default_config.phi[::-1],
         actuator_base=(0.04, -0.06), actuator_attach_ratio=0.7, branch_sign=-1)
-    assert config._anchor == (0.05 * math.cos(config.beta), 0.05 * math.sin(config.beta))
-    assert config._links == tuple(zip(config.segments, config.phi))
-    assert config._closure == (0.11 * 0.11, 0.11 * 0.11 - 0.26 * 0.26, 0.11 + 0.26 + 1e-12,
-                               abs(0.11 - 0.26) - 1e-12, 0.11 * 0.26, -1.0)
-    assert config._actuator == (0.7, 0.04, -0.06)
-    for name in ("_anchor", "_links", "_closure", "_actuator"):
-        assert getattr(config, name) != getattr(default_config, name), name
+    terms = {**chain._chain_terms(config), **linkage._closure_terms(config)}
+    assert sorted(terms) == ["_actuator", "_anchor", "_closure", "_links"]
+    for name, value in terms.items():
+        assert getattr(config, name) == value, name
+        assert getattr(default_config, name) != value, name
         assert not hasattr(dataclasses.replace(default_config, l2=-1.0), name)
 
 

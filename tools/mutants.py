@@ -67,12 +67,12 @@ MUTANTS = {
     "singular-sign-1-joint": ("equilibrium.py", "if a != 0.0 else r / k)",
                               "if a != 0.0 else -r / k)", ""),
     "regime-at-limit": ("chain.py", "if dk >= lim else", "if dk > lim else", ""),
-    "closure-slack-1e-9": ("model.py", "l2 + l3 + 1e-12,", "l2 + l3 + 1e-9,", ""),
-    "closure-term-sum": ("model.py", "l2 * l2 - l3 * l3,", "l2 * l2 + l3 * l3,", ""),
-    "anchor-cos-sin-swapped": ("model.py", "(config.l_offset * math.cos(config.beta),\n"
-                               "                    config.l_offset * math.sin(config.beta))",
-                               "(config.l_offset * math.sin(config.beta),\n"
-                               "                    config.l_offset * math.cos(config.beta))", ""),
+    "closure-slack-1e-9": ("linkage.py", "l2 + l3 + 1e-12,", "l2 + l3 + 1e-9,", ""),
+    "closure-term-sum": ("linkage.py", "l2 * l2 - l3 * l3,", "l2 * l2 + l3 * l3,", ""),
+    "anchor-cos-sin-swapped": ("chain.py", "(config.l_offset * cos(config.beta), "
+                               "config.l_offset * sin(config.beta))",
+                               "(config.l_offset * sin(config.beta), "
+                               "config.l_offset * cos(config.beta))", ""),
     "slope-without-ds": ("equilibrium.py", "return ds * (wx * tx + wy * ty) * c + scale *",
                          "return scale *", ""),
     "verdict-not-copied": ("model.py", "return list(config._violations)",
@@ -81,8 +81,9 @@ MUTANTS = {
     "validation-stages-ungated": ("model.py", "    if v:  # a malformed or non-finite number "
                                   "would break or fail the checks below\n        return v\n",
                                   "", ""),
-    "pair-length-unchecked": ("model.py", 'f.name in unread or f.type == "tuple[float, float]" '
-                              "and len(value) != 2:", "f.name in unread:", ""),
+    "pair-length-unchecked": ("model.py", " for v in value)\n"
+                              '                    or f.type == "tuple[float, float]" '
+                              "and len(value) != 2):", " for v in value)):", ""),
     "preload-cap": ("model.py", "if config.alpha_preload > 2.0 * math.pi:",
                     "if config.alpha_preload > 4.0 * math.pi:", ""),
     "calibrate-cap": ("analysis.py", "turn = 2.0 * math.pi", "turn = 4.0 * math.pi", ""),
