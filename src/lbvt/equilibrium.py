@@ -21,11 +21,16 @@ solve_equilibrium runs an active-set scheme over those regimes: for a fixed
 regime assignment the active torque balances are solved by projected Newton
 iterations (Bertsekas, SIAM J. Control Optim. 20(2), 1982), then the scan's
 flip is made (one joint per outer pass, largest violation first, lowest index
-on ties). At each Newton point an active joint that _pushed finds pushed past
-its bound is pinned: it keeps its deflection and leaves the jacobian, the step
-and the residual norm, and the full step of the free joints is clamped to the
-travel limits. Once every active joint is pinned the run ends with no further
-evaluation, and the scan flips the pinned joints one per pass. Torque exactly
+on ties). The active joints are kept as a list in ascending order, the row
+order of the Newton system, and each flip inserts or removes its joint. At
+each Newton point an active joint that _pushed finds pushed past its bound is
+pinned: it keeps its deflection and leaves the jacobian, the step and the
+residual norm, and the full step of the free joints is clamped to the travel
+limits. Once every active joint is pinned the run ends with no further
+evaluation, and the scan flips the pinned joints one per pass. One free
+joint, alone in its run or left free by the others' pins, steps on its slope
+(_LoadMap.slope, the 1x1 jacobian as a float); two or more solve the
+jacobian of _LoadMap.derivative. Torque exactly
 at the holding threshold keeps a joint closed. The scheme is deterministic:
 identical inputs give identical results. The Newton jacobian is analytic:
 opening joint j rotates the chain tip and every later pivot about pivot j, and
@@ -74,6 +79,7 @@ standard library alone.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from math import hypot
 
 from . import chain, linkage
@@ -230,24 +236,30 @@ def _scan(d, regimes, torques, k, a0, limits):
     """
     if not all(map(math.isfinite, torques)):
         return math.nan, None
-    closed, active, stop = Regime.CLOSED, Regime.ACTIVE, Regime.END_STOP
+    closed, active = Regime.CLOSED, Regime.ACTIVE
     hold = k * a0
     residual = worst = 0.0
     flip = None
+    # residual >= worst throughout, so a violation that does not beat worst
+    # cannot raise the residual either
     for i, (di, reg, a, lim) in enumerate(zip(d, regimes, torques, limits)):
         if not lim > 0.0:
             continue
-        if reg is closed:
-            e, to = a - hold, active
-        elif reg is stop:
-            e, to = k * (a0 + lim) - a, active
-        else:
+        if reg is active:
             r = a - k * (a0 + di)
-            e, to = abs(r), _pushed(r, di, lim)
-        if e > residual:
-            residual = e
-        if e > worst and to is not None:
-            worst, flip = e, (i, to)
+            e = abs(r)
+            if e > worst:
+                if e > residual:
+                    residual = e
+                to = _pushed(r, di, lim)
+                if to is not None:
+                    worst, flip = e, (i, to)
+            continue
+        e = a - hold if reg is closed else k * (a0 + lim) - a
+        if e > worst:
+            if e > residual:
+                residual = e
+            worst, flip = e, (i, active)
     return residual, flip
 
 
@@ -255,7 +267,9 @@ def _solve_small(jac, r):
     """Newton step -jac\\r in floats; None if jac is singular (a zero pivot).
 
     2x2 systems, the common ones, take the closed form; others Gaussian
-    elimination with partial pivoting, which gives a 1x1 system -r / jac.
+    elimination with partial pivoting. The solver sends no 1x1 system here:
+    one free joint steps on its slope, with the operations elimination
+    would make, (-r - 0) / jac.
     """
     m = len(r)
     if m == 2:
@@ -314,7 +328,9 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
     equal norms would replay such a 2-cycle for all MAX_INNER passes.
 
     The jacobian comes from load.derivative (analytic, minus k on the
-    diagonal) over the free joints, at the point the last step reached. A
+    diagonal) over the free joints, at the point the last step reached; a
+    lone free joint takes _newton_one's step on load.slope instead, the same
+    operations as elimination's -r / (J - k) on the 1x1 system. A
     step that leaves d unchanged ends the loop before it is evaluated: every
     later pass would rebuild the same jacobian and take the same step. So
     does a trial with a NaN deflection, which the clamp lets through: the
@@ -331,12 +347,16 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
     for _ in range(MAX_INNER):
         if norm < tol:
             break
-        jac = load.derivative(point, free)
-        for i, row in enumerate(jac):
-            row[i] -= k
-        step = _solve_small(jac, r)
-        if step is None:
-            step = [x / k for x in r]  # singular: the step with the load held, jac = -k
+        if len(free) == 1:  # _newton_one's step
+            a = load.slope(point, free[0]) - k
+            step = [-r[0] / a if a != 0.0 else r[0] / k]
+        else:
+            jac = load.derivative(point, free)
+            for i, row in enumerate(jac):
+                row[i] -= k
+            step = _solve_small(jac, r)
+            if step is None:
+                step = [x / k for x in r]  # singular: the step with the load held, jac = -k
         trial = list(d)
         for j, s in zip(free, step):
             # min(max(x, 0.0), lim) as max and min take it: NaN and -0.0 stay
@@ -417,20 +437,25 @@ def _active_set(load, d, point, regimes, k, a0, limits, tol=_INNER_TOL):
     """Active-set iteration from the given state, in place.
 
     Returns (point at d, outer passes, residual of the state it ends in).
-    point is the load-map point at d and tol the Newton runs' stop. Closed
+    point is the load-map point at d and tol the Newton runs' stop. The
+    active joints are listed once and the list is mended at each flip. Closed
     joints must enter at 0 and stopped joints at their limit. The clamped
     Newton step keeps d in [0, limit], so a joint flips to closed only at d ==
     0 and to its stop only at d == limit: a flip needs no clamp, and the point
     at d stays valid.
     """
-    n = len(d)
+    active = [i for i, reg in enumerate(regimes) if reg is Regime.ACTIVE]
     for outer in range(1, MAX_OUTER + 1):
-        active = [i for i in range(n) if regimes[i] is Regime.ACTIVE]
         point = _newton_active(load, d, point, active, k, a0, limits, tol)
         residual, flip = _scan(d, regimes, point[0], k, a0, limits)
         if flip is None:
             break
-        regimes[flip[0]] = flip[1]
+        i, to = flip
+        regimes[i] = to
+        if to is Regime.ACTIVE:
+            insort(active, i)  # ascending: the row order of the Newton system
+        else:
+            active.remove(i)
     else:
         residual, _ = _scan(d, regimes, point[0], k, a0, limits)  # after the last flip
     return point, outer, residual

@@ -34,7 +34,8 @@ TIMEOUT_S = 600  # a mutant that stalls the suite counts as killed
 MUTANTS = {
     "ladder-4-rungs": ("equilibrium.py", "_CONTINUATION_RUNGS = 8", "_CONTINUATION_RUNGS = 4", ""),
     "dl4-1e-5": ("equilibrium.py", "_DL4 = 1e-8", "_DL4 = 1e-5", ""),
-    "scan-tie": ("equilibrium.py", "if e > worst and", "if e >= worst and", ""),
+    "scan-tie": ("equilibrium.py", "else k * (a0 + lim) - a\n        if e > worst:",
+                 "else k * (a0 + lim) - a\n        if e >= worst:", ""),
     "residual-tol-1e-7": ("equilibrium.py", "RESIDUAL_TOL = 1e-9", "RESIDUAL_TOL = 1e-7", ""),
     "trigger-tol-0.5": ("analysis.py", "TRIGGER_TOL = 0.05", "TRIGGER_TOL = 0.5", ""),
     "warm-start-last": ("equilibrium.py", "attempts.insert(0, (_warm_start(load, start), 1))",
@@ -66,6 +67,12 @@ MUTANTS = {
                            "step = [-x / k for x in r]", ""),
     "singular-sign-1-joint": ("equilibrium.py", "if a != 0.0 else r / k)",
                               "if a != 0.0 else -r / k)", ""),
+    "one-free-step-without-k": ("equilibrium.py", "a = load.slope(point, free[0]) - k",
+                                "a = load.slope(point, free[0])", ""),
+    "singular-sign-one-free": ("equilibrium.py", "if a != 0.0 else r[0] / k]",
+                               "if a != 0.0 else -r[0] / k]", ""),
+    "active-appended": ("equilibrium.py", "insort(active, i)", "active.append(i)", ""),
+    "flip-keeps-joint": ("equilibrium.py", "active.remove(i)", "pass", ""),
     "regime-at-limit": ("chain.py", "if dk >= lim else", "if dk > lim else", ""),
     "closure-slack-1e-9": ("linkage.py", "l2 + l3 + 1e-12,", "l2 + l3 + 1e-9,", ""),
     "closure-term-sum": ("linkage.py", "l2 * l2 - l3 * l3,", "l2 * l2 + l3 * l3,", ""),
