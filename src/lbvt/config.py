@@ -4,7 +4,14 @@ The file's keys are MechanismConfig's fields, in order; each annotation picks
 the reader of its value. Fields in _DEGREES are degrees in the file and
 radians in the library, converted exactly here. Unknown keys are rejected and
 every field is required; a free-form provenance object and spring_arm_length,
-a field of older files that nothing read, are ignored on load.
+a field of older files that nothing read, are ignored on load. A file that is
+not UTF-8 text is a ConfigError naming its path, as a parse error is.
+
+json parses the file. The writer writes it field by field, in the very bytes
+json.dumps(doc, indent=2) gave for the whole document: finite floats, ints
+and tuples of them directly, every other value and the provenance through
+json. Each reader takes what a file holds (a float, a list of floats) as it
+is, and reads anything else element by element.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ _IGNORED_KEYS = {"provenance", "spring_arm_length"}
 
 
 def _require_number(raw, path: str) -> float:
+    if type(raw) is float:  # what a file holds, read as it is
+        return raw
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(raw).__name__}")
     try:
@@ -37,6 +46,8 @@ def _require_int(raw, path: str) -> int:
 def _require_number_list(raw, path: str) -> tuple[float, ...]:
     if not isinstance(raw, (list, tuple)):  # a tuple only from a config built in Python
         raise ConfigError(f"{path}: expected a list of numbers, got {type(raw).__name__}")
+    if all(type(v) is float for v in raw):  # what a file holds, read as it is
+        return tuple(raw)
     return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
 
 
@@ -66,6 +77,8 @@ def load_config(path) -> MechanismConfig:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -99,18 +112,49 @@ def load_config(path) -> MechanismConfig:
 def save_config(config: MechanismConfig, path, provenance: dict | None = None) -> int:
     """Write a config file (degrees for angle fields); returns bytes written.
 
+    The file is written field by field, in the bytes json.dumps(doc,
+    indent=2) gave for the document: the provenance, if given, then every
+    field in schema order. The provenance and any value that is not a finite
+    float, an int or a tuple of them still go through json. A value json
+    refuses raises json's exception; the file is opened only once the whole
+    text is built, so then nothing is written.
+
     A save/load round trip is not bit-exact: math.radians(math.degrees(x))
     can differ from x in its last bits (60 of 320 calibrated configs reload
     unequal, by at most 1.8e-16 relative). A correctly rounded
     degree-to-radian conversion on load would make it exact (ROADMAP item 10).
     """
-    doc: dict = {}
-    if provenance is not None:
-        doc["provenance"] = provenance
+    doc: dict = {}  # every value converted before any is written, as json.dumps(doc) did
     for name, (_, degrees) in _SCHEMA.items():
         value = getattr(config, name)
-        doc[name] = _convert(value, math.degrees) if degrees else value  # tuples dump as lists
-    return _write(path, json.dumps(doc, indent=2) + "\n")
+        doc[name] = _convert(value, math.degrees) if degrees else value
+    lines = [] if provenance is None else [f'  "provenance": {_json_text(provenance)}']
+    lines.extend(f'  "{name}": {_field_text(value)}' for name, value in doc.items())
+    return _write(path, "{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def _field_text(value) -> str:
+    """A field value as json.dumps(doc, indent=2) writes it one level into the document.
+
+    A finite float, an int and a tuple of them are written directly (a tuple
+    as a list); anything else (NaN, infinity, a string, a bool, the list of a
+    refused tuple field) goes through json.
+    """
+    if type(value) is float and math.isfinite(value) or type(value) is int:
+        return repr(value)
+    if type(value) is tuple and all(type(v) is float and math.isfinite(v) or type(v) is int
+                                    for v in value):
+        return "[\n    " + ",\n    ".join(map(repr, value)) + "\n  ]" if value else "[]"
+    return _json_text(value)
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2), indented one level deeper.
+
+    json escapes every newline inside a string, so each newline of its text
+    starts a line of the nesting, which moves two spaces in.
+    """
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 def _write(destination, text: str) -> int:

@@ -111,17 +111,16 @@ class MechanismConfig:
                     refused[f.name] = str(exc)
                     continue
                 object.__setattr__(self, f.name, value)
-        from .chain import _chain_terms, _geometry  # deferred: import cycle
-        from .linkage import _closure_terms
 
         violations = _field_violations(self, refused)
         bearing, closed_lever, open_lever = math.nan, None, None
         if not violations:  # finite numbers, one phi and one non-negative limit per joint
-            for name, value in {**_chain_terms(self), **_closure_terms(self)}.items():
+            for name, value in {**_chain._chain_terms(self),
+                                **_linkage._closure_terms(self)}.items():
                 object.__setattr__(self, name, value)
-            _, (x, y) = _geometry(self, (0.0,) * self.n_joints)
+            _, (x, y) = _chain._geometry(self, (0.0,) * self.n_joints)
             bearing, closed_lever = math.atan2(y, x), math.hypot(x, y)
-            open_lever = math.hypot(*_geometry(self, self.joint_open_limit)[1])
+            open_lever = math.hypot(*_chain._geometry(self, self.joint_open_limit)[1])
         object.__setattr__(self, "lever_bearing", bearing)
         object.__setattr__(self, "_closed_lever", closed_lever)
         object.__setattr__(self, "_open_lever", open_lever)
@@ -132,7 +131,8 @@ class MechanismConfig:
         return len(self.segments)
 
 
-_TUPLE_FIELDS = tuple(f for f in fields(MechanismConfig) if f.type.startswith("tuple"))
+_FIELDS = fields(MechanismConfig)
+_TUPLE_FIELDS = tuple(f for f in _FIELDS if f.type.startswith("tuple"))
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def _field_violations(config: MechanismConfig, refused) -> list[str]:
 
     # getattr, not vars(config): building the instance dict slows every later
     # attribute read of this config in the kernels
-    for f in fields(config):
+    for f in _FIELDS:
         value = getattr(config, f.name)
         if f.type == "int":
             if type(value) is not int:
@@ -412,8 +412,6 @@ def _closure_violations(config: MechanismConfig) -> list[str]:
     circle of radius actuator_attach_ratio * l2 about the ground pivot, so
     the actuator length can reach 0 only when the actuator base lies on it.
     """
-    from . import linkage as _linkage  # deferred: import cycle
-
     closed, open_ = config._closed_lever, config._open_lever
     theta_far = _extreme_angle(config, math.pi)
     theta_near = _extreme_angle(config, 0.0)
@@ -441,3 +439,7 @@ def _closure_violations(config: MechanismConfig) -> list[str]:
             "input-bar ground pivot: the actuator length can reach 0"
         )
     return out
+
+
+# last, so that both modules find what they import from this one defined
+from . import chain as _chain, linkage as _linkage

@@ -200,6 +200,14 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "l2" in capsys.readouterr().err
 
 
+def test_validate_names_the_path_of_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(Path(DEFAULT).read_bytes().replace(b'"provenance"', b'"provenance\xff"'))
+    assert run(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"lbvt validate: {path}: not UTF-8 text: ") and "0xff" in err
+
+
 def test_solve_zero_force_reports_closed(capsys):
     assert run(["solve", DEFAULT, "--theta", "-88", "--force", "0"]) == 0
     out = capsys.readouterr().out

@@ -94,6 +94,20 @@ MUTANTS = {
     "preload-cap": ("model.py", "if config.alpha_preload > 2.0 * math.pi:",
                     "if config.alpha_preload > 4.0 * math.pi:", ""),
     "calibrate-cap": ("analysis.py", "turn = 2.0 * math.pi", "turn = 4.0 * math.pi", ""),
+    "writer-nan-as-nan": ("config.py", "if type(value) is float and math.isfinite(value) or",
+                          "if type(value) is float or", ""),
+    "writer-tuple-nan-as-nan": ("config.py", "type(v) is float and math.isfinite(v) or",
+                                "type(v) is float or", ""),
+    "provenance-not-reindented": ("config.py", "{_json_text(provenance)}",
+                                  "{json.dumps(provenance, indent=2)}", ""),
+    "empty-tuple-as-open-list": ("config.py", 'if value else "[]"', 'if value else "[\\n  ]"',
+                                 ""),
+    "list-fast-path-admits-bool": ("config.py", "if all(type(v) is float for v in raw):",
+                                   "if all(type(v) in (float, bool) for v in raw):", ""),
+    "number-fast-path-admits-int": ("config.py", "if type(raw) is float:",
+                                    "if type(raw) in (float, int):", ""),
+    "utf8-error-unnamed": ("config.py", 'raise ConfigError(f"{path}: not UTF-8 text: {exc}")',
+                           'raise ConfigError(f"not UTF-8 text: {exc}")', ""),
     "ignored-keys": ("config.py", '_IGNORED_KEYS = {"provenance", "spring_arm_length"}',
                      '_IGNORED_KEYS = {"provenance"}', ""),
     "csv-8-digits": ("analysis.py", 'format(float(v), ".9g")', 'format(float(v), ".8g")', ""),
@@ -108,6 +122,8 @@ MUTANTS = {
                                'object.__setattr__(self, "_open_lever", closed_lever)', ""),
     "closed-slot-unguarded": ("model.py", "if not violations:  # finite numbers",
                               "if True:  # finite numbers", ""),
+    "field-checks-tuples-only": ("model.py", "    for f in _FIELDS:\n",
+                                 "    for f in _TUPLE_FIELDS:\n", ""),
     "gate-off": ("model.py", "if config._violations:", "if False:", ""),
     "gate-skipped-solve": ("equilibrium.py", "    _require_valid(config)\n    # a NaN force",
                            "    # a NaN force", ""),
