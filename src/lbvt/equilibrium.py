@@ -29,9 +29,10 @@ residual norm, and the full step of the free joints is clamped to the travel
 limits. Once every active joint is pinned the run ends with no further
 evaluation, and the scan flips the pinned joints one per pass. One free
 joint, alone in its run or left free by the others' pins, steps on its slope
-(_LoadMap.slope, the 1x1 jacobian as a float); two or more solve the
-jacobian of _LoadMap.derivative. Torque exactly
-at the holding threshold keeps a joint closed. The scheme is deterministic:
+(_LoadMap.slope, the 1x1 jacobian as a float); two read _LoadMap.pair, the
+2x2 jacobian as four floats, and take its closed form; three or more
+eliminate on the jacobian of _LoadMap.derivative. Torque exactly at the
+holding threshold keeps a joint closed. The scheme is deterministic:
 identical inputs give identical results. The Newton jacobian is analytic:
 opening joint j rotates the chain tip and every later pivot about pivot j, and
 only the closure jacobian's dependence on the lever length is differenced,
@@ -146,7 +147,7 @@ class _LoadMap:
 
         with c_j = w_j x t. dJ/dl4 in s' is one forward difference in l4, one
         closure-kernel call at l4 + _DL4 (_scales). The rows are nested lists;
-        slope gives one diagonal entry as a float.
+        slope gives one diagonal entry as a float, pair one 2x2 block as four.
         """
         _, l4, jac, pivots = point
         scale, ds = self._scales(l4, jac)
@@ -175,6 +176,25 @@ class _LoadMap:
         wx, wy = tx - px, ty - py
         c = wx * ty - wy * tx
         return ds * (wx * tx + wy * ty) * c + scale * (c + wx * wy - wy * wx)
+
+    def pair(self, point, i, j):
+        """derivative(point, [i, j]) as four floats (a_ii, a_ij, a_ji, a_jj).
+
+        The same floating-point operations in the same order, with no lists.
+        """
+        _, l4, jac, pivots = point
+        scale, ds = self._scales(l4, jac)
+        tx, ty = pivots[-1]
+        px, py = pivots[i]
+        ix, iy = tx - px, ty - py
+        ci, gi = ix * ty - iy * tx, ds * (ix * tx + iy * ty)
+        px, py = pivots[j]
+        jx, jy = tx - px, ty - py
+        cj, gj = jx * ty - jy * tx, ds * (jx * tx + jy * ty)
+        return (gi * ci + scale * (ci + ix * iy - iy * ix),
+                gi * cj + scale * (cj + jx * iy - jy * ix),
+                gj * ci + scale * (cj + ix * jy - iy * jx),
+                gj * cj + scale * (cj + jx * jy - jy * jx))
 
     def _scales(self, l4, jac):
         """(s, ds/dl4 / l4) at lever l4 and kernel value jac, with s = J(l4) f / l4^2.
@@ -266,20 +286,12 @@ def _scan(d, regimes, torques, k, a0, limits):
 def _solve_small(jac, r):
     """Newton step -jac\\r in floats; None if jac is singular (a zero pivot).
 
-    2x2 systems, the common ones, take the closed form; others Gaussian
-    elimination with partial pivoting. The solver sends no 1x1 system here:
-    one free joint steps on its slope, with the operations elimination
-    would make, (-r - 0) / jac.
+    Gaussian elimination with partial pivoting. The solver sends it three or
+    more rows only: one free joint steps on its slope, with the operations
+    elimination would make, (-r - 0) / jac, and two take the 2x2 closed form
+    on load.pair's floats in _newton_active.
     """
     m = len(r)
-    if m == 2:
-        det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-        if det == 0.0:
-            return None
-        return [
-            (-r[0] * jac[1][1] + r[1] * jac[0][1]) / det,
-            (-r[1] * jac[0][0] + r[0] * jac[1][0]) / det,
-        ]
     rows = [row + [-x] for row, x in zip(jac, r)]  # augmented, so jac is not changed
     for c in range(m):
         p, best = c, abs(rows[c][c])
@@ -327,10 +339,12 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
     step can map a point to its mirror image at the same norm. Accepting
     equal norms would replay such a 2-cycle for all MAX_INNER passes.
 
-    The jacobian comes from load.derivative (analytic, minus k on the
-    diagonal) over the free joints, at the point the last step reached; a
-    lone free joint takes _newton_one's step on load.slope instead, the same
-    operations as elimination's -r / (J - k) on the 1x1 system. A
+    The jacobian is analytic, minus k on the diagonal, over the free joints,
+    at the point the last step reached. One free joint takes _newton_one's
+    step on load.slope, the same operations as elimination's -r / (J - k) on
+    the 1x1 system; two read load.pair and take the 2x2 closed form (Cramer's
+    rule) on floats, or the singular step when the determinant is 0; three
+    or more eliminate on load.derivative's rows (_solve_small). A
     step that leaves d unchanged ends the loop before it is evaluated: every
     later pass would rebuild the same jacobian and take the same step. So
     does a trial with a NaN deflection, which the clamp lets through: the
@@ -350,6 +364,16 @@ def _newton_active(load, d, point, active, k, a0, limits, tol=_INNER_TOL):
         if len(free) == 1:  # _newton_one's step
             a = load.slope(point, free[0]) - k
             step = [-r[0] / a if a != 0.0 else r[0] / k]
+        elif len(free) == 2:  # the 2x2 closed form on floats
+            a, b, c, e = load.pair(point, *free)
+            a -= k
+            e -= k
+            r0, r1 = r
+            det = a * e - b * c
+            if det == 0.0:
+                step = [r0 / k, r1 / k]  # singular: the step with the load held, jac = -k
+            else:
+                step = [(-r0 * e + r1 * b) / det, (-r1 * a + r0 * c) / det]
         else:
             jac = load.derivative(point, free)
             for i, row in enumerate(jac):

@@ -317,6 +317,9 @@ class _ConstantLoad:
     def slope(self, point, j):
         return 0.0
 
+    def pair(self, point, i, j):
+        return 0.0, 0.0, 0.0, 0.0
+
 
 class _SingularLoad(_ConstantLoad):
     """Constant torque whose derivative is k = 1: the Newton system k - k is singular."""
@@ -326,6 +329,9 @@ class _SingularLoad(_ConstantLoad):
 
     def slope(self, point, j):
         return 1.0
+
+    def pair(self, point, i, j):
+        return 1.0, 0.0, 0.0, 1.0
 
 
 @pytest.mark.parametrize("d0", [0.0, 0.2])
@@ -344,6 +350,14 @@ def test_singular_two_joint_system_takes_the_step_with_the_load_held():
     d = [0.0, 0.2]
     equilibrium._newton_active(load, d, load.evaluate(d), [0, 1], 1.0, 0.1, (0.3, 0.3))
     assert d == pytest.approx([0.05, 0.05], abs=1e-15)
+
+
+def test_singular_three_joint_system_takes_the_step_with_the_load_held():
+    # three free joints eliminate, and the zero pivot takes the same step
+    load = _SingularLoad(0.15, 3)
+    d = [0.0, 0.2, 0.1]
+    equilibrium._newton_active(load, d, load.evaluate(d), [0, 1, 2], 1.0, 0.1, (0.3,) * 3)
+    assert d == pytest.approx([0.05] * 3, abs=1e-15)
 
 
 def test_one_free_joint_of_a_singular_system_takes_the_step_with_the_load_held(monkeypatch):
@@ -598,6 +612,10 @@ class _HeldStopLoad:
         (row,) = self.derivative(point, [j])
         return row[0]
 
+    def pair(self, point, i, j):
+        (a, b), (c, e) = self.derivative(point, [i, j])
+        return a, b, c, e
+
 
 def test_joint_pinned_at_its_stop_is_held_while_the_free_joint_converges(monkeypatch):
     # the pinned joint never moves and never enters the Newton system, and
@@ -628,11 +646,12 @@ def test_run_with_every_active_joint_pinned_takes_no_derivative(monkeypatch, act
     point = (torques, 1.0, 1.0, None)
     derivatives = count_calls(monkeypatch, _ConstantLoad, "derivative")
     slopes = count_calls(monkeypatch, _ConstantLoad, "slope")
+    pairs = count_calls(monkeypatch, _ConstantLoad, "pair")
     evaluations = count_calls(monkeypatch, _ConstantLoad, "evaluate")
     d = list(d0)
     assert equilibrium._newton_active(load, d, point, active, 1.0, 0.1, (0.3,) * len(active)) \
         is point
-    assert d == d0 and derivatives[0] == slopes[0] == evaluations[0] == 0
+    assert d == d0 and derivatives[0] == slopes[0] == pairs[0] == evaluations[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -705,16 +724,17 @@ def test_load_evaluations_on_random_inputs(default_config, monkeypatch):
     # the closed state again; 21.2, 66 and 64 when its intermediate rungs
     # were solved to _INNER_TOL and each re-evaluated its start); accepting
     # steps that keep the residual took 99 jacobians. A one-joint run's 1x1
-    # jacobian is a slope.
+    # jacobian is a slope, a two-joint run's 2x2 jacobian a pair.
     evaluations = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     derivatives = count_calls(monkeypatch, equilibrium._LoadMap, "derivative")
     slopes = count_calls(monkeypatch, equilibrium._LoadMap, "slope")
+    pairs = count_calls(monkeypatch, equilibrium._LoadMap, "pair")
     per_evaluations, per_jacobians = [], []
     for theta, f in _criterion_7_inputs(default_config, 1000):
-        before = evaluations[0], derivatives[0] + slopes[0]
+        before = evaluations[0], derivatives[0] + slopes[0] + pairs[0]
         solve_equilibrium(default_config, theta, f)
         per_evaluations.append(evaluations[0] - before[0])
-        per_jacobians.append(derivatives[0] + slopes[0] - before[1])
+        per_jacobians.append(derivatives[0] + slopes[0] + pairs[0] - before[1])
     assert sum(per_evaluations) / len(per_evaluations) <= 11.2
     assert max(per_evaluations) <= 27
     assert max(per_jacobians) <= 28
@@ -723,17 +743,43 @@ def test_load_evaluations_on_random_inputs(default_config, monkeypatch):
 
 def test_closure_kernel_calls_on_random_inputs(default_config, monkeypatch):
     # a cold solve calls the closure kernel once per evaluation and once per
-    # derivative or slope, for its forward difference: 21,900 calls when
-    # measured, for 11,110 evaluations and 10,790 derivatives and slopes
+    # derivative, slope or pair, for its forward difference: 21,900 calls when
+    # measured, for 11,110 evaluations and 10,790 derivatives, slopes and pairs
     # (21,205 calls while a point kept the forward-difference value for a
     # later derivative at its geometry)
     calls = count_calls(monkeypatch, linkage, "_closure_kernel")
     evaluations = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
     derivatives = count_calls(monkeypatch, equilibrium._LoadMap, "derivative")
     slopes = count_calls(monkeypatch, equilibrium._LoadMap, "slope")
+    pairs = count_calls(monkeypatch, equilibrium._LoadMap, "pair")
     for theta, f in _criterion_7_inputs(default_config, 1000):
         solve_equilibrium(default_config, theta, f)
-    assert calls[0] == evaluations[0] + derivatives[0] + slopes[0]
+    assert calls[0] == evaluations[0] + derivatives[0] + slopes[0] + pairs[0]
+
+
+def test_newton_systems_by_size_on_random_inputs(default_config, monkeypatch):
+    # most Newton systems past the trigger have two free joints: they read a
+    # pair and take the 2x2 closed form, and only three or more free joints
+    # build the derivative's rows and eliminate. Measured: 2,261 pairs and 370
+    # three-joint derivatives and eliminations (2,631 derivatives and solves
+    # while the 2x2 systems went through derivative and _solve_small), with
+    # the evaluations and closure-kernel calls unchanged
+    sizes = []
+    derivative = equilibrium._LoadMap.derivative
+
+    def sized(self, point, active):
+        sizes.append(len(active))
+        return derivative(self, point, active)
+
+    monkeypatch.setattr(equilibrium._LoadMap, "derivative", sized)
+    pairs = count_calls(monkeypatch, equilibrium._LoadMap, "pair")
+    solves = count_calls(monkeypatch, equilibrium, "_solve_small")
+    evaluations = count_calls(monkeypatch, equilibrium._LoadMap, "evaluate")
+    calls = count_calls(monkeypatch, linkage, "_closure_kernel")
+    for theta, f in _criterion_7_inputs(default_config, 1000):
+        solve_equilibrium(default_config, theta, f)
+    assert (pairs[0], len(sizes), set(sizes), solves[0]) == (2261, 370, {3}, 370)
+    assert (evaluations[0], calls[0]) == (11_110, 21_900)
 
 
 def test_rung_tolerance_keeps_the_convergence_set(default_config, base_config, monkeypatch):
@@ -948,6 +994,9 @@ def test_load_map_derivative_matches_central_differences(default_config):
             for i in range(6):
                 assert full[i][j] == pytest.approx(column[i], rel=0.0, abs=tol)
             assert load.slope(point, j) == full[j][j]  # bit for bit
+        for i in range(6):
+            for j in range(i + 1, 6):  # bit for bit
+                assert load.pair(point, i, j) == (full[i][i], full[i][j], full[j][i], full[j][j])
         picked = rng.choice(6, size=int(rng.integers(1, 6)), replace=False)
         active = sorted(int(i) for i in picked)
         sub = load.derivative(point, active)

@@ -16,10 +16,15 @@ in the layout of BENCH_13.json: per workload and side the median, quartiles
 (inclusive method) and sorted runs of every end-to-end metric, failed over
 attempted ops, the pairs the change won (ties count for neither side) and
 the change of the medians in percent. Which way is better comes from
-BENCHMARK.json. --per-layer adds one `--trace 1` run per side for a
-workload. If BENCH_<pr>.json exists, the run is a repeat on other seeds:
-the file keeps its first run as "benchmark" and appends this one to
-"repeats". Standard library only; the runs print their progress to stderr.
+BENCHMARK.json. The claimed line states whether the gain rule holds: the
+change wins at least WINS_TO_CLAIM of the pairs, and its median is better
+than the parent's by more than the parent's quartile span. --per-layer adds
+TRACED_RUNS alternating `--trace 1` runs per side for a workload, on the
+seeds after the pairs', and stores each per-layer metric's median,
+quartiles and runs. If BENCH_<pr>.json exists, the run is a repeat on
+other seeds: the file keeps its first run as "benchmark" and appends this
+one to "repeats". Standard library only; the runs print their progress to
+stderr.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ import sys
 from pathlib import Path
 
 PAIRS = 10
+WINS_TO_CLAIM = 9  # of PAIRS, for the gain rule
+TRACED_RUNS = 5  # per side, for --per-layer
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -56,6 +63,12 @@ def summary(values: list[float]) -> dict:
 
 def better(a: float, b: float, direction: str) -> bool:
     return a < b if direction == "lower" else a > b
+
+
+def alternating(seeds: list[int]) -> list[tuple[int, str]]:
+    """(seed, side) in run order: the parent goes first for odd seeds, the change for even."""
+    return [(seed, side) for seed in seeds
+            for side in (("parent", "change") if seed % 2 else ("change", "parent"))]
 
 
 def machine() -> dict:
@@ -102,14 +115,12 @@ def main() -> int:
     workloads = {}
     for workload in (w["name"] for w in declared["workloads"]):
         results = {"parent": [], "change": []}
-        for seed in seeds:
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
-                result = run_bench(sides[side], workload, seed, seconds, 0)
-                results[side].append(result)
-                print(f"{workload} seed {seed} {side}: " + ", ".join(
-                    f"{name} {result['metrics'][name]['value']:.4g}" for name in directions),
-                    file=sys.stderr)
+        for seed, side in alternating(seeds):
+            result = run_bench(sides[side], workload, seed, seconds, 0)
+            results[side].append(result)
+            print(f"{workload} seed {seed} {side}: " + ", ".join(
+                f"{name} {result['metrics'][name]['value']:.4g}" for name in directions),
+                file=sys.stderr)
         entry = {}
         for side, runs in results.items():
             entry[side] = {name: summary([r["metrics"][name]["value"] for r in runs])
@@ -131,10 +142,15 @@ def main() -> int:
         workload, name = args.claim.split(":")
         entry = workloads[workload]
         p, c = entry["parent"][name], entry["change"][name]
+        wins, span = entry["change_wins_of_pairs"][name], p["q3"] - p["q1"]
+        holds = (wins >= WINS_TO_CLAIM and better(c["median"], p["median"], directions[name])
+                 and abs(c["median"] - p["median"]) > span)
         claimed = (f"{workload} {name}: {p['median']} -> {c['median']} "
                    f"({entry['median_change_pct'][name]:+.1f}%), better in "
-                   f"{entry['change_wins_of_pairs'][name]} of {len(seeds)} pairs; "
-                   f"the parent's quartiles span {p['q3'] - p['q1']:.4g}")
+                   f"{wins} of {len(seeds)} pairs; the parent's quartiles span {span:.4g}; "
+                   f"the gain rule (at least {WINS_TO_CLAIM} of {len(seeds)} pairs won, "
+                   f"medians apart by more than that span) "
+                   f"{'holds' if holds else 'does not hold'}")
 
     report = {
         "change": args.change_note,
@@ -155,14 +171,19 @@ def main() -> int:
         },
     }
     if args.per_layer:
-        seed = seeds[-1] + 1
-        traced = {side: run_bench(path, args.per_layer, seed, seconds, 1)["metrics"]
-                  for side, path in sides.items()}
+        traced_seeds = list(range(seeds[-1] + 1, seeds[-1] + 1 + TRACED_RUNS))
+        traced = {"parent": [], "change": []}
+        for seed, side in alternating(traced_seeds):
+            traced[side].append(run_bench(sides[side], args.per_layer, seed, seconds,
+                                          1)["metrics"])
+            print(f"{args.per_layer} traced seed {seed} {side}", file=sys.stderr)
         report[f"per_layer_{args.per_layer}"] = {
-            "how": f"python3 bench/run.py --workload {args.per_layer} --seed {seed} "
-                   f"--seconds {seconds:g} --trace 1, one run per side",
-            **{side: {name: round(m["value"], 4) for name, m in metrics.items()}
-               for side, metrics in traced.items()},
+            "how": f"python3 bench/run.py --workload {args.per_layer} --seed S "
+                   f"--seconds {seconds:g} --trace 1, {TRACED_RUNS} runs per side in the "
+                   "pairs' alternating order; median, quartiles and runs per metric",
+            "seeds": traced_seeds,
+            **{side: {name: summary([m[name]["value"] for m in runs]) for name in runs[0]}
+               for side, runs in traced.items()},
         }
     out = Path(f"BENCH_{args.pr}.json")
     if out.exists():
