@@ -17,11 +17,21 @@ from __future__ import annotations
 import math
 from math import cos, sin
 
-from .model import ChainState, MechanismConfig, Regime, _require_valid
+from .model import (ChainState, ConfigError, MechanismConfig, Regime, _require_number_list,
+                    _require_valid)
 
 
 def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
-    d = tuple(float(x) for x in deflection)
+    """deflection as a tuple of floats, each read as a config file's number is.
+
+    Any iterable of numbers reads; a string, a bool or a numpy scalar that is
+    not a float is a ValueError naming deflection[k], as is a value outside
+    its joint's travel.
+    """
+    try:
+        d = _require_number_list(tuple(deflection), "deflection")
+    except ConfigError as exc:  # an argument, not a config field
+        raise ValueError(str(exc)) from None
     if len(d) != config.n_joints:
         raise ValueError(f"expected {config.n_joints} deflections, got {len(d)}")
     for k, (dk, lim) in enumerate(zip(d, config.joint_open_limit)):

@@ -10,59 +10,22 @@ not UTF-8 text is a ConfigError naming its path, as a parse error is.
 json parses the file. The writer writes it field by field, in the very bytes
 json.dumps(doc, indent=2) gave for the whole document: finite floats, ints
 and tuples of them directly, every other value and the provenance through
-json. Each reader takes what a file holds (a float, a list of floats) as it
-is, and reads anything else element by element.
+json. The readers live in model.py, because a config built in Python reads
+its fields with them too. Each takes what a file holds (a float, a list of
+floats) as it is, and reads anything else element by element.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
-from .model import ConfigError, MechanismConfig, validate_config
+from .model import _KINDS, _READERS, ConfigError, MechanismConfig, validate_config
 
 _DEGREES = {"beta", "phi", "alpha_preload", "joint_open_limit", "theta_min", "theta_max"}
 _IGNORED_KEYS = {"provenance", "spring_arm_length"}
-
-
-def _require_number(raw, path: str) -> float:
-    if type(raw) is float:  # what a file holds, read as it is
-        return raw
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {type(raw).__name__}")
-    try:
-        return float(raw)
-    except OverflowError:  # an integer with too many digits for a float
-        raise ConfigError(f"{path}: integer too large for a float") from None
-
-
-def _require_int(raw, path: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{path}: expected an integer, got {type(raw).__name__}")
-    return raw
-
-
-def _require_number_list(raw, path: str) -> tuple[float, ...]:
-    if not isinstance(raw, (list, tuple)):  # a tuple only from a config built in Python
-        raise ConfigError(f"{path}: expected a list of numbers, got {type(raw).__name__}")
-    if all(type(v) is float for v in raw):  # what a file holds, read as it is
-        return tuple(raw)
-    return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
-
-
-def _require_pair(raw, path: str) -> tuple[float, float]:
-    pair = _require_number_list(raw, path)
-    if len(pair) != 2:
-        raise ConfigError(f"{path}: expected exactly two coordinates, got {len(pair)}")
-    return pair
-
-
-_READERS = {"float": _require_number, "int": _require_int,
-            "tuple[float, ...]": _require_number_list, "tuple[float, float]": _require_pair}
 # field name -> (reader, is an angle), in file key order
-_SCHEMA = {f.name: (_READERS[f.type], f.name in _DEGREES)
-           for f in dataclasses.fields(MechanismConfig)}
+_SCHEMA = {name: (_READERS[kind], name in _DEGREES) for name, kind in _KINDS}
 
 
 def _convert(value, unit):

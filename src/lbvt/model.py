@@ -70,16 +70,17 @@ class MechanismConfig:
     chain.open_lever).
     Nor is _violations, validate_config's verdict as a tuple, nor are the
     kernels' config-only terms (chain._chain_terms and
-    linkage._closure_terms). A tuple field holding anything but floats, or a
-    pair without two of them, is read as config.py reads the field in a
-    file: an int becomes a float; a string, a bool, a numpy scalar that is
-    not a float, or a sequence that is not a list or tuple (a numpy array, a
-    range, a generator) is a violation. The field checks run first; only a
-    config that passes them gets its kernel terms, bearing and levers
-    (otherwise no terms, and NaN and None, which no entry reads, since every
-    entry refuses an invalid config), and then the closure check, which
-    reads them. dataclasses.replace makes a modified copy, which recomputes
-    the terms, the bearing, both levers and the verdict.
+    linkage._closure_terms). Every field, scalar or tuple, is read as
+    config.py reads its value in a file (_READERS): an int or a float
+    subclass in a float field becomes a float, a list a tuple of floats; a
+    string, a bool, a numpy scalar that is not a float, or a sequence that is
+    not a list or tuple is a violation, worded as the reader words it. The
+    field checks run first; only a config that passes them gets its kernel
+    terms, bearing and levers (otherwise no terms, and NaN and None, which
+    no entry reads, since every entry refuses an invalid config), and then
+    the closure check, which reads them. dataclasses.replace makes a
+    modified copy, which recomputes the terms, the bearing, both levers and
+    the verdict.
     """
 
     l1: float
@@ -100,17 +101,16 @@ class MechanismConfig:
     branch_sign: int = 1
 
     def __post_init__(self) -> None:
-        refused = {}  # tuple field -> config.py's message for it; the field stays as given
-        for f in _TUPLE_FIELDS:
-            value = getattr(self, f.name)
-            if (type(value) is not tuple or not all(type(v) is float for v in value)
-                    or f.type == "tuple[float, float]" and len(value) != 2):
-                try:  # ints, lists and float subclasses read as a file's numbers do
-                    value = _read(f, value)
+        refused = {}  # field -> its reader's message; the field stays as given
+        for name, kind in _KINDS:
+            value = getattr(self, name)
+            if not _is_read(value, kind):
+                try:
+                    value = _READERS[kind](value, name)
                 except ConfigError as exc:
-                    refused[f.name] = str(exc)
+                    refused[name] = str(exc)
                     continue
-                object.__setattr__(self, f.name, value)
+                object.__setattr__(self, name, value)
 
         violations = _field_violations(self, refused)
         bearing, closed_lever, open_lever = math.nan, None, None
@@ -131,8 +131,54 @@ class MechanismConfig:
         return len(self.segments)
 
 
-_FIELDS = fields(MechanismConfig)
-_TUPLE_FIELDS = tuple(f for f in _FIELDS if f.type.startswith("tuple"))
+_KINDS = tuple((f.name, f.type) for f in fields(MechanismConfig))  # (name, type), in order
+
+
+def _is_read(value, kind: str) -> bool:
+    """Whether value is already what the reader of a field of type kind returns."""
+    if kind == "float":
+        return type(value) is float
+    if kind == "int":
+        return type(value) is int
+    return (type(value) is tuple and all(type(v) is float for v in value)
+            and (kind != "tuple[float, float]" or len(value) == 2))
+
+
+def _require_number(raw, path: str) -> float:
+    if type(raw) is float:  # what a file holds, read as it is
+        return raw
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {type(raw).__name__}")
+    try:
+        return float(raw)
+    except OverflowError:  # an integer with too many digits for a float
+        raise ConfigError(f"{path}: integer too large for a float") from None
+
+
+def _require_int(raw, path: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{path}: expected an integer, got {type(raw).__name__}")
+    return raw
+
+
+def _require_number_list(raw, path: str) -> tuple[float, ...]:
+    if not isinstance(raw, (list, tuple)):  # a tuple only from a config built in Python
+        raise ConfigError(f"{path}: expected a list of numbers, got {type(raw).__name__}")
+    if all(type(v) is float for v in raw):  # what a file holds, read as it is
+        return tuple(raw)
+    return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
+
+
+def _require_pair(raw, path: str) -> tuple[float, float]:
+    pair = _require_number_list(raw, path)
+    if len(pair) != 2:
+        raise ConfigError(f"{path}: expected exactly two coordinates, got {len(pair)}")
+    return pair
+
+
+# field type -> the reader of its value, for config files and configs built in Python alike
+_READERS = {"float": _require_number, "int": _require_int,
+            "tuple[float, ...]": _require_number_list, "tuple[float, float]": _require_pair}
 
 
 @dataclass(frozen=True)
@@ -229,16 +275,17 @@ class SweepTable:
 
 
 def per_joint_stiffness(config: MechanismConfig) -> float:
-    """Torsional stiffness of one chain joint: parallel springs add."""
+    """Torsional stiffness of one chain joint: parallel springs add.
+
+    Not gated by validation: _field_violations calls it while the config is
+    built, before the verdict exists.
+    """
     return config.springs_per_joint * config.k_spring
 
 
 def total_stiffness(config: MechanismConfig) -> float:
     """Series stiffness of the whole chain, 1/k_total = sum of 1/k_joint."""
-    k_joint = per_joint_stiffness(config)
-    if k_joint <= 0.0:
-        raise ConfigError(f"per-joint stiffness must be positive, got {k_joint}")
-    return 1.0 / (config.n_joints / k_joint)
+    return 1.0 / (_require_valid(config).n_joints / per_joint_stiffness(config))
 
 
 def validate_config(config: MechanismConfig) -> list[str]:
@@ -269,35 +316,31 @@ def _require_valid(config: MechanismConfig) -> MechanismConfig:
 def _field_violations(config: MechanismConfig, refused) -> list[str]:
     """The violated invariants that each field decides on its own, in two stages.
 
-    First every field must hold what config.py's reader of it accepts in a
-    file, and every number must be finite: a value of another type, a tuple
-    field the reader refused when the config was built (refused maps its
-    name to the reader's message), an int too large for a float in a float
-    field, or a NaN or infinite number is reported by name (with its index
-    in a tuple field), once. Only when all pass, each field is checked on
-    its own: signs, counts, ranges, and a per-joint stiffness
-    springs_per_joint * k_spring that overflows; alpha_preload must lie in
-    [0, 2*pi], at most one turn of a torsion spring.
+    First every field must have been read (refused maps each field whose
+    reader refused its value when the config was built to the reader's
+    message), and every number must be finite: a refused field, or a NaN or
+    infinite number, is reported by name (with its index in a tuple field),
+    once. Only when all pass, each field is checked on its own: signs,
+    counts, ranges, and a per-joint stiffness springs_per_joint * k_spring
+    that overflows; alpha_preload must lie in [0, 2*pi], at most one turn of
+    a torsion spring.
     """
     v: list[str] = []
 
     # getattr, not vars(config): building the instance dict slows every later
     # attribute read of this config in the kernels
-    for f in _FIELDS:
-        value = getattr(config, f.name)
-        if f.type == "int":
-            if type(value) is not int:
-                v.extend(_misread(f, value))
-        elif f.type == "float":
-            if not isinstance(value, float):  # an int or another type
-                v.extend(_misread(f, value))
-            elif not math.isfinite(value):
-                v.append(f"{f.name} must be finite, got {value}")
-        elif f.name in refused:
-            v.append(refused[f.name])
-        elif not all(map(math.isfinite, value)):
-            v.extend(f"{f.name}[{i}] must be finite, got {x}"
-                     for i, x in enumerate(value) if not math.isfinite(x))
+    for name, kind in _KINDS:
+        if name in refused:
+            v.append(refused[name])
+        elif kind == "float":
+            value = getattr(config, name)
+            if not math.isfinite(value):
+                v.append(f"{name} must be finite, got {value}")
+        elif kind != "int":
+            value = getattr(config, name)
+            if not all(map(math.isfinite, value)):
+                v.extend(f"{name}[{i}] must be finite, got {x}"
+                         for i, x in enumerate(value) if not math.isfinite(x))
     if v:  # a malformed or non-finite number would break or fail the checks below
         return v
 
@@ -354,26 +397,6 @@ def _field_violations(config: MechanismConfig, refused) -> list[str]:
         if not (-math.pi < value <= 0.0):
             v.append(f"{name} must lie in (-pi, 0], got {value}")
     return v
-
-
-def _read(f, value):
-    """value as config.py's reader of field f reads it in a file; ConfigError if it refuses."""
-    from .config import _READERS  # deferred: import cycle
-
-    return _READERS[f.type](value, f.name)
-
-
-def _misread(f, value) -> list[str]:
-    """config.py's message for a field value its reader refuses in a file; [] if it reads.
-
-    Runs only for a value of another type than the field's annotation, so a
-    well-formed config reads no reader.
-    """
-    try:
-        _read(f, value)
-    except ConfigError as exc:
-        return [str(exc)]
-    return []
 
 
 def _extreme_angle(config: MechanismConfig, phase: float) -> float:

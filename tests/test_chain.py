@@ -191,6 +191,35 @@ def test_nan_deflection_is_out_of_range(default_config, check):
         check(default_config, d)
 
 
+_NOT_A_NUMBER = {"str": "0", "bool": False, "float32": np.float32(0.0)}
+
+
+@pytest.mark.parametrize("check", [
+    chain.make_chain_state,
+    lambda cfg, d: chain.joint_torques(cfg, d, 1.0),
+], ids=["make_chain_state", "joint_torques"])
+@pytest.mark.parametrize("kind", _NOT_A_NUMBER, ids=list(_NOT_A_NUMBER))
+def test_a_deflection_that_is_not_a_number_is_refused(default_config, check, kind):
+    # read as a config file's number is, but a deflection is an argument, so
+    # the error is a plain ValueError naming its index
+    d = [0.0] * 6
+    d[3] = _NOT_A_NUMBER[kind]
+    with pytest.raises(ValueError, match=rf"^deflection\[3\]: expected a number, got {kind}$") as exc:
+        check(default_config, d)
+    assert type(exc.value) is ValueError
+
+
+def test_any_iterable_of_deflections_reads_as_floats(default_config):
+    d = tuple(lim / 2 for lim in default_config.joint_open_limit)
+    state = chain.make_chain_state(default_config, d)
+    for given in (list(d), np.array(d), (x for x in d), [np.float64(x) for x in d]):
+        other = chain.make_chain_state(default_config, given)
+        assert repr(other) == repr(state)
+        assert all(type(x) is float for x in other.deflection)
+    assert chain.make_chain_state(default_config, [0] * 6) == chain.make_chain_state(
+        default_config, (0.0,) * 6)
+
+
 def test_torque_vanishes_when_load_aligns_with_arm():
     # single joint with its segment angled so the arm is perpendicular to the
     # tip ray: the tangential load then lies along the arm and sin(gamma) = 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lbvt
-from lbvt import config as config_io
+from lbvt import config as config_io, model
 from lbvt.cli import run
 from lbvt.config import load_config, save_config
 from lbvt.model import ConfigError
@@ -149,8 +149,8 @@ _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=6)
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(raw=_VALUES | st.lists(st.floats(), max_size=6) | st.just([]))
 def test_fast_readers_match_the_element_by_element_reader(raw):
-    assert _outcome(config_io._require_number, raw) == _outcome(_reference_number, raw)
-    assert (_outcome(config_io._require_number_list, raw)
+    assert _outcome(model._require_number, raw) == _outcome(_reference_number, raw)
+    assert (_outcome(model._require_number_list, raw)
             == _outcome(_reference_number_list, raw))
 
 

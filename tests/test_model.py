@@ -367,6 +367,43 @@ def test_float_field_holding_a_small_int_reads_as_its_float(default_config):
         assert validate_config(as_int) == validate_config(as_float), name
 
 
+class _Float(float):
+    """A float subclass of no library's, as numpy's float64 is one."""
+
+
+_SCALARS_GIVEN = {
+    "l1-int": ("l1", lambda c: 1),
+    "l1-float64": ("l1", lambda c: np.float64(c.l1)),
+    "alpha_preload-int": ("alpha_preload", lambda c: 0),
+    "alpha_preload-float64": ("alpha_preload", lambda c: np.float64(c.alpha_preload)),
+    "alpha_preload-subclass": ("alpha_preload", lambda c: _Float(c.alpha_preload)),
+}
+
+
+def _solved(config):
+    """repr of the -88 deg / 165 N solve on config, or of the error that refuses it."""
+    try:
+        return repr(equilibrium.solve_equilibrium(config, THETA_88, 165.0))
+    except ConfigError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("case", _SCALARS_GIVEN, ids=list(_SCALARS_GIVEN))
+def test_a_scalar_field_holds_its_value_as_a_float(default_config, case, tmp_path):
+    # as the same value in a tuple field or in a file: the config, its solve
+    # and its saved bytes are those of the config built from the float
+    name, make = _SCALARS_GIVEN[case]
+    value = make(default_config)
+    config = dataclasses.replace(default_config, **{name: value})
+    as_float = dataclasses.replace(default_config, **{name: float(value)})
+    assert type(getattr(config, name)) is float
+    assert repr(config) == repr(as_float)
+    assert _solved(config) == _solved(as_float)
+    save_config(config, tmp_path / "given.json")
+    save_config(as_float, tmp_path / "float.json")
+    assert (tmp_path / "given.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+
+
 def test_mismatched_joint_arrays_are_reported(default_config):
     bad = dataclasses.replace(default_config, phi=default_config.phi[:-1])
     assert any("phi" in v for v in validate_config(bad))
@@ -411,13 +448,17 @@ def test_total_stiffness_rejects_nonpositive_joints(default_config):
         total_stiffness(bad)
 
 
+def test_total_stiffness_refuses_a_non_finite_spring(default_config):
+    bad = dataclasses.replace(default_config, k_spring=math.nan)
+    with pytest.raises(ConfigError, match="^invalid config: k_spring must be finite, got nan$"):
+        total_stiffness(bad)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_series_stiffness_bounded_by_softest(default_config, n):
-    cfg = dataclasses.replace(
-        default_config, segments=(0.02,) * n,
-        phi=(0.0,) * n,
-        joint_open_limit=(0.1,) * n,
-    )
+    # valid n-joint chains: total_stiffness refuses a config that fails validation
+    cfg = default_config if n == 6 else reduced_chain(n)
+    assert cfg.n_joints == n and validate_config(cfg) == []
     assert total_stiffness(cfg) <= per_joint_stiffness(cfg) + 1e-15
 
 
@@ -533,6 +574,7 @@ _GATED_ENTRIES = {
     "triggering_force": lambda c: equilibrium.triggering_force(c, THETA_88),
     "calibrate": lambda c: analysis.calibrate(c, 20.0, 0.4, THETA_88),
     "ratio_step_direct": lambda c: analysis.ratio_step_direct(c, THETA_88),
+    "total_stiffness": total_stiffness,
     "closed_lever": chain.closed_lever,
     "open_lever": chain.open_lever,
     "joint_torques": lambda c: chain.joint_torques(c, (0.0,) * c.n_joints, 1.0),

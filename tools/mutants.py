@@ -93,9 +93,8 @@ MUTANTS = {
     "validation-stages-ungated": ("model.py", "    if v:  # a malformed or non-finite number "
                                   "would break or fail the checks below\n        return v\n",
                                   "", ""),
-    "pair-length-unchecked": ("model.py", " for v in value)\n"
-                              '                    or f.type == "tuple[float, float]" '
-                              "and len(value) != 2):", " for v in value)):", ""),
+    "pair-length-unchecked": ("model.py", "\n            and (kind != \"tuple[float, float]\" "
+                              "or len(value) == 2))", ")", ""),
     "preload-cap": ("model.py", "if config.alpha_preload > 2.0 * math.pi:",
                     "if config.alpha_preload > 4.0 * math.pi:", ""),
     "calibrate-cap": ("analysis.py", "turn = 2.0 * math.pi", "turn = 4.0 * math.pi", ""),
@@ -107,9 +106,9 @@ MUTANTS = {
                                   "{json.dumps(provenance, indent=2)}", ""),
     "empty-tuple-as-open-list": ("config.py", 'if value else "[]"', 'if value else "[\\n  ]"',
                                  ""),
-    "list-fast-path-admits-bool": ("config.py", "if all(type(v) is float for v in raw):",
+    "list-fast-path-admits-bool": ("model.py", "if all(type(v) is float for v in raw):",
                                    "if all(type(v) in (float, bool) for v in raw):", ""),
-    "number-fast-path-admits-int": ("config.py", "if type(raw) is float:",
+    "number-fast-path-admits-int": ("model.py", "if type(raw) is float:",
                                     "if type(raw) in (float, int):", ""),
     "utf8-error-unnamed": ("config.py", 'raise ConfigError(f"{path}: not UTF-8 text: {exc}")',
                            'raise ConfigError(f"not UTF-8 text: {exc}")', ""),
@@ -127,8 +126,13 @@ MUTANTS = {
                                'object.__setattr__(self, "_open_lever", closed_lever)', ""),
     "closed-slot-unguarded": ("model.py", "if not violations:  # finite numbers",
                               "if True:  # finite numbers", ""),
-    "field-checks-tuples-only": ("model.py", "    for f in _FIELDS:\n",
-                                 "    for f in _TUPLE_FIELDS:\n", ""),
+    "scalar-fields-unread": ("model.py", "            if not _is_read(value, kind):",
+                             '            if kind[0] == "t" and not _is_read(value, kind):', ""),
+    "total-stiffness-ungated": ("model.py", "return 1.0 / (_require_valid(config).n_joints",
+                                "return 1.0 / (config.n_joints", ""),
+    "deflection-float-read": ("chain.py",
+                              'd = _require_number_list(tuple(deflection), "deflection")',
+                              "d = tuple(float(x) for x in deflection)", ""),
     "gate-off": ("model.py", "if config._violations:", "if False:", ""),
     "gate-skipped-solve": ("equilibrium.py", "    _require_valid(config)\n    # a NaN force",
                            "    # a NaN force", ""),
