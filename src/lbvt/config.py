@@ -7,12 +7,13 @@ every field is required; a free-form provenance object and spring_arm_length,
 a field of older files that nothing read, are ignored on load. A file that is
 not UTF-8 text is a ConfigError naming its path, as a parse error is.
 
-json parses the file. The writer writes it field by field, in the very bytes
-json.dumps(doc, indent=2) gave for the whole document: finite floats, ints
-and tuples of them directly, every other value and the provenance through
-json. The readers live in model.py, because a config built in Python reads
-its fields with them too. Each takes what a file holds (a float, a list of
-floats) as it is, and reads anything else element by element.
+json parses the file, and the build reads and checks every value with the
+readers of model.py: load_config reads only an angle field, to convert it,
+and leaves each value a reader refuses to the build, so a bad file is one
+ConfigError that names the path and lists every violation. The writer takes
+only a valid config (model._require_valid) and writes it field by field, in
+the very bytes json.dumps(doc, indent=2) gave for the whole document; only a
+non-finite number and the provenance go through json.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from __future__ import annotations
 import json
 import math
 
-from .model import _KINDS, _READERS, ConfigError, MechanismConfig, validate_config
+from .model import (_FIELD_READERS, ConfigError, MechanismConfig, _require_valid,
+                    validate_config)
 
 _DEGREES = {"beta", "phi", "alpha_preload", "joint_open_limit", "theta_min", "theta_max"}
 _IGNORED_KEYS = {"provenance", "spring_arm_length"}
 # field name -> (reader, is an angle), in file key order
-_SCHEMA = {name: (_READERS[kind], name in _DEGREES) for name, kind in _KINDS}
+_SCHEMA = {name: (read, name in _DEGREES) for name, read in _FIELD_READERS}
 
 
 def _convert(value, unit):
@@ -34,7 +36,11 @@ def _convert(value, unit):
 
 
 def load_config(path) -> MechanismConfig:
-    """Parse and validate a config file; angle fields convert from degrees."""
+    """Parse and validate a config file; angle fields convert from degrees.
+
+    Every failure is a ConfigError naming the path; an invalid file's lists
+    every violation of the config it builds, malformed fields included.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -60,8 +66,13 @@ def load_config(path) -> MechanismConfig:
 
     fields: dict = {}
     for name, (read, degrees) in _SCHEMA.items():
-        value = read(doc[name], name)
-        fields[name] = _convert(value, math.radians) if degrees else value
+        value = doc[name]
+        if degrees:
+            try:
+                value = _convert(read(value, name), math.radians)
+            except ConfigError:  # the build refuses it, with every other malformed field
+                pass
+        fields[name] = value
 
     config = MechanismConfig(**fields)
     violations = validate_config(config)
@@ -73,20 +84,21 @@ def load_config(path) -> MechanismConfig:
 
 
 def save_config(config: MechanismConfig, path, provenance: dict | None = None) -> int:
-    """Write a config file (degrees for angle fields); returns bytes written.
+    """Write a valid config file (degrees for angle fields); returns bytes written.
 
-    The file is written field by field, in the bytes json.dumps(doc,
-    indent=2) gave for the document: the provenance, if given, then every
-    field in schema order. The provenance and any value that is not a finite
-    float, an int or a tuple of them still go through json. A value json
-    refuses raises json's exception; the file is opened only once the whole
-    text is built, so then nothing is written.
+    A config that fails validation raises model._require_valid's
+    ConfigError, and nothing is written. The file is written field by field,
+    in the bytes json.dumps(doc, indent=2) gave for the document: the
+    provenance, if given, then every field in schema order. A provenance
+    json refuses raises json's exception; the file is opened only once the
+    whole text is built, so then nothing is written either.
 
     A save/load round trip is not bit-exact: math.radians(math.degrees(x))
     can differ from x in its last bits (60 of 320 calibrated configs reload
     unequal, by at most 1.8e-16 relative). A correctly rounded
     degree-to-radian conversion on load would make it exact (ROADMAP item 10).
     """
+    _require_valid(config)
     doc: dict = {}  # every value converted before any is written, as json.dumps(doc) did
     for name, (_, degrees) in _SCHEMA.items():
         value = getattr(config, name)
@@ -97,17 +109,19 @@ def save_config(config: MechanismConfig, path, provenance: dict | None = None) -
 
 
 def _field_text(value) -> str:
-    """A field value as json.dumps(doc, indent=2) writes it one level into the document.
+    """A valid config's field value as json.dumps(doc, indent=2) writes it one level in.
 
-    A finite float, an int and a tuple of them are written directly (a tuple
-    as a list); anything else (NaN, infinity, a string, a bool, the list of a
-    refused tuple field) goes through json.
+    A finite float or an int, and a tuple of finite floats (as a list), are
+    written directly. The rest goes through json: an int subclass, and a
+    number that overflows when converted to degrees (an angle of 1e307 rad
+    is valid, and json writes its degrees as Infinity, which load_config
+    refuses; ROADMAP item 10).
     """
-    if type(value) is float and math.isfinite(value) or type(value) is int:
+    if type(value) is tuple:
+        if all(map(math.isfinite, value)):
+            return "[\n    " + ",\n    ".join(map(repr, value)) + "\n  ]"
+    elif type(value) is float and math.isfinite(value) or type(value) is int:
         return repr(value)
-    if type(value) is tuple and all(type(v) is float and math.isfinite(v) or type(v) is int
-                                    for v in value):
-        return "[\n    " + ",\n    ".join(map(repr, value)) + "\n  ]" if value else "[]"
     return _json_text(value)
 
 

@@ -70,17 +70,18 @@ class MechanismConfig:
     chain.open_lever).
     Nor is _violations, validate_config's verdict as a tuple, nor are the
     kernels' config-only terms (chain._chain_terms and
-    linkage._closure_terms). Every field, scalar or tuple, is read as
-    config.py reads its value in a file (_READERS): an int or a float
-    subclass in a float field becomes a float, a list a tuple of floats; a
-    string, a bool, a numpy scalar that is not a float, or a sequence that is
-    not a list or tuple is a violation, worded as the reader words it. The
-    field checks run first; only a config that passes them gets its kernel
-    terms, bearing and levers (otherwise no terms, and NaN and None, which
-    no entry reads, since every entry refuses an invalid config), and then
-    the closure check, which reads them. dataclasses.replace makes a
-    modified copy, which recomputes the terms, the bearing, both levers and
-    the verdict.
+    linkage._closure_terms). One pass reads every field as config.py reads
+    its value in a file (_FIELD_READERS), and keeps a value its reader
+    already accepts as the very object given: an int or a float subclass in
+    a float field becomes a float, a list a tuple of floats; a string, a
+    bool, a numpy scalar that is not a float, a sequence that is not a list
+    or tuple, and a NaN or infinite number are violations, in field order.
+    Only when the pass found none do the checks of _field_violations run;
+    only a config that passes both gets its kernel terms, bearing and levers
+    (otherwise no terms, and NaN and None, which no entry reads, since every
+    entry refuses an invalid config), and then the closure check, which
+    reads them. dataclasses.replace makes a modified copy, which recomputes
+    the terms, the bearing, both levers and the verdict.
     """
 
     l1: float
@@ -101,18 +102,24 @@ class MechanismConfig:
     branch_sign: int = 1
 
     def __post_init__(self) -> None:
-        refused = {}  # field -> its reader's message; the field stays as given
-        for name, kind in _KINDS:
-            value = getattr(self, name)
-            if not _is_read(value, kind):
-                try:
-                    value = _READERS[kind](value, name)
-                except ConfigError as exc:
-                    refused[name] = str(exc)
-                    continue
+        violations = []  # each refused field and each non-finite number, in field order
+        for name, read in _FIELD_READERS:
+            raw = getattr(self, name)
+            try:
+                value = read(raw, name)  # raw itself when it is already what read returns
+            except ConfigError as exc:
+                violations.append(str(exc))
+                continue
+            if value is not raw:
                 object.__setattr__(self, name, value)
-
-        violations = _field_violations(self, refused)
+            if read is _require_number:
+                if not math.isfinite(value):
+                    violations.append(f"{name} must be finite, got {value}")
+            elif read is not _require_int and not all(map(math.isfinite, value)):
+                violations.extend(f"{name}[{i}] must be finite, got {x}"
+                                  for i, x in enumerate(value) if not math.isfinite(x))
+        if not violations:  # a malformed or non-finite number would break or fail the checks
+            violations = _field_violations(self)
         bearing, closed_lever, open_lever = math.nan, None, None
         if not violations:  # finite numbers, one phi and one non-negative limit per joint
             for name, value in {**_chain._chain_terms(self),
@@ -129,19 +136,6 @@ class MechanismConfig:
     @property
     def n_joints(self) -> int:
         return len(self.segments)
-
-
-_KINDS = tuple((f.name, f.type) for f in fields(MechanismConfig))  # (name, type), in order
-
-
-def _is_read(value, kind: str) -> bool:
-    """Whether value is already what the reader of a field of type kind returns."""
-    if kind == "float":
-        return type(value) is float
-    if kind == "int":
-        return type(value) is int
-    return (type(value) is tuple and all(type(v) is float for v in value)
-            and (kind != "tuple[float, float]" or len(value) == 2))
 
 
 def _require_number(raw, path: str) -> float:
@@ -176,9 +170,13 @@ def _require_pair(raw, path: str) -> tuple[float, float]:
     return pair
 
 
-# field type -> the reader of its value, for config files and configs built in Python alike
-_READERS = {"float": _require_number, "int": _require_int,
-            "tuple[float, ...]": _require_number_list, "tuple[float, float]": _require_pair}
+# (field name, the reader of its value) in field order, for config files and configs
+# built in Python alike; a field type with no reader fails here, at import
+_FIELD_READERS = tuple(
+    (f.name, {"float": _require_number, "int": _require_int,
+              "tuple[float, ...]": _require_number_list,
+              "tuple[float, float]": _require_pair}[f.type])
+    for f in fields(MechanismConfig))
 
 
 @dataclass(frozen=True)
@@ -294,10 +292,11 @@ def validate_config(config: MechanismConfig) -> list[str]:
     Deterministic. The config computed the verdict when it was built; since
     the fields are frozen, it cannot go stale, so this runs no check. The
     checks run in three stages, each only when the one before found nothing,
-    so each bad number is reported once: the finiteness and the per-field
-    checks of _field_violations, then closure solvability over the whole
-    knee range and lever range (_closure_violations). Each call returns a
-    fresh list.
+    so each bad number is reported once: each field's reader and the
+    finiteness of every number, in MechanismConfig.__post_init__'s one pass
+    over the fields, then the per-field checks of _field_violations, then
+    closure solvability over the whole knee range and lever range
+    (_closure_violations). Each call returns a fresh list.
     """
     return list(config._violations)
 
@@ -313,37 +312,16 @@ def _require_valid(config: MechanismConfig) -> MechanismConfig:
     return config
 
 
-def _field_violations(config: MechanismConfig, refused) -> list[str]:
-    """The violated invariants that each field decides on its own, in two stages.
+def _field_violations(config: MechanismConfig) -> list[str]:
+    """The violated invariants that each field decides on its own.
 
-    First every field must have been read (refused maps each field whose
-    reader refused its value when the config was built to the reader's
-    message), and every number must be finite: a refused field, or a NaN or
-    infinite number, is reported by name (with its index in a tuple field),
-    once. Only when all pass, each field is checked on its own: signs,
-    counts, ranges, and a per-joint stiffness springs_per_joint * k_spring
-    that overflows; alpha_preload must lie in [0, 2*pi], at most one turn of
-    a torsion spring.
+    Runs while the config is built, once every field was read and every
+    number found finite. Each field is checked on its own: signs, counts,
+    ranges, and a per-joint stiffness springs_per_joint * k_spring that
+    overflows; alpha_preload must lie in [0, 2*pi], at most one turn of a
+    torsion spring.
     """
     v: list[str] = []
-
-    # getattr, not vars(config): building the instance dict slows every later
-    # attribute read of this config in the kernels
-    for name, kind in _KINDS:
-        if name in refused:
-            v.append(refused[name])
-        elif kind == "float":
-            value = getattr(config, name)
-            if not math.isfinite(value):
-                v.append(f"{name} must be finite, got {value}")
-        elif kind != "int":
-            value = getattr(config, name)
-            if not all(map(math.isfinite, value)):
-                v.extend(f"{name}[{i}] must be finite, got {x}"
-                         for i, x in enumerate(value) if not math.isfinite(x))
-    if v:  # a malformed or non-finite number would break or fail the checks below
-        return v
-
     for name in ("l1", "l2", "l3", "l_offset"):
         value = getattr(config, name)
         if not (value > 0.0):

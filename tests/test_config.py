@@ -67,6 +67,19 @@ def test_random_configs_save_as_json_dumps_wrote_them(tmp_path):
                            {"draw": i} if i % 2 else None)
 
 
+def test_a_valid_config_whose_angle_overflows_in_degrees_saves_as_json_dumps_wrote_it(
+        tmp_path, default_config):
+    # 1e307 rad is valid in joint_open_limit, and as beta of a straight
+    # one-joint chain; in degrees it overflows, and json writes Infinity
+    straight = dataclasses.replace(default_config, segments=(0.06,), phi=(0.0,),
+                                   joint_open_limit=(0.0,), beta=1e307)
+    for config in (straight, dataclasses.replace(
+            default_config, joint_open_limit=default_config.joint_open_limit[:5] + (1e307,))):
+        assert model.validate_config(config) == []
+        _assert_same_bytes(config, tmp_path / "overflow.json")
+        assert b"Infinity" in (tmp_path / "overflow.json").read_bytes()
+
+
 _INVALID = {
     "nan-float": {"k_spring": math.nan},
     "inf-angle": {"beta": -math.inf},
@@ -79,30 +92,29 @@ _INVALID = {
     "refused-list": {"actuator_base": [0.05, -0.05, 0.0]},
     "refused-tuple": {"actuator_base": (0, 0, 1)},
     "bool-in-tuple": {"actuator_base": (True, -0.05)},
+    "ndarray": {"segments": np.array([0.01] * 6)},
+    "str-angle": {"alpha_preload": "one turn"},
+    "ndarray-and-huge-angle": {"segments": np.array([0.01] * 6), "alpha_preload": 10 ** 400},
 }
 
 
 @pytest.mark.parametrize("case", _INVALID, ids=list(_INVALID))
-def test_invalid_configs_save_as_json_dumps_wrote_them(tmp_path, default_config, case):
+def test_an_invalid_config_is_not_saved(tmp_path, default_config, case):
+    # save_config raises _require_valid's error before it builds any text,
+    # so an existing destination keeps its bytes
     config = dataclasses.replace(default_config, **_INVALID[case])
-    _assert_same_bytes(config, tmp_path / "invalid.json")
-    _assert_same_bytes(config, tmp_path / "invalid.json", {"case": case})
-
-
-@pytest.mark.parametrize("updates", [
-    {"segments": np.array([0.01] * 6)},
-    {"alpha_preload": "one turn"},
-    {"segments": np.array([0.01] * 6), "alpha_preload": 10 ** 400},
-], ids=["ndarray", "str-angle", "ndarray-and-huge-angle"])
-def test_a_value_json_refuses_raises_as_before_and_writes_nothing(tmp_path, default_config,
-                                                                   updates):
-    config = dataclasses.replace(default_config, **updates)
-    with pytest.raises(Exception) as expected:
-        _reference_text(config)
+    message = "invalid config: " + "; ".join(model.validate_config(config))
+    assert message != "invalid config: "
     path = tmp_path / "refused.json"
-    with pytest.raises(type(expected.value)):
+    for provenance in (None, {"case": case}):
+        with pytest.raises(ConfigError) as exc:
+            save_config(config, path, provenance=provenance)
+        assert str(exc.value) == message
+        assert not path.exists()
+    path.write_bytes(b"kept")
+    with pytest.raises(ConfigError):
         save_config(config, path)
-    assert not path.exists()
+    assert path.read_bytes() == b"kept"
 
 
 def test_a_provenance_json_refuses_raises_as_before(tmp_path, default_config):
@@ -152,6 +164,21 @@ def test_fast_readers_match_the_element_by_element_reader(raw):
     assert _outcome(model._require_number, raw) == _outcome(_reference_number, raw)
     assert (_outcome(model._require_number_list, raw)
             == _outcome(_reference_number_list, raw))
+
+
+# ---------- a bad file is one error naming its path ----------
+
+def test_a_file_with_malformed_fields_lists_them_all_under_its_path(tmp_path):
+    doc = json.loads(lbvt.default_config_path().read_text(encoding="utf-8"))
+    doc["l1"] = "long"
+    doc["segments"][1] = "short"
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == (f"{path}: invalid config:\n"
+                              "  - l1: expected a number, got str\n"
+                              "  - segments[1]: expected a number, got str")
 
 
 # ---------- the file must be UTF-8 ----------

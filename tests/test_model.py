@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -291,7 +292,7 @@ _MALFORMED = {
 @pytest.mark.parametrize("case", _MALFORMED, ids=list(_MALFORMED))
 def test_a_malformed_field_is_one_violation(default_config, case, tmp_path):
     # building the config raises nothing, and the one violation is worded as
-    # load_config words the same value in a file
+    # load_config lists the same value in a file, under its path
     updates, message = _MALFORMED[case]
     config = dataclasses.replace(default_config, **updates)
     assert validate_config(config) == [message]
@@ -304,7 +305,7 @@ def test_a_malformed_field_is_one_violation(default_config, case, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError) as exc:
         lbvt.load_config(path)
-    assert str(exc.value) == message
+    assert str(exc.value) == f"{path}: invalid config:\n  - {message}"
 
 
 _NOT_IN_A_FILE = {
@@ -325,19 +326,17 @@ def test_a_tuple_field_no_config_file_holds_is_one_violation(default_config, cas
     assert validate_config(dataclasses.replace(default_config, **updates)) == [message]
 
 
-def test_only_a_tuple_field_of_non_floats_is_read(default_config, monkeypatch):
-    # a well-formed config converts nothing; ints and a list read as floats,
-    # as load_config reads them in a file
-    from lbvt import config as config_io
-
-    reads = []
-    for key, read in config_io._READERS.items():
-        monkeypatch.setitem(config_io._READERS, key,
-                            lambda raw, path, read=read: reads.append(path) or read(raw, path))
-    assert validate_config(dataclasses.replace(default_config)) == [] and reads == []
-    config = dataclasses.replace(default_config, joint_open_limit=[0] * 6,
-                                 actuator_base=(0, -0.05))
-    assert reads == ["actuator_base", "joint_open_limit"]
+def test_a_well_formed_config_keeps_every_given_object(default_config):
+    # each reader returns a value it accepts as that very object; an int
+    # reads to a float and a list to a tuple of floats, as in a file
+    given = {f.name: getattr(default_config, f.name) for f in dataclasses.fields(default_config)}
+    config = MechanismConfig(**given)
+    assert validate_config(config) == []
+    for name, value in given.items():
+        assert getattr(config, name) is value, name
+    config = dataclasses.replace(default_config, l1=1, joint_open_limit=[0] * 6,
+                                 actuator_base=[0, -0.05])
+    assert type(config.l1) is float and config.l1 == 1.0
     assert config.joint_open_limit == (0.0,) * 6 and config.actuator_base == (0.0, -0.05)
     assert all(type(x) is float for x in config.joint_open_limit + config.actuator_base)
 
@@ -391,7 +390,8 @@ def _solved(config):
 @pytest.mark.parametrize("case", _SCALARS_GIVEN, ids=list(_SCALARS_GIVEN))
 def test_a_scalar_field_holds_its_value_as_a_float(default_config, case, tmp_path):
     # as the same value in a tuple field or in a file: the config, its solve
-    # and its saved bytes are those of the config built from the float
+    # and its saved bytes are those of the config built from the float; where
+    # it fails validation, both refuse to save alike
     name, make = _SCALARS_GIVEN[case]
     value = make(default_config)
     config = dataclasses.replace(default_config, **{name: value})
@@ -399,9 +399,16 @@ def test_a_scalar_field_holds_its_value_as_a_float(default_config, case, tmp_pat
     assert type(getattr(config, name)) is float
     assert repr(config) == repr(as_float)
     assert _solved(config) == _solved(as_float)
-    save_config(config, tmp_path / "given.json")
-    save_config(as_float, tmp_path / "float.json")
-    assert (tmp_path / "given.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+    saved = []
+    for each, path in ((config, tmp_path / "given.json"), (as_float, tmp_path / "float.json")):
+        try:
+            save_config(each, path)
+        except ConfigError as exc:
+            saved.append(repr(exc))
+        else:
+            saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+    assert (type(saved[0]) is bytes) == (validate_config(config) == [])
 
 
 def test_mismatched_joint_arrays_are_reported(default_config):
@@ -575,6 +582,7 @@ _GATED_ENTRIES = {
     "calibrate": lambda c: analysis.calibrate(c, 20.0, 0.4, THETA_88),
     "ratio_step_direct": lambda c: analysis.ratio_step_direct(c, THETA_88),
     "total_stiffness": total_stiffness,
+    "save_config": lambda c: save_config(c, os.devnull),
     "closed_lever": chain.closed_lever,
     "open_lever": chain.open_lever,
     "joint_torques": lambda c: chain.joint_torques(c, (0.0,) * c.n_joints, 1.0),
