@@ -25,8 +25,8 @@ import math
 
 from . import chain, equilibrium, linkage
 from .config import _write
-from .model import (CalibrationError, GeometryError, MechanismConfig, SweepTable,
-                    _require_valid, per_joint_stiffness, validate_config)
+from .model import (CalibrationError, GeometryError, MechanismConfig, SweepTable, _read_argument,
+                    _read_finite, _require_valid, per_joint_stiffness, validate_config)
 
 TRIGGER_TOL = 0.05   # N, calibration tolerance on the triggering force
 RATIO_STEP_TOL = 0.005  # calibration tolerance on the ratio step
@@ -52,11 +52,12 @@ class _LadderError(ValueError):
 def sample_ladder(start: float, stop: float, step: float) -> list[float]:
     """Sweep abscissae: start + k*step, end snapped or appended; stop >= start.
 
-    A range shorter than one step yields only its start. A step that is not
-    positive and finite, a ladder of more than MAX_SAMPLES samples, or a step
-    so small against the range that two samples coincide raises ValueError
-    naming it.
+    A range shorter than one step yields only its start. Each argument is
+    read first (model._read_argument). A step that is not positive and finite,
+    a ladder of more than MAX_SAMPLES samples, or a step so small against the
+    range that two samples coincide raises ValueError naming it.
     """
+    start, stop, step = map(_read_argument, (start, stop, step), ("start", "stop", "step"))
     if not 0.0 < step < math.inf:
         raise _LadderError("step must be positive and finite, got {step}", start, stop, step)
     for name, value in (("start", start), ("stop", stop)):
@@ -117,12 +118,13 @@ def _force_sweep(config, theta, f_from, f_to, step, columns, values) -> SweepTab
     """Sweep the actuator force at one knee angle; values(f, res, jac_closed) fills a row.
 
     jac_closed is the closed-lever jacobian at theta, computed once, after
-    the force range and theta are checked.
+    the force range and theta are checked. f_from is the ladder's start.
     """
+    f_from = _read_argument(f_from, "start")
     if f_from < 0.0:
         raise ValueError(f"force range must be non-negative, got start {f_from}")
     forces = sample_ladder(f_from, f_to, step)
-    equilibrium._check_theta(config, theta)
+    theta = equilibrium._check_theta(config, theta)
     jac_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
     return _sweep(config, ("f_cyl (N)",) + columns, forces, lambda f: (theta, f),
                   lambda f, res: values(f, res, jac_closed))
@@ -139,9 +141,9 @@ def sweep_torque_vs_angle(
 
     The rigid baseline keeps the lever at its closed length. Samples where the
     closure cannot assemble are flagged infeasible and kept in the table. A
-    negative, infinite or NaN f_cyl raises ValueError before any solve.
+    negative, infinite or NaN f_cyl, or a refused kind, raises ValueError before any solve.
     """
-    equilibrium._check_force(f_cyl)
+    f_cyl = equilibrium._check_force(f_cyl)
     l4_closed = chain.closed_lever(config)
     return _sweep(
         config,
@@ -199,7 +201,7 @@ def sweep_ratio_vs_force(
 
 def ratio_step_direct(config: MechanismConfig, theta: float) -> float:
     """Fully-open over closed transmission ratio minus one, straight from geometry."""
-    equilibrium._check_theta(_require_valid(config), theta)
+    theta = equilibrium._check_theta(_require_valid(config), theta)
     j_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
     j_open = linkage.jacobian(config, theta, chain.open_lever(config))
     return j_open / j_closed - 1.0
@@ -255,19 +257,17 @@ def calibrate(
     one closure-kernel call at the scaled open lever (the lever points along
     config.lever_bearing, so no trial rebuilds the closed chain). The config
     was validated and theta checked on entry, so a trial runs no deflection
-    check; the kernel's finite-lever check stays, since finite fields can
+    check; the trial lever is still read finite, since finite fields can
     still overflow a float in the chain's sum. The one new config is built
     at the end. An invalid config raises ConfigError with its violations; a
-    non-finite target, or a theta that is not finite or lies outside the
-    config's range, raises ValueError. A trigger target that one turn of
-    preload, the most a config may hold, cannot reach raises CalibrationError.
+    target or theta of a refused kind (model._read_finite), not finite, or a theta
+    outside the config's range raises ValueError. A trigger target that one turn
+    of preload, the most a config may hold, cannot reach raises CalibrationError.
     """
     _require_valid(config)
-    for name, value in (("target_trigger", target_trigger),
-                        ("target_ratio_step", target_ratio_step)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    equilibrium._check_theta(config, theta)
+    target_trigger = _read_finite(target_trigger, "target_trigger")
+    target_ratio_step = _read_finite(target_ratio_step, "target_ratio_step")
+    theta = equilibrium._check_theta(config, theta)
     if target_trigger < 0.0 or target_ratio_step < 0.0:
         raise ValueError("calibration targets must be non-negative")
 
@@ -296,7 +296,8 @@ def calibrate(
         def step_at(scale: float) -> float:
             # scale * lim lies in [0, lim]: no deflection check can fail
             _, tip = chain._geometry(config, [scale * lim for lim in config.joint_open_limit])
-            return linkage._checked_kernel(config, theta, math.hypot(*tip))[4] / j_closed - 1.0
+            l4 = _read_finite(math.hypot(*tip), "l4")
+            return linkage._closure_kernel(config, theta, l4)[4] / j_closed - 1.0
 
         full = step_at(1.0)
         if full < target_ratio_step - RATIO_STEP_TOL:

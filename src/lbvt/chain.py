@@ -17,21 +17,16 @@ from __future__ import annotations
 import math
 from math import cos, sin
 
-from .model import (ChainState, ConfigError, MechanismConfig, Regime, _require_number_list,
-                    _require_valid)
+from .model import (ChainState, MechanismConfig, Regime, _read_argument, _read_finite,
+                    _require_number_list, _require_valid)
 
 
 def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
-    """deflection as a tuple of floats, each read as a config file's number is.
+    """deflection, any iterable of numbers, as a tuple of floats (model._read_argument).
 
-    Any iterable of numbers reads; a string, a bool or a numpy scalar that is
-    not a float is a ValueError naming deflection[k], as is a value outside
-    its joint's travel.
+    A refused kind or a value outside its joint's travel is a ValueError naming deflection[k].
     """
-    try:
-        d = _require_number_list(tuple(deflection), "deflection")
-    except ConfigError as exc:  # an argument, not a config field
-        raise ValueError(str(exc)) from None
+    d = _read_argument(tuple(deflection), "deflection", _require_number_list)
     if len(d) != config.n_joints:
         raise ValueError(f"expected {config.n_joints} deflections, got {len(d)}")
     for k, (dk, lim) in enumerate(zip(d, config.joint_open_limit)):
@@ -109,11 +104,10 @@ def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[fl
     """Torque the tangential tip force exerts about each chain joint.
 
     Equals the planar cross product of (tip - pivot) with the force vector;
-    positive torque drives the joint toward opening. Linear in f_end.
+    positive torque drives the joint toward opening. Linear in f_end (model._read_finite).
     """
     _require_valid(config)
-    if not math.isfinite(f_end):
-        raise ValueError(f"f_end must be finite, got {f_end}")
+    f_end = _read_finite(f_end, "f_end")
     d = _check_deflection(config, deflection)
     pivots, tip = _geometry(config, d)
     return tuple(_torques(pivots, tip, f_end / _lever(tip)))

@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from math import hypot
 
 from . import chain, linkage
 from .model import (
@@ -90,6 +89,8 @@ from .model import (
     MechanismConfig,
     NoTriggerError,
     Regime,
+    _read_argument,
+    _read_finite,
     _require_valid,
     per_joint_stiffness,
 )
@@ -118,12 +119,10 @@ class _LoadMap:
 
     def evaluate(self, d):
         """The point (torques, l4, jac, pivots) at deflections d; pivots ends with the tip."""
-        pivots, (tx, ty) = chain._geometry(self.config, d)
-        l4 = hypot(tx, ty)
+        pivots, tip = chain._geometry(self.config, d)
+        l4 = math.hypot(*tip)
         jac = linkage._closure_kernel(self.config, self.theta, l4)[4]
-        scale = jac * self.f_cyl / (l4 * l4)
-        torques = [scale * ((tx - px) * tx + (ty - py) * ty) for px, py in pivots[:-1]]
-        return torques, l4, jac, pivots
+        return chain._torques(pivots, tip, jac * self.f_cyl / (l4 * l4)), l4, jac, pivots
 
     def reweigh(self, theta, l4, jac, pivots):
         """The point (l4, jac, pivots), evaluated at knee angle theta, under this map.
@@ -209,7 +208,7 @@ class _LoadMap:
 
 def _trigger_torque(config: MechanismConfig, theta: float) -> float:
     """Largest closed-chain joint torque per newton of actuator force; preload-independent."""
-    _check_theta(_require_valid(config), theta)
+    theta = _check_theta(_require_valid(config), theta)
     per_unit = _LoadMap(config, theta, 1.0).evaluate((0.0,) * config.n_joints)[0]
     loaded = [a for a in per_unit if a > 1e-12]
     if not loaded:
@@ -485,10 +484,12 @@ def _active_set(load, d, point, regimes, k, a0, limits, tol=_INNER_TOL):
     return point, outer, residual
 
 
-def _check_force(f_cyl: float) -> None:
-    """Reject a negative, infinite or NaN cylinder force."""
-    if not (0.0 <= f_cyl < math.inf):
+def _check_force(f_cyl: float, nan_ok: bool = False) -> float:
+    """f_cyl, read by model._read_argument; refused if negative, infinite, or NaN unless nan_ok."""
+    f_cyl = _read_argument(f_cyl, "f_cyl")
+    if not (0.0 <= f_cyl < math.inf or nan_ok and math.isnan(f_cyl)):
         raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
+    return f_cyl
 
 
 class _AngleError(ValueError):
@@ -500,12 +501,12 @@ class _AngleError(ValueError):
                          f"[{config.theta_min}, {config.theta_max}]")
 
 
-def _check_theta(config: MechanismConfig, theta: float) -> None:
-    """Reject a non-finite knee angle, or one outside the configured range."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+def _check_theta(config: MechanismConfig, theta: float) -> float:
+    """theta read as a finite number (model._read_finite), refused outside the config's range."""
+    theta = _read_finite(theta, "theta")
     if not (config.theta_min - 1e-9 <= theta <= config.theta_max + 1e-9):
         raise _AngleError(config, theta)
+    return theta
 
 
 _CONTINUATION_RUNGS = 8
@@ -581,16 +582,15 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
     (built by hand, copied by dataclasses.replace, or from another config
     object) is checked and evaluated, to the same result bit for bit. A start
     of the wrong length, with a NaN or out-of-range deflection raises
-    ValueError, and so does a non-finite theta or one outside the config's
-    range. Without start the solve is unchanged. A config that fails
-    validation raises ConfigError naming its violations, before any other
-    check.
+    ValueError. Without start the solve is unchanged. A config that fails
+    validation raises ConfigError naming its violations, before any other check.
+    theta and f_cyl are read as numbers (model._read_argument); a refused kind, a non-finite
+    theta or one outside the config's range raises ValueError, a NaN f_cyl is unconverged.
     """
     _require_valid(config)
     # a NaN force stays an unconverged solve: bench's checker_self_test solves one outside its try
-    if not math.isnan(f_cyl):
-        _check_force(f_cyl)
-    _check_theta(config, theta)
+    f_cyl = _check_force(f_cyl, nan_ok=True)
+    theta = _check_theta(config, theta)
 
     n = config.n_joints
     k = per_joint_stiffness(config)

@@ -13,7 +13,8 @@ The scalar jacobian is d(actuator length)/d(theta) at fixed l4, so the
 knee torque is jacobian times actuator force. It is derived through the
 closure: with e2 the input bar and e3 the coupler vector, the coupler joint
 velocity is cross(C, e3)/cross(e2, e3) * perp(e2) per unit knee rate,
-which degenerates when input bar and coupler are collinear.
+which degenerates when input bar and coupler are collinear. Both entries
+read theta and l4 as finite numbers (model._read_finite) before any check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from math import cos, hypot, sin, sqrt
 
-from .model import GeometryError, MechanismConfig, SingularityError, _require_valid
+from .model import GeometryError, MechanismConfig, SingularityError, _read_finite, _require_valid
 
 SINGULARITY_SIN = 1e-8  # |sin(input-coupler angle)| below this raises
 
@@ -104,20 +105,13 @@ def _closure_kernel(config: MechanismConfig, theta: float, l4: float):
     return (ax_, 0.0), (bx, by), (cx, cy), d, jac
 
 
-def _checked_kernel(config: MechanismConfig, theta: float, l4: float):
-    """_closure_kernel at one knee angle and lever length, both checked finite."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    if not math.isfinite(l4):
-        raise ValueError(f"l4 must be finite, got {l4}")
-    return _closure_kernel(config, theta, l4)
-
-
 def actuator_length(config: MechanismConfig, theta: float, l4: float) -> float:
     """Distance from the actuator base to its attachment point on the input bar."""
-    return _checked_kernel(_require_valid(config), theta, l4)[3]
+    return _closure_kernel(_require_valid(config), _read_finite(theta, "theta"),
+                           _read_finite(l4, "l4"))[3]
 
 
 def jacobian(config: MechanismConfig, theta: float, l4: float) -> float:
     """Actuator extension per unit knee rotation at fixed lever length (m/rad)."""
-    return _checked_kernel(_require_valid(config), theta, l4)[4]
+    return _closure_kernel(_require_valid(config), _read_finite(theta, "theta"),
+                           _read_finite(l4, "l4"))[4]

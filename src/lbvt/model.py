@@ -170,6 +170,22 @@ def _require_pair(raw, path: str) -> tuple[float, float]:
     return pair
 
 
+def _read_argument(raw, name: str, read=_require_number):
+    """raw read by read, as a config file's value is; a refusal is a ValueError naming it."""
+    try:
+        return read(raw, name)
+    except ConfigError as exc:  # an argument, not a config field
+        raise ValueError(str(exc)) from None
+
+
+def _read_finite(raw, name: str) -> float:
+    """A number argument read by _read_argument, refused too when NaN or infinite."""
+    value = _read_argument(raw, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 # (field name, the reader of its value) in field order, for config files and configs
 # built in Python alike; a field type with no reader fails here, at import
 _FIELD_READERS = tuple(

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import lbvt
@@ -8,6 +9,9 @@ from lbvt import equilibrium
 from lbvt.model import MechanismConfig, per_joint_stiffness, validate_config
 
 THETA_88 = math.radians(-88.0)
+
+# values that a number argument or field refuses, by the type name its message gives
+NOT_A_NUMBER = {"str": "0", "bool": False, "float32": np.float32(0.0)}
 
 
 def _with_bearing(target_bearing_deg: float, **kw) -> MechanismConfig:

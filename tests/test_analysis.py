@@ -341,6 +341,13 @@ def test_ratio_sweep_load_evaluations(default_config, monkeypatch):
     assert calls[0] <= 651
 
 
+def test_a_float32_step_is_refused_before_any_row(default_config):
+    # read as a number, a float32 step ran this sweep in float32 and 92 of its
+    # 401 rows came out infeasible; the ladder now refuses it
+    with pytest.raises(ValueError, match="^step: expected a number, got float32$"):
+        analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 200.0, np.float32(0.5))
+
+
 def test_failed_row_keeps_the_carried_state(default_config, monkeypatch):
     solve = equilibrium.solve_equilibrium
     starts = []

@@ -8,7 +8,7 @@ from lbvt import analysis, chain, equilibrium
 from lbvt.model import (CalibrationError, ConfigError, MechanismConfig, NoTriggerError,
                         Regime, per_joint_stiffness, validate_config)
 
-from conftest import INVALID_UPDATES, random_config, straight_chain
+from conftest import INVALID_UPDATES, NOT_A_NUMBER, random_config, straight_chain
 
 
 def _kinematics(config, d):
@@ -191,19 +191,16 @@ def test_nan_deflection_is_out_of_range(default_config, check):
         check(default_config, d)
 
 
-_NOT_A_NUMBER = {"str": "0", "bool": False, "float32": np.float32(0.0)}
-
-
 @pytest.mark.parametrize("check", [
     chain.make_chain_state,
     lambda cfg, d: chain.joint_torques(cfg, d, 1.0),
 ], ids=["make_chain_state", "joint_torques"])
-@pytest.mark.parametrize("kind", _NOT_A_NUMBER, ids=list(_NOT_A_NUMBER))
+@pytest.mark.parametrize("kind", NOT_A_NUMBER, ids=list(NOT_A_NUMBER))
 def test_a_deflection_that_is_not_a_number_is_refused(default_config, check, kind):
     # read as a config file's number is, but a deflection is an argument, so
     # the error is a plain ValueError naming its index
     d = [0.0] * 6
-    d[3] = _NOT_A_NUMBER[kind]
+    d[3] = NOT_A_NUMBER[kind]
     with pytest.raises(ValueError, match=rf"^deflection\[3\]: expected a number, got {kind}$") as exc:
         check(default_config, d)
     assert type(exc.value) is ValueError

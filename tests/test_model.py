@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from lbvt import analysis, chain, equilibrium, linkage, model
 from lbvt.config import save_config
 
 import oracle
-from conftest import (INVALID_UPDATES, THETA_88, _FOURBAR, _with_bearing, count_calls,
-                      reduced_chain)
+from conftest import (INVALID_UPDATES, NOT_A_NUMBER, THETA_88, _FOURBAR, _with_bearing,
+                      count_calls, reduced_chain)
 
 
 def test_default_config_validates(default_config):
@@ -606,3 +608,71 @@ def test_every_entry_refuses_an_invalid_config(default_config, case):
         with pytest.raises(ConfigError) as exc:
             call(config)
         assert str(exc.value) == message, name
+
+
+# every number argument of a public entry: (entry, its arguments after the
+# config, the index of the one under test, the name its refusal gives it). The
+# values are integral where the call works, so that an int of one is the same
+# number; a sweep's range and step are named as sample_ladder names them.
+_FORCE_SWEEP = (-1.0, 0.0, 20.0, 5.0)
+_NUMBER_ARGUMENTS = {
+    **{f"solve_equilibrium-{name}": (equilibrium.solve_equilibrium, (-1.0, 60.0), i, name)
+       for i, name in enumerate(("theta", "f_cyl"))},
+    "triggering_force-theta": (equilibrium.triggering_force, (-1.0,), 0, "theta"),
+    **{f"{entry.__name__}-{name}": (entry, (-1.0, 0.08), i, name)
+       for entry in (linkage.jacobian, linkage.actuator_length)
+       for i, name in enumerate(("theta", "l4"))},
+    "joint_torques-f_end": (lambda c, f: chain.joint_torques(c, (0.0,) * 6, f), (17.0,), 0,
+                            "f_end"),
+    **{f"sweep_torque_vs_angle-{arg}": (analysis.sweep_torque_vs_angle, (60.0, -2.0, -1.0, 1.0),
+                                        i, name)
+       for i, (arg, name) in enumerate((("f_cyl", "f_cyl"), ("theta_from", "start"),
+                                        ("theta_to", "stop"), ("step", "step")))},
+    **{f"{sweep}-{arg}": (getattr(analysis, sweep), _FORCE_SWEEP, i, name)
+       for sweep in ("sweep_trigger", "sweep_torque_vs_force", "sweep_ratio_vs_force")
+       for i, (arg, name) in enumerate((("theta", "theta"), ("f_from", "start"),
+                                        ("f_to", "stop"), ("step", "step")))},
+    **{f"sample_ladder-{name}": (lambda c, *a: analysis.sample_ladder(*a), (0.0, 10.0, 1.0), i,
+                                 name)
+       for i, name in enumerate(("start", "stop", "step"))},
+    "ratio_step_direct-theta": (analysis.ratio_step_direct, (-1.0,), 0, "theta"),
+    **{f"calibrate-{name}": (analysis.calibrate, (18.0, 0.4, -1.0), i, name)
+       for i, name in enumerate(("target_trigger", "target_ratio_step", "theta"))},
+}
+_REFUSED = {**NOT_A_NUMBER, "int64": np.int64(0), "Decimal": Decimal(0), "Fraction": Fraction(0)}
+
+
+def _call(config, case, value):
+    entry, args, i, _ = _NUMBER_ARGUMENTS[case]
+    return entry(config, *args[:i], value, *args[i + 1:])
+
+
+def _outcome(call):
+    """repr of call's result, or the type and text of what it raised."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", _REFUSED, ids=list(_REFUSED))
+@pytest.mark.parametrize("case", _NUMBER_ARGUMENTS, ids=list(_NUMBER_ARGUMENTS))
+def test_a_number_argument_of_a_refused_kind_raises_naming_it(default_config, monkeypatch,
+                                                               case, kind):
+    # read as a config file's number is (model._read_argument), before any chain or closure pass
+    work = [count_calls(monkeypatch, chain, "_geometry"),
+            count_calls(monkeypatch, linkage, "_closure_kernel")]
+    name = _NUMBER_ARGUMENTS[case][3]
+    with pytest.raises(ValueError, match=rf"^{name}: expected a number, got {kind}$") as exc:
+        _call(default_config, case, _REFUSED[kind])
+    assert type(exc.value) is ValueError
+    assert work == [[0], [0]]
+
+
+@pytest.mark.parametrize("case", _NUMBER_ARGUMENTS, ids=list(_NUMBER_ARGUMENTS))
+def test_an_int_or_float_subclass_argument_gives_the_float_answer(default_config, case):
+    value = _NUMBER_ARGUMENTS[case][1][_NUMBER_ARGUMENTS[case][2]]
+    for given, same in ((int(value), float(int(value))), (np.float64(value), value)):
+        assert type(same) is float
+        assert _outcome(lambda: _call(default_config, case, given)) == _outcome(
+            lambda: _call(default_config, case, same)), (case, type(given).__name__)

@@ -103,7 +103,8 @@ def main() -> int:
     parser.add_argument("--first-seed", type=int, default=2001)
     parser.add_argument("--claim", help="workload:metric the change claims to improve")
     parser.add_argument("--per-layer", metavar="WORKLOAD",
-                        help="also one traced run per side of this workload")
+                        help=f"also {TRACED_RUNS} alternating traced runs per side of this "
+                             "workload")
     args = parser.parse_args()
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())

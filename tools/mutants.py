@@ -132,7 +132,8 @@ MUTANTS = {
     "total-stiffness-ungated": ("model.py", "return 1.0 / (_require_valid(config).n_joints",
                                 "return 1.0 / (config.n_joints", ""),
     "deflection-float-read": ("chain.py",
-                              'd = _require_number_list(tuple(deflection), "deflection")',
+                              'd = _read_argument(tuple(deflection), "deflection", '
+                              '_require_number_list)',
                               "d = tuple(float(x) for x in deflection)", ""),
     "gate-off": ("model.py", "if config._violations:", "if False:", ""),
     "gate-skipped-solve": ("equilibrium.py", "    _require_valid(config)\n    # a NaN force",
@@ -152,10 +153,14 @@ MUTANTS = {
     "hold-no-trial-1-joint": ("equilibrium.py",
                               "norm_trial = abs(r_trial) if _pushed(r_trial, x, lim) is None "
                               "else 0.0", "norm_trial = abs(r_trial)", ""),
-    "travel-trial-unchecked": ("analysis.py", "linkage._checked_kernel(config, theta, math.hypot",
-                               "linkage._closure_kernel(config, theta, math.hypot",
+    "travel-trial-unchecked": ("analysis.py", 'l4 = _read_finite(math.hypot(*tip), "l4")',
+                               "l4 = math.hypot(*tip)",
                                "a validated config's trial lever is finite unless the chain's "
                                "float sum overflows, which needs lengths near 1e308"),
+    "force-argument-unread": ("equilibrium.py", '    f_cyl = _read_argument(f_cyl, "f_cyl")\n',
+                              "", ""),
+    "ladder-argument-unread": ("analysis.py", "    start, stop, step = map(_read_argument, "
+                               '(start, stop, step), ("start", "stop", "step"))\n', "", ""),
 }
 
 
