@@ -25,8 +25,9 @@ import math
 
 from . import chain, equilibrium, linkage
 from .config import _write
-from .model import (CalibrationError, GeometryError, MechanismConfig, SweepTable, _read_argument,
-                    _read_finite, _require_valid, per_joint_stiffness, validate_config)
+from .model import (CalibrationError, GeometryError, MechanismConfig, SweepTable, _check_force,
+                    _check_theta, _read_argument, _read_finite, _require_valid,
+                    per_joint_stiffness, validate_config)
 
 TRIGGER_TOL = 0.05   # N, calibration tolerance on the triggering force
 RATIO_STEP_TOL = 0.005  # calibration tolerance on the ratio step
@@ -124,7 +125,7 @@ def _force_sweep(config, theta, f_from, f_to, step, columns, values) -> SweepTab
     if f_from < 0.0:
         raise ValueError(f"force range must be non-negative, got start {f_from}")
     forces = sample_ladder(f_from, f_to, step)
-    theta = equilibrium._check_theta(config, theta)
+    theta = _check_theta(config, theta)
     jac_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
     return _sweep(config, ("f_cyl (N)",) + columns, forces, lambda f: (theta, f),
                   lambda f, res: values(f, res, jac_closed))
@@ -143,7 +144,7 @@ def sweep_torque_vs_angle(
     closure cannot assemble are flagged infeasible and kept in the table. A
     negative, infinite or NaN f_cyl, or a refused kind, raises ValueError before any solve.
     """
-    f_cyl = equilibrium._check_force(f_cyl)
+    f_cyl = _check_force(f_cyl)
     l4_closed = chain.closed_lever(config)
     return _sweep(
         config,
@@ -201,7 +202,7 @@ def sweep_ratio_vs_force(
 
 def ratio_step_direct(config: MechanismConfig, theta: float) -> float:
     """Fully-open over closed transmission ratio minus one, straight from geometry."""
-    theta = equilibrium._check_theta(_require_valid(config), theta)
+    theta = _check_theta(config, theta)
     j_closed = linkage.jacobian(config, theta, chain.closed_lever(config))
     j_open = linkage.jacobian(config, theta, chain.open_lever(config))
     return j_open / j_closed - 1.0
@@ -267,7 +268,7 @@ def calibrate(
     _require_valid(config)
     target_trigger = _read_finite(target_trigger, "target_trigger")
     target_ratio_step = _read_finite(target_ratio_step, "target_ratio_step")
-    theta = equilibrium._check_theta(config, theta)
+    theta = _check_theta(config, theta)
     if target_trigger < 0.0 or target_ratio_step < 0.0:
         raise ValueError("calibration targets must be non-negative")
 

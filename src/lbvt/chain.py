@@ -22,10 +22,11 @@ from .model import (ChainState, MechanismConfig, Regime, _read_argument, _read_f
 
 
 def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
-    """deflection, any iterable of numbers, as a tuple of floats (model._read_argument).
+    """deflection, any iterable of numbers, as a tuple of floats, checked against a valid config.
 
     A refused kind or a value outside its joint's travel is a ValueError naming deflection[k].
     """
+    _require_valid(config)
     d = _read_argument(tuple(deflection), "deflection", _require_number_list)
     if len(d) != config.n_joints:
         raise ValueError(f"expected {config.n_joints} deflections, got {len(d)}")
@@ -137,6 +138,6 @@ def _chain_state(config: MechanismConfig, d, pivots) -> ChainState:
 
 def make_chain_state(config: MechanismConfig, deflection) -> ChainState:
     """Build a fully consistent ChainState from the deflections alone."""
-    d = _check_deflection(_require_valid(config), deflection)
+    d = _check_deflection(config, deflection)
     pivots, _ = _geometry(config, d)
     return _chain_state(config, d, pivots)

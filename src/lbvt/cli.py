@@ -16,7 +16,7 @@ import sys
 
 from . import analysis, equilibrium
 from .config import load_config, save_config
-from .model import CalibrationError, ConfigError, GeometryError
+from .model import CalibrationError, ConfigError, GeometryError, _AngleError, _check_force
 
 
 # Sweep subcommand -> (help text, analysis function name, default --to, plot
@@ -135,7 +135,7 @@ def _print_solve_report(result, theta_deg: float, out) -> None:
 
 def _cmd_solve(args, config) -> int:
     # solve_equilibrium reports a NaN force as an unconverged solve; the CLI rejects it
-    equilibrium._check_force(args.force)
+    _check_force(args.force)
     result = equilibrium.solve_equilibrium(config, math.radians(args.theta), args.force)
     _print_solve_report(result, args.theta, sys.stdout)
     return 0 if result.converged else 1
@@ -211,7 +211,7 @@ def run(argv=None) -> int:
         if args.command == "calibrate":
             return _cmd_calibrate(args, config)
         return _cmd_sweep(args, config)
-    except equilibrium._AngleError as exc:
+    except _AngleError as exc:
         message = _angle_message(args, config, exc.theta)
     except (ConfigError, GeometryError, CalibrationError, ValueError, OSError) as exc:
         message = str(exc)

@@ -75,6 +75,9 @@ method and in the arithmetic. It builds its result through this module's
 _result and _scan, from the deflections it found and the load-map point
 there, so the two compare field by field. The library itself runs on the
 standard library alone.
+
+This module checks no argument itself: model.py reads theta and f_cyl
+(_check_theta, _check_force), and _check_theta gates the config first.
 """
 
 from __future__ import annotations
@@ -83,17 +86,8 @@ import math
 from bisect import insort
 
 from . import chain, linkage
-from .model import (
-    ChainState,
-    EquilibriumResult,
-    MechanismConfig,
-    NoTriggerError,
-    Regime,
-    _read_argument,
-    _read_finite,
-    _require_valid,
-    per_joint_stiffness,
-)
+from .model import (ChainState, EquilibriumResult, MechanismConfig, NoTriggerError, Regime,
+                    _check_force, _check_theta, _require_valid, per_joint_stiffness)
 
 MAX_OUTER = 200
 MAX_INNER = 50
@@ -208,7 +202,7 @@ class _LoadMap:
 
 def _trigger_torque(config: MechanismConfig, theta: float) -> float:
     """Largest closed-chain joint torque per newton of actuator force; preload-independent."""
-    theta = _check_theta(_require_valid(config), theta)
+    theta = _check_theta(config, theta)
     per_unit = _LoadMap(config, theta, 1.0).evaluate((0.0,) * config.n_joints)[0]
     loaded = [a for a in per_unit if a > 1e-12]
     if not loaded:
@@ -229,7 +223,8 @@ def triggering_force(config: MechanismConfig, theta: float) -> float:
     (A convention waiting for the least-loaded joint would return the maximum
     instead; the two coincide for uniform thresholds with proportional loading.)
     """
-    return per_joint_stiffness(config) * config.alpha_preload / _trigger_torque(config, theta)
+    a_max = _trigger_torque(config, theta)  # gates config before its fields are read
+    return per_joint_stiffness(config) * config.alpha_preload / a_max
 
 
 def _pushed(r, di, lim):
@@ -482,31 +477,6 @@ def _active_set(load, d, point, regimes, k, a0, limits, tol=_INNER_TOL):
     else:
         residual, _ = _scan(d, regimes, point[0], k, a0, limits)  # after the last flip
     return point, outer, residual
-
-
-def _check_force(f_cyl: float, nan_ok: bool = False) -> float:
-    """f_cyl, read by model._read_argument; refused if negative, infinite, or NaN unless nan_ok."""
-    f_cyl = _read_argument(f_cyl, "f_cyl")
-    if not (0.0 <= f_cyl < math.inf or nan_ok and math.isnan(f_cyl)):
-        raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
-    return f_cyl
-
-
-class _AngleError(ValueError):
-    """A finite knee angle theta outside the config's range; the CLI restates it in degrees."""
-
-    def __init__(self, config: MechanismConfig, theta: float):
-        self.theta = theta
-        super().__init__(f"theta={theta} outside the configured range "
-                         f"[{config.theta_min}, {config.theta_max}]")
-
-
-def _check_theta(config: MechanismConfig, theta: float) -> float:
-    """theta read as a finite number (model._read_finite), refused outside the config's range."""
-    theta = _read_finite(theta, "theta")
-    if not (config.theta_min - 1e-9 <= theta <= config.theta_max + 1e-9):
-        raise _AngleError(config, theta)
-    return theta
 
 
 _CONTINUATION_RUNGS = 8

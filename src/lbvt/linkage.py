@@ -15,6 +15,8 @@ closure: with e2 the input bar and e3 the coupler vector, the coupler joint
 velocity is cross(C, e3)/cross(e2, e3) * perp(e2) per unit knee rate,
 which degenerates when input bar and coupler are collinear. Both entries
 read theta and l4 as finite numbers (model._read_finite) before any check.
+The closure check that validation runs, _closure_violations, sits beside the
+kernel whose checks it reasons about.
 """
 
 from __future__ import annotations
@@ -103,6 +105,71 @@ def _closure_kernel(config: MechanismConfig, theta: float, l4: float):
     jac = r * lam * (ex * (-by) + ey * e2x) / d
 
     return (ax_, 0.0), (bx, by), (cx, cy), d, jac
+
+
+def _extreme_angle(config: MechanismConfig, phase: float) -> float:
+    """Knee angle in the range where cos(theta + lever_bearing) is least or greatest.
+
+    phase is pi for the least cosine and 0 for the greatest. The extremes lie
+    at the range ends or where theta + lever_bearing is phase modulo 2*pi;
+    the range spans less than pi, so it holds at most one such angle.
+    """
+    b = config.lever_bearing
+    turn = 2.0 * math.pi
+    inner = phase - b + turn * math.ceil((config.theta_min + b - phase) / turn)
+    if inner <= config.theta_max:
+        return inner
+    ends = (config.theta_min, config.theta_max)
+    return (min if phase else max)(ends, key=lambda theta: math.cos(theta + b))
+
+
+def _closure_violations(config: MechanismConfig) -> list[str]:
+    """Exact closure check over the box of knee angles x lever lengths.
+
+    Runs while the config is built, once its fields passed their checks.
+    The box is theta in [theta_min, theta_max] and l4 between the closed and
+    the fully open lever, both already stored on the config, so the check
+    runs no chain pass. Every check of _closure_kernel but the
+    actuator one accepts an interval of the pivot span g, where
+    g**2 = l4**2 + l1**2 - 2*l1*l4*cos(theta + lever_bearing): the circle
+    checks bound g, and the fold test |sin B| = 2*area/(l2*l3) fails only
+    near both ends of [|l2 - l3|, l2 + l3], since 16*area**2 is a concave
+    quadratic in g**2. Over the box g**2 is linear in the cosine and convex
+    in l4, so g is longest at an end lever where the cosine is least, and
+    shortest where the cosine is greatest, at l4 = l1*cos clamped to the
+    lever range. The solver's own kernel at those at most three points
+    decides the whole box; each failing lever is reported once, with the
+    kernel's message at its extreme span. The actuator attachment runs on a
+    circle of radius actuator_attach_ratio * l2 about the ground pivot, so
+    the actuator length can reach 0 only when the actuator base lies on it.
+    """
+    closed, open_ = config._closed_lever, config._open_lever
+    theta_far = _extreme_angle(config, math.pi)
+    theta_near = _extreme_angle(config, 0.0)
+    near = min(max(config.l1 * math.cos(theta_near + config.lever_bearing),
+                   min(closed, open_)), max(closed, open_))
+    near_label = ("closed" if near == closed else
+                  "fully open" if near == open_ else "partly open")
+    points = (("closed", theta_far, closed), ("fully open", theta_far, open_),
+              (near_label, theta_near, near))
+    failed: dict[str, str] = {}
+    for label, theta, l4 in points:
+        # one message per lever; a partly open one only when both end levers hold
+        if label not in failed and (label != "partly open" or not failed):
+            try:
+                _closure_kernel(config, theta, l4)
+            except GeometryError as exc:
+                failed[label] = f"four-bar closure fails with the {label} lever: {exc}"
+    out = [failed[label] for label in ("closed", "partly open", "fully open") if label in failed]
+
+    radius = config.actuator_attach_ratio * config.l2
+    qx, qy = config.actuator_base
+    if math.hypot(qx - config.l1, qy) == radius:
+        out.append(
+            f"actuator base lies on the attachment circle, {radius:.5f} m about the "
+            "input-bar ground pivot: the actuator length can reach 0"
+        )
+    return out
 
 
 def actuator_length(config: MechanismConfig, theta: float, l4: float) -> float:

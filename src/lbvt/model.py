@@ -10,6 +10,10 @@ Sign conventions:
     non-negative; opening a joint increases its deflection.
 
 All types are immutable after construction and safe to share across threads.
+
+Number arguments are read and checked here (_read_argument, _read_finite,
+_check_force, _check_theta), beside the validity gate _require_valid; the
+closure check that validation runs lives with its kernel, in linkage.py.
 """
 
 from __future__ import annotations
@@ -79,8 +83,8 @@ class MechanismConfig:
     Only when the pass found none do the checks of _field_violations run;
     only a config that passes both gets its kernel terms, bearing and levers
     (otherwise no terms, and NaN and None, which no entry reads, since every
-    entry refuses an invalid config), and then the closure check, which
-    reads them. dataclasses.replace makes a modified copy, which recomputes
+    entry refuses an invalid config), and then linkage's closure check,
+    which reads them. dataclasses.replace makes a modified copy, which recomputes
     the terms, the bearing, both levers and the verdict.
     """
 
@@ -131,7 +135,8 @@ class MechanismConfig:
         object.__setattr__(self, "lever_bearing", bearing)
         object.__setattr__(self, "_closed_lever", closed_lever)
         object.__setattr__(self, "_open_lever", open_lever)
-        object.__setattr__(self, "_violations", tuple(violations or _closure_violations(self)))
+        object.__setattr__(self, "_violations",
+                           tuple(violations or _linkage._closure_violations(self)))
 
     @property
     def n_joints(self) -> int:
@@ -184,6 +189,32 @@ def _read_finite(raw, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
+
+
+def _check_force(f_cyl: float, nan_ok: bool = False) -> float:
+    """f_cyl, read by _read_argument; refused if negative, infinite, or NaN unless nan_ok."""
+    f_cyl = _read_argument(f_cyl, "f_cyl")
+    if not (0.0 <= f_cyl < math.inf or nan_ok and math.isnan(f_cyl)):
+        raise ValueError(f"f_cyl must be non-negative and finite, got {f_cyl}")
+    return f_cyl
+
+
+class _AngleError(ValueError):
+    """A finite knee angle theta outside the config's range; the CLI restates it in degrees."""
+
+    def __init__(self, config: MechanismConfig, theta: float):
+        self.theta = theta
+        super().__init__(f"theta={theta} outside the configured range "
+                         f"[{config.theta_min}, {config.theta_max}]")
+
+
+def _check_theta(config: MechanismConfig, theta: float) -> float:
+    """theta read finite (_read_finite), refused outside the range of a config that is valid."""
+    _require_valid(config)
+    theta = _read_finite(theta, "theta")
+    if not (config.theta_min - 1e-9 <= theta <= config.theta_max + 1e-9):
+        raise _AngleError(config, theta)
+    return theta
 
 
 # (field name, the reader of its value) in field order, for config files and configs
@@ -312,7 +343,7 @@ def validate_config(config: MechanismConfig) -> list[str]:
     finiteness of every number, in MechanismConfig.__post_init__'s one pass
     over the fields, then the per-field checks of _field_violations, then
     closure solvability over the whole knee range and lever range
-    (_closure_violations). Each call returns a fresh list.
+    (linkage._closure_violations). Each call returns a fresh list.
     """
     return list(config._violations)
 
@@ -391,71 +422,6 @@ def _field_violations(config: MechanismConfig) -> list[str]:
         if not (-math.pi < value <= 0.0):
             v.append(f"{name} must lie in (-pi, 0], got {value}")
     return v
-
-
-def _extreme_angle(config: MechanismConfig, phase: float) -> float:
-    """Knee angle in the range where cos(theta + lever_bearing) is least or greatest.
-
-    phase is pi for the least cosine and 0 for the greatest. The extremes lie
-    at the range ends or where theta + lever_bearing is phase modulo 2*pi;
-    the range spans less than pi, so it holds at most one such angle.
-    """
-    b = config.lever_bearing
-    turn = 2.0 * math.pi
-    inner = phase - b + turn * math.ceil((config.theta_min + b - phase) / turn)
-    if inner <= config.theta_max:
-        return inner
-    ends = (config.theta_min, config.theta_max)
-    return (min if phase else max)(ends, key=lambda theta: math.cos(theta + b))
-
-
-def _closure_violations(config: MechanismConfig) -> list[str]:
-    """Exact closure check over the box of knee angles x lever lengths.
-
-    Runs while the config is built, once its fields passed their checks.
-    The box is theta in [theta_min, theta_max] and l4 between the closed and
-    the fully open lever, both already stored on the config, so the check
-    runs no chain pass. Every check of linkage._closure_kernel but
-    the actuator one accepts an interval of the pivot span g, where
-    g**2 = l4**2 + l1**2 - 2*l1*l4*cos(theta + lever_bearing): the circle
-    checks bound g, and the fold test |sin B| = 2*area/(l2*l3) fails only
-    near both ends of [|l2 - l3|, l2 + l3], since 16*area**2 is a concave
-    quadratic in g**2. Over the box g**2 is linear in the cosine and convex
-    in l4, so g is longest at an end lever where the cosine is least, and
-    shortest where the cosine is greatest, at l4 = l1*cos clamped to the
-    lever range. The solver's own kernel at those at most three points
-    decides the whole box; each failing lever is reported once, with the
-    kernel's message at its extreme span. The actuator attachment runs on a
-    circle of radius actuator_attach_ratio * l2 about the ground pivot, so
-    the actuator length can reach 0 only when the actuator base lies on it.
-    """
-    closed, open_ = config._closed_lever, config._open_lever
-    theta_far = _extreme_angle(config, math.pi)
-    theta_near = _extreme_angle(config, 0.0)
-    near = min(max(config.l1 * math.cos(theta_near + config.lever_bearing),
-                   min(closed, open_)), max(closed, open_))
-    near_label = ("closed" if near == closed else
-                  "fully open" if near == open_ else "partly open")
-    points = (("closed", theta_far, closed), ("fully open", theta_far, open_),
-              (near_label, theta_near, near))
-    failed: dict[str, str] = {}
-    for label, theta, l4 in points:
-        # one message per lever; a partly open one only when both end levers hold
-        if label not in failed and (label != "partly open" or not failed):
-            try:
-                _linkage._closure_kernel(config, theta, l4)
-            except GeometryError as exc:
-                failed[label] = f"four-bar closure fails with the {label} lever: {exc}"
-    out = [failed[label] for label in ("closed", "partly open", "fully open") if label in failed]
-
-    radius = config.actuator_attach_ratio * config.l2
-    qx, qy = config.actuator_base
-    if math.hypot(qx - config.l1, qy) == radius:
-        out.append(
-            f"actuator base lies on the attachment circle, {radius:.5f} m about the "
-            "input-bar ground pivot: the actuator length can reach 0"
-        )
-    return out
 
 
 # last, so that both modules find what they import from this one defined

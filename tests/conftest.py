@@ -37,7 +37,8 @@ _FOURBAR = dict(
 
 # field updates that make the default config invalid, by id: travel limits
 # and chain angles at which no fully open lever can be built, a preload past
-# one turn and a negative one, and a four-bar too short to close
+# one turn and a negative one, a four-bar too short to close, and a knee range
+# or a stiffness that a reader refuses or finds not finite
 INVALID_UPDATES = {
     "negative": {"joint_open_limit": (-0.1,) + (0.1,) * 5},
     "barely_negative": {"joint_open_limit": (0.1,) * 5 + (-1e-13,)},
@@ -53,6 +54,9 @@ INVALID_UPDATES = {
     "preload_past_one_turn": {"alpha_preload": 7.0},
     "negative_preload": {"alpha_preload": -0.5},
     "short_fourbar": {"l2": 0.01, "l3": 0.01},
+    "str_theta_min": {"theta_min": "x"},
+    "nan_theta_min": {"theta_min": math.nan},
+    "str_k_spring": {"k_spring": "x"},
 }
 
 

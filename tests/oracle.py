@@ -36,6 +36,8 @@ from lbvt.model import (
     GeometryError,
     MechanismConfig,
     SingularityError,
+    _check_force,
+    _check_theta,
     _require_valid,
     per_joint_stiffness,
 )
@@ -169,8 +171,8 @@ def brute_force_equilibrium(config: MechanismConfig, theta: float, f_cyl: float,
     _require_valid(config)
     if not (grid_step > 0.0):
         raise ValueError(f"grid_step must be positive, got {grid_step}")
-    f_cyl = equilibrium._check_force(f_cyl)
-    theta = equilibrium._check_theta(config, theta)
+    f_cyl = _check_force(f_cyl)
+    theta = _check_theta(config, theta)
 
     # node counts stay floats until checked: a tiny step makes them too large,
     # or infinite, for an int, and no axis is built before the budget holds

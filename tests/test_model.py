@@ -200,6 +200,11 @@ def test_shortest_span_at_a_partly_open_lever_is_rejected(default_config):
         "four-bar closure fails with the partly open lever: closure infeasible at "
         "theta=-66.664 deg, l4=0.07910 m: pivot span")
     assert "is below |l2 - l3|" in violations[0]
+    # the same |l2 - l3| with l2 + l3 too short for both end levers: the partly
+    # open lever still fails, but is checked only when both end levers hold
+    worse = dataclasses.replace(bad, l2=0.01, l3=bad.l3 - bad.l2 + 0.01)
+    assert [v.split(":")[0] for v in validate_config(worse)] == [
+        f"four-bar closure fails with the {label} lever" for label in ("closed", "fully open")]
 
 
 def test_actuator_base_on_the_attachment_circle_is_rejected(default_config):
@@ -605,6 +610,32 @@ def test_every_entry_refuses_an_invalid_config(default_config, case):
     config = dataclasses.replace(default_config, **INVALID_UPDATES[case])
     message = "invalid config: " + "; ".join(validate_config(config))
     for name, call in _GATED_ENTRIES.items():
+        with pytest.raises(ConfigError) as exc:
+            call(config)
+        assert str(exc.value) == message, name
+
+
+# each entry given arguments it refuses from a valid config; a sweep's range and step
+# are read without the config, so only its angle is bad here
+_BAD_ARGUMENTS = {
+    "solve_equilibrium": lambda c: equilibrium.solve_equilibrium(c, math.nan, -1.0),
+    "triggering_force": lambda c: equilibrium.triggering_force(c, math.nan),
+    "calibrate": lambda c: analysis.calibrate(c, -1.0, math.nan, math.nan),
+    "ratio_step_direct": lambda c: analysis.ratio_step_direct(c, math.nan),
+    "joint_torques": lambda c: chain.joint_torques(c, (-1.0,), math.nan),
+    "make_chain_state": lambda c: chain.make_chain_state(c, (-1.0,)),
+    "jacobian": lambda c: linkage.jacobian(c, math.nan, -1.0),
+    "actuator_length": lambda c: linkage.actuator_length(c, math.nan, -1.0),
+    **{name: lambda c, name=name: getattr(analysis, name)(c, math.nan, 0.0, 50.0, 10.0)
+       for name in ("sweep_trigger", "sweep_torque_vs_force", "sweep_ratio_vs_force")},
+}
+
+
+def test_an_invalid_config_is_refused_before_its_arguments(default_config):
+    # the gate runs before any argument that depends on the config is read
+    config = dataclasses.replace(default_config, **INVALID_UPDATES["preload_past_one_turn"])
+    message = "invalid config: " + "; ".join(validate_config(config))
+    for name, call in _BAD_ARGUMENTS.items():
         with pytest.raises(ConfigError) as exc:
             call(config)
         assert str(exc.value) == message, name

@@ -54,7 +54,7 @@ MUTANTS = {
     "ladder-snap-0.4": ("analysis.py", "< 0.5 * step:", "< 0.4 * step:", ""),
     "singularity-1e-7": ("linkage.py", "SINGULARITY_SIN = 1e-8", "SINGULARITY_SIN = 1e-7", ""),
     "deflection-slack-1e-6": ("chain.py", "dk <= lim + 1e-12", "dk <= lim + 1e-6", ""),
-    "theta-slack-1e-6": ("equilibrium.py", "theta_min - 1e-9 <= theta <= config.theta_max + 1e-9",
+    "theta-slack-1e-6": ("model.py", "theta_min - 1e-9 <= theta <= config.theta_max + 1e-9",
                          "theta_min - 1e-6 <= theta <= config.theta_max + 1e-6", ""),
     "max-inner-10": ("equilibrium.py", "MAX_INNER = 50", "MAX_INNER = 10", ""),
     "rung-tol-1e-2": ("equilibrium.py", "_RUNG_TOL = 1e-3", "_RUNG_TOL = 1e-2", ""),
@@ -157,8 +157,23 @@ MUTANTS = {
                                "l4 = math.hypot(*tip)",
                                "a validated config's trial lever is finite unless the chain's "
                                "float sum overflows, which needs lengths near 1e308"),
-    "force-argument-unread": ("equilibrium.py", '    f_cyl = _read_argument(f_cyl, "f_cyl")\n',
+    "force-argument-unread": ("model.py", '    f_cyl = _read_argument(f_cyl, "f_cyl")\n',
                               "", ""),
+    "theta-check-ungated": ("model.py",
+                            '    _require_valid(config)\n    theta = _read_finite(theta, "theta")',
+                            '    theta = _read_finite(theta, "theta")', ""),
+    "deflection-check-ungated": ("chain.py", "    _require_valid(config)\n    d = _read_argument(",
+                                 "    d = _read_argument(", ""),
+    "trigger-reads-before-gate": ("equilibrium.py",
+                                  "    a_max = _trigger_torque(config, theta)  # gates config "
+                                  "before its fields are read\n    return per_joint_stiffness("
+                                  "config) * config.alpha_preload / a_max",
+                                  "    return per_joint_stiffness(config) * config.alpha_preload"
+                                  " / _trigger_torque(config, theta)", ""),
+    "partly-open-always-checked": ("linkage.py", 'label != "partly open" or not failed', "True",
+                                   ""),
+    "extreme-angle-interior-ignored": ("linkage.py", "if inner <= config.theta_max:", "if False:",
+                                       ""),
     "ladder-argument-unread": ("analysis.py", "    start, stop, step = map(_read_argument, "
                                '(start, stop, step), ("start", "stop", "step"))\n', "", ""),
 }
