@@ -25,9 +25,9 @@ import math
 
 from . import chain, equilibrium, linkage
 from .config import _write
-from .model import (CalibrationError, GeometryError, MechanismConfig, SweepTable, _check_force,
-                    _check_theta, _read_argument, _read_finite, _require_valid,
-                    per_joint_stiffness, validate_config)
+from .model import (CalibrationError, ConfigError, GeometryError, MechanismConfig, SweepTable,
+                    _check_force, _check_theta, _read_argument, _read_finite,
+                    per_joint_stiffness)
 
 TRIGGER_TOL = 0.05   # N, calibration tolerance on the triggering force
 RATIO_STEP_TOL = 0.005  # calibration tolerance on the ratio step
@@ -256,16 +256,16 @@ def calibrate(
     chain is evaluated once and its lever comes with the config: a trial
     preload costs one division, and a trial travel scale one chain pass and
     one closure-kernel call at the scaled open lever (the lever points along
-    config.lever_bearing, so no trial rebuilds the closed chain). The config
-    was validated and theta checked on entry, so a trial runs no deflection
-    check; the trial lever is still read finite, since finite fields can
-    still overflow a float in the chain's sum. The one new config is built
-    at the end. An invalid config raises ConfigError with its violations; a
-    target or theta of a refused kind (model._read_finite), not finite, or a theta
-    outside the config's range raises ValueError. A trigger target that one turn
-    of preload, the most a config may hold, cannot reach raises CalibrationError.
+    config.lever_bearing, so no trial rebuilds the closed chain). A config
+    is valid by construction and theta is checked on entry, so a trial runs
+    no deflection check; the trial lever is still read finite, since finite
+    fields can still overflow a float in the chain's sum. The one new config
+    is built at the end; a build that refuses it raises CalibrationError
+    listing the violations. A target or theta of a refused kind
+    (model._read_finite), not finite, or a theta outside the config's range
+    raises ValueError. A trigger target that one turn of preload, the most a
+    config may hold, cannot reach raises CalibrationError.
     """
-    _require_valid(config)
     target_trigger = _read_finite(target_trigger, "target_trigger")
     target_ratio_step = _read_finite(target_ratio_step, "target_ratio_step")
     theta = _check_theta(config, theta)
@@ -278,7 +278,7 @@ def calibrate(
         def trigger_at(preload: float) -> float:
             return per_joint_stiffness(config) * preload / a_max
 
-        turn = 2.0 * math.pi  # validate_config's preload cap: the doublings stop there
+        turn = 2.0 * math.pi  # a config's preload cap: the doublings stop there
         hi = max(config.alpha_preload, 0.05)
         while trigger_at(hi) < target_trigger:
             if hi == turn:
@@ -310,14 +310,12 @@ def calibrate(
                         "ratio-step bisection did not settle within {tol} (bracket [{lo}, {hi}])")
         limits = tuple(scale * lim for lim in config.joint_open_limit)
     # the ratio search never reads the preload, so one config takes both knobs
-    cfg = dataclasses.replace(config, alpha_preload=alpha, joint_open_limit=limits)
-
-    violations = validate_config(cfg)
-    if violations:
+    try:
+        return dataclasses.replace(config, alpha_preload=alpha, joint_open_limit=limits)
+    except ConfigError as exc:
         raise CalibrationError(
-            "calibrated config failed validation: " + "; ".join(violations)
-        )
-    return cfg
+            "calibrated config failed validation: " + "; ".join(exc.violations)
+        ) from None
 
 
 def emit_csv(table: SweepTable, destination) -> int:

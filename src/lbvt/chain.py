@@ -18,15 +18,14 @@ import math
 from math import cos, sin
 
 from .model import (ChainState, MechanismConfig, Regime, _read_argument, _read_finite,
-                    _require_number_list, _require_valid)
+                    _require_number_list)
 
 
 def _check_deflection(config: MechanismConfig, deflection) -> tuple[float, ...]:
-    """deflection, any iterable of numbers, as a tuple of floats, checked against a valid config.
+    """deflection, any iterable of numbers, as a tuple of floats, checked against the config.
 
     A refused kind or a value outside its joint's travel is a ValueError naming deflection[k].
     """
-    _require_valid(config)
     d = _read_argument(tuple(deflection), "deflection", _require_number_list)
     if len(d) != config.n_joints:
         raise ValueError(f"expected {config.n_joints} deflections, got {len(d)}")
@@ -90,7 +89,7 @@ def closed_lever(config: MechanismConfig) -> float:
 
     The config computed it when it was built, so this runs no chain pass.
     """
-    return _require_valid(config)._closed_lever
+    return config._closed_lever
 
 
 def open_lever(config: MechanismConfig) -> float:
@@ -98,7 +97,7 @@ def open_lever(config: MechanismConfig) -> float:
 
     The config computed it when it was built, so this runs no chain pass.
     """
-    return _require_valid(config)._open_lever
+    return config._open_lever
 
 
 def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[float, ...]:
@@ -107,7 +106,6 @@ def joint_torques(config: MechanismConfig, deflection, f_end: float) -> tuple[fl
     Equals the planar cross product of (tip - pivot) with the force vector;
     positive torque drives the joint toward opening. Linear in f_end (model._read_finite).
     """
-    _require_valid(config)
     f_end = _read_finite(f_end, "f_end")
     d = _check_deflection(config, deflection)
     pivots, tip = _geometry(config, d)

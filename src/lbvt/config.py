@@ -10,8 +10,9 @@ not UTF-8 text is a ConfigError naming its path, as a parse error is.
 json parses the file, and the build reads and checks every value with the
 readers of model.py: load_config reads only an angle field, to convert it,
 and leaves each value a reader refuses to the build, so a bad file is one
-ConfigError that names the path and lists every violation. The writer takes
-only a valid config (model._require_valid) and writes it field by field, in
+ConfigError that names the path and lists every violation the build
+refused it for. The writer is given a config, so a valid one (a config
+that fails validation cannot be built), and writes it field by field, in
 the very bytes json.dumps(doc, indent=2) gave for the whole document; only a
 non-finite number and the provenance go through json.
 """
@@ -21,8 +22,7 @@ from __future__ import annotations
 import json
 import math
 
-from .model import (_FIELD_READERS, ConfigError, MechanismConfig, _require_valid,
-                    validate_config)
+from .model import _FIELD_READERS, ConfigError, MechanismConfig
 
 _DEGREES = {"beta", "phi", "alpha_preload", "joint_open_limit", "theta_min", "theta_max"}
 _IGNORED_KEYS = {"provenance", "spring_arm_length"}
@@ -74,31 +74,28 @@ def load_config(path) -> MechanismConfig:
                 pass
         fields[name] = value
 
-    config = MechanismConfig(**fields)
-    violations = validate_config(config)
-    if violations:
+    try:
+        return MechanismConfig(**fields)
+    except ConfigError as exc:
         raise ConfigError(
-            f"{path}: invalid config:\n" + "\n".join(f"  - {v}" for v in violations)
-        )
-    return config
+            f"{path}: invalid config:\n" + "\n".join(f"  - {v}" for v in exc.violations)
+        ) from None
 
 
 def save_config(config: MechanismConfig, path, provenance: dict | None = None) -> int:
-    """Write a valid config file (degrees for angle fields); returns bytes written.
+    """Write a config file (degrees for angle fields); returns bytes written.
 
-    A config that fails validation raises model._require_valid's
-    ConfigError, and nothing is written. The file is written field by field,
-    in the bytes json.dumps(doc, indent=2) gave for the document: the
-    provenance, if given, then every field in schema order. A provenance
-    json refuses raises json's exception; the file is opened only once the
-    whole text is built, so then nothing is written either.
+    The file is written field by field, in the bytes json.dumps(doc,
+    indent=2) gave for the document: the provenance, if given, then every
+    field in schema order. A provenance json refuses raises json's
+    exception; the file is opened only once the whole text is built, so
+    then nothing is written.
 
     A save/load round trip is not bit-exact: math.radians(math.degrees(x))
     can differ from x in its last bits (60 of 320 calibrated configs reload
     unequal, by at most 1.8e-16 relative). A correctly rounded
     degree-to-radian conversion on load would make it exact (ROADMAP item 10).
     """
-    _require_valid(config)
     doc: dict = {}  # every value converted before any is written, as json.dumps(doc) did
     for name, (_, degrees) in _SCHEMA.items():
         value = getattr(config, name)

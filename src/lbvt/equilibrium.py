@@ -77,7 +77,8 @@ there, so the two compare field by field. The library itself runs on the
 standard library alone.
 
 This module checks no argument itself: model.py reads theta and f_cyl
-(_check_theta, _check_force), and _check_theta gates the config first.
+(_check_theta, _check_force), and every config is valid, since one that
+fails validation cannot be built.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from bisect import insort
 
 from . import chain, linkage
 from .model import (ChainState, EquilibriumResult, MechanismConfig, NoTriggerError, Regime,
-                    _check_force, _check_theta, _require_valid, per_joint_stiffness)
+                    _check_force, _check_theta, per_joint_stiffness)
 
 MAX_OUTER = 200
 MAX_INNER = 50
@@ -223,8 +224,7 @@ def triggering_force(config: MechanismConfig, theta: float) -> float:
     (A convention waiting for the least-loaded joint would return the maximum
     instead; the two coincide for uniform thresholds with proportional loading.)
     """
-    a_max = _trigger_torque(config, theta)  # gates config before its fields are read
-    return per_joint_stiffness(config) * config.alpha_preload / a_max
+    return per_joint_stiffness(config) * config.alpha_preload / _trigger_torque(config, theta)
 
 
 def _pushed(r, di, lim):
@@ -552,12 +552,10 @@ def solve_equilibrium(config: MechanismConfig, theta: float, f_cyl: float, *,
     (built by hand, copied by dataclasses.replace, or from another config
     object) is checked and evaluated, to the same result bit for bit. A start
     of the wrong length, with a NaN or out-of-range deflection raises
-    ValueError. Without start the solve is unchanged. A config that fails
-    validation raises ConfigError naming its violations, before any other check.
+    ValueError. Without start the solve is unchanged.
     theta and f_cyl are read as numbers (model._read_argument); a refused kind, a non-finite
     theta or one outside the config's range raises ValueError, a NaN f_cyl is unconverged.
     """
-    _require_valid(config)
     # a NaN force stays an unconverged solve: bench's checker_self_test solves one outside its try
     f_cyl = _check_force(f_cyl, nan_ok=True)
     theta = _check_theta(config, theta)

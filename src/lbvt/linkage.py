@@ -15,8 +15,9 @@ closure: with e2 the input bar and e3 the coupler vector, the coupler joint
 velocity is cross(C, e3)/cross(e2, e3) * perp(e2) per unit knee rate,
 which degenerates when input bar and coupler are collinear. Both entries
 read theta and l4 as finite numbers (model._read_finite) before any check.
-The closure check that validation runs, _closure_violations, sits beside the
-kernel whose checks it reasons about.
+The closure check that a config's build runs, _closure_violations, sits
+beside the kernel whose checks it reasons about; a config that fails it is
+never built, so neither entry checks its config.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from math import cos, hypot, sin, sqrt
 
-from .model import GeometryError, MechanismConfig, SingularityError, _read_finite, _require_valid
+from .model import GeometryError, MechanismConfig, SingularityError, _read_finite
 
 SINGULARITY_SIN = 1e-8  # |sin(input-coupler angle)| below this raises
 
@@ -174,11 +175,9 @@ def _closure_violations(config: MechanismConfig) -> list[str]:
 
 def actuator_length(config: MechanismConfig, theta: float, l4: float) -> float:
     """Distance from the actuator base to its attachment point on the input bar."""
-    return _closure_kernel(_require_valid(config), _read_finite(theta, "theta"),
-                           _read_finite(l4, "l4"))[3]
+    return _closure_kernel(config, _read_finite(theta, "theta"), _read_finite(l4, "l4"))[3]
 
 
 def jacobian(config: MechanismConfig, theta: float, l4: float) -> float:
     """Actuator extension per unit knee rotation at fixed lever length (m/rad)."""
-    return _closure_kernel(_require_valid(config), _read_finite(theta, "theta"),
-                           _read_finite(l4, "l4"))[4]
+    return _closure_kernel(config, _read_finite(theta, "theta"), _read_finite(l4, "l4"))[4]

@@ -11,9 +11,10 @@ Sign conventions:
 
 All types are immutable after construction and safe to share across threads.
 
-Number arguments are read and checked here (_read_argument, _read_finite,
-_check_force, _check_theta), beside the validity gate _require_valid; the
-closure check that validation runs lives with its kernel, in linkage.py.
+A MechanismConfig that fails validation cannot be built, so every config
+an entry is given is valid. Number arguments are read and checked here
+(_read_argument, _read_finite, _check_force, _check_theta); the closure
+check that the build runs lives with its kernel, in linkage.py.
 """
 
 from __future__ import annotations
@@ -40,7 +41,21 @@ class CalibrationError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A config file failed parsing, schema checks, or validation."""
+    """A config file failed parsing, schema checks, or validation.
+
+    violations holds, as a tuple, what a refused MechanismConfig violated,
+    and is empty for any other failure.
+    """
+
+    def __init__(self, message: str, violations: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.violations = violations
+
+
+def _refuse(violations: list[str]) -> None:
+    """Raise the ConfigError that refuses a config's build when violations is not empty."""
+    if violations:
+        raise ConfigError("invalid config: " + "; ".join(violations), tuple(violations))
 
 
 class Regime(enum.Enum):
@@ -71,21 +86,24 @@ class MechanismConfig:
     saved nor compared. So are the closed and the fully open lever,
     _closed_lever and _open_lever: the l4 of chain.make_chain_state at zero
     and at full travel (read them through chain.closed_lever and
-    chain.open_lever).
-    Nor is _violations, validate_config's verdict as a tuple, nor are the
-    kernels' config-only terms (chain._chain_terms and
-    linkage._closure_terms). One pass reads every field as config.py reads
-    its value in a file (_FIELD_READERS), and keeps a value its reader
-    already accepts as the very object given: an int or a float subclass in
-    a float field becomes a float, a list a tuple of floats; a string, a
-    bool, a numpy scalar that is not a float, a sequence that is not a list
-    or tuple, and a NaN or infinite number are violations, in field order.
-    Only when the pass found none do the checks of _field_violations run;
-    only a config that passes both gets its kernel terms, bearing and levers
-    (otherwise no terms, and NaN and None, which no entry reads, since every
-    entry refuses an invalid config), and then linkage's closure check,
-    which reads them. dataclasses.replace makes a modified copy, which recomputes
-    the terms, the bearing, both levers and the verdict.
+    chain.open_lever), and the kernels' config-only terms (chain._chain_terms
+    and linkage._closure_terms).
+
+    A config is valid by construction: building one that fails validation
+    raises ConfigError("invalid config: ...") and yields no object, so no
+    entry checks the config it is given. The build checks in three stages,
+    each only when the one before found nothing, so each bad number is
+    reported once. First one pass reads every field as config.py reads its
+    value in a file (_FIELD_READERS), and keeps a value its reader already
+    accepts as the very object given: an int or a float subclass in a float
+    field becomes a float, a list a tuple of floats; a string, a bool, a
+    numpy scalar that is not a float, a sequence that is not a list or
+    tuple, and a NaN or infinite number are violations, in field order. Then
+    the checks of _field_violations run; then the config gets its kernel
+    terms, bearing and levers, and linkage's closure check reads them. The
+    error's violations attribute holds the stage's violations as a tuple.
+    dataclasses.replace makes a modified copy, which is checked the same way
+    and recomputes the terms, the bearing and both levers.
     """
 
     l1: float
@@ -122,21 +140,17 @@ class MechanismConfig:
             elif read is not _require_int and not all(map(math.isfinite, value)):
                 violations.extend(f"{name}[{i}] must be finite, got {x}"
                                   for i, x in enumerate(value) if not math.isfinite(x))
-        if not violations:  # a malformed or non-finite number would break or fail the checks
-            violations = _field_violations(self)
-        bearing, closed_lever, open_lever = math.nan, None, None
-        if not violations:  # finite numbers, one phi and one non-negative limit per joint
-            for name, value in {**_chain._chain_terms(self),
-                                **_linkage._closure_terms(self)}.items():
-                object.__setattr__(self, name, value)
-            _, (x, y) = _chain._geometry(self, (0.0,) * self.n_joints)
-            bearing, closed_lever = math.atan2(y, x), math.hypot(x, y)
-            open_lever = math.hypot(*_chain._geometry(self, self.joint_open_limit)[1])
-        object.__setattr__(self, "lever_bearing", bearing)
-        object.__setattr__(self, "_closed_lever", closed_lever)
-        object.__setattr__(self, "_open_lever", open_lever)
-        object.__setattr__(self, "_violations",
-                           tuple(violations or _linkage._closure_violations(self)))
+        _refuse(violations)
+        _refuse(_field_violations(self))
+        # past both stages: finite numbers, one phi and one non-negative limit per joint
+        for name, value in {**_chain._chain_terms(self), **_linkage._closure_terms(self)}.items():
+            object.__setattr__(self, name, value)
+        _, (x, y) = _chain._geometry(self, (0.0,) * self.n_joints)
+        object.__setattr__(self, "lever_bearing", math.atan2(y, x))
+        object.__setattr__(self, "_closed_lever", math.hypot(x, y))
+        object.__setattr__(self, "_open_lever",
+                           math.hypot(*_chain._geometry(self, self.joint_open_limit)[1]))
+        _refuse(_linkage._closure_violations(self))
 
     @property
     def n_joints(self) -> int:
@@ -209,8 +223,7 @@ class _AngleError(ValueError):
 
 
 def _check_theta(config: MechanismConfig, theta: float) -> float:
-    """theta read finite (_read_finite), refused outside the range of a config that is valid."""
-    _require_valid(config)
+    """theta read finite (_read_finite), refused outside the config's range."""
     theta = _read_finite(theta, "theta")
     if not (config.theta_min - 1e-9 <= theta <= config.theta_max + 1e-9):
         raise _AngleError(config, theta)
@@ -322,41 +335,25 @@ class SweepTable:
 def per_joint_stiffness(config: MechanismConfig) -> float:
     """Torsional stiffness of one chain joint: parallel springs add.
 
-    Not gated by validation: _field_violations calls it while the config is
-    built, before the verdict exists.
+    _field_violations calls it while the config is built, to refuse a
+    product that overflows.
     """
     return config.springs_per_joint * config.k_spring
 
 
 def total_stiffness(config: MechanismConfig) -> float:
     """Series stiffness of the whole chain, 1/k_total = sum of 1/k_joint."""
-    return 1.0 / (_require_valid(config).n_joints / per_joint_stiffness(config))
+    return 1.0 / (config.n_joints / per_joint_stiffness(config))
 
 
 def validate_config(config: MechanismConfig) -> list[str]:
-    """Check every config invariant; returns human-readable violations, empty if valid.
+    """Violated config invariants; always a new empty list.
 
-    Deterministic. The config computed the verdict when it was built; since
-    the fields are frozen, it cannot go stale, so this runs no check. The
-    checks run in three stages, each only when the one before found nothing,
-    so each bad number is reported once: each field's reader and the
-    finiteness of every number, in MechanismConfig.__post_init__'s one pass
-    over the fields, then the per-field checks of _field_violations, then
-    closure solvability over the whole knee range and lever range
-    (linkage._closure_violations). Each call returns a fresh list.
+    A config that fails validation cannot be built: MechanismConfig raises
+    ConfigError, whose violations attribute lists them. So every config
+    passes; the function stays for callers written before the build checked.
     """
-    return list(config._violations)
-
-
-def _require_valid(config: MechanismConfig) -> MechanismConfig:
-    """config itself when it passed validation; ConfigError naming its violations otherwise.
-
-    The library's entries call this before they read a config, so no answer
-    is computed from a config that validate_config rejects.
-    """
-    if config._violations:
-        raise ConfigError("invalid config: " + "; ".join(config._violations))
-    return config
+    return []
 
 
 def _field_violations(config: MechanismConfig) -> list[str]:

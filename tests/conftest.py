@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import lbvt
-from lbvt import equilibrium
-from lbvt.model import MechanismConfig, per_joint_stiffness, validate_config
+from lbvt import equilibrium, linkage
+from lbvt.model import ConfigError, MechanismConfig, per_joint_stiffness
 
 THETA_88 = math.radians(-88.0)
 
@@ -35,29 +36,100 @@ _FOURBAR = dict(
 )
 
 
-# field updates that make the default config invalid, by id: travel limits
-# and chain angles at which no fully open lever can be built, a preload past
-# one turn and a negative one, a four-bar too short to close, and a knee range
-# or a stiffness that a reader refuses or finds not finite
+# field updates that make the default config invalid, by id, with the
+# violations its build is refused for: travel limits and chain angles at which
+# no fully open lever can be built, a segment of no length, a preload past
+# one turn and a negative one, an attachment past the input bar's end,
+# four-bars that cannot close, and values that a reader refuses or finds not
+# finite
+_SHORT_FOURBAR = ("four-bar closure fails with the {} lever: closure infeasible at "
+                  "theta=-141.000 deg, l4={} m: pivot span {} m exceeds l2 + l3 = 0.02000 m")
 INVALID_UPDATES = {
-    "negative": {"joint_open_limit": (-0.1,) + (0.1,) * 5},
-    "barely_negative": {"joint_open_limit": (0.1,) * 5 + (-1e-13,)},
-    "nan": {"joint_open_limit": (math.nan,) + (0.1,) * 5},
-    "inf": {"joint_open_limit": (math.inf,) + (0.1,) * 5},
-    "minus_inf": {"joint_open_limit": (0.1,) * 5 + (-math.inf,)},
-    "short": {"joint_open_limit": (0.1,) * 3},
-    "inf_beta": {"beta": math.inf},
-    "nan_beta": {"beta": math.nan},
-    "huge_int_beta": {"beta": 10 ** 400},
-    "open_angle_nan": {"phi": (-math.inf,) + (0.0,) * 5,
-                       "joint_open_limit": (math.inf,) + (0.1,) * 5},
-    "preload_past_one_turn": {"alpha_preload": 7.0},
-    "negative_preload": {"alpha_preload": -0.5},
-    "short_fourbar": {"l2": 0.01, "l3": 0.01},
-    "str_theta_min": {"theta_min": "x"},
-    "nan_theta_min": {"theta_min": math.nan},
-    "str_k_spring": {"k_spring": "x"},
+    "negative": ({"joint_open_limit": (-0.1,) + (0.1,) * 5},
+                 ["joint_open_limit[0] must be non-negative, got -0.1"]),
+    "barely_negative": ({"joint_open_limit": (0.1,) * 5 + (-1e-13,)},
+                        ["joint_open_limit[5] must be non-negative, got -1e-13"]),
+    "nan": ({"joint_open_limit": (math.nan,) + (0.1,) * 5},
+            ["joint_open_limit[0] must be finite, got nan"]),
+    "inf": ({"joint_open_limit": (math.inf,) + (0.1,) * 5},
+            ["joint_open_limit[0] must be finite, got inf"]),
+    "minus_inf": ({"joint_open_limit": (0.1,) * 5 + (-math.inf,)},
+                  ["joint_open_limit[5] must be finite, got -inf"]),
+    "short": ({"joint_open_limit": (0.1,) * 3}, ["joint_open_limit has 3 entries, expected 6"]),
+    "zero_segment": ({"segments": (0.02,) * 5 + (0.0,)},
+                     ["segments[5] must be strictly positive, got 0.0"]),
+    "inf_beta": ({"beta": math.inf}, ["beta must be finite, got inf"]),
+    "nan_beta": ({"beta": math.nan}, ["beta must be finite, got nan"]),
+    "huge_int_beta": ({"beta": 10 ** 400}, ["beta: integer too large for a float"]),
+    "open_angle_nan": ({"phi": (-math.inf,) + (0.0,) * 5,
+                        "joint_open_limit": (math.inf,) + (0.1,) * 5},
+                       ["phi[0] must be finite, got -inf",
+                        "joint_open_limit[0] must be finite, got inf"]),
+    "preload_past_one_turn": ({"alpha_preload": 7.0},
+                              ["alpha_preload must not exceed 2*pi (one turn), got 7.0"]),
+    "negative_preload": ({"alpha_preload": -0.5}, ["alpha_preload must be non-negative, got -0.5"]),
+    "attach_ratio_above_one": ({"actuator_attach_ratio": 1.2},
+                               ["actuator_attach_ratio must lie in [0, 1], got 1.2"]),
+    "short_fourbar": ({"l2": 0.01, "l3": 0.01},
+                      [_SHORT_FOURBAR.format("closed", "0.06544", "0.30639"),
+                       _SHORT_FOURBAR.format("fully open", "0.09277", "0.33093")]),
+    "str_theta_min": ({"theta_min": "x"}, ["theta_min: expected a number, got str"]),
+    "nan_theta_min": ({"theta_min": math.nan}, ["theta_min must be finite, got nan"]),
+    "str_k_spring": ({"k_spring": "x"}, ["k_spring: expected a number, got str"]),
+    "nan-float": ({"k_spring": math.nan}, ["k_spring must be finite, got nan"]),
+    "inf-angle": ({"beta": -math.inf}, ["beta must be finite, got -inf"]),
+    "nan-tuple": ({"segments": (0.01, math.nan, 0.01, 0.01, 0.01, 0.01)},
+                  ["segments[1] must be finite, got nan"]),
+    "inf-angle-tuple": ({"phi": (math.inf,) + (0.0,) * 5}, ["phi[0] must be finite, got inf"]),
+    "int-l1": ({"l1": 1}, [
+        "four-bar closure fails with the closed lever: closure infeasible at theta=-141.000 deg, "
+        "l4=0.06544 m: pivot span 1.05482 m exceeds l2 + l3 = 0.36600 m",
+        "four-bar closure fails with the fully open lever: closure infeasible at "
+        "theta=-141.000 deg, l4=0.09277 m: pivot span 1.07807 m exceeds l2 + l3 = 0.36600 m"]),
+    "str-l1": ({"l1": "a"}, ["l1: expected a number, got str"]),
+    "float-springs": ({"springs_per_joint": 2.5},
+                      ["springs_per_joint: expected an integer, got float"]),
+    "empty-segments": ({"segments": ()}, ["segments must contain at least one entry",
+                                          "phi has 6 entries, expected 0 (one per segment)",
+                                          "joint_open_limit has 6 entries, expected 0"]),
+    "refused-list": ({"actuator_base": [0.05, -0.05, 0.0]},
+                     ["actuator_base: expected exactly two coordinates, got 3"]),
+    "refused-tuple": ({"actuator_base": (0, 0, 1)},
+                      ["actuator_base: expected exactly two coordinates, got 3"]),
+    "bool-in-tuple": ({"actuator_base": (True, -0.05)},
+                      ["actuator_base[0]: expected a number, got bool"]),
+    "ndarray": ({"segments": np.array([0.01] * 6)},
+                ["segments: expected a list of numbers, got ndarray"]),
+    "str-angle": ({"alpha_preload": "one turn"}, ["alpha_preload: expected a number, got str"]),
+    "ndarray-and-huge-angle": ({"segments": np.array([0.01] * 6), "alpha_preload": 10 ** 400},
+                               ["segments: expected a list of numbers, got ndarray",
+                                "alpha_preload: integer too large for a float"]),
 }
+
+
+def refusal(base: MechanismConfig, **updates) -> list[str]:
+    """The violations that refuse the build of base with updates; [] when it builds.
+
+    The refusal's message is "invalid config: " and the violations joined by
+    "; ", and it keeps them as a tuple.
+    """
+    try:
+        dataclasses.replace(base, **updates)
+    except ConfigError as exc:
+        assert type(exc.violations) is tuple and exc.violations
+        assert str(exc) == "invalid config: " + "; ".join(exc.violations)
+        return list(exc.violations)
+    return []
+
+
+def unchecked(base: MechanismConfig, **updates) -> MechanismConfig:
+    """base with updates, built with linkage's closure check switched off.
+
+    For the kernels' own tests on a four-bar that no valid config has, which
+    is otherwise never built; its fields must pass their checks.
+    """
+    with mock.patch.object(linkage, "_closure_violations", lambda config: []):
+        return dataclasses.replace(base, **updates)
 
 
 def reduced_chain(n: int, alpha_preload: float = 0.10) -> MechanismConfig:
@@ -80,14 +152,18 @@ def reduced_chain(n: int, alpha_preload: float = 0.10) -> MechanismConfig:
 
 def straight_chain(l_offset: float = 0.1, seg: float = 0.05, beta: float = 0.0,
                    n: int = 6) -> MechanismConfig:
-    """Fully collinear chain: anchor plus n segments all along the beta ray."""
-    return MechanismConfig(
+    """Fully collinear chain: anchor plus n segments all along the beta ray.
+
+    Built unchecked: the shipped four-bar cannot close on its lever.
+    """
+    return unchecked(
+        reduced_chain(1),
         beta=beta,
         segments=(seg,) * n,
         phi=(0.0,) * n,
         joint_open_limit=(math.radians(10.0),) * n,
         alpha_preload=0.05,
-        **{**_FOURBAR, "l_offset": l_offset},
+        l_offset=l_offset,
     )
 
 
@@ -136,7 +212,7 @@ def random_config(rng) -> MechanismConfig:
     Each draw scales l_offset by 1 +- 0.3, each segment by 1 +- 0.4, each
     travel limit by 1 +- 0.6, alpha_preload by 1 +- 0.8 and k_spring by
     1 +- 0.5, and shifts beta and each phi by +-0.3 rad, all uniform; about
-    nine draws in ten validate.
+    nine draws in ten build.
     """
     base = lbvt.load_default_config()
 
@@ -144,18 +220,19 @@ def random_config(rng) -> MechanismConfig:
         return tuple(float(v * rng.uniform(1.0 - rel, 1.0 + rel)) for v in values)
 
     while True:
-        config = dataclasses.replace(
-            base,
-            l_offset=scaled([base.l_offset], 0.3)[0],
-            beta=float(base.beta + rng.uniform(-0.3, 0.3)),
-            segments=scaled(base.segments, 0.4),
-            phi=tuple(float(p + rng.uniform(-0.3, 0.3)) for p in base.phi),
-            joint_open_limit=scaled(base.joint_open_limit, 0.6),
-            alpha_preload=scaled([base.alpha_preload], 0.8)[0],
-            k_spring=scaled([base.k_spring], 0.5)[0],
-        )
-        if not validate_config(config):
-            return config
+        try:
+            return dataclasses.replace(
+                base,
+                l_offset=scaled([base.l_offset], 0.3)[0],
+                beta=float(base.beta + rng.uniform(-0.3, 0.3)),
+                segments=scaled(base.segments, 0.4),
+                phi=tuple(float(p + rng.uniform(-0.3, 0.3)) for p in base.phi),
+                joint_open_limit=scaled(base.joint_open_limit, 0.6),
+                alpha_preload=scaled([base.alpha_preload], 0.8)[0],
+                k_spring=scaled([base.k_spring], 0.5)[0],
+            )
+        except ConfigError:  # the draw fails validation: draw again
+            continue
 
 
 def fixed_point_map(config: MechanismConfig, theta: float, f_cyl: float):

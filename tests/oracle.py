@@ -38,7 +38,6 @@ from lbvt.model import (
     SingularityError,
     _check_force,
     _check_theta,
-    _require_valid,
     per_joint_stiffness,
 )
 
@@ -164,11 +163,9 @@ def brute_force_equilibrium(config: MechanismConfig, theta: float, f_cyl: float,
     node (every joint at its limit) always qualifies. Every super-solution
     of the isotone T lies on or above the least fixed point, so the result
     does too. Any joint count is accepted; a grid of more than GRID_BUDGET
-    nodes raises GridSizeError before any axis is built. An invalid config
-    raises ConfigError naming its violations, a bad angle or force
-    ValueError, as a solve does.
+    nodes raises GridSizeError before any axis is built. A bad angle or
+    force raises ValueError, as a solve does.
     """
-    _require_valid(config)
     if not (grid_step > 0.0):
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     f_cyl = _check_force(f_cyl)

@@ -6,17 +6,17 @@ import pytest
 
 from lbvt import analysis, chain, equilibrium
 from lbvt.model import (CalibrationError, ConfigError, MechanismConfig, NoTriggerError,
-                        Regime, per_joint_stiffness, validate_config)
+                        Regime, per_joint_stiffness)
 
-from conftest import INVALID_UPDATES, NOT_A_NUMBER, random_config, straight_chain
+from conftest import NOT_A_NUMBER, random_config, straight_chain, unchecked
 
 
 def _kinematics(config, d):
     """ChainState and 17 N tip-force joint torques at d, from the chain kernels.
 
-    The public entries refuse a config that fails validation; these chains
-    (a straight one, the default one turned about the knee) mostly do,
-    since the four-bar cannot close on their levers.
+    These chains (a straight one, the default one turned about the knee)
+    are built unchecked, since the four-bar mostly cannot close on their
+    levers (conftest.unchecked).
     """
     pivots, tip = chain._geometry(config, d)
     state = chain._chain_state(config, d, pivots)
@@ -44,7 +44,7 @@ def test_rotation_equivariance(default_config):
     for _ in range(50):
         d = tuple(rng.uniform(0.0, lim) for lim in default_config.joint_open_limit)
         delta = rng.uniform(-math.pi, math.pi)
-        rotated = dataclasses.replace(default_config, beta=default_config.beta + delta)
+        rotated = unchecked(default_config, beta=default_config.beta + delta)
 
         s0, t0 = _kinematics(default_config, d)
         s1, t1 = _kinematics(rotated, d)
@@ -99,25 +99,6 @@ def test_replaced_config_recomputes_its_levers(default_config):
     assert chain.closed_lever(moved) != chain.closed_lever(default_config)
 
 
-_STORED_LEVER_CASES = ["negative", "barely_negative", "nan", "inf", "minus_inf", "short",
-                       "inf_beta", "nan_beta", "huge_int_beta", "open_angle_nan"]
-
-
-@pytest.mark.parametrize("case", _STORED_LEVER_CASES, ids=_STORED_LEVER_CASES)
-def test_stored_levers_raise_what_l4_length_raises(default_config, case):
-    # each config fails its field checks, so it holds no lever; both stored
-    # levers and the chain state whose l4 they store refuse it with the one
-    # message (test_model.py holds it to every entry)
-    config = dataclasses.replace(default_config, **INVALID_UPDATES[case])
-    assert config._closed_lever is config._open_lever is None
-    message = "invalid config: " + "; ".join(validate_config(config))
-    for call in (lambda: chain.make_chain_state(config, (0.0,) * config.n_joints),
-                 lambda: chain.closed_lever(config), lambda: chain.open_lever(config)):
-        with pytest.raises(ConfigError) as exc:
-            call()
-        assert str(exc.value) == message
-
-
 def test_shipped_lever_lengths():
     import lbvt
 
@@ -170,15 +151,14 @@ def test_deflection_bounds_are_enforced(default_config):
 
 def test_tip_on_the_knee_has_no_lever():
     # anchor at (-0.05, 0) m, one 0.05 m segment along x ends on the knee; the
-    # entries refuse the negative offset, and the state a solve builds
-    # (chain._chain_state) still refuses a tip on the knee. An invalid config
-    # carries no kernel terms, so its pivots are written out here.
-    cfg = straight_chain(l_offset=-0.05, seg=0.05, n=1)
+    # build refuses the negative offset, and the state a solve builds
+    # (chain._chain_state) still refuses a tip on the knee, from pivots
+    # written out here
     with pytest.raises(ConfigError, match="^invalid config: l_offset must be strictly positive"):
-        chain.make_chain_state(cfg, (0.0,))
+        straight_chain(l_offset=-0.05, seg=0.05, n=1)
     pivots = [(-0.05, 0.0), (0.0, 0.0)]
     with pytest.raises(ValueError, match="^chain tip coincides with the knee joint"):
-        chain._chain_state(cfg, (0.0,), pivots)
+        chain._chain_state(straight_chain(seg=0.05, n=1), (0.0,), pivots)
 
 
 @pytest.mark.parametrize("check", [

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from lbvt import analysis, chain, equilibrium, linkage
 from lbvt.equilibrium import solve_equilibrium, triggering_force
 from lbvt.model import (
-    ConfigError,
     EquilibriumResult,
     NoTriggerError,
     Regime,
@@ -1116,14 +1115,6 @@ def test_brute_force_rejects_bad_force(f_cyl):
 def test_brute_force_rejects_bad_theta(theta):
     with pytest.raises(ValueError, match="theta"):
         brute_force_equilibrium(reduced_chain(1), theta, 10.0, 1e-3)
-
-
-@pytest.mark.parametrize("limit", [math.nan, -0.01], ids=["nan", "negative"])
-def test_brute_force_rejects_an_invalid_config(limit):
-    config = dataclasses.replace(reduced_chain(1), joint_open_limit=(limit,))
-    # GridSizeError is a ValueError too, so the type alone would not tell
-    with pytest.raises(ConfigError, match=r"joint_open_limit\[0\]"):
-        brute_force_equilibrium(config, THETA_88, 10.0, 1e-3)
 
 
 def test_load_map_takes_the_bearing_off_the_config(default_config, monkeypatch):

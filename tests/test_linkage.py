@@ -9,7 +9,7 @@ from lbvt.equilibrium import solve_equilibrium
 from lbvt.model import GeometryError, SingularityError
 
 import oracle
-from conftest import assert_ulps, count_calls, random_config, straight_chain
+from conftest import assert_ulps, count_calls, random_config, straight_chain, unchecked
 
 THETA_88 = math.radians(-88.0)
 
@@ -50,9 +50,9 @@ def test_range_endpoints_are_solvable(default_config):
 
 
 def test_unreachable_closure_raises(default_config):
-    bad = dataclasses.replace(default_config, l2=0.01, l3=0.01)
-    with pytest.raises(GeometryError, match="exceeds l2 \\+ l3"):
-        linkage._closure_kernel(bad, THETA_88, bad._closed_lever)
+    # a lever far longer than the chain's: the pivot span exceeds l2 + l3
+    with pytest.raises(GeometryError, match="l4=1.00000 m: pivot span 1.04293 m exceeds l2 \\+ l3"):
+        linkage.jacobian(default_config, THETA_88, 1.0)
 
 
 def test_non_positive_lever_raises(default_config):
@@ -62,11 +62,11 @@ def test_non_positive_lever_raises(default_config):
 
 def test_lever_tip_on_the_ground_pivot_raises(default_config):
     # with l2 == l3 a zero pivot span passes both circle checks; the lever
-    # along the frame line (theta = -bearing) with l4 = l1 puts its tip there.
-    # The config fails validation, so the kernel is called directly.
-    cfg = dataclasses.replace(default_config, l3=default_config.l2)
+    # along the frame line (theta = -bearing, outside the knee range) with
+    # l4 = l1 puts its tip there
+    cfg = dataclasses.replace(default_config, l2=0.2, l3=0.2)
     with pytest.raises(GeometryError, match="ground pivot and lever tip coincide"):
-        linkage._closure_kernel(cfg, -cfg.lever_bearing, cfg.l1)
+        linkage.jacobian(cfg, -cfg.lever_bearing, cfg.l1)
 
 
 def test_actuator_attachment_on_its_base_raises(default_config):
@@ -74,11 +74,11 @@ def test_actuator_attachment_on_its_base_raises(default_config):
     l4 = chain.closed_lever(default_config)
     (ax, ay), (bx, by), *_ = linkage._closure_kernel(default_config, THETA_88, l4)
     r = default_config.actuator_attach_ratio
-    cfg = dataclasses.replace(default_config,
-                              actuator_base=(ax + r * (bx - ax), ay + r * (by - ay)))
+    # no valid config has its base on the attachment circle, so cfg is built unchecked
+    cfg = unchecked(default_config, actuator_base=(ax + r * (bx - ax), ay + r * (by - ay)))
     message = "^actuator attachment coincides with the actuator base$"
-    with pytest.raises(GeometryError, match=message):  # cfg fails validation: the kernel
-        linkage._closure_kernel(cfg, THETA_88, l4)
+    with pytest.raises(GeometryError, match=message):
+        linkage.jacobian(cfg, THETA_88, l4)
 
 
 def test_branch_is_stable_across_the_range(default_config):
@@ -158,11 +158,12 @@ def test_jacobian_grows_with_lever_at_minus_88(default_config):
 def test_singularity_at_folded_closure():
     # straight single-segment chain pointing along the frame line, lever long
     # enough that the coupler circles touch: input bar and coupler collinear;
-    # power-of-two lengths keep the tangency exact in floating point
-    cfg = straight_chain(l_offset=0.125, seg=0.25, beta=0.0, n=1)
-    cfg = dataclasses.replace(cfg, l1=0.125, l2=0.125, l3=0.125)
+    # power-of-two lengths keep the tangency exact in floating point; no
+    # valid config folds, so cfg is built unchecked
+    cfg = unchecked(straight_chain(l_offset=0.125, seg=0.25, beta=0.0, n=1),
+                    l1=0.125, l2=0.125, l3=0.125)
     with pytest.raises(SingularityError):
-        linkage._closure_kernel(cfg, 0.0, 0.375)
+        linkage.jacobian(cfg, 0.0, 0.375)
 
 
 def _lever_at_span(cfg, theta, g):

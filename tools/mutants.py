@@ -87,13 +87,15 @@ MUTANTS = {
                                "config.l_offset * cos(config.beta))", ""),
     "slope-without-ds": ("equilibrium.py", "return ds * (wx * tx + wy * ty) * c + scale *",
                          "return scale *", ""),
-    "verdict-not-copied": ("model.py", "return list(config._violations)",
-                           'return vars(config).setdefault("_list", list(config._violations))',
-                           ""),
-    "validation-stages-ungated": ("model.py", "        if not violations:  # a malformed or "
-                                  "non-finite number would break or fail the checks\n"
-                                  "            violations = _field_violations(self)\n",
-                                  "        violations += _field_violations(self)\n", ""),
+    "validation-stages-ungated": ("model.py", "        _refuse(violations)\n"
+                                  "        _refuse(_field_violations(self))\n",
+                                  "        _refuse(violations + _field_violations(self))\n", ""),
+    "field-checks-unrefused": ("model.py", "        _refuse(_field_violations(self))\n",
+                               "        _field_violations(self)\n", ""),
+    "closure-check-unrefused": ("model.py", "        _refuse(_linkage._closure_violations(self))",
+                                "        _linkage._closure_violations(self)", ""),
+    "attach-ratio-cap-1.5": ("model.py", "0.0 <= config.actuator_attach_ratio <= 1.0",
+                             "0.0 <= config.actuator_attach_ratio <= 1.5", ""),
     "read-result-dropped": ("model.py", "            if value is not raw:\n"
                             "                object.__setattr__(self, name, value)\n", "", ""),
     "preload-cap": ("model.py", "if config.alpha_preload > 2.0 * math.pi:",
@@ -103,8 +105,6 @@ MUTANTS = {
                           "elif type(value) is float or", ""),
     "writer-tuple-nan-as-nan": ("config.py", "        if all(map(math.isfinite, value)):",
                                 "        if True:", ""),
-    "save-config-ungated": ("config.py", "    _require_valid(config)\n    doc: dict", "    doc: dict",
-                            ""),
     "angle-refusal-raised": ("config.py", "            except ConfigError:  # the build refuses it",
                              "            except ZeroDivisionError:  # the build refuses it", ""),
     "provenance-not-reindented": ("config.py", "{_json_text(provenance)}",
@@ -122,22 +122,20 @@ MUTANTS = {
     "subnormal-tick-step": ("analysis.py", "10.0 * mag) or span", "10.0 * mag)", ""),
     "sweep-exit-code": ("cli.py", "return 1 if failed else 0", "return 0", ""),
     "trigger-value-unjoined": ("cli.py", '"--step", "--trigger",', '"--step",', ""),
+    "float-flag-last-read-past-end": ("cli.py", "and i + 1 < len(argv) and",
+                                      "and i - 1 < len(argv) and", ""),
+    "float-flag-of-3-characters-unjoined": ("cli.py", "len(arg) > 2 and", "len(arg) > 3 and", ""),
+    "zero-step-said-to-underflow": ("cli.py", "if step == 0.0 < args.step:",
+                                    "if step == 0.0 <= args.step:", ""),
     "default-is-base": ("__init__.py", "load_config(default_config_path())",
                         "load_config(base_config_path())", ""),
     "main-not-called": ("__main__.py", "\nmain()\n", "\nmain\n", ""),
-    "open-slot-holds-closed": ("model.py", 'object.__setattr__(self, "_open_lever", open_lever)',
-                               'object.__setattr__(self, "_open_lever", closed_lever)', ""),
-    "closed-slot-unguarded": ("model.py", "if not violations:  # finite numbers",
-                              "if True:  # finite numbers", ""),
-    "total-stiffness-ungated": ("model.py", "return 1.0 / (_require_valid(config).n_joints",
-                                "return 1.0 / (config.n_joints", ""),
+    "open-slot-holds-closed": ("model.py", "math.hypot(*_chain._geometry(self, "
+                               "self.joint_open_limit)[1])", "math.hypot(x, y)", ""),
     "deflection-float-read": ("chain.py",
                               'd = _read_argument(tuple(deflection), "deflection", '
                               '_require_number_list)',
                               "d = tuple(float(x) for x in deflection)", ""),
-    "gate-off": ("model.py", "if config._violations:", "if False:", ""),
-    "gate-skipped-solve": ("equilibrium.py", "    _require_valid(config)\n    # a NaN force",
-                           "    # a NaN force", ""),
     "nan-trial-evaluated": ("equilibrium.py", "elif x != x:", "elif False:", ""),
     "nan-trial-evaluated-1-joint": ("equilibrium.py", "if x == d[j] or x != x:",
                                     "if x == d[j]:", ""),
@@ -159,17 +157,6 @@ MUTANTS = {
                                "float sum overflows, which needs lengths near 1e308"),
     "force-argument-unread": ("model.py", '    f_cyl = _read_argument(f_cyl, "f_cyl")\n',
                               "", ""),
-    "theta-check-ungated": ("model.py",
-                            '    _require_valid(config)\n    theta = _read_finite(theta, "theta")',
-                            '    theta = _read_finite(theta, "theta")', ""),
-    "deflection-check-ungated": ("chain.py", "    _require_valid(config)\n    d = _read_argument(",
-                                 "    d = _read_argument(", ""),
-    "trigger-reads-before-gate": ("equilibrium.py",
-                                  "    a_max = _trigger_torque(config, theta)  # gates config "
-                                  "before its fields are read\n    return per_joint_stiffness("
-                                  "config) * config.alpha_preload / a_max",
-                                  "    return per_joint_stiffness(config) * config.alpha_preload"
-                                  " / _trigger_torque(config, theta)", ""),
     "partly-open-always-checked": ("linkage.py", 'label != "partly open" or not failed', "True",
                                    ""),
     "extreme-angle-interior-ignored": ("linkage.py", "if inner <= config.theta_max:", "if False:",
