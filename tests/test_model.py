@@ -350,6 +350,7 @@ class _Float(float):
 
 
 _SCALARS_GIVEN = {
+    "l1-int": ("l1", lambda c: 1),
     "l1-float64": ("l1", lambda c: np.float64(c.l1)),
     "alpha_preload-int": ("alpha_preload", lambda c: 0),
     "alpha_preload-float64": ("alpha_preload", lambda c: np.float64(c.alpha_preload)),
@@ -360,9 +361,14 @@ _SCALARS_GIVEN = {
 @pytest.mark.parametrize("case", _SCALARS_GIVEN, ids=list(_SCALARS_GIVEN))
 def test_a_scalar_field_holds_its_value_as_a_float(default_config, case, tmp_path):
     # as the same value in a tuple field or in a file: the config, its solve
-    # and its saved bytes are those of the config built from the float
+    # and its saved bytes are those of the config built from the float; where
+    # the float is refused, the given value is refused alike
     name, make = _SCALARS_GIVEN[case]
     value = make(default_config)
+    refused = refusal(default_config, **{name: float(value)})
+    assert refusal(default_config, **{name: value}) == refused
+    if refused:
+        return
     config = dataclasses.replace(default_config, **{name: value})
     as_float = dataclasses.replace(default_config, **{name: float(value)})
     assert type(getattr(config, name)) is float
@@ -534,6 +540,35 @@ def test_an_invalid_config_cannot_be_built(default_config, case):
     with pytest.raises(ConfigError) as exc:
         MechanismConfig(**{**given, **updates})
     assert exc.value.violations == tuple(violations)
+
+
+@pytest.mark.parametrize("case", INVALID_UPDATES, ids=list(INVALID_UPDATES))
+def test_the_build_stops_at_the_first_stage_that_refuses(default_config, case, monkeypatch):
+    # each stage sees only fields that passed the stages before it: no lever
+    # is built on fields that fail a check, and the refusal holds the one
+    # refusing stage's violations
+    stages = {}
+
+    def recorded(owner, name):
+        original = getattr(owner, name)
+
+        def record(config):
+            stages[name] = original(config)
+            return stages[name]
+
+        monkeypatch.setattr(owner, name, record)
+
+    recorded(model, "_field_violations")
+    recorded(linkage, "_closure_violations")
+    levers = count_calls(monkeypatch, chain, "_geometry")
+    updates, violations = INVALID_UPDATES[case]
+    assert refusal(default_config, **updates) == violations
+    if "_closure_violations" in stages:
+        assert stages == {"_field_violations": [], "_closure_violations": violations}
+        assert levers[0] == 2  # the closed and the fully open lever
+    else:
+        assert stages in ({}, {"_field_violations": violations})
+        assert levers[0] == 0
 
 
 # every number argument of a public entry: (entry, its arguments after the
