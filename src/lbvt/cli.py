@@ -16,7 +16,7 @@ import sys
 
 from . import analysis, equilibrium
 from .config import load_config, save_config
-from .model import CalibrationError, ConfigError, GeometryError, _AngleError, _check_force
+from .model import CalibrationError, _AngleError, _check_force
 
 
 # Sweep subcommand -> (help text, analysis function name, default --to, plot
@@ -213,7 +213,7 @@ def run(argv=None) -> int:
         return _cmd_sweep(args, config)
     except _AngleError as exc:
         message = _angle_message(args, config, exc.theta)
-    except (ConfigError, GeometryError, CalibrationError, ValueError, OSError) as exc:
+    except (CalibrationError, ValueError, OSError) as exc:
         message = str(exc)
     print(f"lbvt {args.command}: {message}", file=sys.stderr)
     return 1

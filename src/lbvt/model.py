@@ -350,8 +350,8 @@ def validate_config(config: MechanismConfig) -> list[str]:
     """Violated config invariants; always a new empty list.
 
     A config that fails validation cannot be built: MechanismConfig raises
-    ConfigError, whose violations attribute lists them. So every config
-    passes; the function stays for callers written before the build checked.
+    ConfigError. It stays for its one caller, the benchmark's design_loop op
+    in bench/workloads.py, until ROADMAP item 1 deletes it.
     """
     return []
 

@@ -39,9 +39,14 @@ _FOURBAR = dict(
 # field updates that make the default config invalid, by id, with the
 # violations its build is refused for: travel limits and chain angles at which
 # no fully open lever can be built, a segment of no length, a preload past
-# one turn and a negative one, an attachment past the input bar's end,
-# four-bars that cannot close, and values that a reader refuses or finds not
-# finite
+# one turn and a negative one, an attachment past the input bar's end or on
+# the actuator base's circle, a degenerate knee range, four-bars that cannot
+# close, wrong shapes and counts, and values that a reader refuses or finds
+# not finite. A file can hold most rows; the last ones hold numpy values, a
+# range or a generator, which only a call can give. A generator is used up
+# by a build, so its row gives a function that makes the updates afresh
+# (invalid_case).
+_DEFAULT = lbvt.load_default_config()
 _SHORT_FOURBAR = ("four-bar closure fails with the {} lever: closure infeasible at "
                   "theta=-141.000 deg, l4={} m: pivot span {} m exceeds l2 + l3 = 0.02000 m")
 INVALID_UPDATES = {
@@ -98,13 +103,76 @@ INVALID_UPDATES = {
                       ["actuator_base: expected exactly two coordinates, got 3"]),
     "bool-in-tuple": ({"actuator_base": (True, -0.05)},
                       ["actuator_base[0]: expected a number, got bool"]),
+    "str-angle": ({"alpha_preload": "one turn"}, ["alpha_preload: expected a number, got str"]),
+    "zero_l2": ({"l2": 0.0}, ["l2 must be strictly positive, got 0.0"]),
+    "negative_l2": ({"l2": -1.0}, ["l2 must be strictly positive, got -1.0"]),
+    "three_fields": ({"l2": -1.0, "k_spring": 0.0, "springs_per_joint": 0},
+                     ["l2 must be strictly positive, got -1.0",
+                      "springs_per_joint must be at least 1, got 0",
+                      "k_spring must be strictly positive, got 0.0"]),
+    "zero_k_spring": ({"k_spring": 0.0}, ["k_spring must be strictly positive, got 0.0"]),
+    "huge_int_k_spring": ({"k_spring": 10 ** 400}, ["k_spring: integer too large for a float"]),
+    "huge_int_springs": ({"springs_per_joint": 10 ** 400},
+                         ["per-joint stiffness springs_per_joint * k_spring must be finite"]),
+    "degenerate_knee_range": ({"theta_min": _DEFAULT.theta_max},
+                              ["knee range is degenerate: theta_min -0.6894050545377601 must be "
+                               "below theta_max -0.6894050545377601"]),
+    "short_coupler": ({"l3": 0.22}, [
+        "four-bar closure fails with the fully open lever: closure infeasible at "
+        "theta=-141.000 deg, l4=0.09277 m: pivot span 0.33093 m exceeds l2 + l3 = 0.32100 m"]),
+    "base_on_attachment_circle": (
+        {"actuator_base": (_DEFAULT.l1, _DEFAULT.actuator_attach_ratio * _DEFAULT.l2)},
+        ["actuator base lies on the attachment circle, 0.07575 m about the input-bar ground "
+         "pivot: the actuator length can reach 0"]),
+    "preload_one_ulp_past_one_turn": (
+        {"alpha_preload": math.nextafter(2.0 * math.pi, 7.0)},
+        ["alpha_preload must not exceed 2*pi (one turn), got 6.283185307179587"]),
+    "preload_1e6": ({"alpha_preload": 1e6},
+                    ["alpha_preload must not exceed 2*pi (one turn), got 1000000.0"]),
+    "nan_attach_ratio": ({"actuator_attach_ratio": math.nan},
+                         ["actuator_attach_ratio must be finite, got nan"]),
+    "minus_inf_l_offset": ({"l_offset": -math.inf}, ["l_offset must be finite, got -inf"]),
+    "inf_preload": ({"alpha_preload": math.inf}, ["alpha_preload must be finite, got inf"]),
+    "nan_preload": ({"alpha_preload": math.nan}, ["alpha_preload must be finite, got nan"]),
+    "inf_theta_max": ({"theta_max": math.inf}, ["theta_max must be finite, got inf"]),
+    "short_phi": ({"phi": _DEFAULT.phi[:-1]}, ["phi has 5 entries, expected 6 (one per segment)"]),
+    "no-segments": ({"segments": (), "phi": (), "joint_open_limit": ()},
+                    ["segments must contain at least one entry"]),
+    "short-open-limits": ({"joint_open_limit": (0.1,) * 5},
+                          ["joint_open_limit has 5 entries, expected 6"]),
+    "branch-sign-0": ({"branch_sign": 0}, ["branch_sign must be +1 or -1, got 0"]),
+    "three-coordinate-base": ({"actuator_base": (0.05, -0.05, 0.0)},
+                              ["actuator_base: expected exactly two coordinates, got 3"]),
+    "one-coordinate-base": ({"actuator_base": (0.05,)},
+                            ["actuator_base: expected exactly two coordinates, got 1"]),
+    "huge-int-phi": ({"phi": (10 ** 400,) * 6}, ["phi[0]: integer too large for a float"]),
+    "str-phi": ({"phi": ("-0.1",) * 6}, ["phi[0]: expected a number, got str"]),
+    "str_beta": ({"beta": "twenty-nine"}, ["beta: expected a number, got str"]),
+    "str_segment": ({"segments": (0.018, 0.018, "x", 0.018, 0.018, 0.018)},
+                    ["segments[2]: expected a number, got str"]),
+    "float_segments": ({"segments": 0.1}, ["segments: expected a list of numbers, got float"]),
+    "str_l1_and_segment": ({"l1": "long", "segments": (0.018, "short") + (0.018,) * 4},
+                           ["l1: expected a number, got str",
+                            "segments[1]: expected a number, got str"]),
     "ndarray": ({"segments": np.array([0.01] * 6)},
                 ["segments: expected a list of numbers, got ndarray"]),
-    "str-angle": ({"alpha_preload": "one turn"}, ["alpha_preload: expected a number, got str"]),
     "ndarray-and-huge-angle": ({"segments": np.array([0.01] * 6), "alpha_preload": 10 ** 400},
                                ["segments: expected a list of numbers, got ndarray",
                                 "alpha_preload: integer too large for a float"]),
+    "ndarray-phi": ({"phi": np.radians([-10.0] * 6)},
+                    ["phi: expected a list of numbers, got ndarray"]),
+    "float32-phi": ({"phi": (np.float32(-0.1),) * 6}, ["phi[0]: expected a number, got float32"]),
+    "range-limits": ({"joint_open_limit": range(6)},
+                     ["joint_open_limit: expected a list of numbers, got range"]),
+    "generator-segments": (lambda: {"segments": (x for x in (0.01,) * 6)},
+                           ["segments: expected a list of numbers, got generator"]),
 }
+
+
+def invalid_case(case: str) -> tuple[dict, list[str]]:
+    """INVALID_UPDATES[case] as (updates, violations), a row's function called afresh."""
+    updates, violations = INVALID_UPDATES[case]
+    return (updates() if callable(updates) else updates), violations
 
 
 def refusal(base: MechanismConfig, **updates) -> list[str]:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from lbvt import analysis, chain, equilibrium, linkage
 from lbvt.model import CalibrationError, GeometryError, MechanismConfig, SweepTable
@@ -500,7 +500,8 @@ def test_ratio_step_direct_matches_the_public_jacobian(default_config, theta_deg
 
 
 # design_loop's target ranges
-@settings(max_examples=50, derandomize=True, deadline=None)
+@seed(0)
+@settings(max_examples=50, derandomize=False, deadline=None, database=None)
 @given(
     trigger=st.floats(10.0, 30.0),
     ratio_step=st.floats(0.20, 0.40),

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, seed, settings, strategies as st
 
 import lbvt
 from lbvt import analysis, equilibrium
@@ -59,30 +59,6 @@ def test_missing_field_is_rejected(tmp_path):
         load_config(_write(tmp_path, doc))
 
 
-def test_wrong_type_names_the_field(tmp_path):
-    doc = _default_doc()
-    doc["beta"] = "twenty-nine"
-    with pytest.raises(ConfigError, match="beta"):
-        load_config(_write(tmp_path, doc))
-
-
-def test_bad_list_entry_names_the_path(tmp_path):
-    doc = _default_doc()
-    doc["segments"][2] = "x"
-    with pytest.raises(ConfigError, match=r"segments\[2\]"):
-        load_config(_write(tmp_path, doc))
-
-
-@pytest.mark.parametrize("key, value, message", [
-    ("springs_per_joint", 2.5, "springs_per_joint: expected an integer, got float"),
-    ("segments", 0.1, "segments: expected a list of numbers, got float"),
-    ("actuator_base", [0.05, -0.05, 0.0], "actuator_base: expected exactly two coordinates, got 3"),
-])
-def test_wrong_shape_names_the_field(tmp_path, key, value, message):
-    with pytest.raises(ConfigError, match=message):
-        load_config(_write(tmp_path, {**_default_doc(), key: value}))
-
-
 def test_top_level_array_is_rejected(tmp_path):
     with pytest.raises(ConfigError, match="top-level value must be an object"):
         load_config(_write(tmp_path, [_default_doc()]))
@@ -111,7 +87,8 @@ def _nearby(value):
 # up to three fields of the shipped document are dropped, take a random JSON
 # value or move near their shipped value, and an unknown key may be added;
 # json.dumps writes NaN and Infinity, which the loader's parser accepts
-@settings(max_examples=200, derandomize=True, deadline=None)
+@seed(0)
+@settings(max_examples=200, derandomize=False, deadline=None, database=None)
 @given(data=st.data())
 def test_load_config_accepts_valid_or_raises_config_error(tmp_path_factory, data):
     doc = _default_doc()
@@ -136,13 +113,6 @@ def test_parse_error_reports_position(tmp_path):
     path.write_text('{\n  "l1": 0.25,,\n}\n')
     with pytest.raises(ConfigError, match="line 2"):
         load_config(path)
-
-
-def test_validation_failure_lists_violations(tmp_path):
-    doc = _default_doc()
-    doc["l2"] = -1.0
-    with pytest.raises(ConfigError, match="l2"):
-        load_config(_write(tmp_path, doc))
 
 
 def test_degrees_convert_on_load(tmp_path):
@@ -190,14 +160,6 @@ def test_validate_shipped_config_quiet(capsys):
     assert run(["validate", DEFAULT]) == 0
     out = capsys.readouterr()
     assert out.out == ""
-
-
-def test_validate_reports_violations(tmp_path, capsys):
-    doc = _default_doc()
-    doc["l2"] = 0.0
-    path = _write(tmp_path, doc)
-    assert run(["validate", path]) == 1
-    assert "l2" in capsys.readouterr().err
 
 
 def test_validate_names_the_path_of_a_file_that_is_not_utf8(tmp_path, capsys):
@@ -400,29 +362,17 @@ def test_non_finite_sweep_step_fails_cleanly(tmp_path, capsys, command, args):
     assert not out.exists()
 
 
-def test_non_finite_config_number_fails_validation(tmp_path, capsys):
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps({**_default_doc(), "alpha_preload": math.nan}))
-    assert "NaN" in path.read_text()
-    assert run(["validate", str(path)]) == 1
-    assert "alpha_preload must be finite, got nan" in capsys.readouterr().err
-
-
-def test_huge_integer_config_number_fails_cleanly(tmp_path, capsys):
-    # JSON integers have no size limit; this one does not fit a float
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({**_default_doc(), "k_spring": 10 ** 400}))
-    for command in (["validate"], ["solve", "--theta", "-88", "--force", "165"]):
-        assert run([command[0], str(path), *command[1:]]) == 1
-        assert "k_spring: integer too large for a float" in capsys.readouterr().err
-
-
-def test_overflowing_per_joint_stiffness_fails_validation(tmp_path, capsys):
-    path = tmp_path / "springs.json"
-    path.write_text(json.dumps({**_default_doc(), "springs_per_joint": 10 ** 400}))
-    for command in (["validate"], ["solve", "--theta", "-88", "--force", "165"]):
-        assert run([command[0], str(path), *command[1:]]) == 1
-        assert "springs_per_joint * k_spring must be finite" in capsys.readouterr().err
+@pytest.mark.parametrize("key, message", [
+    ("k_spring", "k_spring: integer too large for a float"),
+    ("springs_per_joint", "per-joint stiffness springs_per_joint * k_spring must be finite"),
+], ids=["k_spring", "springs_per_joint"])
+def test_solve_refuses_a_huge_integer_config_number(tmp_path, capsys, key, message):
+    # JSON integers have no size limit; this one does not fit a float, or
+    # overflows the per-joint stiffness (lbvt validate reads the same files
+    # in INVALID_UPDATES' huge_int rows)
+    path = _write(tmp_path, {**_default_doc(), key: 10 ** 400})
+    assert run(["solve", path, "--theta", "-88", "--force", "165"]) == 1
+    assert capsys.readouterr().err == f"lbvt solve: {path}: invalid config:\n  - {message}\n"
 
 
 def test_calibrate_rejects_nan_target(tmp_path, capsys):
@@ -925,7 +875,8 @@ def _cli_cases(draw):
 # the CHANGES.md reproducers; the plot whose tick step is below half an ulp
 # once never ended, so it runs in a child process with a memory cap instead
 # (test_plot_with_a_tick_step_below_half_an_ulp_finishes)
-@settings(max_examples=200, derandomize=True, deadline=None,
+@seed(0)
+@settings(max_examples=200, derandomize=False, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(case=_cli_cases())
 @example(case=("solve", DEFAULT, ["--theta", "-8.8e1", "--force", "10"]))

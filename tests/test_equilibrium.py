@@ -5,7 +5,7 @@ from copy import deepcopy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from lbvt import analysis, chain, equilibrium, linkage
 from lbvt.equilibrium import solve_equilibrium, triggering_force
@@ -321,53 +321,62 @@ class _ConstantLoad:
 
 
 class _SingularLoad(_ConstantLoad):
-    """Constant torque whose derivative is k = 1: the Newton system k - k is singular."""
+    """Constant torque 0.3 whose derivative is k = 2: the Newton system k - k is singular.
+
+    At preload 0.1 the balance is d = 0.3 / k - 0.1 = 0.05. A stiffness other
+    than 1 tells the step r / k from r * k.
+    """
+
+    K = 2.0
+
+    def __init__(self, n):
+        super().__init__(0.3, n)
 
     def derivative(self, point, active):
-        return [[float(i == j) for j in active] for i in active]
+        return [[self.K * (i == j) for j in active] for i in active]
 
     def slope(self, point, j):
-        return 1.0
+        return self.K
 
     def pair(self, point, i, j):
-        return 1.0, 0.0, 0.0, 1.0
+        return self.K, 0.0, 0.0, self.K
 
 
 @pytest.mark.parametrize("d0", [0.0, 0.2])
 def test_singular_newton_system_takes_the_step_with_the_load_held(d0):
-    # r = 0.15 - (0.1 + d); with the load held the jacobian is -k, so the
+    # r = 0.3 - k (0.1 + d); with the load held the jacobian is -k, so the
     # Newton step is +r/k and lands on the balance d = 0.05 from either side
-    load = _SingularLoad(0.15, 1)
+    load = _SingularLoad(1)
     d = [d0]
-    equilibrium._newton_active(load, d, load.evaluate(d), [0], 1.0, 0.1, (0.3,))
+    equilibrium._newton_active(load, d, load.evaluate(d), [0], load.K, 0.1, (0.3,))
     assert d[0] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_singular_two_joint_system_takes_the_step_with_the_load_held():
     # the same step in the general loop, which one active joint skips
-    load = _SingularLoad(0.15, 2)
+    load = _SingularLoad(2)
     d = [0.0, 0.2]
-    equilibrium._newton_active(load, d, load.evaluate(d), [0, 1], 1.0, 0.1, (0.3, 0.3))
+    equilibrium._newton_active(load, d, load.evaluate(d), [0, 1], load.K, 0.1, (0.3, 0.3))
     assert d == pytest.approx([0.05, 0.05], abs=1e-15)
 
 
 def test_singular_three_joint_system_takes_the_step_with_the_load_held():
     # three free joints eliminate, and the zero pivot takes the same step
-    load = _SingularLoad(0.15, 3)
+    load = _SingularLoad(3)
     d = [0.0, 0.2, 0.1]
-    equilibrium._newton_active(load, d, load.evaluate(d), [0, 1, 2], 1.0, 0.1, (0.3,) * 3)
+    equilibrium._newton_active(load, d, load.evaluate(d), [0, 1, 2], load.K, 0.1, (0.3,) * 3)
     assert d == pytest.approx([0.05] * 3, abs=1e-15)
 
 
 def test_one_free_joint_of_a_singular_system_takes_the_step_with_the_load_held(monkeypatch):
-    # joint 0 sits at its stop 0.03, pushed past it (r_0 = 0.02 > 0), so joint
+    # joint 0 sits at its stop 0.03, pushed past it (r_0 = 0.04 > 0), so joint
     # 1 is the one free joint of the general loop: its step reads the slope,
     # whose k - k is 0, and takes +r/k from 0.2 to the balance 0.05
-    load = _SingularLoad(0.15, 2)
+    load = _SingularLoad(2)
     derivatives = count_calls(monkeypatch, _SingularLoad, "derivative")
     slopes = count_calls(monkeypatch, _SingularLoad, "slope")
     d = [0.03, 0.2]
-    equilibrium._newton_active(load, d, load.evaluate(d), [0, 1], 1.0, 0.1, (0.03, 0.3))
+    equilibrium._newton_active(load, d, load.evaluate(d), [0, 1], load.K, 0.1, (0.03, 0.3))
     assert d[0] == 0.03
     assert d[1] == pytest.approx(0.05, abs=1e-15)
     assert derivatives[0] == 0 and slopes[0] >= 1
@@ -949,7 +958,8 @@ def test_converged_answers_are_fixed_points_below_the_descent_from_the_top():
                 assert all(x <= u + 1e-12 for x, u in zip(d, upper)), (theta, f)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@seed(0)
+@settings(max_examples=150, derandomize=False, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), where=st.floats(0.0, 1.0), f=st.floats(0.0, 300.0))
 def test_converged_answers_match_the_climb_on_drawn_inputs(seed, where, f):
     # any converged answer is the loading branch's least fixed point wherever

@@ -65,17 +65,25 @@ MUTANTS = {
                             "newton lies in (1e-12, 1e-6] Nm"),
     "singular-step-sign": ("equilibrium.py", "step = [x / k for x in r]",
                            "step = [-x / k for x in r]", ""),
+    "singular-step-size": ("equilibrium.py", "step = [x / k for x in r]",
+                           "step = [x * k for x in r]", ""),
     "singular-sign-1-joint": ("equilibrium.py", "if a != 0.0 else r / k)",
                               "if a != 0.0 else -r / k)", ""),
+    "singular-size-1-joint": ("equilibrium.py", "if a != 0.0 else r / k)",
+                              "if a != 0.0 else r * k)", ""),
     "one-free-step-without-k": ("equilibrium.py", "a = load.slope(point, free[0]) - k",
                                 "a = load.slope(point, free[0])", ""),
     "singular-sign-one-free": ("equilibrium.py", "if a != 0.0 else r[0] / k]",
                                "if a != 0.0 else -r[0] / k]", ""),
+    "singular-size-one-free": ("equilibrium.py", "if a != 0.0 else r[0] / k]",
+                               "if a != 0.0 else r[0] * k]", ""),
     "pair-c-min": ("equilibrium.py", "gi * cj + scale * (cj + jx * iy - jy * ix)",
                    "gi * cj + scale * (ci + jx * iy - jy * ix)", ""),
     "two-joint-det-sign": ("equilibrium.py", "det = a * e - b * c", "det = a * e + b * c", ""),
     "singular-sign-two-joints": ("equilibrium.py", "step = [r0 / k, r1 / k]",
                                  "step = [-r0 / k, -r1 / k]", ""),
+    "singular-size-two-joints": ("equilibrium.py", "step = [r0 / k, r1 / k]",
+                                 "step = [r0 * k, r1 * k]", ""),
     "active-appended": ("equilibrium.py", "insort(active, i)", "active.append(i)", ""),
     "flip-keeps-joint": ("equilibrium.py", "active.remove(i)", "pass", ""),
     "regime-at-limit": ("chain.py", "if dk >= lim else", "if dk > lim else", ""),
