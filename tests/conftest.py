@@ -1,13 +1,15 @@
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import lbvt
-from lbvt import equilibrium, linkage
-from lbvt.model import ConfigError, MechanismConfig, per_joint_stiffness
+from lbvt import analysis, chain, equilibrium, linkage
+from lbvt.model import ConfigError, GeometryError, MechanismConfig, _AngleError, per_joint_stiffness
 
 THETA_88 = math.radians(-88.0)
 
@@ -173,6 +175,155 @@ def invalid_case(case: str) -> tuple[dict, list[str]]:
     """INVALID_UPDATES[case] as (updates, violations), a row's function called afresh."""
     updates, violations = INVALID_UPDATES[case]
     return (updates() if callable(updates) else updates), violations
+
+
+# every number argument of a public entry: (entry, its arguments after the
+# config, the index of the one under test, the name its refusal gives it, and
+# the lbvt command and flag that set it, or None). A sweep's range and step are
+# named as sample_ladder names them.
+_ANGLE_SWEEP = (60.0, _DEFAULT.theta_min, _DEFAULT.theta_max, math.radians(10.0))
+_FORCE_SWEEP = (THETA_88, 0.0, 10.0, 1.0)
+_FORCE_COMMANDS = {"sweep_trigger": "trigger", "sweep_torque_vs_force": "sweep-force",
+                   "sweep_ratio_vs_force": "ratio"}
+NUMBER_ARGUMENTS = {
+    **{f"solve_equilibrium-{name}": (equilibrium.solve_equilibrium, (THETA_88, 10.0), i, name,
+                                     ("solve", flag))
+       for i, (name, flag) in enumerate((("theta", "--theta"), ("f_cyl", "--force")))},
+    "triggering_force-theta": (equilibrium.triggering_force, (THETA_88,), 0, "theta", None),
+    **{f"{entry.__name__}-{name}": (entry, (THETA_88, 0.1), i, name, None)
+       for entry in (linkage.jacobian, linkage.actuator_length)
+       for i, name in enumerate(("theta", "l4"))},
+    "joint_torques-f_end": (lambda c, f: chain.joint_torques(c, (0.0,) * 6, f), (17.0,), 0,
+                            "f_end", None),
+    **{f"sweep_torque_vs_angle-{arg}": (analysis.sweep_torque_vs_angle, _ANGLE_SWEEP, i, name,
+                                        ("sweep-angle", flag))
+       for i, (arg, name, flag) in enumerate((("f_cyl", "f_cyl", "--force"),
+                                              ("theta_from", "start", "--from"),
+                                              ("theta_to", "stop", "--to"),
+                                              ("step", "step", "--step")))},
+    **{f"{sweep}-{arg}": (getattr(analysis, sweep), _FORCE_SWEEP, i, name, (command, flag))
+       for sweep, command in _FORCE_COMMANDS.items()
+       for i, (arg, name, flag) in enumerate((("theta", "theta", "--theta"),
+                                              ("f_from", "start", "--from"),
+                                              ("f_to", "stop", "--to"),
+                                              ("step", "step", "--step")))},
+    # the 401-row ladder: read as a number, a float32 0.5 step would run it in float32
+    "sweep_ratio_vs_force-step": (analysis.sweep_ratio_vs_force, (THETA_88, 0.0, 200.0, 0.5), 3,
+                                  "step", ("ratio", "--step")),
+    **{f"sample_ladder-{name}": (lambda c, *a: analysis.sample_ladder(*a), args, i, name, None)
+       for i, (name, args) in enumerate((("start", (0.0, 1.0, 0.5)), ("stop", (0.0, 1.0, 0.5)),
+                                         ("step", (0.0, 200.0, 0.5))))},
+    "ratio_step_direct-theta": (analysis.ratio_step_direct, (THETA_88,), 0, "theta", None),
+    # zero targets: no search runs, so nothing past the checks could refuse a value
+    **{f"calibrate-{name}": (analysis.calibrate, (0.0, 0.0, THETA_88), i, name,
+                             ("calibrate", flag))
+       for i, (name, flag) in enumerate((("target_trigger", "--trigger"),
+                                         ("target_ratio_step", "--ratio-step"),
+                                         ("theta", "--theta")))},
+}
+
+# each kind of number an argument refuses, made from the number it takes
+_KINDS = {"str": str, "bool": bool, "float32": np.float32, "int64": np.int64, "Decimal": Decimal,
+          "Fraction": Fraction}
+# the refusal of a NaN or infinite value by the name an argument's refusal gives
+# it; model._read_finite refuses every other name's
+_NOT_FINITE_REFUSALS = {
+    "f_cyl": (ValueError, "f_cyl must be non-negative and finite, got {}"),
+    "start": (analysis._LadderError, "range start must be finite, got {}"),
+    "stop": (analysis._LadderError, "range stop must be finite, got {}"),
+    "step": (analysis._LadderError, "step must be positive and finite, got {}"),
+}
+_OUTSIDE = "theta={} outside the configured range [-2.4609142453120048, -0.6894050545377601]"
+_ANGLES = {"-170deg": math.radians(-170.0), "10deg": math.radians(10.0),
+           "min-1e-8": _DEFAULT.theta_min - 1e-8, "max+1e-8": _DEFAULT.theta_max + 1e-8}
+
+
+def _refused_numbers() -> dict:
+    """REFUSED_NUMBERS: each argument's refused kinds, its NaN and infinities, and its range."""
+    rows = {}
+
+    def row(case, label, value, error, message, args=None):
+        _, given, i, _, _ = NUMBER_ARGUMENTS[case]
+        args = given if args is None else args
+        rows[f"{case}-{label}"] = (case, label, args[:i] + (value,) + args[i + 1:], error, message)
+
+    for case, (_, args, i, name, _) in NUMBER_ARGUMENTS.items():
+        for label, make in _KINDS.items():
+            row(case, label, make(args[i]), ValueError, f"{name}: expected a number, got {label}")
+        error, message = _NOT_FINITE_REFUSALS.get(name, (ValueError,
+                                                         name + " must be finite, got {}"))
+        for value in (math.nan, math.inf, -math.inf):
+            row(case, str(value), value, error, message.format(value))
+    # solved, unconverged (test_nan_force_is_not_converged); lbvt solve refuses it
+    del rows["solve_equilibrium-f_cyl-nan"]
+
+    for case in ("solve_equilibrium-f_cyl", "sweep_torque_vs_angle-f_cyl"):
+        row(case, "negative", -1.0, ValueError, "f_cyl must be non-negative and finite, got -1.0")
+    row("solve_equilibrium-theta", "0.5rad", 0.5, _AngleError, _OUTSIDE.format(0.5))
+    for case in ("solve_equilibrium-theta", "triggering_force-theta",
+                 *(f"{sweep}-theta" for sweep in _FORCE_COMMANDS), "ratio_step_direct-theta",
+                 "calibrate-theta"):
+        for label, theta in _ANGLES.items():
+            row(case, label, theta, _AngleError, _OUTSIDE.format(theta),
+                (20.0, 0.40, THETA_88) if case == "calibrate-theta" else None)
+    # the angle sweep's first sample is its start; a start past the range's end reverses it
+    for label in ("-170deg", "min-1e-8"):
+        row("sweep_torque_vs_angle-theta_from", label, _ANGLES[label], _AngleError,
+            _OUTSIDE.format(_ANGLES[label]))
+    row("sweep_torque_vs_angle-theta_from", "10deg", _ANGLES["10deg"], analysis._LadderError,
+        "range end -0.6894050545377601 below start 0.17453292519943295")
+    row("sweep_torque_vs_angle-theta_from", "max+1e-8", _ANGLES["max+1e-8"],
+        analysis._LadderError, "range end -0.6894050545377601 below start -0.6894050445377601")
+    row("sweep_torque_vs_angle-theta_to", "reversed", _ANGLES["-170deg"], analysis._LadderError,
+        "range end -2.9670597283903604 below start -2.4609142453120048")
+    for case in ("sample_ladder-stop", *(f"{sweep}-f_to" for sweep in _FORCE_COMMANDS)):
+        row(case, "reversed", -1.0, analysis._LadderError, "range end -1.0 below start 0.0")
+    for sweep in _FORCE_COMMANDS:  # refused before the ladder reads it
+        for label, start in (("-inf", -math.inf), ("negative", -1.0)):
+            row(f"{sweep}-f_from", label, start, ValueError,
+                f"force range must be non-negative, got start {start}")
+    for case in ("sample_ladder-step", "sweep_torque_vs_angle-step",
+                 *(f"{sweep}-step" for sweep in _FORCE_COMMANDS)):
+        for label, step in (("zero", 0.0), ("negative", -1.0)):
+            row(case, label, step, analysis._LadderError,
+                f"step must be positive and finite, got {step}")
+    for case in ("jacobian-l4", "actuator_length-l4"):  # the closure kernel's own refusal
+        for label, l4 in (("zero", 0.0), ("negative", -0.1)):
+            row(case, label, l4, GeometryError, f"lever length must be positive, got {l4}")
+    row("calibrate-target_trigger", "negative", -1.0, ValueError,
+        "calibration targets must be non-negative", (-1.0, 0.40, THETA_88))
+    row("calibrate-target_ratio_step", "negative", -0.1, ValueError,
+        "calibration targets must be non-negative", (20.0, -0.1, THETA_88))
+    return rows
+
+
+# every refused value of a number argument, by id: (NUMBER_ARGUMENTS case,
+# label, the entry's arguments after the config, the exception's type and its
+# message). A refused kind holds the number the argument takes; a range row
+# replaces the non-finite row of its id when the range check refuses first.
+REFUSED_NUMBERS = _refused_numbers()
+
+
+def _refused_flags() -> dict:
+    """REFUSED_FLAGS: the rows of REFUSED_NUMBERS that a flag sets and lbvt prints as worded."""
+    # every refused --force and force sweep --from and --step is printed as worded
+    as_worded = {"solve_equilibrium-f_cyl", "sweep_torque_vs_angle-f_cyl",
+                 *(f"{sweep}-{arg}" for sweep in _FORCE_COMMANDS for arg in ("f_from", "step"))}
+    rows = {}
+    for row, (case, label, args, _, message) in REFUSED_NUMBERS.items():
+        _, _, i, _, flag = NUMBER_ARGUMENTS[case]
+        # a flag reads a float; a NaN or infinite angle reads the same in degrees
+        if flag and (label in ("nan", "inf", "-inf") or case in as_worded and label not in _KINDS):
+            rows[row] = (*flag, str(args[i]), message)
+    # solve_equilibrium solves a NaN force, unconverged; lbvt solve refuses it
+    rows["solve_equilibrium-f_cyl-nan"] = ("solve", "--force", "nan",
+                                           "f_cyl must be non-negative and finite, got nan")
+    return rows
+
+
+# the refusals of number flags, by the id of their row in REFUSED_NUMBERS, as
+# (command, flag, value as typed, message): lbvt prints the entry's message
+REFUSED_FLAGS = _refused_flags()
 
 
 def refusal(base: MechanismConfig, **updates) -> list[str]:

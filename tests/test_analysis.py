@@ -42,22 +42,6 @@ def test_ladder_degenerate_cases():
         analysis.sample_ladder(1.0, 0.0, 0.5)
 
 
-@pytest.mark.parametrize("start, stop, bad", [
-    (0.0, math.inf, "stop"), (0.0, math.nan, "stop"),
-    (-math.inf, 1.0, "start"), (math.nan, 1.0, "start"),
-])
-def test_ladder_rejects_non_finite_range(start, stop, bad):
-    with pytest.raises(ValueError, match=f"range {bad} must be finite"):
-        analysis.sample_ladder(start, stop, 0.5)
-
-
-@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
-def test_ladder_rejects_a_step_that_is_not_positive_and_finite(step):
-    # an infinite step would sample start + 0 * inf, a NaN abscissa
-    with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}"):
-        analysis.sample_ladder(0.0, 200.0, step)
-
-
 @pytest.mark.parametrize("step, samples", [(1e-4, "2000001"), (5e-324, "inf")])
 def test_ladder_rejects_too_many_samples(step, samples):
     with pytest.raises(ValueError, match=f"asks for {samples} samples"):
@@ -85,14 +69,6 @@ def test_angle_sweep_single_record_when_step_exceeds_range(default_config):
         default_config, 50.0, THETA_88, THETA_88 + math.radians(5.0),
         math.radians(30.0))
     assert len(table) == 1
-
-
-@pytest.mark.parametrize("f_cyl", [math.nan, -1.0, math.inf])
-def test_angle_sweep_rejects_a_bad_force(default_config, f_cyl):
-    # solve_equilibrium would return NaN rows, unconverged, for a NaN force
-    with pytest.raises(ValueError, match=f"f_cyl must be non-negative and finite, got {f_cyl}"):
-        analysis.sweep_torque_vs_angle(default_config, f_cyl, default_config.theta_min,
-                                       default_config.theta_max, math.radians(10.0))
 
 
 @pytest.mark.parametrize("sweep", [
@@ -142,14 +118,6 @@ def test_angle_sweep_shape_at_165(default_config):
 
 # ---------- trigger sweep ----------
 
-def test_trigger_sweep_plateau_ends_in_window(default_config):
-    table = analysis.sweep_trigger(default_config, THETA_88, 0.0, 50.0, 0.5)
-    forces = table.column("f_cyl (N)")
-    diam = table.column("diameter (m)")
-    departure = next(f for f, d in zip(forces, diam) if abs(d - diam[0]) > 1e-9)
-    assert 17.0 <= departure <= 21.0
-
-
 def test_trigger_sweep_without_preload_moves_immediately(default_config):
     cfg = dataclasses.replace(default_config, alpha_preload=0.0)
     table = analysis.sweep_trigger(cfg, THETA_88, 0.0, 5.0, 0.5)
@@ -186,12 +154,6 @@ def test_force_sweep_amplifies_above_threshold(default_config):
         if f < trigger:
             assert tl == pytest.approx(tr, abs=1e-12)
     assert lbvt[-1] > rigid[-1]
-
-
-@pytest.mark.parametrize("sweep", ["sweep_trigger", "sweep_torque_vs_force", "sweep_ratio_vs_force"])
-def test_force_sweep_rejects_a_negative_start(default_config, sweep):
-    with pytest.raises(ValueError, match="force range must be non-negative, got start -1.0"):
-        getattr(analysis, sweep)(default_config, THETA_88, -1.0, 10.0, 1.0)
 
 
 def test_force_sweep_single_record(default_config):
@@ -338,13 +300,6 @@ def test_ratio_sweep_load_evaluations(default_config, monkeypatch):
     table = analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 200.0, 0.5)
     assert len(table) == 401
     assert calls[0] <= 651
-
-
-def test_a_float32_step_is_refused_before_any_row(default_config):
-    # read as a number, a float32 step ran this sweep in float32 and 92 of its
-    # 401 rows came out infeasible; the ladder now refuses it
-    with pytest.raises(ValueError, match="^step: expected a number, got float32$"):
-        analysis.sweep_ratio_vs_force(default_config, THETA_88, 0.0, 200.0, np.float32(0.5))
 
 
 def test_failed_row_keeps_the_carried_state(default_config, monkeypatch):
@@ -567,38 +522,6 @@ def test_calibrate_tries_no_preload_past_one_turn(request, name, target):
         analysis.calibrate(config, target, 0.40, THETA_88)
     assert str(raised.value) == (f"trigger target {target} N unreachable: "
                                  "preload 6.283185307179586 rad yields only 1339.206 N")
-
-
-@pytest.mark.parametrize("trigger, ratio_step", [(-1.0, 0.40), (20.0, -0.1)])
-def test_calibrate_rejects_negative_targets(base_config, trigger, ratio_step):
-    with pytest.raises(ValueError, match="calibration targets must be non-negative"):
-        analysis.calibrate(base_config, trigger, ratio_step, THETA_88)
-
-
-@pytest.mark.parametrize("name", ["target_trigger", "target_ratio_step", "theta"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_calibrate_rejects_non_finite_arguments(base_config, name, bad):
-    # zero targets: no search runs, so nothing downstream can catch the value
-    args = dict(target_trigger=0.0, target_ratio_step=0.0, theta=THETA_88)
-    args[name] = bad
-    with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
-        analysis.calibrate(base_config, **args)
-
-
-@pytest.mark.parametrize("theta", [
-    lambda cfg: math.radians(-170.0),
-    lambda cfg: math.radians(10.0),
-    lambda cfg: cfg.theta_min - 1e-8,
-    lambda cfg: cfg.theta_max + 1e-8,
-], ids=["-170.0", "10.0", "min-1e-8", "max+1e-8"])
-@pytest.mark.parametrize("call", [
-    equilibrium.triggering_force,
-    lambda cfg, theta: analysis.calibrate(cfg, 20.0, 0.40, theta),
-    analysis.ratio_step_direct,
-], ids=["triggering_force", "calibrate", "ratio_step_direct"])
-def test_knee_angle_outside_the_range_is_rejected(base_config, call, theta):
-    with pytest.raises(ValueError, match="outside the configured range"):
-        call(base_config, theta(base_config))
 
 
 def test_calibrated_output_validates(base_config):

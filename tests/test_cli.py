@@ -20,7 +20,10 @@ from lbvt import analysis, equilibrium
 from lbvt.cli import load_config, run, save_config
 from lbvt.model import ConfigError, MechanismConfig
 
+from conftest import REFUSED_FLAGS
+
 DEFAULT = str(lbvt.default_config_path())
+BASE = str(lbvt.base_config_path())
 
 
 def _write(tmp_path, doc, name="cfg.json"):
@@ -177,11 +180,6 @@ def test_solve_zero_force_reports_closed(capsys):
     assert out.count("closed") == 6
 
 
-def test_solve_out_of_range_angle_fails(capsys):
-    assert run(["solve", DEFAULT, "--theta", "10", "--force", "5"]) == 1
-    assert "theta" in capsys.readouterr().err
-
-
 def test_solve_converged_residual_prints_the_tolerance(capsys):
     assert run(["solve", DEFAULT, "--theta", "-88", "--force", "165"]) == 0
     assert "residual (Nm):           < 1e-09\n" in capsys.readouterr().out
@@ -315,29 +313,21 @@ def test_ratio_on_a_zero_travel_config_is_feasible(tmp_path, capsys, base_config
     assert analysis.read_csv(out).column("feasible (-)") == (1.0,) * 7
 
 
-@pytest.mark.parametrize("command, bound", [
-    ("ratio", ["--theta", "-88", "--to", "inf"]),
-    ("sweep-angle", ["--force", "165", "--from", "nan"]),
-])
-def test_non_finite_sweep_range_fails_cleanly(tmp_path, capsys, command, bound):
-    out = tmp_path / "sweep.csv"
-    assert run([command, DEFAULT, *bound, "--out", str(out)]) == 1
-    assert f"lbvt {command}: range" in capsys.readouterr().err
-    assert not out.exists()
+# the flags each command is given beside the one a REFUSED_FLAGS row sets
+_OTHER_FLAGS = {"solve": {"--theta": "-88", "--force": "165"}, "sweep-angle": {"--force": "165"},
+                **dict.fromkeys(("trigger", "sweep-force", "ratio"), {"--theta": "-88"}),
+                "calibrate": {"--trigger": "20", "--ratio-step": "0.40", "--theta": "-88"}}
 
 
-@pytest.mark.parametrize("force", ["nan", "-1"])
-@pytest.mark.parametrize("command", ["solve", "sweep-angle"])
-def test_bad_force_fails_cleanly(tmp_path, capsys, command, force):
-    # solve_equilibrium returns an unconverged result for a NaN force; the
-    # commands reject it before any solve, as they do a negative one
-    out = tmp_path / "a.csv"
-    args = ["--theta", "-88"] if command == "solve" else ["--out", str(out)]
-    assert run([command, DEFAULT, *args, "--force", force]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == (
-        f"lbvt {command}: f_cyl must be non-negative and finite, got {float(force)}\n")
-    assert captured.out == ""
+@pytest.mark.parametrize("row", REFUSED_FLAGS, ids=list(REFUSED_FLAGS))
+def test_a_refused_number_flag_prints_the_library_refusal(tmp_path, capsys, row):
+    # refused before any output is written, in the words of the entry's own refusal
+    command, flag, typed, message = REFUSED_FLAGS[row]
+    out = tmp_path / "out"
+    flags = {**_OTHER_FLAGS[command], flag: typed}
+    argv = [command, DEFAULT, *(text for item in flags.items() for text in item)]
+    assert run(argv + ([] if command == "solve" else ["--out", str(out)])) == 1
+    assert capsys.readouterr() == ("", f"lbvt {command}: {message}\n")
     assert not out.exists()
 
 
@@ -346,19 +336,6 @@ def test_oversized_sweep_ladder_fails_cleanly(tmp_path, capsys):
     assert run(["ratio", DEFAULT, "--theta", "-88", "--step", "5e-324", "--out", str(out)]) == 1
     assert "lbvt ratio: step 5e-324 over [0.0, 200.0] asks for inf samples" in (
         capsys.readouterr().err)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, args", [
-    ("sweep-force", ["--theta", "-88"]),
-    ("sweep-angle", ["--force", "165"]),
-])
-def test_non_finite_sweep_step_fails_cleanly(tmp_path, capsys, command, args):
-    # rejected before any solve: the first sample would be start + 0 * inf, NaN
-    out = tmp_path / "sweep.csv"
-    assert run([command, DEFAULT, *args, "--step", "inf", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"lbvt {command}: step must be positive and finite, got inf\n")
     assert not out.exists()
 
 
@@ -375,26 +352,9 @@ def test_solve_refuses_a_huge_integer_config_number(tmp_path, capsys, key, messa
     assert capsys.readouterr().err == f"lbvt solve: {path}: invalid config:\n  - {message}\n"
 
 
-def test_calibrate_rejects_nan_target(tmp_path, capsys):
-    out = tmp_path / "calibrated.json"
-    assert run(["calibrate", DEFAULT, "--trigger", "nan", "--ratio-step", "0.40",
-                "--theta", "-88", "--out", str(out)]) == 1
-    assert "lbvt calibrate: target_trigger must be finite, got nan" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("theta", ["-170", "10"])
-def test_calibrate_rejects_an_angle_outside_the_range(tmp_path, capsys, theta):
-    out = tmp_path / "calibrated.json"
-    assert run(["calibrate", str(lbvt.base_config_path()), "--trigger", "20",
-                "--ratio-step", "0.40", "--theta", theta, "--out", str(out)]) == 1
-    assert "outside the configured range" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_calibrate_subcommand(tmp_path, capsys):
     out = tmp_path / "calibrated.json"
-    code = run(["calibrate", str(lbvt.base_config_path()),
+    code = run(["calibrate", BASE,
                 "--trigger", "20", "--ratio-step", "0.40",
                 "--theta", "-88", "--out", str(out)])
     assert code == 0
@@ -707,21 +667,25 @@ def test_sweep_angle_ladder_errors_name_degrees_as_typed(tmp_path, capsys, args,
 
 
 @pytest.mark.parametrize("command, args, typed", [
-    ("solve", ["--theta", "-170", "--force", "10"], "--theta -170.0"),
-    ("trigger", ["--theta", "-170"], "--theta -170.0"),
-    ("sweep-force", ["--theta", "-30"], "--theta -30.0"),
-    ("ratio", ["--theta", "10"], "--theta 10.0"),
-    ("calibrate", ["--trigger", "20", "--ratio-step", "0.40", "--theta", "-170"],
+    ("solve", [DEFAULT, "--theta", "-170", "--force", "10"], "--theta -170.0"),
+    ("solve", [DEFAULT, "--theta", "10", "--force", "5"], "--theta 10.0"),
+    ("trigger", [DEFAULT, "--theta", "-170"], "--theta -170.0"),
+    ("sweep-force", [DEFAULT, "--theta", "-30"], "--theta -30.0"),
+    ("ratio", [DEFAULT, "--theta", "10"], "--theta 10.0"),
+    ("calibrate", [DEFAULT, "--trigger", "20", "--ratio-step", "0.40", "--theta", "-170"],
      "--theta -170.0"),
-    ("sweep-angle", ["--force", "165", "--from", "-170"], "--from -170.0"),
+    # the base config has the default's knee range
+    *(("calibrate", [BASE, "--trigger", "20", "--ratio-step", "0.40", "--theta", theta],
+       f"--theta {float(theta)}") for theta in ("-170", "10")),
+    ("sweep-angle", [DEFAULT, "--force", "165", "--from", "-170"], "--from -170.0"),
     # the sample at -38 deg leaves the range first; --to is what put it there
-    ("sweep-angle", ["--force", "165", "--from", "-88", "--to", "10"], "--to 10.0"),
-], ids=["solve", "trigger", "sweep-force", "ratio", "calibrate", "sweep-angle-from",
-        "sweep-angle-to"])
+    ("sweep-angle", [DEFAULT, "--force", "165", "--from", "-88", "--to", "10"], "--to 10.0"),
+], ids=["solve", "solve-10", "trigger", "sweep-force", "ratio", "calibrate", "calibrate-base-170",
+        "calibrate-base-10", "sweep-angle-from", "sweep-angle-to"])
 def test_out_of_range_angles_name_degrees_as_typed(tmp_path, capsys, command, args, typed):
     # the range check runs in radians, and its error is restated in the flag's degrees
     out = tmp_path / "out"
-    argv = [command, DEFAULT, *args] + ([] if command == "solve" else ["--out", str(out)])
+    argv = [command, *args] + ([] if command == "solve" else ["--out", str(out)])
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"lbvt {command}: {typed} outside the configured "
                                        "range [-141.0, -39.5] deg\n")

@@ -121,31 +121,10 @@ def test_solver_is_deterministic(default_config):
     assert a.iterations == b.iterations
 
 
-def test_solver_rejects_bad_inputs(default_config):
-    with pytest.raises(ValueError):
-        solve_equilibrium(default_config, THETA_88, -1.0)
-    with pytest.raises(ValueError):
-        solve_equilibrium(default_config, 0.5, 10.0)
-
-
 def test_nan_force_is_not_converged(default_config):
     res = solve_equilibrium(default_config, THETA_88, math.nan)
     assert not res.converged
     assert math.isnan(res.residual)
-
-
-@pytest.mark.parametrize("f_cyl", [math.inf, -math.inf, -1.0])
-def test_infinite_force_is_rejected_up_front(default_config, f_cyl):
-    # the message of the shared check, _check_force
-    message = f"^f_cyl must be non-negative and finite, got {f_cyl}$"
-    with pytest.raises(ValueError, match=message):
-        solve_equilibrium(default_config, THETA_88, f_cyl)
-
-
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
-def test_trigger_rejects_non_finite_theta(default_config, theta):
-    with pytest.raises(ValueError, match="theta must be finite"):
-        triggering_force(default_config, theta)
 
 
 def test_warm_start_falls_back_to_the_closed_state(default_config, monkeypatch):

@@ -55,11 +55,6 @@ def test_unreachable_closure_raises(default_config):
         linkage.jacobian(default_config, THETA_88, 1.0)
 
 
-def test_non_positive_lever_raises(default_config):
-    with pytest.raises(GeometryError, match="lever length must be positive, got -0.1"):
-        linkage.jacobian(default_config, THETA_88, -0.1)
-
-
 def test_lever_tip_on_the_ground_pivot_raises(default_config):
     # with l2 == l3 a zero pivot span passes both circle checks; the lever
     # along the frame line (theta = -bearing, outside the knee range) with
@@ -117,23 +112,6 @@ def test_actuator_length_continuous_in_theta(default_config):
         d1 = linkage.actuator_length(default_config, float(theta), l4c)
         d2 = linkage.actuator_length(default_config, float(theta) + step, l4c)
         assert abs(d2 - d1) < default_config.l2 * step + 1e-9
-
-
-def test_jacobian_matches_finite_differences(default_config):
-    """Central-difference oracle over a grid spanning the working region."""
-    l4c = chain.closed_lever(default_config)
-    l4o = chain.open_lever(default_config)
-    h = 1e-6
-    checked = 0
-    for theta in np.linspace(default_config.theta_min, default_config.theta_max, 15):
-        for l4 in np.linspace(l4c, l4o, 8):
-            analytic = linkage.jacobian(default_config, float(theta), float(l4))
-            up = linkage.actuator_length(default_config, float(theta) + h, float(l4))
-            dn = linkage.actuator_length(default_config, float(theta) - h, float(l4))
-            fd = (up - dn) / (2.0 * h)
-            assert abs(analytic - fd) <= 1e-6 * max(abs(analytic), 1e-9)
-            checked += 1
-    assert checked >= 100
 
 
 def test_jacobian_does_not_rebuild_the_closed_chain(default_config, monkeypatch):
@@ -234,18 +212,6 @@ def test_open_lever_torque_exceeds_closed_at_165(default_config):
     t_closed = linkage.jacobian(default_config, THETA_88,
                                 chain.closed_lever(default_config)) * 165.0
     assert t_open > t_closed
-
-
-@pytest.mark.parametrize("theta, l4, name", [
-    (math.nan, 0.1, "theta"),
-    (math.inf, 0.1, "theta"),
-    (THETA_88, math.nan, "l4"),
-    (THETA_88, math.inf, "l4"),
-], ids=["theta-nan", "theta-inf", "l4-nan", "l4-inf"])
-def test_closure_rejects_non_finite_inputs(default_config, theta, l4, name):
-    for read in (linkage.jacobian, linkage.actuator_length):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            read(default_config, theta, l4)
 
 
 def test_scalar_closure_maps_read_the_kernel(default_config):

@@ -171,6 +171,12 @@ MUTANTS = {
                                        ""),
     "ladder-argument-unread": ("analysis.py", "    start, stop, step = map(_read_argument, "
                                '(start, stop, step), ("start", "stop", "step"))\n', "", ""),
+    "finite-check-dropped": ("model.py", 'raise ValueError(f"{name} must be finite, got {value}")',
+                             "pass", ""),
+    "infinite-step-admitted": ("analysis.py", "if not 0.0 < step < math.inf:",
+                               "if not 0.0 < step:", ""),
+    "nan-force-admitted": ("model.py", "or nan_ok and math.isnan(f_cyl)",
+                           "or math.isnan(f_cyl)", ""),
 }
 
 
