@@ -177,49 +177,66 @@ def invalid_case(case: str) -> tuple[dict, list[str]]:
     return (updates() if callable(updates) else updates), violations
 
 
-# every number argument of a public entry: (entry, its arguments after the
-# config, the index of the one under test, the name its refusal gives it, and
-# the lbvt command and flag that set it, or None). A sweep's range and step are
-# named as sample_ladder names them.
-_ANGLE_SWEEP = (60.0, _DEFAULT.theta_min, _DEFAULT.theta_max, math.radians(10.0))
-_FORCE_SWEEP = (THETA_88, 0.0, 10.0, 1.0)
+# every number argument of a public entry: (entry, its working arguments after
+# the config, the index of the one under test, the name its refusal gives it,
+# and the lbvt command and flag that set it, or None). The working values are
+# integral, so that an int of one is the same number; a sweep's range and step
+# are named as sample_ladder names them.
 _FORCE_COMMANDS = {"sweep_trigger": "trigger", "sweep_torque_vs_force": "sweep-force",
                    "sweep_ratio_vs_force": "ratio"}
+_ANGLE_SWEEP_ARGS = (("f_cyl", "f_cyl", "--force"), ("theta_from", "start", "--from"),
+                     ("theta_to", "stop", "--to"), ("step", "step", "--step"))
+_FORCE_SWEEP_ARGS = (("theta", "theta", "--theta"), ("f_from", "start", "--from"),
+                     ("f_to", "stop", "--to"), ("step", "step", "--step"))
+_CALIBRATE_ARGS = (("target_trigger", "--trigger"), ("target_ratio_step", "--ratio-step"),
+                   ("theta", "--theta"))
 NUMBER_ARGUMENTS = {
-    **{f"solve_equilibrium-{name}": (equilibrium.solve_equilibrium, (THETA_88, 10.0), i, name,
+    **{f"solve_equilibrium-{name}": (equilibrium.solve_equilibrium, (-1.0, 60.0), i, name,
                                      ("solve", flag))
        for i, (name, flag) in enumerate((("theta", "--theta"), ("f_cyl", "--force")))},
-    "triggering_force-theta": (equilibrium.triggering_force, (THETA_88,), 0, "theta", None),
-    **{f"{entry.__name__}-{name}": (entry, (THETA_88, 0.1), i, name, None)
+    "triggering_force-theta": (equilibrium.triggering_force, (-1.0,), 0, "theta", None),
+    **{f"{entry.__name__}-{name}": (entry, (-1.0, 0.08), i, name, None)
        for entry in (linkage.jacobian, linkage.actuator_length)
        for i, name in enumerate(("theta", "l4"))},
     "joint_torques-f_end": (lambda c, f: chain.joint_torques(c, (0.0,) * 6, f), (17.0,), 0,
                             "f_end", None),
-    **{f"sweep_torque_vs_angle-{arg}": (analysis.sweep_torque_vs_angle, _ANGLE_SWEEP, i, name,
-                                        ("sweep-angle", flag))
-       for i, (arg, name, flag) in enumerate((("f_cyl", "f_cyl", "--force"),
-                                              ("theta_from", "start", "--from"),
-                                              ("theta_to", "stop", "--to"),
-                                              ("step", "step", "--step")))},
-    **{f"{sweep}-{arg}": (getattr(analysis, sweep), _FORCE_SWEEP, i, name, (command, flag))
+    **{f"sweep_torque_vs_angle-{arg}": (analysis.sweep_torque_vs_angle, (60.0, -2.0, -1.0, 1.0),
+                                        i, name, ("sweep-angle", flag))
+       for i, (arg, name, flag) in enumerate(_ANGLE_SWEEP_ARGS)},
+    **{f"{sweep}-{arg}": (getattr(analysis, sweep), (-1.0, 0.0, 20.0, 5.0), i, name,
+                          (command, flag))
        for sweep, command in _FORCE_COMMANDS.items()
-       for i, (arg, name, flag) in enumerate((("theta", "theta", "--theta"),
-                                              ("f_from", "start", "--from"),
-                                              ("f_to", "stop", "--to"),
-                                              ("step", "step", "--step")))},
-    # the 401-row ladder: read as a number, a float32 0.5 step would run it in float32
-    "sweep_ratio_vs_force-step": (analysis.sweep_ratio_vs_force, (THETA_88, 0.0, 200.0, 0.5), 3,
-                                  "step", ("ratio", "--step")),
-    **{f"sample_ladder-{name}": (lambda c, *a: analysis.sample_ladder(*a), args, i, name, None)
-       for i, (name, args) in enumerate((("start", (0.0, 1.0, 0.5)), ("stop", (0.0, 1.0, 0.5)),
-                                         ("step", (0.0, 200.0, 0.5))))},
-    "ratio_step_direct-theta": (analysis.ratio_step_direct, (THETA_88,), 0, "theta", None),
-    # zero targets: no search runs, so nothing past the checks could refuse a value
-    **{f"calibrate-{name}": (analysis.calibrate, (0.0, 0.0, THETA_88), i, name,
-                             ("calibrate", flag))
-       for i, (name, flag) in enumerate((("target_trigger", "--trigger"),
-                                         ("target_ratio_step", "--ratio-step"),
-                                         ("theta", "--theta")))},
+       for i, (arg, name, flag) in enumerate(_FORCE_SWEEP_ARGS)},
+    **{f"sample_ladder-{name}": (lambda c, *a: analysis.sample_ladder(*a), (0.0, 10.0, 1.0), i,
+                                 name, None)
+       for i, name in enumerate(("start", "stop", "step"))},
+    "ratio_step_direct-theta": (analysis.ratio_step_direct, (-1.0,), 0, "theta", None),
+    **{f"calibrate-{name}": (analysis.calibrate, (18.0, 0.4, -1.0), i, name, ("calibrate", flag))
+       for i, (name, flag) in enumerate(_CALIBRATE_ARGS)},
+}
+
+# the config and the arguments after it that a case's refused values are
+# given with, where they are not the default config and the working arguments:
+# those of the one-off tests whose cases became rows. The angle sweep runs the
+# knee range in 10 deg steps; a force sweep's or the ladder's step is refused
+# on the 401-row ladder, which a float32 0.5 step would run in float32; and
+# calibrate's targets are zero, so that no search runs.
+_BASE = lbvt.load_config(lbvt.base_config_path())
+_REFUSED_WITH = {
+    "solve_equilibrium-theta": (_DEFAULT, (-1.0, 10.0)),
+    "solve_equilibrium-f_cyl": (_DEFAULT, (THETA_88, 60.0)),
+    **{f"{entry}-{name}": (_DEFAULT, args) for entry in ("jacobian", "actuator_length")
+       for name, args in (("theta", (-1.0, 0.1)), ("l4", (THETA_88, 0.08)))},
+    **{f"sweep_torque_vs_angle-{arg}": (_DEFAULT, (60.0, _DEFAULT.theta_min, _DEFAULT.theta_max,
+                                                   math.radians(10.0)))
+       for arg, _, _ in _ANGLE_SWEEP_ARGS},
+    **{f"{sweep}-{arg}": (_DEFAULT, (THETA_88, 0.0, 10.0, 1.0) if arg != "step" else
+                          (THETA_88, 0.0, 200.0, 0.5))
+       for sweep in _FORCE_COMMANDS for arg, _, _ in _FORCE_SWEEP_ARGS},
+    **{f"sample_ladder-{name}": (_DEFAULT, (0.0, 1.0, 0.5) if name != "step" else
+                                 (0.0, 200.0, 0.5))
+       for name in ("start", "stop", "step")},
+    **{f"calibrate-{name}": (_BASE, (0.0, 0.0, THETA_88)) for name, _ in _CALIBRATE_ARGS},
 }
 
 # each kind of number an argument refuses, made from the number it takes
@@ -233,97 +250,99 @@ _NOT_FINITE_REFUSALS = {
     "stop": (analysis._LadderError, "range stop must be finite, got {}"),
     "step": (analysis._LadderError, "step must be positive and finite, got {}"),
 }
-_OUTSIDE = "theta={} outside the configured range [-2.4609142453120048, -0.6894050545377601]"
-_ANGLES = {"-170deg": math.radians(-170.0), "10deg": math.radians(10.0),
-           "min-1e-8": _DEFAULT.theta_min - 1e-8, "max+1e-8": _DEFAULT.theta_max + 1e-8}
 
 
-def _refused_numbers() -> dict:
-    """REFUSED_NUMBERS: each argument's refused kinds, its NaN and infinities, and its range."""
-    rows = {}
+def _knee_angles(config: MechanismConfig) -> dict:
+    """Knee angles outside config's range, by label: -170 and 10 deg, 1e-8 rad past each end."""
+    return {"-170deg": math.radians(-170.0), "10deg": math.radians(10.0),
+            "min-1e-8": config.theta_min - 1e-8, "max+1e-8": config.theta_max + 1e-8}
 
-    def row(case, label, value, error, message, args=None):
-        _, given, i, _, _ = NUMBER_ARGUMENTS[case]
+
+def _outside(config: MechanismConfig, theta: float) -> str:
+    return f"theta={theta} outside the configured range [{config.theta_min}, {config.theta_max}]"
+
+
+def _refusals() -> tuple[dict, dict]:
+    """REFUSED_NUMBERS and REFUSED_FLAGS: each argument's kinds, non-finite values and range."""
+    library, flags = {}, {}
+
+    def row(case, label, value, error, message, config=None, args=None, flag=False,
+            replaces=False):
+        # flag: lbvt prints this refusal as worded, if a flag sets the argument
+        _, working, i, _, cli = NUMBER_ARGUMENTS[case]
+        given_config, given = _REFUSED_WITH.get(case, (_DEFAULT, working))
         args = given if args is None else args
-        rows[f"{case}-{label}"] = (case, label, args[:i] + (value,) + args[i + 1:], error, message)
+        key = f"{case}-{label}"
+        assert (key in library) == replaces, key
+        library[key] = (case, given_config if config is None else config,
+                        args[:i] + (value,) + args[i + 1:], error, message)
+        if flag and cli:
+            flags[key] = (*cli, str(value), message)
 
-    for case, (_, args, i, name, _) in NUMBER_ARGUMENTS.items():
+    for case, (_, working, i, name, _) in NUMBER_ARGUMENTS.items():
+        given = _REFUSED_WITH.get(case, (None, working))[1]
         for label, make in _KINDS.items():
-            row(case, label, make(args[i]), ValueError, f"{name}: expected a number, got {label}")
+            row(case, label, make(given[i]), ValueError, f"{name}: expected a number, got {label}")
         error, message = _NOT_FINITE_REFUSALS.get(name, (ValueError,
                                                          name + " must be finite, got {}"))
+        # a flag reads a float, and a NaN or infinite angle reads the same in degrees
         for value in (math.nan, math.inf, -math.inf):
-            row(case, str(value), value, error, message.format(value))
+            row(case, str(value), value, error, message.format(value), flag=True)
     # solved, unconverged (test_nan_force_is_not_converged); lbvt solve refuses it
-    del rows["solve_equilibrium-f_cyl-nan"]
+    del library["solve_equilibrium-f_cyl-nan"]
 
     for case in ("solve_equilibrium-f_cyl", "sweep_torque_vs_angle-f_cyl"):
-        row(case, "negative", -1.0, ValueError, "f_cyl must be non-negative and finite, got -1.0")
-    row("solve_equilibrium-theta", "0.5rad", 0.5, _AngleError, _OUTSIDE.format(0.5))
-    for case in ("solve_equilibrium-theta", "triggering_force-theta",
-                 *(f"{sweep}-theta" for sweep in _FORCE_COMMANDS), "ratio_step_direct-theta",
-                 "calibrate-theta"):
-        for label, theta in _ANGLES.items():
-            row(case, label, theta, _AngleError, _OUTSIDE.format(theta),
-                (20.0, 0.40, THETA_88) if case == "calibrate-theta" else None)
+        row(case, "negative", -1.0, ValueError, "f_cyl must be non-negative and finite, got -1.0",
+            flag=True)
+    row("solve_equilibrium-theta", "0.5rad", 0.5, _AngleError, _outside(_DEFAULT, 0.5))
+    for case in ("solve_equilibrium-theta", *(f"{sweep}-theta" for sweep in _FORCE_COMMANDS)):
+        for label, theta in _knee_angles(_DEFAULT).items():
+            row(case, label, theta, _AngleError, _outside(_DEFAULT, theta))
+    for case in ("triggering_force-theta", "ratio_step_direct-theta", "calibrate-theta"):
+        for label, theta in _knee_angles(_BASE).items():
+            row(case, label, theta, _AngleError, _outside(_BASE, theta), config=_BASE,
+                args=(20.0, 0.40, theta) if case == "calibrate-theta" else None)
     # the angle sweep's first sample is its start; a start past the range's end reverses it
+    angles = _knee_angles(_DEFAULT)
     for label in ("-170deg", "min-1e-8"):
-        row("sweep_torque_vs_angle-theta_from", label, _ANGLES[label], _AngleError,
-            _OUTSIDE.format(_ANGLES[label]))
-    row("sweep_torque_vs_angle-theta_from", "10deg", _ANGLES["10deg"], analysis._LadderError,
-        "range end -0.6894050545377601 below start 0.17453292519943295")
-    row("sweep_torque_vs_angle-theta_from", "max+1e-8", _ANGLES["max+1e-8"],
-        analysis._LadderError, "range end -0.6894050545377601 below start -0.6894050445377601")
-    row("sweep_torque_vs_angle-theta_to", "reversed", _ANGLES["-170deg"], analysis._LadderError,
-        "range end -2.9670597283903604 below start -2.4609142453120048")
+        row("sweep_torque_vs_angle-theta_from", label, angles[label], _AngleError,
+            _outside(_DEFAULT, angles[label]))
+    for label in ("10deg", "max+1e-8"):
+        row("sweep_torque_vs_angle-theta_from", label, angles[label], analysis._LadderError,
+            f"range end {_DEFAULT.theta_max} below start {angles[label]}")
+    row("sweep_torque_vs_angle-theta_to", "reversed", angles["-170deg"], analysis._LadderError,
+        f"range end {angles['-170deg']} below start {_DEFAULT.theta_min}")
     for case in ("sample_ladder-stop", *(f"{sweep}-f_to" for sweep in _FORCE_COMMANDS)):
         row(case, "reversed", -1.0, analysis._LadderError, "range end -1.0 below start 0.0")
-    for sweep in _FORCE_COMMANDS:  # refused before the ladder reads it
+    for sweep in _FORCE_COMMANDS:  # refused before the ladder reads the start
         for label, start in (("-inf", -math.inf), ("negative", -1.0)):
             row(f"{sweep}-f_from", label, start, ValueError,
-                f"force range must be non-negative, got start {start}")
+                f"force range must be non-negative, got start {start}", flag=True,
+                replaces=label == "-inf")
+    # lbvt sweep-angle restates its ladder's refusals in degrees
     for case in ("sample_ladder-step", "sweep_torque_vs_angle-step",
                  *(f"{sweep}-step" for sweep in _FORCE_COMMANDS)):
         for label, step in (("zero", 0.0), ("negative", -1.0)):
             row(case, label, step, analysis._LadderError,
-                f"step must be positive and finite, got {step}")
+                f"step must be positive and finite, got {step}",
+                flag=case != "sweep_torque_vs_angle-step")
     for case in ("jacobian-l4", "actuator_length-l4"):  # the closure kernel's own refusal
         for label, l4 in (("zero", 0.0), ("negative", -0.1)):
             row(case, label, l4, GeometryError, f"lever length must be positive, got {l4}")
     row("calibrate-target_trigger", "negative", -1.0, ValueError,
-        "calibration targets must be non-negative", (-1.0, 0.40, THETA_88))
+        "calibration targets must be non-negative", args=(-1.0, 0.40, THETA_88))
     row("calibrate-target_ratio_step", "negative", -0.1, ValueError,
-        "calibration targets must be non-negative", (20.0, -0.1, THETA_88))
-    return rows
+        "calibration targets must be non-negative", args=(20.0, -0.1, THETA_88))
+    return library, flags
 
 
 # every refused value of a number argument, by id: (NUMBER_ARGUMENTS case,
-# label, the entry's arguments after the config, the exception's type and its
-# message). A refused kind holds the number the argument takes; a range row
-# replaces the non-finite row of its id when the range check refuses first.
-REFUSED_NUMBERS = _refused_numbers()
-
-
-def _refused_flags() -> dict:
-    """REFUSED_FLAGS: the rows of REFUSED_NUMBERS that a flag sets and lbvt prints as worded."""
-    # every refused --force and force sweep --from and --step is printed as worded
-    as_worded = {"solve_equilibrium-f_cyl", "sweep_torque_vs_angle-f_cyl",
-                 *(f"{sweep}-{arg}" for sweep in _FORCE_COMMANDS for arg in ("f_from", "step"))}
-    rows = {}
-    for row, (case, label, args, _, message) in REFUSED_NUMBERS.items():
-        _, _, i, _, flag = NUMBER_ARGUMENTS[case]
-        # a flag reads a float; a NaN or infinite angle reads the same in degrees
-        if flag and (label in ("nan", "inf", "-inf") or case in as_worded and label not in _KINDS):
-            rows[row] = (*flag, str(args[i]), message)
-    # solve_equilibrium solves a NaN force, unconverged; lbvt solve refuses it
-    rows["solve_equilibrium-f_cyl-nan"] = ("solve", "--force", "nan",
-                                           "f_cyl must be non-negative and finite, got nan")
-    return rows
-
-
-# the refusals of number flags, by the id of their row in REFUSED_NUMBERS, as
-# (command, flag, value as typed, message): lbvt prints the entry's message
-REFUSED_FLAGS = _refused_flags()
+# the config and the arguments after it that the entry is given, the
+# exception's type and its message). A refused kind holds the number the
+# argument is given. The refusals of number flags, by the same ids: (command,
+# flag, value as typed, message), for lbvt prints the entry's message. At the
+# flag only, lbvt solve refuses a NaN --force.
+REFUSED_NUMBERS, REFUSED_FLAGS = _refusals()
 
 
 def refusal(base: MechanismConfig, **updates) -> list[str]:

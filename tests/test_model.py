@@ -467,15 +467,15 @@ def _outcome(call):
 
 
 @pytest.mark.parametrize("row", REFUSED_NUMBERS, ids=list(REFUSED_NUMBERS))
-def test_a_refused_number_argument_raises_before_any_work(default_config, monkeypatch, row):
+def test_a_refused_number_argument_raises_before_any_work(monkeypatch, row):
     # a refused kind is read as a config file's number is (model._read_argument);
     # no refusal runs a chain pass, and only a lever of no length reaches the
     # closure kernel, which refuses it
-    case, _, args, error, message = REFUSED_NUMBERS[row]
+    case, config, args, error, message = REFUSED_NUMBERS[row]
     work = [count_calls(monkeypatch, chain, "_geometry"),
             count_calls(monkeypatch, linkage, "_closure_kernel")]
     with pytest.raises(ValueError) as exc:
-        NUMBER_ARGUMENTS[case][0](default_config, *args)
+        NUMBER_ARGUMENTS[case][0](config, *args)
     assert (type(exc.value), str(exc.value)) == (error, message)
     assert work == [[0], [int(error is model.GeometryError)]]
 
